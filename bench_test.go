@@ -22,17 +22,17 @@ import (
 )
 
 // BenchmarkEngineScaling measures the double-buffered stepping engine at
-// growing n, serial vs pooled-parallel, for both the Clone-per-step path
-// and the zero-allocation InPlaceStepper path — on the toy FloodMin
-// protocol, on the §7 verifier (incremental, and with static-verdict
-// memoization disabled: "verify-fullrecheck"), and on the §10 transformer
-// seeded into its check phase. Acceptance: the in-place steady-state round
-// loop reports 0 allocs/op on all three machines, the incremental verifier
-// beats full re-check, and on ≥4 cores parallel is ≥2× faster than serial
-// (see runtime.TestParallelSpeedup for the asserted version; parallel/serial
-// and clone/in-place bit-equality are asserted by
-// runtime.TestParallelDeterminism, verify.TestInPlaceMatchesClone and
-// selfstab.TestInPlaceMatchesClone; incremental/full-recheck equality by
+// growing n, serial vs pooled-parallel, on the zero-allocation
+// InPlaceStepper path — on the toy FloodMin protocol, on the §7 verifier
+// (incremental, and with static-verdict memoization disabled:
+// "verify-fullrecheck"), and on the §10 transformer seeded into its check
+// phase. Acceptance: the steady-state round loop reports 0 allocs/op on all
+// three machines, the incremental verifier beats full re-check, and on ≥4
+// cores parallel is ≥2× faster than serial (see runtime.TestParallelSpeedup
+// for the asserted version; parallel/serial and Step/in-place bit-equality
+// are asserted by runtime.TestParallelDeterminism,
+// verify.TestInPlaceMatchesClone and selfstab.TestInPlaceMatchesClone;
+// incremental/full-recheck equality by
 // verify.TestIncrementalMatchesFullRecheck).
 func BenchmarkEngineScaling(b *testing.B) {
 	for _, n := range []int{256, 1024, 4096, 16384} {
@@ -48,19 +48,11 @@ func BenchmarkEngineScaling(b *testing.B) {
 			}
 			return labeled
 		}
-		verifier := func(b *testing.B, wrap, fullRecheck bool) *runtime.Engine {
-			var m runtime.Machine = &verify.Machine{Mode: verify.Sync, Labeled: lab(b), FullRecheck: fullRecheck}
-			if wrap {
-				m = runtime.WithoutInPlace(m)
-			}
-			return runtime.New(g, m, 1)
+		verifier := func(b *testing.B, fullRecheck bool) *runtime.Engine {
+			return runtime.New(g, &verify.Machine{Mode: verify.Sync, Labeled: lab(b), FullRecheck: fullRecheck}, 1)
 		}
-		transformer := func(b *testing.B, wrap bool) *runtime.Engine {
-			var m runtime.Machine = selfstab.NewMachine(g, g.N(), verify.Sync)
-			if wrap {
-				m = runtime.WithoutInPlace(m)
-			}
-			e := runtime.New(g, m, 1)
+		transformer := func(b *testing.B) *runtime.Engine {
+			e := runtime.New(g, selfstab.NewMachine(g, g.N(), verify.Sync), 1)
 			selfstab.SeedChecked(e, lab(b))
 			return e
 		}
@@ -71,14 +63,10 @@ func BenchmarkEngineScaling(b *testing.B) {
 		}{
 			{"serial", false, func(*testing.B) *runtime.Engine { return runtime.New(g, runtime.FloodMin{}, 1) }},
 			{"parallel", true, func(*testing.B) *runtime.Engine { return runtime.New(g, runtime.FloodMin{}, 1) }},
-			{"serial-clone", false, func(*testing.B) *runtime.Engine { return runtime.New(g, runtime.FloodMinClone{}, 1) }},
-			{"parallel-clone", true, func(*testing.B) *runtime.Engine { return runtime.New(g, runtime.FloodMinClone{}, 1) }},
-			{"verify", false, func(b *testing.B) *runtime.Engine { return verifier(b, false, false) }},
-			{"verify-parallel", true, func(b *testing.B) *runtime.Engine { return verifier(b, false, false) }},
-			{"verify-fullrecheck", false, func(b *testing.B) *runtime.Engine { return verifier(b, false, true) }},
-			{"verify-clone", false, func(b *testing.B) *runtime.Engine { return verifier(b, true, true) }},
-			{"selfstab", false, func(b *testing.B) *runtime.Engine { return transformer(b, false) }},
-			{"selfstab-clone", false, func(b *testing.B) *runtime.Engine { return transformer(b, true) }},
+			{"verify", false, func(b *testing.B) *runtime.Engine { return verifier(b, false) }},
+			{"verify-parallel", true, func(b *testing.B) *runtime.Engine { return verifier(b, false) }},
+			{"verify-fullrecheck", false, func(b *testing.B) *runtime.Engine { return verifier(b, true) }},
+			{"selfstab", false, transformer},
 		} {
 			b.Run(fmt.Sprintf("n=%d/%s", n, bc.name), func(b *testing.B) {
 				e := bc.build(b)

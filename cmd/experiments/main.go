@@ -58,8 +58,8 @@ Flags:
                       every cell cross-checked against the centralized
                       T-lightness and cycle-property oracles
     enginescaling     E14/E14b — engine rounds at growing n, serial vs
-                      parallel, plus verifier round cost (clone vs full
-                      re-check vs incremental; minutes of wall clock)
+                      parallel, plus verifier round cost (full re-check
+                      vs incremental; minutes of wall clock)
 `)
 }
 

@@ -84,9 +84,6 @@ Engine flags (the knobs BenchmarkEngineScaling measures):
   -serial       disable worker-pool fan-out for synchronous rounds
   -workers int  cap pool workers per round (0 = all pool workers); nonzero
                 also forces pool engagement even on one core (-serial wins)
-  -clone        disable the in-place fast path: the clone-per-step
-                reference engine (slower, allocates per round; implies
-                -fullrecheck — the clone path always re-checks everything)
   -fullrecheck  disable incremental verification: re-check every label
                 layer every round instead of memoizing the static verdict
                 (the pre-incremental reference configuration)
@@ -104,7 +101,6 @@ func main() {
 	selfstab := flag.Bool("selfstab", false, "run the self-stabilizing construction instead")
 	serial := flag.Bool("serial", false, "disable worker-pool fan-out for synchronous rounds")
 	workers := flag.Int("workers", 0, "cap pool workers per round (0: all); nonzero also forces pool engagement (-serial wins)")
-	clone := flag.Bool("clone", false, "disable the in-place fast path (clone-per-step reference engine)")
 	fullRecheck := flag.Bool("fullrecheck", false, "disable incremental verification (re-check all label layers every round)")
 	flag.Usage = usage
 	flag.CommandLine.SetOutput(os.Stderr)
@@ -114,6 +110,10 @@ func main() {
 		e.Parallel = !*serial
 		e.Workers = *workers
 		e.ForcePool = *workers != 0
+	}
+	newVerifier, newSelfStabilizing := ssmst.NewVerifier, ssmst.NewSelfStabilizing
+	if *fullRecheck {
+		newVerifier, newSelfStabilizing = ssmst.NewVerifierFullRecheck, ssmst.NewSelfStabilizingFullRecheck
 	}
 
 	if *m == 0 {
@@ -154,15 +154,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		var v *ssmst.Verifier
-		switch {
-		case *clone:
-			v = ssmst.NewVerifierClonePath(labeled, mode, *seed)
-		case *fullRecheck:
-			v = ssmst.NewVerifierFullRecheck(labeled, mode, *seed)
-		default:
-			v = ssmst.NewVerifier(labeled, mode, *seed)
-		}
+		v := newVerifier(labeled, mode, *seed)
 		tune(v.Eng)
 		budget := ssmst.DetectionBudget(g.N())
 		if oracleMST {
@@ -182,15 +174,7 @@ func main() {
 	}
 
 	if *selfstab {
-		var r *ssmst.SelfStabilizing
-		switch {
-		case *clone:
-			r = ssmst.NewSelfStabilizingClonePath(g, g.N(), mode, *seed)
-		case *fullRecheck:
-			r = ssmst.NewSelfStabilizingFullRecheck(g, g.N(), mode, *seed)
-		default:
-			r = ssmst.NewSelfStabilizing(g, g.N(), mode, *seed)
-		}
+		r := newSelfStabilizing(g, g.N(), mode, *seed)
 		tune(r.Eng)
 		rounds, ok := r.RunUntilStable(2 * r.StabilizationBudget())
 		fmt.Printf("self-stabilizing MST: stabilized=%v in %d rounds, MST=%v, max bits/node=%d\n",
@@ -245,15 +229,7 @@ func main() {
 	}
 	fmt.Printf("marker: %d rounds, max label bits=%d\n", labeled.ConstructionTime, labeled.MaxLabelBits())
 
-	var v *ssmst.Verifier
-	switch {
-	case *clone:
-		v = ssmst.NewVerifierClonePath(labeled, mode, *seed)
-	case *fullRecheck:
-		v = ssmst.NewVerifierFullRecheck(labeled, mode, *seed)
-	default:
-		v = ssmst.NewVerifier(labeled, mode, *seed)
-	}
+	v := newVerifier(labeled, mode, *seed)
 	tune(v.Eng)
 	budget := ssmst.DetectionBudget(g.N())
 	if *churn != "" {

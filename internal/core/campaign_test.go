@@ -119,3 +119,44 @@ func TestCampaignRejectsUnknownScenario(t *testing.T) {
 		t.Fatal("unknown scenario did not error")
 	}
 }
+
+// TestDetectionRoundsGolden pins detection latencies that are fully
+// deterministic in their seeds: a live weight flip at n=4096, and the
+// corrupted-MST k-sweep at n=1024 on every family (graph, corruption and
+// engine all derive from the spec seed). A change to any of these numbers
+// is a behaviour change of the verifier, not noise.
+func TestDetectionRoundsGolden(t *testing.T) {
+	if d, ok := MeasureChurnDetection(4096, verify.ChurnWeightBreak, 1); !ok || !d.Detected || d.DetectRounds != 1 {
+		t.Errorf("weight-break at n=4096: planned=%v detected=%v in %d rounds, want 1", ok, d.Detected, d.DetectRounds)
+	}
+
+	const n = 1024
+	ks := []int{1, 4, 16, n / 4}
+	want := map[string][]int{
+		"random":    {44, 279, 2, 2},
+		"powerlaw":  {12, 2, 2, 2},
+		"geometric": {5, 4, 13, 2},
+		"highgirth": {487, 4, 2, 2},
+	}
+	for _, fam := range Families() {
+		rounds, ok := want[fam]
+		if !ok {
+			t.Errorf("family %q has no golden row", fam)
+			continue
+		}
+		for i, k := range ks {
+			spec := CampaignSpec{
+				Family: fam, N: n, Scenario: ScenarioCorrupt, K: k,
+				Seed: verify.SubSeed(1, n, int64(k)),
+			}
+			res, err := RunCampaign(spec)
+			if err != nil {
+				t.Fatalf("%+v: %v", spec, err)
+			}
+			if !res.Agree || !res.Detected || res.DetectRounds != rounds[i] {
+				t.Errorf("%s k=%d: agree=%v detected=%v in %d rounds, want %d",
+					fam, k, res.Agree, res.Detected, res.DetectRounds, rounds[i])
+			}
+		}
+	}
+}

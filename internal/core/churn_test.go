@@ -6,8 +6,8 @@ import (
 	"ssmst/internal/verify"
 )
 
-// TestMeasureChurnDetection smoke-tests the measurement cmd/benchjson's
-// churn row and the churnscaling table are built on: breaking kinds are
+// TestMeasureChurnDetection smoke-tests the measurement the churnscaling
+// table and TestDetectionRoundsGolden are built on: breaking kinds are
 // detected within the budget, preserving kinds stay silent.
 func TestMeasureChurnDetection(t *testing.T) {
 	for _, kind := range []verify.ChurnKind{verify.ChurnWeightBreak, verify.ChurnAddLight} {

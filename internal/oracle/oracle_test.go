@@ -159,8 +159,7 @@ func nonTreeEdge(g *graph.Graph, tree []int) int {
 }
 
 // BenchmarkOracles is the centralized-baseline cost benchmark: one full
-// double-oracle audit of an MST at n=1024, m=3n — the runtime benchjson's
-// oracle baseline row tracks.
+// double-oracle audit of an MST at n=1024, m=3n.
 func BenchmarkOracles(b *testing.B) {
 	g := graph.RandomConnected(1024, 3*1024, 1)
 	mst, err := graph.Kruskal(g, graph.ByWeight(g))

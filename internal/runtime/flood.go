@@ -51,19 +51,7 @@ func (FloodMin) nextMin(v *View) graph.NodeID {
 	return min
 }
 
-// FloodMinClone is FloodMin without the in-place fast path — the baseline
-// allocate-per-step cost. Delegation (not embedding) keeps StepInPlace out
-// of its method set.
-type FloodMinClone struct{}
-
-// Init implements Machine.
-func (FloodMinClone) Init(v *View) State { return FloodMin{}.Init(v) }
-
-// Step implements Machine.
-func (FloodMinClone) Step(v *View) State { return FloodMin{}.Step(v) }
-
 var (
 	_ Machine        = FloodMin{}
 	_ InPlaceStepper = FloodMin{}
-	_ Machine        = FloodMinClone{}
 )

@@ -316,29 +316,6 @@ type InPlaceStepper interface {
 	StepInPlace(v *View, scratch State) State
 }
 
-// WithoutInPlace wraps a machine so that it no longer advertises the
-// InPlaceStepper fast path: the engine falls back to Machine.Step even if
-// the wrapped machine implements StepInPlace. Benchmarks and determinism
-// tests use it to run the clone path and the in-place path of the same
-// machine side by side.
-func WithoutInPlace(m Machine) Machine { return cloneOnly{m} }
-
-// cloneOnly deliberately has no StepInPlace method.
-type cloneOnly struct{ m Machine }
-
-func (c cloneOnly) Init(v *View) State { return c.m.Init(v) }
-func (c cloneOnly) Step(v *View) State { return c.m.Step(v) }
-
-// BindLanes forwards lane registration: dropping the in-place fast path must
-// not silently demote a lane-resident machine to struct storage (the parity
-// suites step clone-path and in-place engines of the same machine and expect
-// identical residency).
-func (c cloneOnly) BindLanes(ls *Lanes) {
-	if lb, ok := c.m.(LaneBinder); ok {
-		lb.BindLanes(ls)
-	}
-}
-
 // DefaultParallelThreshold is the network size below which parallel
 // dispatch is skipped. Measured crossover: one pool handoff costs on the
 // order of a few microseconds, while a typical Step runs in ~100ns, so
@@ -347,10 +324,10 @@ const DefaultParallelThreshold = 512
 
 // stepChunk is the unit of work claimed off the round cursor: large enough
 // to amortize the atomic add, small enough to balance uneven step costs.
-// Re-swept after the lane flattening (BenchmarkQuietRoundChunk, 32–1024 over
-// a settled n=16384 coast network): the quiet-round curve is flat within
-// jitter, so 128 stands on its load-balancing merit — at n=4096 with 8
-// workers it still yields 4 claims per worker for skewed detection rounds.
+// Re-swept after the lane flattening (32–1024 over a settled n=16384 coast
+// network): the quiet-round curve is flat within jitter, so 128 stands on
+// its load-balancing merit — at n=4096 with 8 workers it still yields 4
+// claims per worker for skewed detection rounds.
 const stepChunk = 128
 
 // Engine executes a Machine over a graph under one of the two daemons.
@@ -388,10 +365,6 @@ type Engine struct {
 	// that do not implement it fall back to dense rounds. The asynchronous
 	// daemon ignores it.
 	Worklist bool
-	// ChunkSize overrides the per-worker claim unit for parallel rounds
-	// (0 = stepChunk). Exposed so the bench layer can sweep it against the
-	// lane layout; the measured default stands for normal use.
-	ChunkSize int
 
 	maxBits     int
 	activations int64
@@ -816,14 +789,6 @@ func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
 	return bitSize, alarm, done
 }
 
-// chunk returns the per-worker claim unit (ChunkSize override or stepChunk).
-func (e *Engine) chunk() int {
-	if e.ChunkSize > 0 {
-		return e.ChunkSize
-	}
-	return stepChunk
-}
-
 // effectiveWorkers returns how many pool workers a parallel round should
 // occupy: capped by Workers and by the number of chunks in the round.
 func (e *Engine) effectiveWorkers(n int) int {
@@ -831,8 +796,8 @@ func (e *Engine) effectiveWorkers(n int) int {
 	if e.Workers > 0 && e.Workers < w {
 		w = e.Workers
 	}
-	if c := e.chunk(); (n+c-1)/c < w {
-		w = (n + c - 1) / c
+	if c := (n + stepChunk - 1) / stepChunk; c < w {
+		w = c
 	}
 	return w
 }
@@ -932,14 +897,13 @@ func (e *Engine) runChunks(v *View) {
 	v.engine = e
 	v.snap = e.stepSnap
 	n := len(e.stepSnap)
-	chunk := e.chunk()
 	localMax, alarms, done := 0, 0, 0
 	for {
-		lo := int(e.cursor.Add(int64(chunk))) - chunk
+		lo := int(e.cursor.Add(stepChunk)) - stepChunk
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
+		hi := lo + stepChunk
 		if hi > n {
 			hi = n
 		}

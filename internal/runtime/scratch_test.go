@@ -47,21 +47,28 @@ func TestMachineScratchPersistsAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestWithoutInPlaceHidesFastPath asserts the wrapper strips the
-// InPlaceStepper method set, forcing the engine onto the clone path.
-func TestWithoutInPlaceHidesFastPath(t *testing.T) {
-	if _, ok := WithoutInPlace(FloodMin{}).(InPlaceStepper); ok {
-		t.Fatal("WithoutInPlace leaked the StepInPlace method")
+// stepOnly embeds a machine behind the Machine interface, so only Init and
+// Step are promoted: StepInPlace stays hidden and the engine takes its
+// Machine.Step fallback (the path the async daemon and machines without the
+// fast path use).
+type stepOnly struct{ Machine }
+
+// TestStepFallbackMatchesInPlace asserts the engine's Machine.Step fallback
+// and its in-place fast path produce the same rounds.
+func TestStepFallbackMatchesInPlace(t *testing.T) {
+	var m Machine = stepOnly{FloodMin{}}
+	if _, ok := m.(InPlaceStepper); ok {
+		t.Fatal("stepOnly leaked the StepInPlace method")
 	}
 	g := graph.Path(6, 2)
-	e := New(g, WithoutInPlace(FloodMin{}), 2)
+	e := New(g, m, 2)
 	want := New(g, FloodMin{}, 2)
 	for r := 0; r < 10; r++ {
 		e.StepSync()
 		want.StepSync()
 		for v := 0; v < g.N(); v++ {
 			if e.State(v).(*FloodMinState).Min != want.State(v).(*FloodMinState).Min {
-				t.Fatalf("round %d node %d: wrapped machine diverged", r, v)
+				t.Fatalf("round %d node %d: Step fallback diverged from the fast path", r, v)
 			}
 		}
 	}

@@ -272,14 +272,13 @@ func (e *Engine) runChunksSparse(v *View) {
 	v.snap = e.stepSnap
 	active := e.sparseActive
 	n := len(active)
-	chunk := e.chunk()
 	localMax, dAlarm, dDone := 0, 0, 0
 	for {
-		lo := int(e.cursor.Add(int64(chunk))) - chunk
+		lo := int(e.cursor.Add(stepChunk)) - stepChunk
 		if lo >= n {
 			break
 		}
-		hi := lo + chunk
+		hi := lo + stepChunk
 		if hi > n {
 			hi = n
 		}

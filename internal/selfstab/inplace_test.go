@@ -11,13 +11,21 @@ import (
 	"ssmst/internal/verify"
 )
 
+// stepOnly hides a machine's StepInPlace fast path: embedding the Machine
+// interface promotes only Init and Step, so the engine falls back to
+// Machine.Step, which builds every next state fresh. BindLanes is forwarded
+// so both engines keep the same lane residency.
+type stepOnly struct{ runtime.Machine }
+
+func (s stepOnly) BindLanes(ls *runtime.Lanes) { s.Machine.(runtime.LaneBinder).BindLanes(ls) }
+
 // newEngine builds a transformer engine with the oracle snapshot wired, on
-// either the in-place fast path or the clone path.
-func newEngine(g *graph.Graph, seed int64, clonePath bool) *runtime.Engine {
+// either the in-place fast path or the Machine.Step fallback.
+func newEngine(g *graph.Graph, seed int64, inplace bool) *runtime.Engine {
 	m := NewMachine(g, g.N(), verify.Sync)
-	var mm runtime.Machine = m
-	if clonePath {
-		mm = runtime.WithoutInPlace(m)
+	var mm runtime.Machine = stepOnly{m}
+	if inplace {
+		mm = m
 	}
 	eng := runtime.New(g, mm, seed)
 	m.Snapshot = func() []*SState {
@@ -32,34 +40,34 @@ func newEngine(g *graph.Graph, seed int64, clonePath bool) *runtime.Engine {
 	return eng
 }
 
-func compareEngines(t *testing.T, r int, clone, inplace, par *runtime.Engine) {
+func compareEngines(t *testing.T, r int, fresh, inplace, par *runtime.Engine) {
 	t.Helper()
-	n := clone.G().N()
+	n := fresh.G().N()
 	for v := 0; v < n; v++ {
 		// Clone normalizes the embedded verifier's simulator-side memo
 		// caches on both sides; every protocol-visible field is compared
 		// bit-for-bit.
-		want := clone.State(v).Clone()
+		want := fresh.State(v).Clone()
 		if !reflect.DeepEqual(want, inplace.State(v).Clone()) {
-			t.Fatalf("round %d node %d: in-place state diverged from clone path\nclone:    %+v\ninplace:  %+v",
+			t.Fatalf("round %d node %d: in-place state diverged from Step\nstep:     %+v\ninplace:  %+v",
 				r, v, want, inplace.State(v))
 		}
 		if par != nil && !reflect.DeepEqual(want, par.State(v).Clone()) {
-			t.Fatalf("round %d node %d: parallel in-place state diverged from clone path", r, v)
+			t.Fatalf("round %d node %d: parallel in-place state diverged from Step", r, v)
 		}
 	}
 }
 
 // TestInPlaceMatchesClone runs the transformer from a clean start through a
 // full epoch — resync, build, label, and the check phase — and asserts the
-// in-place path (serial and parallel-forced) is bit-identical to the clone
-// path every round, including across every phase transition. CI runs it
-// under -race.
+// in-place path (serial and parallel-forced) is bit-identical to
+// Machine.Step every round, including across every phase transition. CI
+// runs it under -race.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(16, 40, 3)
-	clone := newEngine(g, 2, true)
-	inplace := newEngine(g, 2, false)
-	par := newEngine(g, 2, false)
+	fresh := newEngine(g, 2, false)
+	inplace := newEngine(g, 2, true)
+	par := newEngine(g, 2, true)
 	par.Parallel = true
 	par.ParallelThreshold = 1 // fan out below the default threshold
 	par.ForcePool = true      // even on a single-core host
@@ -67,10 +75,10 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	m := NewMachine(g, g.N(), verify.Sync)
 	rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200
 	for r := 0; r < rounds; r++ {
-		clone.StepSync()
+		fresh.StepSync()
 		inplace.StepSync()
 		par.StepSync()
-		compareEngines(t, r, clone, inplace, par)
+		compareEngines(t, r, fresh, inplace, par)
 	}
 	// Sanity: the run must actually have reached the check phase, or the
 	// comparison never exercised the verifier-in-place composition.
@@ -90,19 +98,19 @@ func TestInPlaceMatchesCloneFromScramble(t *testing.T) {
 	r.Eng.Parallel = false
 	r.Scramble(rand.New(rand.NewSource(23)))
 
-	clone := newEngine(g, 5, true)
-	inplace := newEngine(g, 5, false)
+	fresh := newEngine(g, 5, false)
+	inplace := newEngine(g, 5, true)
 	for v := 0; v < g.N(); v++ {
 		st := r.Eng.State(v).(*SState)
-		clone.SetState(v, st.Clone())
+		fresh.SetState(v, st.Clone())
 		inplace.SetState(v, st.Clone())
 	}
 	m := NewMachine(g, g.N(), verify.Sync)
 	rounds := 2*(m.resyncDur()+m.buildDur()+m.labelDur()) + 400
 	for rd := 0; rd < rounds; rd++ {
-		clone.StepSync()
+		fresh.StepSync()
 		inplace.StepSync()
-		compareEngines(t, rd, clone, inplace, nil)
+		compareEngines(t, rd, fresh, inplace, nil)
 	}
 }
 

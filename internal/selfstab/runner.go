@@ -21,37 +21,8 @@ type Runner struct {
 // bound N on n assumed by the reset substrate (pass g.N() for the exact
 // bound). Rounds run on the in-place zero-allocation fast path.
 func NewRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
-	return newRunner(g, bound, mode, seed, false)
-}
-
-// NewClonePathRunner is NewRunner with the InPlaceStepper fast path
-// disabled (runtime.WithoutInPlace) and the embedded verifier's
-// memoization off: the clone-per-step, check-everything reference
-// configuration for measuring — and cross-checking — the in-place
-// incremental engine.
-func NewClonePathRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
-	r := newRunner(g, bound, mode, seed, true)
-	r.M.verifier.FullRecheck = true
-	return r
-}
-
-// NewFullRecheckRunner is NewRunner with the embedded verifier's static-
-// verdict memoization disabled: the check phase re-checks every label layer
-// every round. The reference configuration incremental transformer runs are
-// compared against (detection rounds are bit-identical).
-func NewFullRecheckRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
-	r := newRunner(g, bound, mode, seed, false)
-	r.M.verifier.FullRecheck = true
-	return r
-}
-
-func newRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64, clonePath bool) *Runner {
 	m := NewMachine(g, bound, mode)
-	var mm runtime.Machine = m
-	if clonePath {
-		mm = runtime.WithoutInPlace(m)
-	}
-	eng := runtime.New(g, mm, seed)
+	eng := runtime.New(g, m, seed)
 	eng.Parallel = true
 	m.Snapshot = func() []*SState {
 		out := make([]*SState, g.N())
@@ -63,6 +34,16 @@ func newRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64, clonePat
 		return out
 	}
 	return &Runner{M: m, Eng: eng, Async: mode == verify.Async}
+}
+
+// NewFullRecheckRunner is NewRunner with the embedded verifier's static-
+// verdict memoization disabled: the check phase re-checks every label layer
+// every round. The reference configuration incremental transformer runs are
+// compared against (detection rounds are bit-identical).
+func NewFullRecheckRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
+	r := NewRunner(g, bound, mode, seed)
+	r.M.verifier.FullRecheck = true
+	return r
 }
 
 // Step advances one time unit.

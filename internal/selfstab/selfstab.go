@@ -332,8 +332,8 @@ func recycleCheck(dst, src *verify.VState) *verify.VState {
 	return dst
 }
 
-// Step advances the transformer at one node (the clone path: every call
-// returns freshly allocated state).
+// Step advances the transformer at one node (the Machine.Step fallback:
+// every call returns freshly allocated state).
 func (m *Machine) Step(v *runtime.View) runtime.State {
 	return m.stepInto(v, new(SState), m.scratchOf(v))
 }
@@ -377,8 +377,8 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	}
 	*dst = *old
 	s := dst
-	// Deep-copy the sub-states into the recycled slots (what the clone path's
-	// Clone did); from here on s shares no memory with old. The sub-state a
+	// Deep-copy the sub-states into the recycled slots (what Clone would
+	// do); from here on s shares no memory with old. The sub-state a
 	// phase's own hot step overwrites wholesale is deferred to that branch —
 	// BuildPrev during Build (the advancing pulse uses its slot as the step
 	// destination), Check during Check (the verifier copies the pre-step

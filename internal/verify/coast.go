@@ -17,7 +17,7 @@ import (
 // quiescence a certified, opt-in protocol state instead:
 //
 //  1. Rest the trains. Once a node's tracked neighbourhood has been quiet
-//     for the horizon (Machine.CoastAfter), its train contexts carry
+//     for the horizon (coastHorizon), its train contexts carry
 //     RestOK and the part roots park at the end of a completed cycle
 //     (train.Ctx.RestOK) — the whole train reaches a per-node fixed point
 //     within one cycle budget, with only the roots' peer-invisible
@@ -211,23 +211,19 @@ func coastTrainAdvance(st *train.State, l *train.Labels, own graph.NodeID, k int
 	st.Timer = train.IdleTimerAdvance(st.Timer, l.CycleBudget(), k)
 }
 
-// coastHorizon returns the quiet-horizon length for a node: CoastAfter if
-// configured, else one complete local sampler sweep — every level of J(v)
-// at its full dwell window — plus slack for an in-flight dwell and the
-// trains' cycle. The sweep term is load-bearing for soundness, not tuning:
-// certification relies on "no alarm during the horizon" to rule out latent
-// violations, and a violation observable at this node is only guaranteed
-// to alarm once the sweep has asked about every level against the settled
-// labels. A shorter horizon lets a region melt under a fault (say a churn
+// coastHorizon returns the quiet-horizon length for a node: one complete
+// local sampler sweep — every level of J(v) at its full dwell window — plus
+// slack for an in-flight dwell and the trains' cycle. The sweep term is
+// load-bearing for soundness, not tuning: certification relies on "no alarm
+// during the horizon" to rule out latent violations, and a violation
+// observable at this node is only guaranteed to alarm once the sweep has
+// asked about every level against the settled labels. A shorter horizon lets a region melt under a fault (say a churn
 // event re-weighting an edge two hops away), go quiet again, and
 // re-certify before the sweep reaches the offending level — freezing the
 // stale comparison in forever (found by FuzzWorklistParity: a
 // ChurnWeightBreak against a frozen network went undetected under the old
 // 2×window default).
-func (m *Machine) coastHorizon(s *VState) int64 {
-	if m.CoastAfter > 0 {
-		return int64(m.CoastAfter)
-	}
+func coastHorizon(s *VState) int64 {
 	L := len(s.samplerLevels)
 	if L < 2 {
 		L = 2
@@ -240,7 +236,7 @@ func (m *Machine) coastHorizon(s *VState) int64 {
 // It gates both the trains' RestOK and coast certification, so trains park
 // strictly before (never after) their node freezes.
 func (m *Machine) restsAt(tr Tracker, s *VState, epoch int64) bool {
-	h := m.coastHorizon(s)
+	h := coastHorizon(s)
 	return epoch >= h && !tr.LabelsChangedSince(epoch-h)
 }
 

@@ -10,11 +10,19 @@ import (
 	"ssmst/internal/runtime"
 )
 
-// TestInPlaceMatchesClone asserts the verifier's InPlaceStepper fast path
-// is bit-identical to the clone path — serial and parallel-forced — through
-// a quiet phase, a multi-layer fault, detection, and the alarmed steady
-// state. CI runs it under -race, which also exercises the worker pool over
-// the scratch-carrying Views.
+// stepOnly hides a machine's StepInPlace fast path: embedding the Machine
+// interface promotes only Init and Step, so the engine falls back to
+// Machine.Step, which builds every next state fresh. BindLanes is forwarded
+// so both engines keep the same lane residency.
+type stepOnly struct{ runtime.Machine }
+
+func (s stepOnly) BindLanes(ls *runtime.Lanes) { s.Machine.(runtime.LaneBinder).BindLanes(ls) }
+
+// TestInPlaceMatchesClone asserts the verifier's InPlaceStepper fast path —
+// serial and parallel-forced — is bit-identical to Machine.Step, which never
+// sees a recycled scratch state, through a quiet phase, a multi-layer fault,
+// detection, and the alarmed steady state. CI runs it under -race, which
+// also exercises the worker pool over the scratch-carrying Views.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(64, 160, 5)
 	l, err := Mark(g)
@@ -22,32 +30,32 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Machine{Mode: Sync, Labeled: l}
-	clone := runtime.New(g, runtime.WithoutInPlace(m), 3)
+	fresh := runtime.New(g, stepOnly{m}, 3)
 	inplace := runtime.New(g, m, 3)
 	par := runtime.New(g, m, 3)
 	par.Parallel = true
 	par.ParallelThreshold = 1 // fan out below the default threshold
 	par.ForcePool = true      // even on a single-core host
-	engines := []*runtime.Engine{clone, inplace, par}
+	engines := []*runtime.Engine{fresh, inplace, par}
 
 	compare := func(r int) {
 		t.Helper()
 		for v := 0; v < g.N(); v++ {
 			// Clone normalizes the simulator-side memo caches on both sides
-			// (recycled states persist the claimed-level list, one-round
-			// clone-path states do not); every protocol-visible field is
-			// compared bit-for-bit.
-			want := clone.State(v).Clone()
+			// (recycled states persist the claimed-level list, fresh Step
+			// states do not); every protocol-visible field is compared
+			// bit-for-bit.
+			want := fresh.State(v).Clone()
 			if !reflect.DeepEqual(want, inplace.State(v).Clone()) {
-				t.Fatalf("round %d node %d: in-place state diverged from clone path", r, v)
+				t.Fatalf("round %d node %d: in-place state diverged from Step", r, v)
 			}
 			if !reflect.DeepEqual(want, par.State(v).Clone()) {
-				t.Fatalf("round %d node %d: parallel in-place state diverged from clone path", r, v)
+				t.Fatalf("round %d node %d: parallel in-place state diverged from Step", r, v)
 			}
 		}
-		if clone.MaxStateBits() != inplace.MaxStateBits() || clone.MaxStateBits() != par.MaxStateBits() {
-			t.Fatalf("round %d: maxBits diverged: clone %d in-place %d parallel %d",
-				r, clone.MaxStateBits(), inplace.MaxStateBits(), par.MaxStateBits())
+		if fresh.MaxStateBits() != inplace.MaxStateBits() || fresh.MaxStateBits() != par.MaxStateBits() {
+			t.Fatalf("round %d: maxBits diverged: Step %d in-place %d parallel %d",
+				r, fresh.MaxStateBits(), inplace.MaxStateBits(), par.MaxStateBits())
 		}
 	}
 	for r := 0; r < 40; r++ {
@@ -77,7 +85,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 			e.StepSync()
 		}
 		compare(40 + r)
-		if _, bad := clone.AnyAlarm(); bad {
+		if _, bad := fresh.AnyAlarm(); bad {
 			detected = true
 		}
 	}

@@ -10,8 +10,8 @@ import (
 // BenchmarkQuietRoundResidency is the lanes-vs-struct A/B on one build: the
 // settled dense coast quiet round at n=16384, serial, under both residencies.
 // Run with -count to interleave samples; the pair isolates the lane layout's
-// effect from box noise and build drift, which the cross-PR BENCH_*.json
-// comparison cannot.
+// effect from box noise and build drift, which a comparison across builds
+// cannot.
 func BenchmarkQuietRoundResidency(b *testing.B) {
 	const n = 16384
 	g := graph.RandomConnected(n, 3*n, 1)

@@ -455,12 +455,6 @@ type Machine struct {
 	// Mode == Sync and incremental tracking; ignored under FullRecheck or
 	// trackerless views.
 	Coast bool
-	// CoastAfter overrides the quiet horizon in rounds before trains park
-	// and nodes certify (0 = per-node default: a full sampler sweep, see
-	// coastHorizon). Overriding below a full sweep trades detection of
-	// latent violations for faster freezing — acceptable only in tests
-	// that compare engine configurations against each other.
-	CoastAfter int
 
 	// NoLanes keeps the hot fields on struct storage: BindLanes binds
 	// nothing and the engine falls back to per-state measurement and struct
@@ -727,7 +721,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		dstStaticEpoch <= epoch && !tr.LabelsChangedSince(dstStaticEpoch) {
 		dst.copyFromKeepingLabels(old)
 	} else {
-		// A fresh dst (the clone path, or a cold scratch slot) is discarded
+		// A fresh dst (Machine.Step, or a cold scratch slot) is discarded
 		// after one round: persisting the claimed-level memo on it would
 		// allocate a per-step slice for nothing, so such steps build J(v)
 		// into the per-worker scratch instead (see the sampler layer).

@@ -26,17 +26,7 @@ type Runner struct {
 // the engine's change tracking reports a neighbourhood label change
 // (incremental verification; bit-identical to NewFullRecheckRunner).
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, false, false)
-}
-
-// NewClonePathRunner is NewRunner with the InPlaceStepper fast path
-// disabled (runtime.WithoutInPlace) and static-verdict memoization off:
-// the clone-per-step, check-everything reference configuration for
-// measuring — and cross-checking — the in-place incremental engine. Its
-// rows in BENCH_prN.json and the E14b table are measured in exactly this
-// configuration.
-func NewClonePathRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, true, true)
+	return newRunner(l, mode, seed, false)
 }
 
 // NewFullRecheckRunner is NewRunner with static-verdict memoization
@@ -45,16 +35,12 @@ func NewClonePathRunner(l *Labeled, mode Mode, seed int64) *Runner {
 // measured against; the two are bit-identical in every protocol-visible
 // field (TestIncrementalMatchesFullRecheck).
 func NewFullRecheckRunner(l *Labeled, mode Mode, seed int64) *Runner {
-	return newRunner(l, mode, seed, false, true)
+	return newRunner(l, mode, seed, true)
 }
 
-func newRunner(l *Labeled, mode Mode, seed int64, clonePath, fullRecheck bool) *Runner {
+func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 	m := &Machine{Mode: mode, Labeled: l, FullRecheck: fullRecheck}
-	var mm runtime.Machine = m
-	if clonePath {
-		mm = runtime.WithoutInPlace(m)
-	}
-	eng := runtime.New(l.G, mm, seed)
+	eng := runtime.New(l.G, m, seed)
 	eng.Parallel = true
 	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
 }
@@ -65,7 +51,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, clonePath, fullRecheck bool) *
 // configuration the worklist engine is differentially tested against — the
 // two run identical machine code and must be bit-identical everywhere.
 func NewCoastRunner(l *Labeled, seed int64) *Runner {
-	r := newRunner(l, Sync, seed, false, false)
+	r := newRunner(l, Sync, seed, false)
 	r.Machine.Coast = true
 	return r
 }

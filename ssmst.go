@@ -102,12 +102,6 @@ func NewVerifier(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewRunner(l, mode, seed)
 }
 
-// NewVerifierClonePath is NewVerifier on the clone-per-step reference path
-// (the fast path disabled) — for perf comparisons and cross-checks.
-func NewVerifierClonePath(l *Labeled, mode Mode, seed int64) *Verifier {
-	return verify.NewClonePathRunner(l, mode, seed)
-}
-
 // NewVerifierFullRecheck is NewVerifier with incremental verification
 // disabled: every round re-checks all label layers from scratch. The
 // reference configuration incremental runs are measured against; the two
@@ -116,20 +110,14 @@ func NewVerifierFullRecheck(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewFullRecheckRunner(l, mode, seed)
 }
 
-// NewVerifierCoast is NewVerifier (Sync only) with the coasting regime
-// enabled: nodes whose neighbourhood certifies quiet — static verdict
-// memo-valid, trains at rest, sampler sweep starved for a full horizon —
-// freeze into pure per-node clockwork, and any label change melts the
-// frozen region back awake at one hop per round. Detection behaviour is
-// bit-identical to NewVerifier on correct and faulty instances alike.
-func NewVerifierCoast(l *Labeled, seed int64) *Verifier {
-	return verify.NewCoastRunner(l, seed)
-}
-
-// NewVerifierWorklist is NewVerifierCoast on the engine's sparse worklist
-// stepping mode (PR 8): each round steps only the active frontier — nodes
-// whose 1-hop neighbourhood changed — and replays every skipped node's
-// clocks algebraically on demand, so a quiet certified network costs
+// NewVerifierWorklist is NewVerifier (Sync only) with the coasting regime
+// on the engine's sparse worklist stepping mode. Nodes whose neighbourhood
+// certifies quiet — static verdict memo-valid, trains at rest, sampler
+// sweep starved for a full horizon — freeze into pure per-node clockwork,
+// and any label change melts the frozen region back awake at one hop per
+// round. Each round steps only the active frontier — nodes whose 1-hop
+// neighbourhood changed — and replays every skipped node's clocks
+// algebraically on demand, so a quiet certified network costs
 // O(active + Δ) per round instead of Θ(n) (measured flat in n: ~5 ns/round
 // at n=65536). Verdicts, detection rounds, alarm traces and MaxStateBits
 // are bit-identical to the dense path.
@@ -142,12 +130,6 @@ func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 // on the engine's zero-allocation in-place fast path.
 func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
 	return selfstab.NewRunner(g, bound, mode, seed)
-}
-
-// NewSelfStabilizingClonePath is NewSelfStabilizing on the clone-per-step
-// reference path — for perf comparisons and cross-checks.
-func NewSelfStabilizingClonePath(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
-	return selfstab.NewClonePathRunner(g, bound, mode, seed)
 }
 
 // NewSelfStabilizingFullRecheck is NewSelfStabilizing with the embedded
