@@ -224,6 +224,9 @@ func withinDistance(g *Graph, u, v, limit int) bool {
 	return false
 }
 
+// powerLawAttach is the "powerlaw" family's links per new node.
+const powerLawAttach = 3
+
 // Families lists the campaign graph-family names ByFamily resolves — the
 // single menu CLI flags and campaign specs parse against.
 func Families() []string {
@@ -233,13 +236,17 @@ func Families() []string {
 // ByFamily builds the named campaign family at n nodes: "random"
 // (RandomConnected, m=3n), "powerlaw" (preferential attachment, 3 links per
 // node), "geometric" (road-like, mean degree ~6), "highgirth" (girth ≥ 6,
-// m=2n target). Unknown names are an error, never a silent default.
+// m=2n target). Unknown names, and n below a family's minimum (powerlaw
+// needs its 4-node seed clique), are an error, never a silent default.
 func ByFamily(name string, n int, seed int64) (*Graph, error) {
 	switch name {
 	case "random":
 		return RandomConnected(n, 3*n, seed), nil
 	case "powerlaw":
-		return PowerLaw(n, 3, seed), nil
+		if n < powerLawAttach+1 {
+			return nil, fmt.Errorf("graph: family %q needs n >= %d (n=%d)", name, powerLawAttach+1, n)
+		}
+		return PowerLaw(n, powerLawAttach, seed), nil
 	case "geometric":
 		return Geometric(n, seed), nil
 	case "highgirth":

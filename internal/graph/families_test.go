@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -43,6 +44,22 @@ func TestFamiliesWellFormed(t *testing.T) {
 	}
 	if _, err := ByFamily("no-such-family", n, seed); err == nil {
 		t.Error("unknown family name did not error")
+	}
+}
+
+// TestByFamilySmallN: at n ∈ {0..4} every family returns a connected graph
+// or an error, never a panic (powerlaw needs n ≥ 4 for its seed clique).
+func TestByFamilySmallN(t *testing.T) {
+	for _, fam := range Families() {
+		for n := 0; n <= 4; n++ {
+			g, err := ByFamily(fam, n, 1)
+			if err == nil && (g.N() != n || !g.Connected()) {
+				t.Errorf("family %s n=%d: got n=%d connected=%v", fam, n, g.N(), g.Connected())
+			}
+			if err != nil && !strings.Contains(err.Error(), fam) {
+				t.Errorf("family %s n=%d: error %q does not name the family", fam, n, err)
+			}
+		}
 	}
 }
 

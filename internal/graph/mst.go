@@ -139,12 +139,16 @@ func MSTWeight(g *Graph, edges []int) Weight {
 }
 
 // IsSpanningTree reports whether the edge set forms a spanning tree of g.
+// An edge id outside [0, M) makes it false.
 func IsSpanningTree(g *Graph, edges []int) bool {
 	if len(edges) != g.N()-1 {
 		return false
 	}
 	uf := newUnionFind(g.N())
 	for _, e := range edges {
+		if e < 0 || e >= g.M() {
+			return false
+		}
 		ed := g.Edge(e)
 		if !uf.union(ed.U, ed.V) {
 			return false

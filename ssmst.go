@@ -253,9 +253,10 @@ func CorruptSpanningTree(g *Graph, k int, seed int64) ([]int, error) {
 }
 
 // OracleIsMST is the centralized ground truth the distributed verdicts are
-// cross-checked against: it runs both the DFS T-lightness oracle and the
-// Union-Find cycle-property oracle (internal/oracle) and errors if the two
-// independent checkers ever disagree.
+// cross-checked against: it runs both the offline path-max T-lightness
+// oracle and the Union-Find cycle-property oracle (internal/oracle) and
+// errors if the two independent checkers ever disagree, or if a tree edge
+// id is out of range.
 func OracleIsMST(g *Graph, treeEdges []int) (bool, error) {
 	return oracle.CrossCheck(g, treeEdges, graph.ByWeight(g))
 }
