@@ -1,6 +1,6 @@
 // Command ssmstcheck runs the ssmst invariant analyzers (hotpathalloc,
-// memocontract, determinism, bitsizeaudit, bufferdiscipline, lanecontract,
-// coastpure) over the module and exits non-zero on any finding.
+// memocontract, determinism, bitsizeaudit, bufferdiscipline, coastpure)
+// over the module and exits non-zero on any finding.
 //
 // Usage:
 //

@@ -2,8 +2,8 @@
 // ssmstcheck analyzer suite: compile-time enforcement of the engine's
 // hand-maintained invariant contracts (zero-alloc hot paths, the
 // MemoInvalidator invalidation protocol, deterministic stepping, complete
-// BitSize accounting, double-buffer write ownership, lane residency, and
-// closed-form coast replay).
+// BitSize accounting, double-buffer write ownership, and closed-form coast
+// replay).
 //
 // The framework mirrors the shape of golang.org/x/tools/go/analysis —
 // an Analyzer owns a Run function over a type-checked Pass — but is built
@@ -11,8 +11,8 @@
 // external dependencies. Since PR 10 the per-function AST pattern checks
 // share a flow layer (flow.go): an intra-package callgraph with
 // reachability closures, bounded callee expansion, and a per-function
-// value-classification fixpoint that tracks what locals derive from
-// (snapshot pointers, row indices, lane rows). See DESIGN.md § "Invariant
+// value-classification fixpoint that tracks which locals derive from the
+// frozen read snapshot. See DESIGN.md § "Invariant
 // contracts" and § "Static analysis" in internal/runtime for the contracts
 // themselves.
 //
@@ -32,18 +32,6 @@
 //	                                        with InvalidateMemo/MarkChanged
 //	//ssmst:memosafe           (func decl)  the function's callers own the
 //	                                        memo invalidation pairing
-//	//ssmst:ownwrite           (func decl)  sanctioned lane-row writer: its
-//	                                        int parameters denote the
-//	                                        node's own row; call sites must
-//	                                        not pass neighbour-derived
-//	                                        indices (bufferdiscipline)
-//	//ssmst:lane               (field)      declared struct-resident
-//	                                        working copy of a lane column,
-//	                                        refreshed at residency
-//	                                        boundaries (lanecontract)
-//	//ssmst:lane               (func decl)  full-width row mover: must
-//	                                        touch every lane column of its
-//	                                        receiver (lanecontract)
 //	//ssmst:coastpure          (func decl)  coast-replay root: the function
 //	                                        and everything it reaches in
 //	                                        the package must be a
@@ -170,8 +158,6 @@ const (
 	AnnNoBits    = "nobits"
 	AnnTracked   = "tracked"
 	AnnMemoSafe  = "memosafe"
-	AnnOwnWrite  = "ownwrite"
-	AnnLane      = "lane"
 	AnnCoastPure = "coastpure"
 	AnnAllow     = "allow"
 )
@@ -311,7 +297,7 @@ func Sort(diags []Diagnostic) []Diagnostic {
 func All() []*Analyzer {
 	return []*Analyzer{
 		HotPathAlloc, MemoContract, Determinism, BitSizeAudit,
-		BufferDiscipline, LaneContract, CoastPure,
+		BufferDiscipline, CoastPure,
 	}
 }
 

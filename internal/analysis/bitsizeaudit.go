@@ -20,10 +20,9 @@ import (
 // time while becoming auditable at build time.
 //
 // Reads are collected through same-package callees too, to a bounded call
-// depth (bitSizeCallDepth): since the PR 9 lane flattening, BitSize bodies
-// share their width formula with the engine's lane measurement via a helper
-// (VState.BitSize → ensureHot + bitSizeFlat), so the fields the formula
-// reads are reads of the method for accounting purposes. The expansion is
+// depth (bitSizeCallDepth): a BitSize body may delegate its width formula
+// to a helper other measurements share, so the fields the formula reads
+// are reads of the method for accounting purposes. The expansion is
 // intra-package and declaration-based — foreign calls (bits.ForInt,
 // embedded BitSizes) still count only through the selector that spells the
 // field at the call site.
@@ -34,9 +33,9 @@ var BitSizeAudit = &Analyzer{
 }
 
 // bitSizeCallDepth bounds the callee expansion: the method body itself,
-// plus helpers, plus helpers-of-helpers. Deep enough for the shared-formula
-// split (BitSize → bitSizeFlat, BitSize → ensureHot), shallow enough that
-// the audit cannot wander off into the protocol code.
+// plus helpers, plus helpers-of-helpers. Deep enough for a shared-formula
+// split (BitSize → formula helper → memo helper), shallow enough that the
+// audit cannot wander off into the protocol code.
 const bitSizeCallDepth = 3
 
 func runBitSizeAudit(pass *Pass) error {

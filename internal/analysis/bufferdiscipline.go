@@ -6,108 +6,67 @@ import (
 )
 
 // BufferDiscipline enforces the double-buffer ownership contract on the
-// engine's step code (PR 1/9; see internal/runtime/DESIGN.md): a round
-// reads the frozen snapshot and writes only its own node. Inside functions
-// annotated //ssmst:hotpath or //ssmst:ownwrite, it tracks where values
-// come from (View.Self/View.Neighbour results, View.Node/View.NeighbourNode
-// row indices, Lane.Row slices) and flags every flow that crosses the
-// ownership line:
-//
-//  1. Writes through the read snapshot: assigning into a value reached from
-//     View.Self or View.Neighbour mutates state every concurrent step is
-//     reading.
-//  2. Lane-row writes at a foreign or underived index: a hot write to
-//     row[i] is legal only when i is the node's own row (View.Node, the row
-//     half of VerifierLanes, or an index parameter of an //ssmst:ownwrite
-//     writer). A NeighbourNode-derived index is another node's write slot —
-//     the cross-node alias that corrupts a concurrent round.
-//  3. Write-buffer reads at a neighbour's index: Row(true) holds rows mid
-//     production; reading another node's write row races its step. (A
-//     node's OWN write row is legal to read — the elision and streak guards
-//     do exactly that.)
-//  4. Passing a NeighbourNode-derived index to a same-package
-//     //ssmst:ownwrite writer, which would land rule-2 writes behind the
-//     annotation.
-//
-// //ssmst:ownwrite marks the sanctioned row writers (the verify.Lanes row
-// movers): their bodies may write lane rows at their index parameters, and
-// call sites are held to rule 4. Neighbour reads stay free: port-indexed
-// reads of the read buffer are the algorithm; this analyzer only polices
-// writes and write-buffer reads.
+// engine's step code (PR 1; see internal/runtime/DESIGN.md): a round reads
+// the frozen snapshot and writes only its own node. Inside functions
+// annotated //ssmst:hotpath, it tracks which values come from
+// View.Self/View.Neighbour results and flags every write through the read
+// snapshot: assigning into a value reached from View.Self or
+// View.Neighbour mutates state every concurrent step is reading.
+// Neighbour reads stay free: port-indexed reads of the read buffer are the
+// algorithm; this analyzer only polices writes.
 var BufferDiscipline = &Analyzer{
 	Name: "bufferdiscipline",
-	Doc:  "hot step code must read the frozen snapshot and write only its own dst block or own lane row",
+	Doc:  "hot step code must read the frozen snapshot and write only its own dst block",
 	Run:  runBufferDiscipline,
 }
 
 func runBufferDiscipline(pass *Pass) error {
-	funcDecls := pass.funcIndex()
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
-			if !ok || fn.Body == nil {
+			if !ok || fn.Body == nil || !FuncAnnotated(fn, AnnHotpath) {
 				continue
 			}
-			own := FuncAnnotated(fn, AnnOwnWrite)
-			if !own && !FuncAnnotated(fn, AnnHotpath) {
-				continue
-			}
-			pass.checkBufferDiscipline(fn, own, funcDecls)
+			pass.checkBufferDiscipline(fn)
 		}
 	}
 	return nil
 }
 
-func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl, ownwrite bool, funcDecls map[*types.Func]*ast.FuncDecl) {
-	cl := p.classify(fn, ownwrite)
-	// handled marks index expressions already reported (or cleared) by the
-	// write rules, so the read rule does not double-report them.
-	handled := map[*ast.IndexExpr]bool{}
-
+func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl) {
+	cl := p.classify(fn)
 	checkWrite := func(lhs ast.Expr) {
 		e := lhs
 		for {
 			switch x := ast.Unparen(e).(type) {
 			case *ast.Ident:
-				// Rebinding a local (old := v.Self(), oldCoasting = row[i]) copies
-				// a value; it never mutates snapshot memory. Mutation happens one
-				// level up, at the selector/index/star that reaches through it.
+				// Rebinding a local (old := v.Self()) copies a value; it never
+				// mutates snapshot memory. Mutation happens one level up, at the
+				// selector/index/star that reaches through it.
 				return
 			case *ast.SelectorExpr:
 				// Writing a field of a snapshot value is a snapshot write even
 				// before the chain roots at the variable.
 				if p.classOf(x.X, cl) == classSnapshot {
-					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block or own lane row", types.ExprString(x))
+					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block", types.ExprString(x))
 					return
 				}
 				e = x.X
 			case *ast.IndexExpr:
-				if laneRow(p.classOf(x.X, cl)) {
-					handled[x] = true
-					switch p.classOf(x.Index, cl) {
-					case classOwnRow:
-						// The sanctioned shape.
-					case classNbRow:
-						p.Reportf(lhs.Pos(), "lane-row write at a NeighbourNode-derived index aliases another node's write slot (%s)", types.ExprString(x))
-					default:
-						p.Reportf(lhs.Pos(), "lane-row write at an index not derived from the node's own row (%s): use View.Node/VerifierLanes or an //ssmst:ownwrite index parameter", types.ExprString(x))
-					}
-					return
-				}
 				if p.classOf(x.X, cl) == classSnapshot {
-					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block or own lane row", types.ExprString(x))
+					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block", types.ExprString(x))
 					return
 				}
 				e = x.X
 			case *ast.StarExpr:
 				if p.classOf(x.X, cl) == classSnapshot {
-					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block or own lane row", types.ExprString(x))
+					p.Reportf(lhs.Pos(), "write through the read snapshot (%s): a step writes only its own dst block", types.ExprString(x))
 					return
 				}
 				e = x.X
 			case *ast.CallExpr:
-				// dst.ensureHot().field = v — keep walking through the method
-				// receiver so old.ensureHot().field = v still roots at old.
+				// dst.block().field = v — keep walking through the method
+				// receiver so old.block().field = v still roots at old.
 				if sel, ok := ast.Unparen(x.Fun).(*ast.SelectorExpr); ok {
 					e = sel.X
 					continue
@@ -127,31 +86,6 @@ func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl, ownwrite bool, funcDecls 
 			}
 		case *ast.IncDecStmt:
 			checkWrite(n.X)
-		case *ast.CallExpr:
-			// Rule 4: a NeighbourNode-derived index handed to a row writer.
-			if fo := p.calleeOf(n); fo != nil {
-				if callee, ok := funcDecls[fo]; ok && FuncAnnotated(callee, AnnOwnWrite) {
-					for _, arg := range n.Args {
-						if p.classOf(arg, cl) == classNbRow {
-							p.Reportf(arg.Pos(), "NeighbourNode-derived index passed to row writer %s: %s writes the rows it is given, and this one is another node's", fo.Name(), fo.Name())
-						}
-					}
-				}
-			}
-		}
-		return true
-	})
-
-	// Rule 3: reads of another node's write-buffer row. Write positions were
-	// marked handled above.
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		idx, ok := n.(*ast.IndexExpr)
-		if !ok || handled[idx] {
-			return true
-		}
-		rowClass := p.classOf(idx.X, cl)
-		if (rowClass == classLaneWrite || rowClass == classLaneAny) && p.classOf(idx.Index, cl) == classNbRow {
-			p.Reportf(idx.Pos(), "read of another node's write-buffer row (%s): rows mid-production belong to their writer; neighbour reads go through the read buffer", types.ExprString(idx))
 		}
 		return true
 	})

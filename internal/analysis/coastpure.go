@@ -32,8 +32,8 @@ import (
 // The closure is intra-package (cross-package replay helpers carry their
 // own //ssmst:coastpure root — train.IdleTimerAdvance for verify's train
 // half). The one sanctioned exception shape, a cold once-per-lifetime
-// materialization (ensureHot), carries //ssmst:allow coastpure with its
-// reason. This analyzer supersedes the ad-hoc lazyclock fixture pattern of
+// materialization, carries //ssmst:allow coastpure with its reason. This
+// analyzer supersedes the ad-hoc lazyclock fixture pattern of
 // approximating replay purity with hotpathalloc+memocontract.
 var CoastPure = &Analyzer{
 	Name: "coastpure",

@@ -36,15 +36,9 @@ func TestSeededBugCorpus(t *testing.T) {
 	golden := []string{
 		// PR 2: BitSize omitting AlarmCode under-reports Theorem 8.5.
 		"alarmcode/alarmcode.go:22: bitsizeaudit",
-		// Cross-node write-slot alias in hot step code.
-		"alias/alias.go:25: bufferdiscipline",
 		// Journaling coast-advance: the O(k) loop and its trace.
 		"journal/journal.go:16: coastpure",
 		"journal/journal.go:17: coastpure",
-		// Struct shadow of a lane column, and the column left with no
-		// declared working copy.
-		"shadow/shadow.go:9: lanecontract",
-		"shadow/shadow.go:20: lanecontract",
 	}
 	var got []string
 	for _, d := range Run(pkgs, All(), DefaultConfig()) {
@@ -81,7 +75,6 @@ func TestEveryAnalyzerHasFiringFixture(t *testing.T) {
 		"determinism":      {DeterminismPaths: []string{"step"}},
 		"bitsizeaudit":     DefaultConfig(),
 		"bufferdiscipline": DefaultConfig(),
-		"lanecontract":     DefaultConfig(),
 		"lazyclock":        DefaultConfig(),
 		"coastpure":        DefaultConfig(),
 		"corpus":           DefaultConfig(),

@@ -114,10 +114,6 @@ func TestBufferDisciplineFixture(t *testing.T) {
 	runFixture(t, "bufferdiscipline", []*Analyzer{BufferDiscipline}, DefaultConfig())
 }
 
-func TestLaneContractFixture(t *testing.T) {
-	runFixture(t, "lanecontract", []*Analyzer{LaneContract}, DefaultConfig())
-}
-
 func TestCoastPureFixture(t *testing.T) {
 	runFixture(t, "coastpure", []*Analyzer{CoastPure}, DefaultConfig())
 }

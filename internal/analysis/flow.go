@@ -7,7 +7,7 @@ import (
 
 // Flow layer — the lightweight intra-procedural dataflow and intra-package
 // callgraph machinery the flow-aware analyzers (bufferdiscipline,
-// lanecontract, coastpure) share, and which bitsizeaudit's bounded callee
+// coastpure) share, and which bitsizeaudit's bounded callee
 // expansion is built on. Everything here is derived from one type-checked
 // Pass; nothing crosses package boundaries (cross-package calls resolve to
 // no declaration and simply end the walk, matching the per-package
@@ -88,60 +88,21 @@ func (p *Pass) reachableFrom(roots []*ast.FuncDecl, funcDecls map[*types.Func]*a
 }
 
 // valueClass is the per-variable lattice of the buffer-discipline dataflow:
-// what a local value is derived from, as far as the frozen-snapshot/own-row
-// ownership contract cares.
+// whether a local value is derived from the frozen read snapshot.
 type valueClass uint8
 
 const (
 	classNone valueClass = iota
-	// classOwnRow: an int derived from this node's own row index
-	// (View.Node(), the row half of VerifierLanes(), or an index parameter
-	// of an //ssmst:ownwrite writer).
-	classOwnRow
-	// classNbRow: an int derived from a neighbour's row index
-	// (View.NeighbourNode) — a foreign write slot.
-	classNbRow
 	// classSnapshot: a pointer into the frozen read snapshot (the result of
 	// View.Self/View.Neighbour, or anything reached through one).
 	classSnapshot
-	// classLaneRead / classLaneWrite / classLaneAny: a lane row slice
-	// returned by Lane.Row(false) / Row(true) / Row(dynamic).
-	classLaneRead
-	classLaneWrite
-	classLaneAny
 )
 
-// laneRow reports whether c is any lane row slice.
-func laneRow(c valueClass) bool {
-	return c == classLaneRead || c == classLaneWrite || c == classLaneAny
-}
-
 // joinClass merges two classifications of the same variable, keeping the
-// more dangerous one: a variable that ever held a neighbour-derived value
+// more dangerous one: a variable that ever held a snapshot-derived value
 // stays suspect for the whole body (flow-insensitive fixpoint).
 func joinClass(a, b valueClass) valueClass {
-	if a == b || b == classNone {
-		return a
-	}
-	if a == classNone {
-		return b
-	}
-	order := func(c valueClass) int {
-		switch c {
-		case classNbRow:
-			return 5
-		case classSnapshot:
-			return 4
-		case classLaneAny:
-			return 3
-		case classLaneWrite:
-			return 2
-		case classLaneRead:
-			return 1
-		}
-		return 0
-	}
-	if order(b) > order(a) {
+	if b > a {
 		return b
 	}
 	return a
@@ -149,24 +110,11 @@ func joinClass(a, b valueClass) valueClass {
 
 // classify runs the flow-insensitive fixpoint over one function body:
 // variables are classified by the calls their values derive from
-// (Self/Neighbour/Node/NeighbourNode/VerifierLanes/Row) and the
-// classification propagates through assignments, range statements, field
-// selection and indexing until stable. seedParams classifies every int
-// parameter of fn as classOwnRow (the //ssmst:ownwrite contract: a writer's
-// index parameters denote the node's own row).
-func (p *Pass) classify(fn *ast.FuncDecl, seedParams bool) map[*types.Var]valueClass {
+// (View.Self/View.Neighbour) and the classification propagates through
+// assignments, range statements, field selection and indexing until
+// stable.
+func (p *Pass) classify(fn *ast.FuncDecl) map[*types.Var]valueClass {
 	cl := map[*types.Var]valueClass{}
-	if seedParams && fn.Type.Params != nil {
-		for _, f := range fn.Type.Params.List {
-			for _, name := range f.Names {
-				if v, ok := p.TypesInfo.Defs[name].(*types.Var); ok {
-					if b, ok := under(v.Type()).(*types.Basic); ok && b.Info()&types.IsInteger != 0 {
-						cl[v] = classOwnRow
-					}
-				}
-			}
-		}
-	}
 	assign := func(lhs ast.Expr, c valueClass) bool {
 		id, ok := ast.Unparen(lhs).(*ast.Ident)
 		if !ok {
@@ -191,12 +139,11 @@ func (p *Pass) classify(fn *ast.FuncDecl, seedParams bool) map[*types.Var]valueC
 			switch n := n.(type) {
 			case *ast.AssignStmt:
 				if len(n.Lhs) > 1 && len(n.Rhs) == 1 {
-					// Tuple assignment: vl, row := v.VerifierLanes().
+					// Tuple assignment: only the first result of a call can
+					// carry a classification.
 					if call, ok := ast.Unparen(n.Rhs[0]).(*ast.CallExpr); ok {
-						for i, lhs := range n.Lhs {
-							if assign(lhs, p.tupleClass(call, i, cl)) {
-								changed = true
-							}
+						if assign(n.Lhs[0], p.callClass(call)) {
+							changed = true
 						}
 					}
 					return true
@@ -208,7 +155,7 @@ func (p *Pass) classify(fn *ast.FuncDecl, seedParams bool) map[*types.Var]valueC
 				}
 			case *ast.RangeStmt:
 				// Ranging over a snapshot-derived slice taints the element
-				// variable; the key is a fresh index, not a row index.
+				// variable; the key is a fresh index.
 				if n.Value != nil && p.classOf(n.X, cl) == classSnapshot {
 					if assign(n.Value, classSnapshot) {
 						changed = true
@@ -241,18 +188,16 @@ func (p *Pass) classOf(e ast.Expr, cl map[*types.Var]valueClass) valueClass {
 			return cl[v]
 		}
 	case *ast.CallExpr:
-		return p.callClass(e, cl)
+		return p.callClass(e)
 	case *ast.TypeAssertExpr:
 		return p.classOf(e.X, cl) // v.Self().(*SState) keeps the taint
 	case *ast.SelectorExpr:
-		// A field of a snapshot state is part of the snapshot; lane rows and
-		// row indices do not propagate through selection.
+		// A field of a snapshot state is part of the snapshot.
 		if p.classOf(e.X, cl) == classSnapshot {
 			return classSnapshot
 		}
 	case *ast.IndexExpr:
 		// An element of a snapshot-derived slice/array is snapshot memory.
-		// An element of a lane row is a scalar copy — free to use.
 		if p.classOf(e.X, cl) == classSnapshot {
 			return classSnapshot
 		}
@@ -261,16 +206,14 @@ func (p *Pass) classOf(e ast.Expr, cl map[*types.Var]valueClass) valueClass {
 	case *ast.UnaryExpr:
 		return p.classOf(e.X, cl)
 	case *ast.BinaryExpr:
-		// Row-index arithmetic (base+NeighbourNode(q)) keeps the class.
 		return joinClass(p.classOf(e.X, cl), p.classOf(e.Y, cl))
 	}
 	return classNone
 }
 
-// callClass classifies the (single) result of a call: the View/lane
-// accessors are recognized by method name and shape, guarded by the types
-// they come from where the guard is cheap and reliable.
-func (p *Pass) callClass(call *ast.CallExpr, cl map[*types.Var]valueClass) valueClass {
+// callClass classifies the (single) result of a call: the View accessors
+// are recognized by method name and shape.
+func (p *Pass) callClass(call *ast.CallExpr) valueClass {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return classNone
@@ -284,79 +227,6 @@ func (p *Pass) callClass(call *ast.CallExpr, cl map[*types.Var]valueClass) value
 		if len(call.Args) == 1 {
 			return classSnapshot
 		}
-	case "NeighbourNode":
-		if len(call.Args) == 1 {
-			return classNbRow
-		}
-	case "Node":
-		if len(call.Args) == 0 {
-			return classOwnRow
-		}
-	case "Row":
-		if len(call.Args) == 1 && isLaneType(p.typeOf(sel.X)) {
-			if c, ok := boolConst(p, call.Args[0]); ok {
-				if c {
-					return classLaneWrite
-				}
-				return classLaneRead
-			}
-			return classLaneAny
-		}
 	}
 	return classNone
-}
-
-// tupleClass classifies result i of a multi-result call. The only
-// recognized tuple source is VerifierLanes() (lanes, ownRow).
-func (p *Pass) tupleClass(call *ast.CallExpr, i int, cl map[*types.Var]valueClass) valueClass {
-	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !ok {
-		return classNone
-	}
-	if sel.Sel.Name == "VerifierLanes" && len(call.Args) == 0 && i == 1 {
-		return classOwnRow
-	}
-	if i == 0 {
-		return p.callClass(call, cl)
-	}
-	return classNone
-}
-
-// boolConst evaluates a bool argument when it is a compile-time constant.
-func boolConst(p *Pass, e ast.Expr) (value, ok bool) {
-	tv, found := p.TypesInfo.Types[e]
-	if !found || tv.Value == nil {
-		return false, false
-	}
-	if b, okb := under(tv.Type).(*types.Basic); okb && b.Info()&types.IsBoolean != 0 {
-		return tv.Value.String() == "true", true
-	}
-	return false, false
-}
-
-// isLaneType reports whether t is (a pointer to) a runtime.Lane[T] — a
-// named generic type "Lane" declared in a package whose import path is or
-// ends in "runtime", mirroring isRuntimeViewType's recognition rule so
-// fixtures can model the engine with a mini runtime package.
-func isLaneType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	if obj.Name() != "Lane" || obj.Pkg() == nil {
-		return false
-	}
-	return runtimePkgPath(obj.Pkg().Path())
-}
-
-// runtimePkgPath reports whether path names an engine runtime package.
-func runtimePkgPath(path string) bool {
-	return path == "runtime" || len(path) > len("/runtime") && path[len(path)-len("/runtime"):] == "/runtime"
 }

@@ -18,13 +18,13 @@ func countAnnotations(p *Package) map[string]int {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.FuncDecl:
-				for _, ann := range []string{AnnHotpath, AnnMemoSafe, AnnOwnWrite, AnnCoastPure, AnnLane} {
+				for _, ann := range []string{AnnHotpath, AnnMemoSafe, AnnCoastPure} {
 					if FuncAnnotated(n, ann) {
 						out[ann]++
 					}
 				}
 			case *ast.Field:
-				for _, ann := range []string{AnnNoBits, AnnTracked, AnnLane} {
+				for _, ann := range []string{AnnNoBits, AnnTracked} {
 					if FieldAnnotated(n, ann) {
 						out[ann]++
 					}
@@ -41,11 +41,9 @@ func countAnnotations(p *Package) map[string]int {
 // //ssmst: directive is one the analyzers consume, attached where they
 // look for it:
 //
-//   - hotpath, memosafe, ownwrite, coastpure — in a function declaration's
-//     doc comment
+//   - hotpath, memosafe, coastpure — in a function declaration's doc
+//     comment
 //   - nobits, tracked — on a struct field (doc or line comment)
-//   - lane            — either: a field (working copy) or a function doc
-//     (full-width row mover)
 //   - allow           — anywhere, but its argument must name known
 //     analyzers (a typo like //ssmst:allow determinsm would otherwise
 //     silently suppress nothing while looking intentional)
@@ -120,17 +118,13 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 				total++
 				pos := fset.Position(c.Pos())
 				switch name {
-				case AnnHotpath, AnnMemoSafe, AnnOwnWrite, AnnCoastPure:
+				case AnnHotpath, AnnMemoSafe, AnnCoastPure:
 					if !funcDoc[c] {
 						t.Errorf("%s: //ssmst:%s must sit in a function declaration's doc comment; the analyzers do not see it here", pos, name)
 					}
 				case AnnNoBits, AnnTracked:
 					if !fieldDoc[c] {
 						t.Errorf("%s: //ssmst:%s must sit on a struct field; the analyzers do not see it here", pos, name)
-					}
-				case AnnLane:
-					if !funcDoc[c] && !fieldDoc[c] {
-						t.Errorf("%s: //ssmst:lane must sit on a struct field (working copy) or in a function doc comment (row mover); the analyzers do not see it here", pos)
 					}
 				case AnnAllow:
 					if arg == "" {
@@ -139,7 +133,7 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 					}
 					for _, a := range strings.Split(arg, ",") {
 						if a = strings.TrimSpace(a); a != "" && !known[a] {
-							t.Errorf("%s: //ssmst:allow names unknown analyzer %q (known: hotpathalloc, memocontract, determinism, bitsizeaudit, bufferdiscipline, lanecontract, coastpure)", pos, a)
+							t.Errorf("%s: //ssmst:allow names unknown analyzer %q (known: hotpathalloc, memocontract, determinism, bitsizeaudit, bufferdiscipline, coastpure)", pos, a)
 						}
 					}
 				default:

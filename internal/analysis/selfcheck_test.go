@@ -66,8 +66,6 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 	for ann, what := range map[string]string{
 		AnnHotpath:   "hotpathalloc and bufferdiscipline are checking nothing",
 		AnnTracked:   "memocontract's write rule is checking nothing",
-		AnnOwnWrite:  "bufferdiscipline's call-site rule is checking nothing",
-		AnnLane:      "lanecontract's shadow and row-mover rules are checking nothing",
 		AnnCoastPure: "coastpure has no replay roots to hold pure",
 	} {
 		if total[ann] == 0 {

@@ -47,10 +47,10 @@ func (o *OuterBad) BitSize() int { return width(o.W) } // want "embedded"
 // NoMethod has no BitSize and owes nothing.
 type NoMethod struct{ X int }
 
-// Shared is measured through a shared width formula — the PR 9 lane shape:
-// BitSize delegates to a same-package helper (the formula the engine's lane
-// measurement also calls), so the fields are read one call down. The audit
-// expands same-package callee bodies, so this is clean.
+// Shared is measured through a shared width formula: BitSize delegates to a
+// same-package helper (a formula other measurements may also call), so the
+// fields are read one call down. The audit expands same-package callee
+// bodies, so this is clean.
 type Shared struct {
 	A int64
 	B bool

@@ -1,12 +1,9 @@
 // Package step is the fixture for the double-buffer ownership contract: a
-// round reads the frozen snapshot and writes only its own node — its dst
-// block or its own lane row. The clean statements are the sanctioned
-// shapes (own-row writes, read-buffer neighbour reads, own write-row
-// reads); the flagged ones cross the ownership line the four ways the
-// analyzer distinguishes.
+// round reads the frozen snapshot and writes only its own node's dst
+// block. The clean statements are the sanctioned shapes (dst writes,
+// read-buffer neighbour reads); the flagged ones write through the
+// snapshot.
 package step
-
-import "bd/runtime"
 
 // State is one node's per-round image.
 type State struct {
@@ -21,41 +18,20 @@ type View struct {
 	peers  []int
 }
 
-func (v *View) Self() *State            { return v.states[v.node] }
-func (v *View) Neighbour(q int) *State  { return v.states[v.peers[q]] }
-func (v *View) Node() int               { return v.node }
-func (v *View) NeighbourNode(q int) int { return v.peers[q] }
+func (v *View) Self() *State           { return v.states[v.node] }
+func (v *View) Neighbour(q int) *State { return v.states[v.peers[q]] }
 
 // step is hot step code held to the ownership rules.
 //
 //ssmst:hotpath
-func step(v *View, coasting *runtime.Lane[bool], timer *runtime.Lane[int]) {
-	row := v.Node()
-	nb := v.NeighbourNode(0)
+func step(v *View, dst *State) {
 	old := v.Self()
 	peer := v.Neighbour(0)
 
-	// The sanctioned shapes: write the own row, read neighbours through the
-	// read buffer, read the own write row (the elision guard's probe).
-	coasting.Row(true)[row] = old.Flag && peer.Flag
-	_ = coasting.Row(false)[nb]
-	_ = timer.Row(true)[row]
+	// The sanctioned shapes: write the own dst block, read the snapshot.
+	dst.Flag = old.Flag && peer.Flag
+	dst.Timer = peer.Timer + 1
 
-	peer.Timer = 0                 // want bufferdiscipline:"write through the read snapshot"
-	old.Flag = false               // want bufferdiscipline:"write through the read snapshot"
-	coasting.Row(true)[nb] = false // want bufferdiscipline:"aliases another node's write slot"
-	_ = timer.Row(true)[nb]        // want bufferdiscipline:"read of another node's write-buffer row"
-	k := nb + 1
-	store(timer, k, 9) // want bufferdiscipline:"NeighbourNode-derived index passed to row writer store"
-	q := 3
-	coasting.Row(true)[q] = true // want bufferdiscipline:"not derived from the node's own row"
-}
-
-// store is a sanctioned row writer: by the //ssmst:ownwrite contract its
-// index parameter denotes the node's own row, so the body's write is clean
-// and the burden moves to call sites (rule 4 above).
-//
-//ssmst:ownwrite
-func store(timer *runtime.Lane[int], i, v int) {
-	timer.Row(true)[i] = v
+	peer.Timer = 0   // want bufferdiscipline:"write through the read snapshot"
+	old.Flag = false // want bufferdiscipline:"write through the read snapshot"
 }

@@ -97,6 +97,6 @@ func AdvanceDeferred(s *State, budget, k int) {
 //ssmst:coastpure
 func AdvanceCold(s *State) {
 	if s.Trace == nil {
-		s.Trace = make([]int, 0, 4) //ssmst:allow coastpure -- once per state lifetime, like ensureHot
+		s.Trace = make([]int, 0, 4) //ssmst:allow coastpure -- once per state lifetime
 	}
 }

@@ -195,20 +195,6 @@ func (v *View) PeerPort(q int) int {
 // Self returns the node's own current state (read-only).
 func (v *View) Self() State { return v.snap[v.node] }
 
-// Lanes returns the engine's hot-state lane registry (lanes.go). Machines
-// that bound lanes retrieve their typed lane set through Lanes().Data();
-// for machines that bound nothing, Data() is nil and the step runs on
-// struct storage.
-func (v *View) Lanes() *Lanes { return v.engine.lanes }
-
-// NeighbourNode returns the simulator index of the neighbour at the given
-// port — the lane-row index of that neighbour. Instrumentation/lane access
-// only; protocol logic must identify nodes by their IDs.
-func (v *View) NeighbourNode(port int) int {
-	a := v.engine.adj
-	return int(a.Peer[int(a.Off[v.node])+port])
-}
-
 // Neighbour returns the visible state of the neighbour at the given port
 // (read-only).
 func (v *View) Neighbour(port int) State {
@@ -324,10 +310,10 @@ const DefaultParallelThreshold = 512
 
 // stepChunk is the unit of work claimed off the round cursor: large enough
 // to amortize the atomic add, small enough to balance uneven step costs.
-// Re-swept after the lane flattening (32–1024 over a settled n=16384 coast
-// network): the quiet-round curve is flat within jitter, so 128 stands on
-// its load-balancing merit — at n=4096 with 8 workers it still yields 4
-// claims per worker for skewed detection rounds.
+// Swept over 32–1024 on a settled n=16384 coast network: the quiet-round
+// curve is flat within jitter, so 128 stands on its load-balancing merit —
+// at n=4096 with 8 workers it still yields 4 claims per worker for skewed
+// detection rounds.
 const stepChunk = 128
 
 // Engine executes a Machine over a graph under one of the two daemons.
@@ -392,11 +378,7 @@ type Engine struct {
 	// active sets of the current and next sparse round; matT[i] is the round
 	// whose end-of-round state states[i] reflects (skipped quiescent nodes
 	// lag and are materialized on demand via CoastStepper.CoastAdvance).
-	coaster CoastStepper // non-nil iff machine implements the contract
-	// Struct-of-arrays hot-state lanes (lanes.go): always allocated; binding
-	// is non-nil iff the machine registered lanes (LaneBinder + Lanes.Bind).
-	lanes        *Lanes
-	binding      LaneBinding
+	coaster      CoastStepper // non-nil iff machine implements the contract
 	frontier     []int32
 	nextFrontier []int32
 	inFrontier   []bool  // nextFrontier membership (dedup)
@@ -437,24 +419,12 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 	}
 	e.inplace, _ = machine.(InPlaceStepper)
 	e.coaster, _ = machine.(CoastStepper)
-	e.lanes = newLanes(g.N())
-	if lb, ok := machine.(LaneBinder); ok {
-		lb.BindLanes(e.lanes)
-	}
-	e.binding = e.lanes.binding
 	e.view.engine = e
 	e.view.snap = e.states
 	for i := 0; i < g.N(); i++ {
 		e.view.node = i
 		e.view.rngOK = false
 		e.states[i] = machine.Init(&e.view)
-	}
-	if e.binding != nil {
-		for i := 0; i < g.N(); i++ {
-			e.binding.LoadRow(i, e.states[i])
-		}
-	}
-	for i := 0; i < g.N(); i++ {
 		e.noteState(i)
 	}
 	return e
@@ -488,12 +458,6 @@ func (e *Engine) State(v int) State {
 	if e.matT != nil && e.matT[v] < int64(e.round) {
 		e.materialize(v, int64(e.round))
 	}
-	if e.binding != nil {
-		// Lane-resident fields are spilled into the struct so external
-		// readers (Clone, DeepEqual-based parity tests, experiment probes)
-		// observe current values through the plain struct API.
-		e.binding.SpillRow(v, e.states[v])
-	}
 	return e.states[v]
 }
 
@@ -513,12 +477,6 @@ func (e *Engine) SetState(v int, s State) {
 	e.states[v] = s
 	if e.matT != nil {
 		e.matT[v] = int64(e.round) // the installed state is current by fiat
-	}
-	if e.binding != nil {
-		// Load the installed state's transit-preserved fields into the lane
-		// rows and clear the memo rows — the lane mirror of the
-		// InvalidateMemo call above.
-		e.binding.LoadRow(v, s)
 	}
 	e.noteState(v)
 	e.bumpDirty(v, int64(e.round)+1)
@@ -676,9 +634,6 @@ func (e *Engine) touchTopology(v int, epoch int64) {
 			mi.InvalidateMemo()
 		}
 	}
-	if e.binding != nil {
-		e.binding.InvalidateRow(v)
-	}
 	e.noteState(v)
 }
 
@@ -707,9 +662,6 @@ func (e *Engine) remapPorts(v, removed, oldDeg int) {
 			pr.RemapPorts(m)
 		}
 	}
-	if e.binding != nil {
-		e.binding.RemapRow(v, m)
-	}
 }
 
 // noteState refreshes the incremental instrumentation for node v's current
@@ -718,22 +670,14 @@ func (e *Engine) noteState(v int) {
 	s := e.states[v]
 	alarm, done := false, false
 	if s != nil {
-		if e.binding != nil {
-			if b := e.binding.MeasureRow(v, s, false); b > e.maxBits {
-				e.maxBits = b
-			}
-			alarm = e.binding.AlarmRow(v, s, false)
-			done = e.binding.DoneRow(v, s, false)
-		} else {
-			if b := s.BitSize(); b > e.maxBits {
-				e.maxBits = b
-			}
-			if a, ok := s.(Alarmer); ok && a.Alarm() {
-				alarm = true
-			}
-			if t, ok := s.(Terminator); ok && t.Done() {
-				done = true
-			}
+		if b := s.BitSize(); b > e.maxBits {
+			e.maxBits = b
+		}
+		if a, ok := s.(Alarmer); ok && a.Alarm() {
+			alarm = true
+		}
+		if t, ok := s.(Terminator); ok && t.Done() {
+			done = true
 		}
 	}
 	if alarm != e.alarmed[v] {
@@ -769,20 +713,12 @@ func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
 		s = e.machine.Step(v)
 	}
 	e.stepNext[i] = s
-	if e.binding != nil {
-		// The machine's step scattered node i's hot fields into the lane
-		// write rows; measure/probe those rows instead of the struct.
-		bitSize = e.binding.MeasureRow(i, s, true)
-		alarm = e.binding.AlarmRow(i, s, true)
-		done = e.binding.DoneRow(i, s, true)
-	} else {
-		bitSize = s.BitSize()
-		if a, ok := s.(Alarmer); ok && a.Alarm() {
-			alarm = true
-		}
-		if t, ok := s.(Terminator); ok && t.Done() {
-			done = true
-		}
+	bitSize = s.BitSize()
+	if a, ok := s.(Alarmer); ok && a.Alarm() {
+		alarm = true
+	}
+	if t, ok := s.(Terminator); ok && t.Done() {
+		done = true
 	}
 	e.alarmed[i] = alarm
 	e.done[i] = done
@@ -867,7 +803,6 @@ func (e *Engine) StepSync() {
 	}
 	e.inSyncStep = false
 	e.states, e.prev = e.stepNext, e.stepSnap
-	e.lanes.swapAll() // lanes swap in lockstep with the state buffers
 	e.stepSnap, e.stepNext = nil, nil
 	e.round++
 	e.activations += int64(n)
@@ -1000,9 +935,6 @@ func (e *Engine) StepAsync() {
 		e.rng.Shuffle(n, func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
 	}
 	e.order = order
-	// Async activations read and write current states on a single buffer;
-	// lane writes resolve to the read rows for the same in-place visibility.
-	e.lanes.writeToCur = true
 	v := &e.view
 	for _, node := range order {
 		v.snap = e.states
@@ -1013,7 +945,6 @@ func (e *Engine) StepAsync() {
 		e.activations++
 		e.stepsTaken++
 	}
-	e.lanes.writeToCur = false
 	e.round++
 	if e.matT != nil {
 		T := int64(e.round)

@@ -58,13 +58,10 @@ package runtime
 // exactly one CoastAdvance tick (k=1), it raises no alarm, and its BitSize
 // is constant. CoastAdvance advances the coast clockwork of node's state s
 // by k rounds, in place, in O(1) — wraps and resets replayed algebraically,
-// never iterated. Both receive the engine's lane registry and the node's
-// row index: lane-resident machines read/write the flattened fields (coast
-// flags, dwell windows, candidate ports) through their typed lanes; struct
-// machines ignore ls.
+// never iterated; deg is the node's degree.
 type CoastStepper interface {
-	Quiescent(ls *Lanes, i int, s State) bool
-	CoastAdvance(ls *Lanes, node int, s State, deg, k int)
+	Quiescent(s State) bool
+	CoastAdvance(s State, deg, k int)
 }
 
 // StepsTaken returns the cumulative number of machine steps executed. Under
@@ -138,7 +135,7 @@ func (e *Engine) materialize(i int, T int64) {
 	e.matT[i] = T
 	a := e.adj
 	deg := int(a.Off[i+1] - a.Off[i])
-	e.coaster.CoastAdvance(e.lanes, i, e.states[i], deg, int(k))
+	e.coaster.CoastAdvance(e.states[i], deg, int(k))
 }
 
 // stepNodeSparse steps node i and returns its bit size and the round's
@@ -247,7 +244,6 @@ func (e *Engine) stepSyncSparse() {
 	// round because writes went to the spare buffer's slots only.
 	for _, i := range active {
 		e.states[i], e.prev[i] = e.prev[i], e.states[i]
-		e.lanes.swapRow(int(i)) // lane rows install in lockstep with the slot
 		e.matT[i] = T + 1
 	}
 	e.stepSnap, e.stepNext = nil, nil
@@ -256,7 +252,7 @@ func (e *Engine) stepSyncSparse() {
 	e.stepsTaken += int64(len(active))
 	e.commitMarks() // wakes the marks' neighbourhoods for the next round
 	for _, i := range active {
-		if !e.coaster.Quiescent(e.lanes, int(i), e.states[i]) {
+		if !e.coaster.Quiescent(e.states[i]) {
 			e.enqueue(i)
 		}
 	}

@@ -13,11 +13,8 @@ import (
 
 // stepOnly hides a machine's StepInPlace fast path: embedding the Machine
 // interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh. BindLanes is forwarded
-// so both engines keep the same lane residency.
+// Machine.Step, which builds every next state fresh.
 type stepOnly struct{ runtime.Machine }
-
-func (s stepOnly) BindLanes(ls *runtime.Lanes) { s.Machine.(runtime.LaneBinder).BindLanes(ls) }
 
 // newEngine builds a transformer engine with the oracle snapshot wired, on
 // either the in-place fast path or the Machine.Step fallback.

@@ -98,17 +98,6 @@ func (s *SState) Clone() runtime.State {
 // (MyID, Epoch, Phase=2 bits, Pulse, sub-states) when the verifier's
 // AlarmCode under-count was fixed.
 func (s *SState) BitSize() int {
-	check := 0
-	if s.Check != nil {
-		check = s.Check.BitSize()
-	}
-	return s.bitSizeWithCheck(check)
-}
-
-// bitSizeWithCheck is the composite width formula with the verifier term
-// passed in, so BitSize (struct measurement) and sstateBinding.MeasureRow
-// (lane measurement of the embedded verifier) share one accounting.
-func (s *SState) bitSizeWithCheck(check int) int {
 	sub := 0
 	if s.Build != nil {
 		sub += s.Build.BitSize()
@@ -117,7 +106,7 @@ func (s *SState) bitSizeWithCheck(check int) int {
 		sub += s.BuildPrev.BitSize()
 	}
 	if s.Check != nil {
-		sub = bits.Max(sub, check)
+		sub = bits.Max(sub, s.Check.BitSize())
 	}
 	return bits.Sum(
 		bits.ForInt(int64(s.MyID)),
@@ -165,82 +154,16 @@ func (s *SState) Done() bool { return s.Phase == PhaseCheck && !s.Alarm() }
 var (
 	_ runtime.Machine         = (*Machine)(nil)
 	_ runtime.InPlaceStepper  = (*Machine)(nil)
-	_ runtime.LaneBinder      = (*Machine)(nil)
 	_ runtime.Alarmer         = (*SState)(nil)
 	_ runtime.MemoInvalidator = (*SState)(nil)
 	_ runtime.PortRemapper    = (*SState)(nil)
-	_ runtime.LaneBinding     = sstateBinding{}
 )
-
-// sstateBinding implements runtime.LaneBinding for transformer engines: the
-// lanes hold the EMBEDDED verifier's hot fields, authoritative exactly while
-// the node carries a check state (s.Check != nil). While Check is nil the
-// rows are stale and every probe below is gated off them by the Check/Phase
-// tests; check-phase entry overwrites them wholesale (stepInto). The
-// transformer bookkeeping itself (Epoch, Phase, Pulse, build slots) stays on
-// the struct: the engine's reductions reach it through the struct fallbacks
-// inside the composite formulas below.
-type sstateBinding struct{ vl *verify.Lanes }
-
-func (b sstateBinding) LoadRow(i int, st runtime.State) {
-	if s, ok := st.(*SState); ok && s.Check != nil {
-		b.vl.LoadRow(i, s.Check)
-		return
-	}
-	b.vl.ZeroRow(i)
-}
-
-func (b sstateBinding) SpillRow(i int, st runtime.State) {
-	if s, ok := st.(*SState); ok && s.Check != nil {
-		b.vl.SpillRow(i, s.Check)
-	}
-}
-
-func (b sstateBinding) InvalidateRow(i int)            { b.vl.ClearRow(i) }
-func (b sstateBinding) RemapRow(i int, oldToNew []int) { b.vl.RemapRow(i, oldToNew) }
-
-func (b sstateBinding) MeasureRow(i int, st runtime.State, write bool) int {
-	s, ok := st.(*SState)
-	if !ok {
-		return st.BitSize()
-	}
-	check := 0
-	if s.Check != nil {
-		check = b.vl.MeasureRow(i, s.Check, write)
-	}
-	return s.bitSizeWithCheck(check)
-}
-
-func (b sstateBinding) AlarmRow(i int, st runtime.State, write bool) bool {
-	s, ok := st.(*SState)
-	return ok && s.Phase == PhaseCheck && s.Check != nil && b.vl.AlarmRow(i, write)
-}
-
-func (b sstateBinding) DoneRow(i int, st runtime.State, write bool) bool {
-	s, ok := st.(*SState)
-	return ok && s.Phase == PhaseCheck && !(s.Check != nil && b.vl.AlarmRow(i, write))
-}
-
-// BindLanes implements runtime.LaneBinder: the transformer registers the
-// verifier's typed lane set (the flattened fields are the embedded
-// verifier's) and installs the composite binding around it.
-func (m *Machine) BindLanes(ls *runtime.Lanes) {
-	if m.NoLanes {
-		return
-	}
-	ls.Bind(sstateBinding{verify.NewLanes(ls)})
-}
 
 // Machine is the transformer register program.
 type Machine struct {
 	G    *graph.Graph
 	N    int // polynomial upper bound on n (substitution 3 of DESIGN.md)
 	Mode verify.Mode
-
-	// NoLanes keeps the embedded verifier's hot fields on struct storage
-	// (BindLanes binds nothing) — the reference residency of the
-	// lane-vs-struct parity suite, mirroring verify.Machine.NoLanes.
-	NoLanes bool
 
 	verifier *verify.Machine
 
@@ -360,16 +283,6 @@ func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.St
 //ssmst:hotpath
 func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtime.State {
 	old := v.Self().(*SState)
-	// Lane row hygiene. The rows mirror s.Check whenever it is non-nil: the
-	// verifier's own StepInto stores the write row on the step path, the
-	// label installation stores it on check-phase entry, and every other
-	// path that ends the step with a check state carries the read row onto
-	// the write row unchanged (rowHandled tracks which happened). While
-	// Check is nil the rows are stale and every engine probe is phase-gated
-	// off them (see sstateBinding).
-	vl := verify.LanesOf(v.Lanes())
-	node := v.Node()
-	rowHandled := false
 	// Salvage dst's recyclable sub-state memory before the header copy.
 	b1, b2, ck := dst.Build, dst.BuildPrev, dst.Check
 	if b2 == b1 {
@@ -425,14 +338,8 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			} else {
 				s.Phase = PhaseCheck
 				s.Pulse = 0
-				s.Check = m.installLabels(node, s)
+				s.Check = m.installLabels(v.Node(), s)
 				s.Build, s.BuildPrev = nil, nil
-				if vl != nil {
-					// Check-phase entry: the fresh verifier image replaces
-					// whatever stale rows the previous epoch left behind.
-					vl.StoreRow(node, s.Check, true)
-					rowHandled = true
-				}
 			}
 			v.MarkChanged() // phase transitions change what neighbours' checks see
 		}
@@ -475,9 +382,6 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			nb, ok := v.Neighbour(q).(*SState)
 			if !ok || nb.Epoch != s.Epoch || nb.Phase != PhaseCheck {
 				s.Check = recycleCheck(ck, old.Check)
-				if vl != nil && s.Check != nil {
-					vl.CopyRow(node)
-				}
 				return s
 			}
 		}
@@ -486,8 +390,7 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 		// check memory keeps its own label shape, so the quiet check phase
 		// performs exactly one label copy per round and allocates nothing.
 		self := old.Check
-		poisoned := self == nil
-		if poisoned {
+		if self == nil {
 			self = poisonState(s.MyID) // corrupted state: rare, once per corruption
 		}
 		vdst := ck
@@ -495,9 +398,7 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			vdst = new(verify.VState) //ssmst:allow hotpathalloc -- cold: once per node per epoch, on check-phase entry
 		}
 		sc.cv.v, sc.cv.s, sc.cv.self = v, s, self
-		sc.cv.noLanes = poisoned // a synthesized self is not what the rows hold
 		s.Check = m.verifier.StepInto(vdst, &sc.cv, &sc.vsc)
-		rowHandled = !poisoned // the verifier stored the write row itself
 		if s.Check.AlarmFlag {
 			// Detection: start a new epoch (the Resynchronizer drops back
 			// to re-execution).
@@ -511,13 +412,6 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	default:
 		s.Phase = PhaseResync
 		s.Pulse = 0
-	}
-	if vl != nil && !rowHandled && s.Check != nil {
-		// The step carried a check state forward without the verifier storing
-		// it (an injected Check riding through a non-check phase): the read
-		// row already mirrors it — carry the row too, caches included, so the
-		// write row still mirrors s.Check after the round-boundary swap.
-		vl.CopyRow(node)
 	}
 	return s
 }
@@ -660,12 +554,6 @@ type checkView struct {
 	v    *runtime.View
 	s    *SState
 	self *verify.VState
-	// noLanes forces the embedded step onto struct storage for this node:
-	// set when self is a synthesized poison state (old.Check == nil), whose
-	// image is not what the lane rows hold. The poison step always alarms
-	// (L.Size.N = 0 fails the size check), so the epoch resets and the stale
-	// rows stay phase-gated until the next label installation reloads them.
-	noLanes bool
 }
 
 func (c *checkView) Degree() int                  { return c.v.Degree() }
@@ -679,14 +567,7 @@ func (c *checkView) Neighbour(port int) *verify.VState {
 	}
 	return nb.Check
 }
-func (c *checkView) VerifierLanes() (*verify.Lanes, int) {
-	if c.noLanes {
-		return nil, 0
-	}
-	return verify.LanesOf(c.v.Lanes()), c.v.Node()
-}
-func (c *checkView) NeighbourNode(port int) int { return c.v.NeighbourNode(port) }
-func (c *checkView) StepEpoch() int64           { return int64(c.v.Round()) }
+func (c *checkView) StepEpoch() int64 { return int64(c.v.Round()) }
 func (c *checkView) LabelsChangedSince(epoch int64) bool {
 	return c.v.NeighbourhoodChangedSince(epoch)
 }

@@ -10,8 +10,7 @@ import (
 
 // stepOnly hides a machine's StepInPlace fast path: embedding the Machine
 // interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh. (SYNC_MST binds no
-// lanes, so there is no BindLanes to forward.)
+// Machine.Step, which builds every next state fresh.
 type stepOnly struct{ runtime.Machine }
 
 // TestInPlaceMatchesClone asserts the SYNC_MST register program produces

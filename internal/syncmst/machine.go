@@ -150,7 +150,7 @@ var (
 // Quiescent implements runtime.CoastStepper: a Finished state is a literal
 // fixed point — StepCoreInto returns it unchanged regardless of the
 // neighbourhood — so a worklist engine may skip it outright.
-func (Machine) Quiescent(_ *runtime.Lanes, _ int, st runtime.State) bool {
+func (Machine) Quiescent(st runtime.State) bool {
 	s, ok := st.(*State)
 	return ok && s.Finished
 }
@@ -159,7 +159,7 @@ func (Machine) Quiescent(_ *runtime.Lanes, _ int, st runtime.State) bool {
 // clockwork, so replaying k skipped rounds is the identity.
 //
 //ssmst:coastpure
-func (Machine) CoastAdvance(_ *runtime.Lanes, _ int, st runtime.State, deg, k int) {}
+func (Machine) CoastAdvance(st runtime.State, deg, k int) {}
 
 // NewState produces the clean simultaneous-wake-up state: the node is the
 // root of its own singleton fragment at level 0.

@@ -102,16 +102,16 @@ func TestNoOpFaultPreservesMemos(t *testing.T) {
 	r.Eng.RunSyncRounds(20)
 	for v := 0; v < g.N(); v++ {
 		s := r.Eng.State(v).Clone().(*VState)
-		if !s.Hot().StaticValid {
+		if !s.staticValid {
 			continue
 		}
 		for _, kind := range StaticFaultKinds() {
 			c := s.Clone().(*VState)
 			changed := ApplyFault(c, kind, rand.New(rand.NewSource(seed)), g.Degree(v))
-			if !changed && !c.Hot().StaticValid {
+			if !changed && !c.staticValid {
 				t.Fatalf("seed %d node %d kind %d: no-op fault dropped the static memo", seed, v, kind)
 			}
-			if changed && c.Hot().StaticValid {
+			if changed && c.staticValid {
 				t.Fatalf("seed %d node %d kind %d: real fault left the static memo valid", seed, v, kind)
 			}
 		}

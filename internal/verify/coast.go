@@ -58,39 +58,22 @@ import (
 // decisions, which a per-node closed form cannot replay.
 
 // Quiescent implements runtime.CoastStepper: a coasting node's next step,
-// under an unchanged neighbourhood, is exactly coastTick. In lane residency
-// the probe is one flat []bool read off the coast lane; struct mode falls
-// back to the state's hot block.
-func (m *Machine) Quiescent(ls *runtime.Lanes, i int, st runtime.State) bool {
-	if vl := LanesOf(ls); vl != nil {
-		return vl.Coasting(i)
-	}
+// under an unchanged neighbourhood, is exactly coastTick.
+func (m *Machine) Quiescent(st runtime.State) bool {
 	s, ok := st.(*VState)
-	return ok && s.hot != nil && s.hot.coasting
+	return ok && s.coasting
 }
 
 // CoastAdvance implements runtime.CoastStepper: advance a coasting node's
 // clockwork by k rounds in place, in O(1) — equal to k iterated coastTicks
-// (TestCoastAdvanceMatchesTicks pins the algebra across every wrap). Lane
-// residency brackets the advance with a spill/store of the node's CURRENT
-// row: materialization happens between rounds on the read buffer, so the
-// in-place semantics land there, exactly like the struct path's direct
-// mutation.
+// (TestCoastAdvanceMatchesTicks pins the algebra across every wrap).
 //
 //ssmst:hotpath
 //ssmst:coastpure
-func (m *Machine) CoastAdvance(ls *runtime.Lanes, node int, st runtime.State, deg, k int) {
-	s, ok := st.(*VState)
-	if !ok {
-		return
-	}
-	if vl := LanesOf(ls); vl != nil {
-		vl.SpillRow(node, s)
+func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
+	if s, ok := st.(*VState); ok {
 		m.coastAdvance(s, k)
-		vl.StoreRow(node, s, false)
-		return
 	}
-	m.coastAdvance(s, k)
 }
 
 // coastTick advances the coast clockwork by one round: the single-round
@@ -109,7 +92,7 @@ func (m *Machine) coastTick(s *VState) {
 	if s.AskIdx < 0 || s.AskIdx >= L {
 		s.AskIdx = 0
 	}
-	w := s.hot.staticWindow // certified ⇒ hot is materialized
+	w := s.staticWindow
 	if s.AskValid {
 		s.AskTimer--
 		if s.AskTimer <= 0 {
@@ -144,7 +127,7 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	if s.AskIdx < 0 || s.AskIdx >= L {
 		s.AskIdx = 0
 	}
-	w := s.hot.staticWindow // certified ⇒ hot is materialized
+	w := s.staticWindow
 	if s.AskValid {
 		// Finish the in-flight dwell window. A certified state carries
 		// AskTimer ≥ 1 (the awake step's post-invariant); the t < 1 arm
@@ -228,7 +211,7 @@ func coastHorizon(s *VState) int64 {
 	if L < 2 {
 		L = 2
 	}
-	return int64(L+2) * int64(s.ensureHot().staticWindow+1)
+	return int64(L+2) * int64(s.staticWindow+1)
 }
 
 // restsAt reports the horizon-quiet predicate at the given epoch: the
@@ -252,19 +235,16 @@ func (m *Machine) restsAt(tr Tracker, s *VState, epoch int64) bool {
 // and a parked root launches no resets until a tracked change melts it),
 // so no reset wave can ever reach the frozen member. Freezing therefore
 // cascades down the tree at one hop per round after the roots park.
-// parentFrozen is the parent's coast flag, read by the caller from the
-// authoritative residency (the parent's lane row, or its hot block in
-// struct mode — see parentCoasting in machine.go).
-func lineageFrozen(s *VState, parent *VState, parentFrozen bool) bool {
-	return trainLineageOK(&s.L.Train.Top, s.MyID, parent, parentFrozen, true) &&
-		trainLineageOK(&s.L.Train.Bottom, s.MyID, parent, parentFrozen, false)
+func lineageFrozen(s *VState, parent *VState) bool {
+	return trainLineageOK(&s.L.Train.Top, s.MyID, parent, true) &&
+		trainLineageOK(&s.L.Train.Bottom, s.MyID, parent, false)
 }
 
-func trainLineageOK(l *train.Labels, own graph.NodeID, parent *VState, parentFrozen, top bool) bool {
+func trainLineageOK(l *train.Labels, own graph.NodeID, parent *VState, top bool) bool {
 	if l.K == 0 || l.PartRootID == own {
 		return true
 	}
-	if parent == nil || !parentFrozen {
+	if parent == nil || !parent.coasting {
 		return false
 	}
 	pl := &parent.L.Train.Bottom
@@ -338,19 +318,18 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, levels 
 // while Coasting, so dense per-round re-measurement and worklist
 // endpoint-only measurement report the identical high-water mark.
 func (m *Machine) coastFootprint(s *VState) int {
-	h := s.ensureHot()
-	if !h.labelBitsOK {
-		h.labelBits = s.L.BitSize()
-		h.labelBitsOK = true
+	if !s.labelBitsOK {
+		s.labelBits = s.L.BitSize()
+		s.labelBitsOK = true
 	}
-	w := h.staticWindow
+	w := s.staticWindow
 	L := len(s.samplerLevels)
 	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
-		bits.Flag(h.coasting) +
+		bits.Flag(s.coasting) +
 		s.AlarmCode.BitSize() +
 		bits.ForInt(int64(s.MyID)) +
 		bits.ForInt(int64(s.ParentPort)) +
-		h.labelBits +
+		s.labelBits +
 		coastTrainBits(&s.TopS, &s.L.Train.Top, s.MyID) +
 		coastTrainBits(&s.BotS, &s.L.Train.Bottom, s.MyID) +
 		maxBitsInt(int64(s.AskIdx), int64(L-1)) +

@@ -40,7 +40,7 @@ func orbitSpan(s *VState) int {
 	if L == 0 {
 		L = 1
 	}
-	return 2*L*(s.ensureHot().staticWindow+1) + 2*s.AskTimer + 64
+	return 2*L*(s.staticWindow+1) + 2*s.AskTimer + 64
 }
 
 func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
@@ -55,7 +55,7 @@ func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
 	}
 	// Compositionality at a few split points: advance(a);advance(b) ==
 	// advance(a+b) — the worklist engine materializes in arbitrary chunks.
-	for _, a := range []int{1, 7, s.ensureHot().staticWindow, s.ensureHot().staticWindow + 1, span / 2} {
+	for _, a := range []int{1, 7, s.staticWindow, s.staticWindow + 1, span / 2} {
 		b := span - a
 		if b < 0 {
 			continue
@@ -93,7 +93,7 @@ func TestCoastAdvanceMatchesTicks(t *testing.T) {
 	}
 	for v := 0; v < g.N(); v++ {
 		s := r.Eng.State(v).(*VState)
-		if !s.Hot().Coasting {
+		if !s.coasting {
 			t.Fatalf("node %d awake after freeze", v)
 		}
 		checkOrbit(t, r.Machine, fmt.Sprintf("node %d", v), s)
@@ -107,7 +107,7 @@ func TestCoastAdvanceMatchesTicks(t *testing.T) {
 func TestCoastAdvanceMatchesTicksSynthetic(t *testing.T) {
 	m := &Machine{}
 	base := &VState{MyID: 9, L: &NodeLabels{}}
-	base.ensureHot().staticWindow = 5
+	base.staticWindow = 5
 	for _, L := range []int{0, 1, 3} {
 		levels := make([]int, L)
 		for i := range levels {

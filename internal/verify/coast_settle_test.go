@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/raceflag"
 )
 
 // settleBudget is a generous bound on the rounds a quiet legal network
@@ -40,7 +41,7 @@ func TestWorklistQuietReachesCoast(t *testing.T) {
 		if settled < 0 {
 			coasting := 0
 			for i := 0; i < n; i++ {
-				if r.Eng.State(i).(*VState).Hot().Coasting {
+				if r.Eng.State(i).(*VState).coasting {
 					coasting++
 				}
 			}
@@ -48,7 +49,7 @@ func TestWorklistQuietReachesCoast(t *testing.T) {
 				n, budget, r.Eng.LastActive(), coasting, n)
 		}
 		for i := 0; i < n; i++ {
-			if !r.Eng.State(i).(*VState).Hot().Coasting {
+			if !r.Eng.State(i).(*VState).coasting {
 				t.Fatalf("n=%d: node %d awake after frontier drained", n, i)
 			}
 		}
@@ -94,4 +95,44 @@ func TestCoastMeltRedetects(t *testing.T) {
 		t.Fatalf("fault at frozen node undetected within %d rounds", 2*budget)
 	}
 	t.Logf("melt detection after %d rounds", rounds)
+}
+
+// TestCoastQuietRoundZeroAlloc is the quiet-coast hot-path gate: once a
+// dense coast network is fully certified, a quiet round must allocate
+// nothing and copy zero labels — any per-round allocation or label copy on
+// that path would be a regression the benchmarks only show as noise.
+func TestCoastQuietRoundZeroAlloc(t *testing.T) {
+	g := graph.RandomConnected(64, 150, 35)
+	l, err := Mark(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewCoastRunner(l, 9)
+	r.Eng.Parallel = false
+	budget := DetectionBudget(g.N())
+	settled := false
+	for i := 0; i < budget && !settled; i++ {
+		r.Step()
+		settled = true
+		for v := 0; v < g.N() && settled; v++ {
+			settled = r.Eng.State(v).(*VState).coasting
+		}
+	}
+	if !settled {
+		t.Fatalf("network never fully certified within %d rounds", budget)
+	}
+
+	copies := r.Machine.LabelCopies()
+	for i := 0; i < 50; i++ {
+		r.Step()
+	}
+	if got := r.Machine.LabelCopies() - copies; got != 0 {
+		t.Fatalf("%d label copies over 50 quiet coast rounds, want 0", got)
+	}
+
+	if raceflag.Enabled {
+		t.Log("race instrumentation allocates; skipping the alloc gate")
+	} else if avg := testing.AllocsPerRun(100, func() { r.Step() }); avg != 0 {
+		t.Fatalf("quiet coast round allocates %.1f times, want 0", avg)
+	}
 }

@@ -21,9 +21,7 @@ import (
 // every round".
 func stripEpoch(s runtime.State) *VState {
 	c := s.Clone().(*VState)
-	if c.hot != nil {
-		c.hot.staticEpoch = 0
-	}
+	c.staticEpoch = 0
 	return c
 }
 

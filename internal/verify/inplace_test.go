@@ -12,11 +12,8 @@ import (
 
 // stepOnly hides a machine's StepInPlace fast path: embedding the Machine
 // interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh. BindLanes is forwarded
-// so both engines keep the same lane residency.
+// Machine.Step, which builds every next state fresh.
 type stepOnly struct{ runtime.Machine }
-
-func (s stepOnly) BindLanes(ls *runtime.Lanes) { s.Machine.(runtime.LaneBinder).BindLanes(ls) }
 
 // TestInPlaceMatchesClone asserts the verifier's InPlaceStepper fast path —
 // serial and parallel-forced — is bit-identical to Machine.Step, which never

@@ -50,29 +50,50 @@ type VState struct {
 	// function of (labels, level), so it is evaluated once per dwell window
 	// instead of once per round; like every sampler register it stabilizes
 	// within one Ask sweep after arbitrary corruption.
-	CandPort int //ssmst:lane -- transit register: lane column candPort is authoritative while resident
+	CandPort int
 
-	AlarmFlag bool //ssmst:lane -- recomputed every round: the verifier's "no" output
+	AlarmFlag bool // recomputed every round: the verifier's "no" output
 	// AlarmCode records which layer raised the current alarm (AlarmNone when
 	// quiet); exposed for experiments and diagnostics.
-	//
-	//ssmst:lane
 	AlarmCode AlarmCode
 
-	// hot is the struct image of the flattened hot fields — the static
-	// verdict memo, the labelBits memo and the coast certification block
-	// (see vhot). While the state is resident in a lane-bound engine the
-	// authoritative storage is the engine's lane rows (lanes.go) and this
-	// block is a working copy refreshed at the residency boundaries; in
-	// struct mode (Machine.NoLanes, direct StepCore calls) it IS the
-	// storage. nil means memo-empty, everything zero. The Coasting flag the
-	// block carries is protocol state counted in BitSize — the count flows
-	// through bitSizeFlat, which both BitSize and the lane measurement
-	// share.
-	hot *vhot //ssmst:nobits -- flattened hot block; the coast flag it carries is counted via bitSizeFlat
+	// The static-verdict memo (incremental verification; see the package
+	// doc): the static label checks — neighbour presence, SP, size,
+	// hierarchy strings, train position labels — are a deterministic
+	// function of the labels of the closed neighbourhood, which change only
+	// under faults and label (re)installation; their verdict is computed
+	// once and replayed until the engine's change tracking
+	// (runtime.View.MarkChanged / NeighbourhoodChangedSince) reports a
+	// neighbourhood label change. staticEpoch is the View.Round the verdict
+	// was computed at; staticWindow caches the label-derived Ask dwell
+	// window alongside it. A simulator-side memo of a recomputable
+	// predicate, not protocol memory — the verifier's outputs are
+	// bit-identical with memoization disabled (Machine.FullRecheck;
+	// TestIncrementalMatchesFullRecheck) — so BitSize excludes it.
+	staticValid  bool      //ssmst:nobits
+	staticAlarm  bool      //ssmst:nobits
+	staticCode   AlarmCode //ssmst:nobits
+	staticWindow int       //ssmst:nobits
+	staticEpoch  int64     //ssmst:nobits
+
+	// labelBits caches NodeLabels.BitSize — re-measured by the engine's
+	// instrumentation every round at every node, yet constant between label
+	// changes. Same lifetime and exclusion as the static memo.
+	labelBits   int  //ssmst:nobits
+	labelBitsOK bool //ssmst:nobits
+
+	// The coast block (see coast.go): coasting marks the certified-quiescent
+	// regime — the node's step is pure clockwork until a tracked
+	// neighbourhood change melts it. It is a protocol mode flag and is
+	// counted in BitSize. coastEpoch is the epoch the certification was
+	// stamped at (an engine-clock memo, like staticEpoch); coastBits is the
+	// memoized orbit-maximum BitSize reported while coasting.
+	coasting   bool
+	coastEpoch int64 //ssmst:nobits
+	coastBits  int   //ssmst:nobits
 
 	// samplerLevels caches J(v), the claimed-level list the sampler sweeps
-	// (label-derived, same lifetime as the labelBits memo in hot). It is
+	// (label-derived, same lifetime as the labelBits memo). It is
 	// invalidated by every full label copy (CopyFrom), by Clone, and by
 	// InvalidateMemo (which the engine calls on SetState/Corrupt and
 	// ApplyFault calls on direct mutation); the memo-hit label-copy elision
@@ -81,102 +102,6 @@ type VState struct {
 	// protocol memory, so BitSize excludes it.
 	samplerLevels []int //ssmst:nobits -- recomputable claimed-level memo
 	samplerMemoOK bool  //ssmst:nobits
-}
-
-// vhot is the block of per-node fields the ENGINE traverses every round —
-// flattened into engine-owned lanes in PR 9 (see lanes.go). Grouping them in
-// one allocated-once block keeps VState's header copy (*s = *src) from
-// dragging them along and gives the lane spill/store a single image to move.
-//
-//   - The static-verdict memo (incremental verification; see the package
-//     doc): the static label checks — neighbour presence, SP, size,
-//     hierarchy strings, train position labels — are a deterministic
-//     function of the labels of the closed neighbourhood, which change only
-//     under faults and label (re)installation; their verdict is computed
-//     once and replayed until the engine's change tracking
-//     (runtime.View.MarkChanged / NeighbourhoodChangedSince) reports a
-//     neighbourhood label change. staticEpoch is the View.Round the verdict
-//     was computed at; staticWindow caches the label-derived Ask dwell
-//     window alongside it. A simulator-side memo of a recomputable
-//     predicate, not protocol memory — the verifier's outputs are
-//     bit-identical with memoization disabled (Machine.FullRecheck;
-//     TestIncrementalMatchesFullRecheck) — so BitSize excludes it.
-//   - labelBits caches NodeLabels.BitSize — re-measured by the engine's
-//     instrumentation every round at every node, yet constant between label
-//     changes. Same lifetime and exclusion as the static block.
-//   - The coast block (see coast.go): coasting marks the certified-quiescent
-//     regime — the node's step is pure clockwork until a tracked
-//     neighbourhood change melts it. It is a protocol mode flag and is
-//     counted in BitSize (via bitSizeFlat). coastEpoch is the epoch the
-//     certification was stamped at (an engine-clock memo, like staticEpoch);
-//     coastBits is the memoized orbit-maximum BitSize reported while
-//     coasting.
-type vhot struct {
-	staticValid  bool      //ssmst:lane
-	staticAlarm  bool      //ssmst:lane
-	staticCode   AlarmCode //ssmst:lane
-	staticWindow int       //ssmst:lane
-	staticEpoch  int64     //ssmst:lane
-	labelBits    int       //ssmst:lane
-	labelBitsOK  bool      //ssmst:lane
-	coasting     bool      //ssmst:lane
-	coastEpoch   int64     //ssmst:lane
-	coastBits    int       //ssmst:lane
-}
-
-// ensureHot returns s's hot block, materializing an empty one on first use.
-// A state allocates it at most once; every copy path recycles the block.
-//
-//ssmst:hotpath
-func (s *VState) ensureHot() *vhot {
-	if s.hot == nil {
-		s.hot = new(vhot) //ssmst:allow hotpathalloc,coastpure -- at most once per state lifetime; recycled with the state
-	}
-	return s.hot
-}
-
-// HotState is a read-only snapshot of the flattened hot fields plus the
-// three transit registers — the external (test/experiment) window onto state
-// that PR 9 moved out of VState's exported fields.
-type HotState struct {
-	StaticValid  bool      //ssmst:lane
-	StaticAlarm  bool      //ssmst:lane
-	StaticCode   AlarmCode //ssmst:lane
-	StaticWindow int       //ssmst:lane
-	StaticEpoch  int64     //ssmst:lane
-	LabelBits    int       //ssmst:lane
-	LabelBitsOK  bool      //ssmst:lane
-	Coasting     bool      //ssmst:lane
-	CoastEpoch   int64     //ssmst:lane
-	CoastBits    int       //ssmst:lane
-	CandPort     int       //ssmst:lane
-	AlarmFlag    bool      //ssmst:lane
-	AlarmCode    AlarmCode //ssmst:lane
-}
-
-// Hot snapshots s's hot block (zero if never materialized) and transit
-// registers. For engine-resident states, read through Engine.State so the
-// lane rows are spilled first.
-func (s *VState) Hot() HotState {
-	var h vhot
-	if s.hot != nil {
-		h = *s.hot
-	}
-	return HotState{
-		StaticValid:  h.staticValid,
-		StaticAlarm:  h.staticAlarm,
-		StaticCode:   h.staticCode,
-		StaticWindow: h.staticWindow,
-		StaticEpoch:  h.staticEpoch,
-		LabelBits:    h.labelBits,
-		LabelBitsOK:  h.labelBitsOK,
-		Coasting:     h.coasting,
-		CoastEpoch:   h.coastEpoch,
-		CoastBits:    h.coastBits,
-		CandPort:     s.CandPort,
-		AlarmFlag:    s.AlarmFlag,
-		AlarmCode:    s.AlarmCode,
-	}
 }
 
 // AlarmCode identifies the verifier layer that raised an alarm.
@@ -221,14 +146,6 @@ func (s *VState) Alarm() bool { return s.AlarmFlag }
 // alias the clone to the original).
 func (s *VState) Clone() runtime.State {
 	c := *s
-	if s.hot != nil {
-		// Never share the hot block (the struct copy above aliased it): the
-		// clone gets its own, carrying the same image — InvalidateMemo below
-		// then clears the gate fields exactly as it always has, leaving the
-		// gated verdict content comparable across configurations.
-		c.hot = new(vhot)
-		*c.hot = *s.hot
-	}
 	c.L = s.L.Clone()
 	c.InvalidateMemo()
 	return &c
@@ -240,20 +157,16 @@ func (s *VState) Clone() runtime.State {
 // mutated behind the step function is re-measured and re-checked from
 // scratch. Protocol-visible fields are untouched.
 func (s *VState) InvalidateMemo() {
-	if h := s.hot; h != nil {
-		h.staticValid = false
-		h.labelBits = 0
-		h.labelBitsOK = false
-		// Injected, cloned or topology-touched states start awake: the coast
-		// certification was computed over content that may no longer exist.
-		// The gated verdict content (staticAlarm/staticCode/staticWindow,
-		// staticEpoch) stays — unreachable behind staticValid, and keeping it
-		// makes invalidation bit-identical between struct and lane residency
-		// (Lanes.ClearRow clears the same gate fields and no more).
-		h.coasting = false
-		h.coastEpoch = 0
-		h.coastBits = 0
-	}
+	s.staticValid = false
+	s.labelBits = 0
+	s.labelBitsOK = false
+	// Injected, cloned or topology-touched states start awake: the coast
+	// certification was computed over content that may no longer exist.
+	// The gated verdict content (staticAlarm/staticCode/staticWindow,
+	// staticEpoch) stays, unreachable behind staticValid.
+	s.coasting = false
+	s.coastEpoch = 0
+	s.coastBits = 0
 	s.samplerLevels = nil
 	s.samplerMemoOK = false
 }
@@ -292,9 +205,8 @@ func (s *VState) RemapPorts(oldToNew []int) {
 //
 //ssmst:hotpath
 func (s *VState) CopyFrom(src *VState) {
-	l, lv, h := s.L, s.samplerLevels, s.hot
+	l, lv := s.L, s.samplerLevels
 	*s = *src
-	s.copyHotFrom(src, h)
 	s.samplerLevels = lv[:0]
 	s.samplerMemoOK = false
 	switch {
@@ -308,27 +220,6 @@ func (s *VState) CopyFrom(src *VState) {
 	}
 }
 
-// copyHotFrom installs src's hot image into s by value, recycling s's own
-// block. own is s's pre-copy hot pointer, saved by the caller across the
-// *s = *src header copy (which drags src's pointer in); sharing the block
-// itself would alias two live states' memos.
-//
-//ssmst:hotpath
-func (s *VState) copyHotFrom(src *VState, own *vhot) {
-	if src.hot == nil {
-		s.hot = own
-		if own != nil {
-			*own = vhot{}
-		}
-		return
-	}
-	if own == nil {
-		own = new(vhot) //ssmst:allow hotpathalloc -- at most once per recycled state lifetime
-	}
-	*own = *src.hot
-	s.hot = own
-}
-
 // copyFromKeepingLabels is CopyFrom minus the deep label copy: s keeps its
 // own label block and claimed-level memo untouched. Only the memo-hit
 // in-place step may use it, and only when the caller has proved (via the
@@ -337,9 +228,8 @@ func (s *VState) copyHotFrom(src *VState, own *vhot) {
 //
 //ssmst:hotpath
 func (s *VState) copyFromKeepingLabels(src *VState) {
-	l, lv, mok, h := s.L, s.samplerLevels, s.samplerMemoOK, s.hot
+	l, lv, mok := s.L, s.samplerLevels, s.samplerMemoOK
 	*s = *src
-	s.copyHotFrom(src, h)
 	s.L, s.samplerLevels, s.samplerMemoOK = l, lv, mok
 }
 
@@ -351,37 +241,29 @@ func (s *VState) copyFromKeepingLabels(src *VState) {
 // but labels change only under faults and label installation, so the
 // O(log n) label walk is paid once per label change instead of once per
 // round (every mutation path resets the memo — see InvalidateMemo).
+// Straight sum, same reasoning as train.State.BitSize: this runs for every
+// node every round. Each flag is counted through bits.Flag (inlined to 1) so
+// bitsizeaudit can tie the accounting to the fields.
+//
+//ssmst:hotpath
 func (s *VState) BitSize() int {
-	h := s.ensureHot()
-	if h.coasting && h.coastBits > 0 {
+	if s.coasting && s.coastBits > 0 {
 		// Coast mode: report the memoized orbit maximum (coastFootprint).
 		// Constant while coasting, so a worklist engine that measures only
 		// at certification and wake sees the same high-water mark as the
 		// dense engine re-measuring every round.
-		return h.coastBits
+		return s.coastBits
 	}
-	if !h.labelBitsOK {
-		h.labelBits = s.L.BitSize()
-		h.labelBitsOK = true
+	if !s.labelBitsOK {
+		s.labelBits = s.L.BitSize()
+		s.labelBitsOK = true
 	}
-	return s.bitSizeFlat(h.labelBits, s.CandPort, s.AlarmFlag, h.coasting)
-}
-
-// bitSizeFlat is the width formula over the struct-resident registers plus
-// the four lane-resident inputs, passed in so BitSize (struct image) and
-// Lanes.MeasureRow (lane rows) share one accounting. Straight sum, same
-// reasoning as train.State.BitSize: this runs for every node every round.
-// Each flag is counted through bits.Flag (inlined to 1) so bitsizeaudit can
-// tie the accounting to the fields.
-//
-//ssmst:hotpath
-func (s *VState) bitSizeFlat(labelBits, candPort int, alarmFlag, coasting bool) int {
-	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(alarmFlag) +
-		bits.Flag(coasting) +
+	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
+		bits.Flag(s.coasting) +
 		s.AlarmCode.BitSize() +
 		bits.ForInt(int64(s.MyID)) +
 		bits.ForInt(int64(s.ParentPort)) +
-		labelBits +
+		s.labelBits +
 		s.TopS.BitSize() +
 		s.BotS.BitSize() +
 		bits.ForInt(int64(s.AskIdx)) +
@@ -391,7 +273,7 @@ func (s *VState) bitSizeFlat(labelBits, candPort int, alarmFlag, coasting bool) 
 		bits.ForInt(int64(s.ServerCur)) +
 		bits.ForInt(int64(s.ServerTmr)) +
 		bits.ForInt(int64(s.Want.ServerID)) + bits.ForInt(int64(s.Want.Level)) +
-		bits.ForInt(int64(candPort))
+		bits.ForInt(int64(s.CandPort))
 }
 
 func pieceSize(p hierarchy.Piece) int {
@@ -456,13 +338,6 @@ type Machine struct {
 	// trackerless views.
 	Coast bool
 
-	// NoLanes keeps the hot fields on struct storage: BindLanes binds
-	// nothing and the engine falls back to per-state measurement and struct
-	// memos. This is the reference residency the lane-vs-struct parity
-	// suite (lanes_parity_test.go) steps against the default lane build;
-	// the two are bit-identical in every protocol-visible observable.
-	NoLanes bool
-
 	// staticRecomputes counts static-layer recomputations (memo misses)
 	// across all nodes and rounds — the observable that incremental tests
 	// pin down ("a quiet network recomputes n times total, not n per
@@ -505,10 +380,6 @@ func (a runtimeView) Neighbour(port int) *VState {
 	return nil
 }
 func (a runtimeView) StepEpoch() int64 { return int64(a.v.Round()) }
-func (a runtimeView) VerifierLanes() (*Lanes, int) {
-	return LanesOf(a.v.Lanes()), a.v.Node()
-}
-func (a runtimeView) NeighbourNode(port int) int { return a.v.NeighbourNode(port) }
 func (a runtimeView) LabelsChangedSince(epoch int64) bool {
 	return a.v.NeighbourhoodChangedSince(epoch)
 }
@@ -635,72 +506,21 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	if tracked {
 		epoch = tr.StepEpoch()
 	}
-	// Lane residency: when the view belongs to a lane-bound engine, the
-	// authoritative pre-state image of the flattened fields is the node's
-	// read-buffer row (old's struct may be stale — lane engines spill only
-	// at observation boundaries), and dst's write-buffer row carries what
-	// dst's struct memo carries in struct mode. The four values the entry
-	// guards need are read mode-dispatched into locals; after the header
-	// copy the full row is spilled into dst and the body runs uniformly on
-	// dst's struct image, scattered back to the write row at every exit.
-	var vl *Lanes
-	row := 0
-	lview, _ := v.(laneView)
-	if lview != nil {
-		vl, row = lview.VerifierLanes()
-	}
-	var oldCoasting, dstStaticValid bool
-	var oldCoastEpoch, dstStaticEpoch int64
-	if vl != nil {
-		oldCoasting = vl.coasting.Row(false)[row]
-		oldCoastEpoch = vl.coastEpoch.Row(false)[row]
-		dstStaticValid = vl.staticValid.Row(true)[row]
-		dstStaticEpoch = vl.staticEpoch.Row(true)[row]
-	} else {
-		if h := old.hot; h != nil {
-			oldCoasting, oldCoastEpoch = h.coasting, h.coastEpoch
-		}
-		if h := dst.hot; h != nil {
-			dstStaticValid, dstStaticEpoch = h.staticValid, h.staticEpoch
-		}
-	}
 	coastOn := tracked && m.Coast && !m.FullRecheck && m.Mode == Sync
-	if coastOn && oldCoasting && !tr.LabelsChangedSince(oldCoastEpoch) {
+	if coastOn && old.coasting && !tr.LabelsChangedSince(old.coastEpoch) {
 		// Coast branch: the node is certified quiescent and nothing tracked
 		// in its 1-hop neighbourhood changed since certification — its step
 		// is pure clockwork (coast.go). This is exactly what a worklist
 		// engine replays in closed form when it skips the node, so dense and
 		// sparse stepping are bit-identical by construction.
-		if dstStaticValid && dst.L != nil && dst.MyID == old.MyID &&
-			dstStaticEpoch <= epoch && !tr.LabelsChangedSince(dstStaticEpoch) {
+		if dst.staticValid && dst.L != nil && dst.MyID == old.MyID &&
+			dst.staticEpoch <= epoch && !tr.LabelsChangedSince(dst.staticEpoch) {
 			dst.copyFromKeepingLabels(old)
 		} else {
 			m.labelCopies.Add(1)
 			dst.CopyFrom(old)
 		}
-		if vl != nil {
-			// Row carry, not a full spill/store round-trip: a coast tick
-			// mutates exactly one lane-resident field (CandPort, on a dwell
-			// wrap), so the write row only needs the full 13-lane copy when it
-			// is not already a faithful image of this coasting streak. The
-			// guard detects that by streak identity: every step that leaves or
-			// enters coasting writes its complete row (melt and certification
-			// run the full-step path below), certification epochs are distinct
-			// per round, and in-streak rows diverge from the read row in
-			// CandPort alone — which the fast path refreshes unconditionally.
-			if !(vl.coasting.Row(true)[row] && vl.coastEpoch.Row(true)[row] == oldCoastEpoch) {
-				vl.CopyRow(row)
-			}
-			// coastTick's two lane inputs, read straight off the rows; the
-			// struct image of a lane-resident node is refreshed only at
-			// observation boundaries and full steps.
-			dst.ensureHot().staticWindow = int(vl.staticWindow.Row(false)[row])
-			dst.CandPort = int(vl.candPort.Row(false)[row])
-			m.coastTick(dst)
-			vl.candPort.Row(true)[row] = int32(dst.CandPort)
-		} else {
-			m.coastTick(dst)
-		}
+		m.coastTick(dst)
 		return dst
 	}
 	// Memo-hit label-copy elision. dst is the recycled two-rounds-old state
@@ -716,9 +536,9 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// unconditionally: it is the check-everything, copy-everything
 	// reference the elided path is cross-checked against.
 	persistMemo := true
-	if tracked && !m.FullRecheck && dstStaticValid &&
+	if tracked && !m.FullRecheck && dst.staticValid &&
 		dst.L != nil && old.L != nil && dst.MyID == old.MyID &&
-		dstStaticEpoch <= epoch && !tr.LabelsChangedSince(dstStaticEpoch) {
+		dst.staticEpoch <= epoch && !tr.LabelsChangedSince(dst.staticEpoch) {
 		dst.copyFromKeepingLabels(old)
 	} else {
 		// A fresh dst (Machine.Step, or a cold scratch slot) is discarded
@@ -729,19 +549,15 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		m.labelCopies.Add(1)
 		dst.CopyFrom(old)
 	}
-	if vl != nil {
-		vl.SpillRow(row, dst)
-	}
 	s := dst
-	h := s.ensureHot()
-	if h.coasting {
+	if s.coasting {
 		// Melt: a tracked change reached the neighbourhood (or coast mode
 		// was disabled) — wake into a full step and mark the wake itself, so
 		// neighbouring coasters melt one hop further next round (detection
 		// liveness: the wave reaches every node that must observe a fault).
-		h.coasting = false
-		h.coastEpoch = 0
-		h.coastBits = 0
+		s.coasting = false
+		s.coastEpoch = 0
+		s.coastBits = 0
 		if tracked {
 			tr.MarkLabelsChanged()
 		}
@@ -759,9 +575,6 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	if n < 2 {
 		s.AlarmFlag = true
 		s.AlarmCode = AlarmSize
-		if vl != nil {
-			vl.StoreRow(row, s, true)
-		}
 		return s
 	}
 	deg := v.Degree()
@@ -787,13 +600,13 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// history (StaticEpoch ≤ epoch — a state transplanted from a foreign
 	// run via SetState may carry any stamp) and nothing in the closed
 	// neighbourhood changed since the stamp.
-	if tracked && !m.FullRecheck && h.staticValid && s.ParentPort < deg &&
-		h.staticEpoch <= epoch && !tr.LabelsChangedSince(h.staticEpoch) {
+	if tracked && !m.FullRecheck && s.staticValid && s.ParentPort < deg &&
+		s.staticEpoch <= epoch && !tr.LabelsChangedSince(s.staticEpoch) {
 		// Memo hit: replay the static verdict. ParentPort is settled (< deg:
 		// the corrupted-port repair marks the node dirty, so a repaired or
 		// re-corrupted port always forces the miss path first).
-		if h.staticAlarm {
-			alarm, code = true, h.staticCode
+		if s.staticAlarm {
+			alarm, code = true, s.staticCode
 		}
 		isRoot = s.ParentPort < 0
 		if !isRoot && nbs[s.ParentPort].ok {
@@ -804,7 +617,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		// pinned at their first computation and one fault anywhere would
 		// disable the engine's O(1) all-quiet short-circuit
 		// (maxDirty ≤ epoch) for the rest of the run.
-		h.staticEpoch = epoch
+		s.staticEpoch = epoch
 	} else {
 		m.staticRecomputes.Add(1)
 		if missing {
@@ -882,11 +695,11 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		}
 
 		// Memoize the static verdict and the label-derived dwell window.
-		h.staticValid = true
-		h.staticAlarm = alarm
-		h.staticCode = code
-		h.staticWindow = dwellWindow(s, nbs)
-		h.staticEpoch = epoch
+		s.staticValid = true
+		s.staticAlarm = alarm
+		s.staticCode = code
+		s.staticWindow = dwellWindow(s, nbs)
+		s.staticEpoch = epoch
 	}
 
 	// ---- Layer 4: the trains (dynamic; every round). The coverage checks
@@ -946,38 +759,17 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// quiet, whose memos are settled, whose own and neighbours' trains are
 	// parked, and whose whole sampler orbit is provably clean against the
 	// frozen neighbourhood freezes into clockwork.
-	if restOK && !alarm && !h.coasting && h.staticValid && !h.staticAlarm &&
+	if restOK && !alarm && !s.coasting && s.staticValid && !s.staticAlarm &&
 		s.samplerMemoOK &&
 		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
-		lineageFrozen(s, parent, parentCoasting(vl, lview, s, parent)) &&
+		lineageFrozen(s, parent) &&
 		neighboursAtRest(nbs) &&
 		m.samplerOrbitClean(v, s, nbs, levels, n) {
-		h.coasting = true
-		h.coastEpoch = epoch
-		h.coastBits = m.coastFootprint(s)
-	}
-	if vl != nil {
-		vl.StoreRow(row, s, true)
+		s.coasting = true
+		s.coastEpoch = epoch
+		s.coastBits = m.coastFootprint(s)
 	}
 	return s
-}
-
-// parentCoasting reads the parent's coast flag for the certification
-// cascade. In lane residency the parent's struct image may be stale (lane
-// engines spill on observation, not per round) and must not be read from a
-// worker anyway — the authoritative, data-race-free source is the parent's
-// read-buffer lane row, immutable for the whole round. Struct mode reads
-// the parent's hot block, which IS authoritative there.
-//
-//ssmst:hotpath
-func parentCoasting(vl *Lanes, lview laneView, s *VState, parent *VState) bool {
-	if parent == nil {
-		return false
-	}
-	if vl != nil {
-		return vl.Coasting(lview.NeighbourNode(s.ParentPort))
-	}
-	return parent.hot != nil && parent.hot.coasting
 }
 
 // staticCoverageAlarm handles the degenerate train sizes the wrap-based

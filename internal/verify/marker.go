@@ -124,8 +124,14 @@ func Mark(g *graph.Graph) (*Labeled, error) {
 // given tree would produce. Verification of the result must reject unless
 // the tree is an MST. overrideOmega selects what the pieces claim as ω̂(F):
 // the true minimum outgoing weight in G (false — C1 then catches non-MSTs)
-// or the candidate's own weight (true — C2 then catches them).
+// or the candidate's own weight (true — C2 then catches them). A tree edge
+// id outside [0, g.M()) is an error naming the first such id.
 func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, error) {
+	for _, e := range treeEdges {
+		if e < 0 || e >= g.M() {
+			return nil, fmt.Errorf("verify: tree edge id %d out of range [0, %d)", e, g.M())
+		}
+	}
 	// Simulate fragment merging on the tree alone: a tree is its own MST,
 	// so SYNC_MST on the tree-only graph yields this exact tree plus a
 	// well-formed hierarchy whose candidates are tree edges.

@@ -46,7 +46,7 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 	// (corrupted labels are caught by the label checks regardless). It is
 	// label-derived, so it is computed by the static layer and memoized in
 	// StaticWindow alongside the static verdict.
-	window := s.ensureHot().staticWindow
+	window := s.staticWindow
 	j := levels[s.AskIdx]
 	split := train.LevelSplit(n)
 

@@ -1,7 +1,9 @@
 package verify
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"ssmst/internal/graph"
@@ -124,6 +126,28 @@ func TestMarkTreeOnMSTAccepts(t *testing.T) {
 	r := NewRunner(l, Sync, 5)
 	if err := r.RunQuiet(DetectionBudget(g.N())); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMarkTreeRejectsBadEdgeIDs: a tree edge id outside [0, M) is reported
+// as an error naming the first bad id, under both ω̂ claims, before any
+// tree graph is built.
+func TestMarkTreeRejectsBadEdgeIDs(t *testing.T) {
+	g := graph.RandomConnected(4, 3, 1)
+	for _, override := range []bool{false, true} {
+		for _, edges := range [][]int{{0, 1, 7}, {0, -1, 9}} {
+			l, err := MarkTree(g, edges, override)
+			if err == nil || l != nil {
+				t.Fatalf("edges %v: got (%v, %v), want an error", edges, l, err)
+			}
+			bad := edges[1]
+			if bad >= 0 {
+				bad = edges[2]
+			}
+			if !strings.Contains(err.Error(), fmt.Sprintf("id %d ", bad)) {
+				t.Fatalf("edges %v: error %q does not name the first bad id %d", edges, err, bad)
+			}
+		}
 	}
 }
 

@@ -11,12 +11,13 @@
 //   - The self-stabilizing MST construction with O(log n) bits and O(n)
 //     stabilization time (NewSelfStabilizing) — the second main result.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// measured reproduction of every table and figure.
+// See internal/runtime/DESIGN.md for the system inventory and README.md for
+// the measured reproduction of the paper's tables and figures.
 package ssmst
 
 import (
 	"math/rand"
+	"sort"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/oracle"
@@ -87,7 +88,8 @@ func ConstructMST(g *Graph) (edges []int, rounds int, err error) {
 func Mark(g *Graph) (*Labeled, error) { return verify.Mark(g) }
 
 // MarkTree labels an arbitrary spanning tree (not necessarily minimal);
-// verification rejects unless it is an MST.
+// verification rejects unless it is an MST. A tree edge id outside
+// [0, g.M()) is an error naming the first such id.
 func MarkTree(g *Graph, treeEdges []int) (*Labeled, error) {
 	return verify.MarkTree(g, treeEdges, false)
 }
@@ -212,18 +214,13 @@ func NormalizeWeights(g *Graph, candidate []int) *Graph {
 	for i := range perm {
 		perm[i] = i
 	}
-	for i := 1; i < len(perm); i++ {
-		for j := i; j > 0 && order(perm[j], perm[j-1]); j-- {
-			perm[j], perm[j-1] = perm[j-1], perm[j]
-		}
-	}
-	out := graph.New(g.N(), nil)
+	sort.SliceStable(perm, func(i, j int) bool { return order(perm[i], perm[j]) })
 	// Preserve identities.
 	ids := make([]graph.NodeID, g.N())
 	for v := range ids {
 		ids[v] = g.ID(v)
 	}
-	out = graph.New(g.N(), ids)
+	out := graph.New(g.N(), ids)
 	rank := make([]graph.Weight, g.M())
 	for r, e := range perm {
 		rank[e] = graph.Weight(r + 1)

@@ -1,6 +1,10 @@
 package ssmst
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func TestFacadePipeline(t *testing.T) {
 	g := RandomGraph(20, 50, 3)
@@ -36,6 +40,22 @@ func TestFacadeMarkTree(t *testing.T) {
 	}
 	if l.MaxLabelBits() <= 0 {
 		t.Fatal("no labels")
+	}
+}
+
+// TestFacadeMarkTreeRejectsBadEdgeIDs: a tree edge id outside [0, M) is an
+// error naming that id, not an index panic.
+func TestFacadeMarkTreeRejectsBadEdgeIDs(t *testing.T) {
+	g := RandomGraph(4, 3, 1)
+	for _, bad := range []int{7, -1} {
+		edges := []int{0, 1, bad}
+		l, err := MarkTree(g, edges)
+		if err == nil || l != nil {
+			t.Fatalf("edges %v: got (%v, %v), want an error", edges, l, err)
+		}
+		if want := fmt.Sprint(bad); !strings.Contains(err.Error(), want) {
+			t.Fatalf("edges %v: error %q does not name id %s", edges, err, want)
+		}
 	}
 }
 
