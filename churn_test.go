@@ -81,7 +81,7 @@ func TestChurnQuietAllocFree(t *testing.T) {
 		t.Errorf("%.1f allocs per post-churn quiet round, want 0", avg)
 	}
 	if got := v.Machine.LabelCopies() - copies; got != 0 {
-		t.Errorf("%d label copies across post-churn quiet rounds, want 0 (memo-hit elision must resume)", got)
+		t.Errorf("%d label copies across post-churn quiet rounds, want 0 (labels are shared)", got)
 	}
 	if err := v.RunQuiet(40); err != nil {
 		t.Fatalf("post-churn network is not quiet: %v", err)

@@ -38,7 +38,7 @@ func TestDetectionPipelineAllocFree(t *testing.T) {
 		"transformer": transformer,
 	} {
 		// Warm up: fill both buffers and let every reusable buffer (scratch
-		// slices, recycled label blocks) reach its steady-state capacity.
+		// slices, recycled sub-states) reach its steady-state capacity.
 		e.RunSyncRounds(8)
 		if avg := testing.AllocsPerRun(16, e.StepSync); avg != 0 {
 			t.Errorf("%s: %.1f allocs per steady-state round, want 0", name, avg)
@@ -47,8 +47,8 @@ func TestDetectionPipelineAllocFree(t *testing.T) {
 
 	// The quiet steady state must also be on the PR 4 dynamic-layer fast
 	// paths: no static recomputes (PR 3's memo) and no deep label copies
-	// (the memo-hit CopyFrom elision) per round — standalone and inside the
-	// transformer's check phase.
+	// (labels are shared by reference) per round — standalone and inside
+	// the transformer's check phase.
 	for name, m := range map[string]*verify.Machine{
 		"verifier":    vm,
 		"transformer": sm.Verifier(),
@@ -60,7 +60,7 @@ func TestDetectionPipelineAllocFree(t *testing.T) {
 		copies, recomputes := m.LabelCopies(), m.StaticRecomputes()
 		e.RunSyncRounds(4)
 		if got := m.LabelCopies() - copies; got != 0 {
-			t.Errorf("%s: %d label copies over 4 quiet rounds, want 0 (memo-hit elision)", name, got)
+			t.Errorf("%s: %d label copies over 4 quiet rounds, want 0 (labels are shared)", name, got)
 		}
 		if got := m.StaticRecomputes() - recomputes; got != 0 {
 			t.Errorf("%s: %d static recomputes over 4 quiet rounds, want 0", name, got)

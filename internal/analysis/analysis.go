@@ -30,6 +30,11 @@
 //	//ssmst:tracked            (field)      memo-bearing state derives from
 //	                                        this field; writes must pair
 //	                                        with InvalidateMemo/MarkChanged
+//	//ssmst:shared             (field)      the pointee is immutable and
+//	                                        shared by every copy of the
+//	                                        state: hot paths may rebind the
+//	                                        field but never write through
+//	                                        it (bufferdiscipline)
 //	//ssmst:memosafe           (func decl)  the function's callers own the
 //	                                        memo invalidation pairing
 //	//ssmst:coastpure          (func decl)  coast-replay root: the function
@@ -157,6 +162,7 @@ const (
 	AnnHotpath   = "hotpath"
 	AnnNoBits    = "nobits"
 	AnnTracked   = "tracked"
+	AnnShared    = "shared"
 	AnnMemoSafe  = "memosafe"
 	AnnCoastPure = "coastpure"
 	AnnAllow     = "allow"

@@ -14,6 +14,14 @@ import (
 // View.Neighbour mutates state every concurrent step is reading.
 // Neighbour reads stay free: port-indexed reads of the read buffer are the
 // algorithm; this analyzer only polices writes.
+//
+// It also flags every write whose selector chain passes through a
+// //ssmst:shared field (dst.L.SP.Dist = ...): the pointee is one immutable
+// block shared by every copy of the state, so writing it in place changes
+// the other buffer, the neighbours' views and the marked instance at once.
+// Rebinding the field itself (dst.L = ...) is not a write through it. Like
+// memocontract's tracked fields, shared fields are resolved in the
+// declaring package.
 var BufferDiscipline = &Analyzer{
 	Name: "bufferdiscipline",
 	Doc:  "hot step code must read the frozen snapshot and write only its own dst block",
@@ -21,19 +29,20 @@ var BufferDiscipline = &Analyzer{
 }
 
 func runBufferDiscipline(pass *Pass) error {
+	shared := collectFields(pass, AnnShared)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
 			if !ok || fn.Body == nil || !FuncAnnotated(fn, AnnHotpath) {
 				continue
 			}
-			pass.checkBufferDiscipline(fn)
+			pass.checkBufferDiscipline(fn, shared)
 		}
 	}
 	return nil
 }
 
-func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl) {
+func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl, shared map[*types.Var]bool) {
 	cl := p.classify(fn)
 	checkWrite := func(lhs ast.Expr) {
 		e := lhs
@@ -45,6 +54,14 @@ func (p *Pass) checkBufferDiscipline(fn *ast.FuncDecl) {
 				// selector/index/star that reaches through it.
 				return
 			case *ast.SelectorExpr:
+				if e != lhs {
+					if sel, ok := p.TypesInfo.Selections[x]; ok {
+						if v, ok := sel.Obj().(*types.Var); ok && shared[v] {
+							p.Reportf(lhs.Pos(), "write through shared field %s (%s): the block is immutable and shared by every copy of the state; mutate a Clone instead", v.Name(), types.ExprString(lhs))
+							return
+						}
+					}
+				}
 				// Writing a field of a snapshot value is a snapshot write even
 				// before the chain roots at the variable.
 				if p.classOf(x.X, cl) == classSnapshot {

@@ -54,7 +54,7 @@ func runCoastPure(pass *Pass) error {
 	if len(roots) == 0 {
 		return nil
 	}
-	tracked := collectTracked(pass)
+	tracked := collectFields(pass, AnnTracked)
 	closure := pass.reachableFrom(roots, funcDecls)
 	// Report in the package's stable file order, not map order.
 	for _, file := range pass.Files {

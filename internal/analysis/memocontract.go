@@ -43,7 +43,7 @@ const (
 )
 
 func runMemoContract(pass *Pass) error {
-	tracked := collectTracked(pass)
+	tracked := collectFields(pass, AnnTracked)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -59,9 +59,10 @@ func runMemoContract(pass *Pass) error {
 	return nil
 }
 
-// collectTracked gathers the //ssmst:tracked field objects declared in this
-// package, keyed by their types.Var.
-func collectTracked(pass *Pass) map[*types.Var]bool {
+// collectFields gathers the struct fields declared in this package that
+// carry the named annotation (//ssmst:tracked, //ssmst:shared), keyed by
+// their types.Var.
+func collectFields(pass *Pass, ann string) map[*types.Var]bool {
 	out := map[*types.Var]bool{}
 	for _, file := range pass.Files {
 		ast.Inspect(file, func(n ast.Node) bool {
@@ -70,7 +71,7 @@ func collectTracked(pass *Pass) map[*types.Var]bool {
 				return true
 			}
 			for _, f := range st.Fields.List {
-				if !FieldAnnotated(f, AnnTracked) {
+				if !FieldAnnotated(f, ann) {
 					continue
 				}
 				for _, name := range f.Names {

@@ -24,7 +24,7 @@ func countAnnotations(p *Package) map[string]int {
 					}
 				}
 			case *ast.Field:
-				for _, ann := range []string{AnnNoBits, AnnTracked} {
+				for _, ann := range []string{AnnNoBits, AnnTracked, AnnShared} {
 					if FieldAnnotated(n, ann) {
 						out[ann]++
 					}
@@ -43,7 +43,7 @@ func countAnnotations(p *Package) map[string]int {
 //
 //   - hotpath, memosafe, coastpure — in a function declaration's doc
 //     comment
-//   - nobits, tracked — on a struct field (doc or line comment)
+//   - nobits, tracked, shared — on a struct field (doc or line comment)
 //   - allow           — anywhere, but its argument must name known
 //     analyzers (a typo like //ssmst:allow determinsm would otherwise
 //     silently suppress nothing while looking intentional)
@@ -122,7 +122,7 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 					if !funcDoc[c] {
 						t.Errorf("%s: //ssmst:%s must sit in a function declaration's doc comment; the analyzers do not see it here", pos, name)
 					}
-				case AnnNoBits, AnnTracked:
+				case AnnNoBits, AnnTracked, AnnShared:
 					if !fieldDoc[c] {
 						t.Errorf("%s: //ssmst:%s must sit on a struct field; the analyzers do not see it here", pos, name)
 					}

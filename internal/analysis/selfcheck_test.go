@@ -66,6 +66,7 @@ func TestAnnotationsAreLoadBearing(t *testing.T) {
 	for ann, what := range map[string]string{
 		AnnHotpath:   "hotpathalloc and bufferdiscipline are checking nothing",
 		AnnTracked:   "memocontract's write rule is checking nothing",
+		AnnShared:    "bufferdiscipline's shared-field rule is checking nothing",
 		AnnCoastPure: "coastpure has no replay roots to hold pure",
 	} {
 		if total[ann] == 0 {

@@ -1,14 +1,21 @@
 // Package step is the fixture for the double-buffer ownership contract: a
 // round reads the frozen snapshot and writes only its own node's dst
 // block. The clean statements are the sanctioned shapes (dst writes,
-// read-buffer neighbour reads); the flagged ones write through the
-// snapshot.
+// read-buffer neighbour reads, rebinding a shared reference); the flagged
+// ones write through the snapshot or through a //ssmst:shared field.
 package step
 
 // State is one node's per-round image.
 type State struct {
 	Timer int
 	Flag  bool
+	//ssmst:shared -- immutable block shared by every copy of the state
+	Lab *Labels
+}
+
+// Labels is the shared, immutable per-node block.
+type Labels struct {
+	Dist int
 }
 
 // View mimics the engine's per-(node, round) window by method shape.
@@ -31,6 +38,9 @@ func step(v *View, dst *State) {
 	// The sanctioned shapes: write the own dst block, read the snapshot.
 	dst.Flag = old.Flag && peer.Flag
 	dst.Timer = peer.Timer + 1
+	dst.Lab = old.Lab // rebinding the shared reference is a header copy
+
+	dst.Lab.Dist = 0 // want bufferdiscipline:"write through shared field Lab"
 
 	peer.Timer = 0   // want bufferdiscipline:"write through the read snapshot"
 	old.Flag = false // want bufferdiscipline:"write through the read snapshot"

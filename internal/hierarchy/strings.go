@@ -43,27 +43,6 @@ func (s *Strings) Clone() *Strings {
 	}
 }
 
-// CopyFrom makes s a deep copy of src, reusing s's slice capacity — the
-// recycled-memory counterpart of Clone used by the in-place step path. Nil
-// slices stay nil so the copy is indistinguishable from a Clone.
-func (s *Strings) CopyFrom(src *Strings) {
-	s.Roots = recycleInto(s.Roots, src.Roots)
-	s.EndP = recycleInto(s.EndP, src.EndP)
-	s.Parents = recycleInto(s.Parents, src.Parents)
-	s.OrEndP = recycleInto(s.OrEndP, src.OrEndP)
-}
-
-// recycleInto copies src into dst's backing array (growing as needed).
-// Any zero-length src — nil or empty — copies to nil, exactly what Clone's
-// append([]T(nil), src...) produces, so the two paths stay DeepEqual even
-// for injected states holding empty non-nil slices.
-func recycleInto[T any](dst, src []T) []T {
-	if len(src) == 0 {
-		return nil
-	}
-	return append(dst[:0], src...)
-}
-
 // BitSize counts the encoded size: Roots and EndP need 2 bits per entry,
 // Parents and Or_EndP one bit per entry — Θ(log n) in total.
 func (s *Strings) BitSize() int {

@@ -159,11 +159,30 @@ type View struct {
 // last used the View: always type-assert the value and install a fresh
 // scratch on mismatch (pool workers serve many engines and machines over
 // their lifetime). Scratch contents must be recomputed every step; they
-// carry memory between steps, never data.
+// carry memory between steps, never data. A scratch whose buffers keep
+// pointers to the states of its last step implements RefReleaser.
 func (v *View) MachineScratch() any { return v.scratch }
 
 // SetMachineScratch installs a machine scratch value; see MachineScratch.
 func (v *View) SetMachineScratch(s any) { v.scratch = s }
+
+// RefReleaser is implemented by machine scratch values that hold pointers
+// into the states of the round they last served. A pool worker calls
+// ReleaseRefs when it parks, so a dropped engine's states — and anything
+// they share, such as a marked instance's label blocks — are not pinned by
+// an idle worker. Capacity may be kept; only references must go.
+type RefReleaser interface {
+	ReleaseRefs()
+}
+
+// parkView drops a pool worker View's references to the engine it served
+// and lets the machine scratch release its own.
+func parkView(v *View) {
+	v.engine, v.snap = nil, nil
+	if r, ok := v.scratch.(RefReleaser); ok {
+		r.ReleaseRefs()
+	}
+}
 
 // Node returns the node's simulator index. It is exposed for instrumentation
 // only; protocol logic must use ID().
@@ -291,7 +310,9 @@ type Machine interface {
 //   - The returned value must not depend on the contents of scratch; scratch
 //     is a memory recycling hint, never an input.
 //   - The returned state must not alias anything reachable from the View
-//     (neighbour or self states of the read buffer) other than scratch.
+//     (neighbour or self states of the read buffer) other than scratch —
+//     except blocks that no step ever writes, which may be shared by
+//     reference (the verifier's proof labels).
 //   - Under an InPlaceStepper machine, states obtained from Engine.State are
 //     invalidated two StepSync calls later (their memory is recycled);
 //     callers that need a durable snapshot must Clone.
@@ -825,10 +846,11 @@ func (e *Engine) runChunks(v *View) {
 	defer e.wg.Done()
 	// Drop the engine references before parking so a discarded engine's
 	// full state buffer is not pinned for the process lifetime. The machine
-	// scratch deliberately survives — reusing it across rounds is what
-	// keeps machine steps allocation-free — at the scoped cost of pinning
-	// the O(Δ) states its neighbour lists last pointed at.
-	defer func() { v.engine, v.snap = nil, nil }()
+	// scratch survives — reusing it across rounds is what keeps machine
+	// steps allocation-free — but releases the states its temporaries last
+	// pointed at (RefReleaser): with labels shared by reference, one pinned
+	// state would pin its engine's whole marked instance.
+	defer parkView(v)
 	v.engine = e
 	v.snap = e.stepSnap
 	n := len(e.stepSnap)

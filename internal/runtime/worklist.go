@@ -263,7 +263,7 @@ func (e *Engine) stepSyncSparse() {
 // flip-delta reduction.
 func (e *Engine) runChunksSparse(v *View) {
 	defer e.wg.Done()
-	defer func() { v.engine, v.snap = nil, nil }()
+	defer parkView(v)
 	v.engine = e
 	v.snap = e.stepSnap
 	active := e.sparseActive

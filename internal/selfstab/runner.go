@@ -132,8 +132,8 @@ func (r *Runner) StabilizationBudget() int {
 // build rounds it would take to get there; l must label r's graph.
 func (r *Runner) SeedStable(l *verify.Labeled) { SeedChecked(r.Eng, l) }
 
-// SeedChecked is SeedStable for a bare engine running the transformer
-// (possibly clone-wrapped); benchmarks compare the two step paths with it.
+// SeedChecked is SeedStable for a bare engine running the transformer. The
+// installed verifier states share l's immutable label blocks.
 func SeedChecked(eng *runtime.Engine, l *verify.Labeled) {
 	g := eng.G()
 	for v := 0; v < g.N(); v++ {
@@ -147,7 +147,7 @@ func SeedChecked(eng *runtime.Engine, l *verify.Labeled) {
 			Check: &verify.VState{
 				MyID:       g.ID(v),
 				ParentPort: pp,
-				L:          l.Labels[v].Clone(),
+				L:          &l.Labels[v],
 			},
 		})
 	}

@@ -36,6 +36,7 @@
 package selfstab
 
 import (
+	"strconv"
 	"sync"
 
 	"ssmst/internal/bits"
@@ -56,8 +57,15 @@ const (
 	PhaseCheck
 )
 
+// phaseNames is indexed by Phase; out-of-range values (adversarial states)
+// fall back to a code-qualified name in String.
+var phaseNames = [...]string{"resync", "build", "label", "check"}
+
 func (p Phase) String() string {
-	return [...]string{"resync", "build", "label", "check"}[p]
+	if int(p) < len(phaseNames) {
+		return phaseNames[p]
+	}
+	return "Phase(" + strconv.Itoa(int(p)) + ")"
 }
 
 // BitSize is the encoded width of the four-valued phase.
@@ -96,7 +104,8 @@ func (s *SState) Clone() runtime.State {
 // the live sub-states (two build slots during Build, the verifier during
 // Check) — O(log n) in total. Audited field-complete against the struct
 // (MyID, Epoch, Phase=2 bits, Pulse, sub-states) when the verifier's
-// AlarmCode under-count was fixed.
+// AlarmCode under-count was fixed. Straight sum, same reasoning as
+// train.State.BitSize: this runs for every node every round.
 func (s *SState) BitSize() int {
 	sub := 0
 	if s.Build != nil {
@@ -106,15 +115,15 @@ func (s *SState) BitSize() int {
 		sub += s.BuildPrev.BitSize()
 	}
 	if s.Check != nil {
-		sub = bits.Max(sub, s.Check.BitSize())
+		if c := s.Check.BitSize(); c > sub {
+			sub = c
+		}
 	}
-	return bits.Sum(
-		bits.ForInt(int64(s.MyID)),
-		bits.ForInt(s.Epoch),
-		s.Phase.BitSize(),
-		bits.ForInt(int64(s.Pulse)),
-		sub,
-	)
+	return bits.ForInt(int64(s.MyID)) +
+		bits.ForInt(s.Epoch) +
+		s.Phase.BitSize() +
+		bits.ForInt(int64(s.Pulse)) +
+		sub
 }
 
 // InvalidateMemo implements runtime.MemoInvalidator by forwarding to the
@@ -220,6 +229,14 @@ type machScratch struct {
 	vsc verify.Scratch
 }
 
+// ReleaseRefs implements runtime.RefReleaser: the adapters and the verifier
+// scratch drop the states they last pointed at, so a parked pool worker
+// pins nothing of a dropped engine.
+func (sc *machScratch) ReleaseRefs() {
+	sc.bv, sc.cv = buildView{}, checkView{}
+	sc.vsc.ReleaseRefs()
+}
+
 func (m *Machine) scratchOf(v *runtime.View) *machScratch {
 	if sc, ok := v.MachineScratch().(*machScratch); ok {
 		return sc
@@ -242,8 +259,8 @@ func recycleBuild(dst, src *syncmst.State) *syncmst.State {
 	return dst
 }
 
-// recycleCheck deep-copies src into the recycled slot dst, reusing dst's
-// label buffers (either may be nil).
+// recycleCheck copies src into the recycled slot dst (either may be nil);
+// the copy shares src's immutable label block.
 func recycleCheck(dst, src *verify.VState) *verify.VState {
 	if src == nil {
 		return nil
@@ -310,7 +327,8 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	}
 
 	// ---- Epoch adoption: the reset flood. ----
-	for q := 0; q < v.Degree(); q++ {
+	deg := v.Degree()
+	for q := 0; q < deg; q++ {
 		nb, ok := v.Neighbour(q).(*SState)
 		if ok && nb.Epoch > s.Epoch {
 			s.Epoch = nb.Epoch
@@ -378,7 +396,7 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 		// synchronizer permits at the phase boundary must not read as a
 		// missing neighbour). The early return materializes the deferred
 		// Check copy.
-		for q := 0; q < v.Degree(); q++ {
+		for q := 0; q < deg; q++ {
 			nb, ok := v.Neighbour(q).(*SState)
 			if !ok || nb.Epoch != s.Epoch || nb.Phase != PhaseCheck {
 				s.Check = recycleCheck(ck, old.Check)
@@ -386,9 +404,9 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			}
 		}
 		// The verifier reads the pre-step state straight off the read
-		// buffer and writes into this node's recycled block — each node's
-		// check memory keeps its own label shape, so the quiet check phase
-		// performs exactly one label copy per round and allocates nothing.
+		// buffer and writes into this node's recycled block, sharing the
+		// immutable label block — the quiet check phase copies no labels
+		// and allocates nothing.
 		self := old.Check
 		if self == nil {
 			self = poisonState(s.MyID) // corrupted state: rare, once per corruption
@@ -421,7 +439,8 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 // with a smaller pulse). Different-epoch neighbours do not gate — they
 // adopt the epoch at their next activation.
 func (m *Machine) mayAdvance(v *runtime.View, s *SState) bool {
-	for q := 0; q < v.Degree(); q++ {
+	deg := v.Degree()
+	for q := 0; q < deg; q++ {
 		nb, ok := v.Neighbour(q).(*SState)
 		if !ok || nb.Epoch != s.Epoch {
 			continue
@@ -438,7 +457,8 @@ func (m *Machine) mayAdvance(v *runtime.View, s *SState) bool {
 
 // installLabels returns the node's verifier state for the tree recorded in
 // the oracle for this epoch (poison labels when the built structure is not
-// a spanning tree, which makes the verifier reject and rebuild).
+// a spanning tree, which makes the verifier reject and rebuild). The state
+// shares the oracle's immutable label block.
 func (m *Machine) installLabels(node int, s *SState) *verify.VState {
 	l := m.oracle(s.Epoch)
 	if l == nil {
@@ -451,7 +471,7 @@ func (m *Machine) installLabels(node int, s *SState) *verify.VState {
 	return &verify.VState{
 		MyID:       s.MyID,
 		ParentPort: pp,
-		L:          l.Labels[node].Clone(),
+		L:          &l.Labels[node],
 	}
 }
 

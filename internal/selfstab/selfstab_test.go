@@ -105,4 +105,9 @@ func TestPhaseString(t *testing.T) {
 			t.Errorf("Phase(%d).String() = %q", p, p.String())
 		}
 	}
+	// An adversarial state may carry any phase byte: String names it
+	// instead of indexing out of range.
+	if got := Phase(7).String(); got != "Phase(7)" {
+		t.Errorf("out-of-range Phase(7).String() = %q, want %q", got, "Phase(7)")
+	}
 }

@@ -82,32 +82,28 @@ func (s *State) RemapPorts(oldToNew []int) {
 }
 
 // BitSize counts the encoded width of every field; all fields are
-// identities, ports, weights, levels or flags — O(log n) in total.
+// identities, ports, weights, levels or flags — O(log n) in total. Straight
+// sum, same reasoning as train.State.BitSize: the engine re-measures every
+// node every round.
 func (s *State) BitSize() int {
-	return bits.Sum(
-		bits.ForInt(int64(s.MyID)),
-		bits.ForInt(int64(s.ParentPort)),
-		bits.ForInt(int64(s.ParentID)),
-		bits.ForInt(int64(s.RootID)),
-		bits.ForInt(int64(s.Level)),
-		bits.Flag(s.Finished),
-		bits.ForInt(int64(s.Phase)),
-		bits.Flag(s.CntWave),
-		bits.ForInt(int64(s.CntTTL)),
-		bits.ForInt(int64(s.CntEcho)),
-		bits.Flag(s.Active),
-		bits.Flag(s.FindWave),
-		bits.Flag(s.Examined),
-		weightBits(s.OwnBestW),
-		bits.ForInt(int64(s.OwnBestPort)),
-		bits.Flag(s.FindEchoed),
-		weightBits(s.BestW),
-		bits.ForInt(int64(s.BestPort)),
-		bits.ForInt(int64(s.BestChildID)),
-		bits.ForInt(int64(s.CRTargetID)),
-		bits.Flag(s.CRDone),
-		bits.ForInt(int64(s.ProposePort)),
-	)
+	return bits.Flag(s.Finished) + bits.Flag(s.CntWave) + bits.Flag(s.Active) +
+		bits.Flag(s.FindWave) + bits.Flag(s.Examined) + bits.Flag(s.FindEchoed) +
+		bits.Flag(s.CRDone) +
+		bits.ForInt(int64(s.MyID)) +
+		bits.ForInt(int64(s.ParentPort)) +
+		bits.ForInt(int64(s.ParentID)) +
+		bits.ForInt(int64(s.RootID)) +
+		bits.ForInt(int64(s.Level)) +
+		bits.ForInt(int64(s.Phase)) +
+		bits.ForInt(int64(s.CntTTL)) +
+		bits.ForInt(int64(s.CntEcho)) +
+		weightBits(s.OwnBestW) +
+		bits.ForInt(int64(s.OwnBestPort)) +
+		weightBits(s.BestW) +
+		bits.ForInt(int64(s.BestPort)) +
+		bits.ForInt(int64(s.BestChildID)) +
+		bits.ForInt(int64(s.CRTargetID)) +
+		bits.ForInt(int64(s.ProposePort))
 }
 
 // weightBits treats the NoOut sentinel as a single flag bit plus nothing.

@@ -85,24 +85,6 @@ func (l *Labels) Clone() *Labels {
 	return &c
 }
 
-// CopyFrom makes l a deep copy of src, reusing l's Stored capacity — the
-// recycled-memory counterpart of Clone used by the in-place step path. Any
-// zero-length Stored — nil or empty — copies to nil, exactly what Clone's
-// append([]hierarchy.Piece(nil), ...) produces, so the two paths stay
-// DeepEqual even for injected states holding empty non-nil slices.
-//
-//ssmst:hotpath
-func (l *Labels) CopyFrom(src *Labels) {
-	stored := l.Stored[:0]
-	*l = *src
-	if len(src.Stored) == 0 {
-		l.Stored = nil
-		return
-	}
-	//ssmst:allow hotpathalloc -- appends into the receiver's own Stored buffer saved across the struct copy; grows only when the label shape grows
-	l.Stored = append(stored, src.Stored...)
-}
-
 // CycleBudget returns the label-bounded train cycle budget: the single
 // source of the 8·(K+diam)+24 formula shared by the train's reset logic,
 // the sampler's dwell window, and the scaling experiments' warm-up.
@@ -120,15 +102,6 @@ func (nl *NodeLabels) BitSize() int { return nl.Top.BitSize() + nl.Bottom.BitSiz
 // Clone returns a deep copy.
 func (nl *NodeLabels) Clone() *NodeLabels {
 	return &NodeLabels{Top: *nl.Top.Clone(), Bottom: *nl.Bottom.Clone()}
-}
-
-// CopyFrom makes nl a deep copy of src, reusing both trains' Stored
-// capacity.
-//
-//ssmst:hotpath
-func (nl *NodeLabels) CopyFrom(src *NodeLabels) {
-	nl.Top.CopyFrom(&src.Top)
-	nl.Bottom.CopyFrom(&src.Bottom)
 }
 
 // Mark computes the train labels of every node from the partitions.

@@ -193,7 +193,7 @@ func TestChurnQuietRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := inc.Machine.LabelCopies() - copies; got != 0 {
-		t.Fatalf("%d label copies over 10 post-churn quiet rounds, want 0 (memo-hit elision must resume)", got)
+		t.Fatalf("%d label copies over 10 post-churn quiet rounds, want 0 (labels are shared)", got)
 	}
 	if got := inc.Machine.StaticRecomputes() - recomputes; got != 0 {
 		t.Fatalf("%d static recomputes over 10 post-churn quiet rounds, want 0", got)

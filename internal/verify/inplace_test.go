@@ -92,9 +92,9 @@ func TestInPlaceMatchesClone(t *testing.T) {
 }
 
 // TestVStateCloneIndependence mutates every nested reference of a clone and
-// asserts the original is untouched — the guard that keeps Clone (and the
-// CopyFrom the in-place path builds on) a deep copy, so recycled scratch
-// states can never alias a live one.
+// asserts the original is untouched — the guard that keeps Clone a deep
+// copy, the single copy-on-write point of the shared label block. CopyFrom,
+// the in-place path's header copy, must instead share the block.
 func TestVStateCloneIndependence(t *testing.T) {
 	g := graph.RandomConnected(32, 80, 7)
 	l, err := Mark(g)
@@ -124,37 +124,43 @@ func TestVStateCloneIndependence(t *testing.T) {
 	pristine := &VState{MyID: g.ID(node), ParentPort: 0, L: l2.Labels[node].Clone()}
 	pristine.TopS.UpNext = 4
 
-	for name, dup := range map[string]*VState{
-		"Clone":    orig.Clone().(*VState),
-		"CopyFrom": func() *VState { c := new(VState); c.CopyFrom(orig); return c }(),
-	} {
-		if !reflect.DeepEqual(orig, dup) {
-			t.Fatalf("%s: copy differs from original before mutation", name)
-		}
-		dup.L.SP.Dist = 91919
-		dup.L.Size.N = 91919
-		if len(dup.L.HS.Roots) > 0 {
-			dup.L.HS.Roots[0] = 'Z'
-			dup.L.HS.EndP[0] = 'Z'
-			dup.L.HS.Parents[0] = !dup.L.HS.Parents[0]
-			dup.L.HS.OrEndP[0] = !dup.L.HS.OrEndP[0]
-		}
-		for _, lab := range []*VState{dup} {
-			for _, tl := range []*[]hierarchy.Piece{&lab.L.Train.Top.Stored, &lab.L.Train.Bottom.Stored} {
-				if len(*tl) > 0 {
-					(*tl)[0].ID.RootID = 424242
-					(*tl)[0].W = 424242
-				}
-			}
-		}
-		dup.L.Train.Top.K = 91919
-		dup.TopS.UpNext = 91919
-		dup.BotS.CovMask = ^uint64(0)
-		dup.AlarmFlag = !dup.AlarmFlag
+	dup := new(VState)
+	dup.CopyFrom(orig)
+	if !reflect.DeepEqual(orig, dup) {
+		t.Fatal("CopyFrom: copy differs from original")
+	}
+	if dup.L != orig.L {
+		t.Fatal("CopyFrom: the label block was copied, want it shared by reference")
+	}
 
-		if !reflect.DeepEqual(orig, pristine) {
-			t.Fatalf("%s: mutating the copy changed the original", name)
+	dup = orig.Clone().(*VState)
+	if !reflect.DeepEqual(orig, dup) {
+		t.Fatal("Clone: copy differs from original before mutation")
+	}
+	if dup.L == orig.L {
+		t.Fatal("Clone: the label block is shared, want a deep copy")
+	}
+	dup.L.SP.Dist = 91919
+	dup.L.Size.N = 91919
+	if len(dup.L.HS.Roots) > 0 {
+		dup.L.HS.Roots[0] = 'Z'
+		dup.L.HS.EndP[0] = 'Z'
+		dup.L.HS.Parents[0] = !dup.L.HS.Parents[0]
+		dup.L.HS.OrEndP[0] = !dup.L.HS.OrEndP[0]
+	}
+	for _, tl := range []*[]hierarchy.Piece{&dup.L.Train.Top.Stored, &dup.L.Train.Bottom.Stored} {
+		if len(*tl) > 0 {
+			(*tl)[0].ID.RootID = 424242
+			(*tl)[0].W = 424242
 		}
+	}
+	dup.L.Train.Top.K = 91919
+	dup.TopS.UpNext = 91919
+	dup.BotS.CovMask = ^uint64(0)
+	dup.AlarmFlag = !dup.AlarmFlag
+
+	if !reflect.DeepEqual(orig, pristine) {
+		t.Fatal("Clone: mutating the copy changed the original")
 	}
 }
 

@@ -29,7 +29,14 @@ type VState struct {
 	MyID graph.NodeID
 	//ssmst:tracked -- the component claim: the memoized static verdict derives from it
 	ParentPort int // the component c(v): -1 claims root
+	// L is the node's proof-label block. It is immutable once marked and
+	// shared by reference: the marker's Labeled.Labels entry, both engine
+	// buffers and every header copy (CopyFrom) point at the same block. To
+	// change a label, mutate a Clone (which copies the block) and commit it
+	// with SetState.
+	//
 	//ssmst:tracked -- the label block: static verdict, labelBits and samplerLevels memos all derive from it
+	//ssmst:shared -- immutable, shared by every copy of the state: hot paths never write through it
 	L *NodeLabels
 
 	TopS train.State
@@ -93,13 +100,11 @@ type VState struct {
 	coastBits  int   //ssmst:nobits
 
 	// samplerLevels caches J(v), the claimed-level list the sampler sweeps
-	// (label-derived, same lifetime as the labelBits memo). It is
-	// invalidated by every full label copy (CopyFrom), by Clone, and by
-	// InvalidateMemo (which the engine calls on SetState/Corrupt and
-	// ApplyFault calls on direct mutation); the memo-hit label-copy elision
-	// is the only path that carries it across rounds, and it runs exactly
-	// when the labels are provably unchanged. A recomputable cache, not
-	// protocol memory, so BitSize excludes it.
+	// (label-derived, same lifetime as the labelBits memo). Like L it is
+	// shared by header copies and never written in place: InvalidateMemo
+	// (which Clone, the engine's SetState/Corrupt and ApplyFault all reach)
+	// drops it, and the next step rebuilds it into a fresh slice. A
+	// recomputable cache, not protocol memory, so BitSize excludes it.
 	samplerLevels []int //ssmst:nobits -- recomputable claimed-level memo
 	samplerMemoOK bool  //ssmst:nobits
 }
@@ -141,9 +146,10 @@ func (c AlarmCode) String() string {
 // Alarm implements runtime.Alarmer.
 func (s *VState) Alarm() bool { return s.AlarmFlag }
 
-// Clone returns a deep copy. The sampler-levels memo is dropped rather than
-// deep-copied (it is a recomputable cache; sharing its backing array would
-// alias the clone to the original).
+// Clone returns a deep copy, labels included: it is the single
+// copy-on-write point of the shared label block, so a fault mutates a
+// Clone and commits it through SetState. The memos are dropped rather than
+// copied (they are recomputable caches).
 func (s *VState) Clone() runtime.State {
 	c := *s
 	c.L = s.L.Clone()
@@ -196,42 +202,13 @@ func (s *VState) RemapPorts(oldToNew []int) {
 	s.InvalidateMemo()
 }
 
-// CopyFrom makes s a deep copy of src, recycling s's label buffers — the
-// in-place counterpart of Clone. s must not alias src. The label-derived
-// memo travels differently per field: labelBits is copied with the struct
-// (the labels it measures are copied right below, so it stays consistent),
-// while the claimed-level list keeps s's own backing array and is marked
-// for rebuild (sharing src's array would alias two live states).
+// CopyFrom makes s a header copy of src — the in-place counterpart of
+// Clone. The label block and the memos derived from it (labelBits, the
+// claimed-level list) are shared, not copied: labels are immutable, and the
+// claimed-level list is rebuilt into a fresh slice, never in place.
 //
 //ssmst:hotpath
-func (s *VState) CopyFrom(src *VState) {
-	l, lv := s.L, s.samplerLevels
-	*s = *src
-	s.samplerLevels = lv[:0]
-	s.samplerMemoOK = false
-	switch {
-	case src.L == nil:
-		s.L = nil
-	case l == nil:
-		s.L = src.L.Clone()
-	default:
-		l.CopyFrom(src.L)
-		s.L = l
-	}
-}
-
-// copyFromKeepingLabels is CopyFrom minus the deep label copy: s keeps its
-// own label block and claimed-level memo untouched. Only the memo-hit
-// in-place step may use it, and only when the caller has proved (via the
-// static memo stamp and the engine's dirty-epoch tracking) that s's labels
-// are bit-identical to src's — see Machine.StepInto.
-//
-//ssmst:hotpath
-func (s *VState) copyFromKeepingLabels(src *VState) {
-	l, lv, mok := s.L, s.samplerLevels, s.samplerMemoOK
-	*s = *src
-	s.L, s.samplerLevels, s.samplerMemoOK = l, lv, mok
-}
+func (s *VState) CopyFrom(src *VState) { *s = *src }
 
 // BitSize measures the node's full memory: labels, trains and sampler.
 // Every stored field is counted — including the alarm attribution code,
@@ -343,13 +320,6 @@ type Machine struct {
 	// pin down ("a quiet network recomputes n times total, not n per
 	// round"). Atomic: parallel workers bump it only on the rare miss path.
 	staticRecomputes atomic.Int64
-
-	// labelCopies counts full deep label copies performed by StepInto — the
-	// observable behind the memo-hit copy elision ("a quiet network copies
-	// each node's labels a bounded number of times total, not once per node
-	// per round"). On the incremental path it grows only when the elision
-	// guard fails, so the atomic add stays off the quiet hot loop.
-	labelCopies atomic.Int64
 }
 
 // StaticRecomputes returns how many times any node recomputed the static
@@ -357,11 +327,10 @@ type Machine struct {
 // under FullRecheck or trackerless views).
 func (m *Machine) StaticRecomputes() int64 { return m.staticRecomputes.Load() }
 
-// LabelCopies returns how many full deep label copies StepInto performed
-// across all nodes and rounds. Under FullRecheck (or trackerless views)
-// every step copies; the incremental in-place path elides the copy on
-// memo-hit steps, so a quiet network's count stays constant.
-func (m *Machine) LabelCopies() int64 { return m.labelCopies.Load() }
+// LabelCopies returns how many deep label copies StepInto performed. Steps
+// share the immutable label block by reference, so it is always 0; it
+// stays for callers that report it.
+func (m *Machine) LabelCopies() int64 { return 0 }
 
 // runtimeView adapts runtime.View to NodeView (and Tracker: the engine's
 // dirty-epoch tracking backs the change clock).
@@ -395,18 +364,18 @@ func (m *Machine) Init(v *runtime.View) runtime.State {
 	return &VState{
 		MyID:       v.ID(),
 		ParentPort: pp,
-		L:          m.Labeled.Labels[node].Clone(),
+		L:          &m.Labeled.Labels[node],
 	}
 }
 
 // Scratch holds the reusable per-worker temporaries of one verifier step:
 // neighbour lists, per-layer label views and the train contexts (the
 // claimed-level list lives in VState's label memo instead: it is per-node,
-// label-derived data that survives across rounds on the elided fast path).
-// A Scratch may be reused across nodes and rounds — its contents
-// are rebuilt from the View every step and carry memory, never data — but
-// must not be shared concurrently; the engine's per-View machine-scratch
-// slot provides exactly that lifetime.
+// label-derived data that survives across rounds). A Scratch may be reused
+// across nodes and rounds — its contents are rebuilt from the View every
+// step and carry memory, never data — but must not be shared concurrently;
+// the engine's per-View machine-scratch slot provides exactly that
+// lifetime.
 type Scratch struct {
 	nbs       []nbList
 	allSP     []*labeling.SPLabel
@@ -416,7 +385,6 @@ type Scratch struct {
 	tnbs      []train.NeighbourLabels
 	ctx       train.Ctx // top-train context
 	ctxB      train.Ctx // bottom-train context (built in the same pass)
-	levels    []int     // claimed-level build buffer for fresh-state steps
 	needTop   []int
 	needBot   []int
 
@@ -449,6 +417,26 @@ func (sc *Scratch) wantedFn() func(level int) bool {
 	return sc.wanted
 }
 
+// ReleaseRefs implements runtime.RefReleaser: it zeroes every state and
+// label pointer the temporaries still hold, keeping their capacity, so a
+// parked pool worker does not pin a dropped engine's states — and through
+// their shared label blocks, the whole marked instance.
+func (sc *Scratch) ReleaseRefs() {
+	clear(sc.nbs[:cap(sc.nbs)])
+	clear(sc.allSP[:cap(sc.allSP)])
+	clear(sc.allSize[:cap(sc.allSize)])
+	clear(sc.childSize[:cap(sc.childSize)])
+	clear(sc.tnbs[:cap(sc.tnbs)])
+	clear(sc.lv.Children[:cap(sc.lv.Children)])
+	sc.lv.Own, sc.lv.Parent = nil, nil
+	for _, ct := range [...]*train.Ctx{&sc.ctx, &sc.ctxB} {
+		clear(ct.Children[:cap(ct.Children)])
+		*ct = train.Ctx{Children: ct.Children[:0]}
+	}
+	sc.parentPeer, sc.parentPeerB = train.PeerTrain{}, train.PeerTrain{}
+	sc.self = nil
+}
+
 // scratchFor returns the View's verifier Scratch, installing one on first
 // use (or when a different machine type last used this View).
 func scratchFor(v *runtime.View) *Scratch {
@@ -466,9 +454,9 @@ func (m *Machine) Step(v *runtime.View) runtime.State {
 }
 
 // StepInPlace implements runtime.InPlaceStepper: the next state is written
-// into the recycled two-rounds-old VState (reusing its NodeLabels buffers)
-// and the per-View Scratch supplies every temporary, so the steady-state
-// round loop allocates nothing.
+// into the recycled two-rounds-old VState (sharing the immutable label
+// block) and the per-View Scratch supplies every temporary, so the
+// steady-state round loop allocates nothing.
 //
 //ssmst:hotpath
 func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
@@ -486,8 +474,9 @@ func (m *Machine) StepCore(v NodeView) *VState {
 }
 
 // StepInto runs one verifier round at one node, writing the next state into
-// dst. dst's buffers are recycled; it must not alias v.Self() or any
-// neighbour state. sc supplies every temporary the step needs.
+// dst. dst must not alias v.Self() or any neighbour state; the result shares
+// v.Self()'s immutable label block. sc supplies every temporary the step
+// needs.
 //
 // The step is split in two. The static label layer — neighbour presence,
 // SP + NumK, hierarchy strings, train position labels, and the label-derived
@@ -507,47 +496,15 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		epoch = tr.StepEpoch()
 	}
 	coastOn := tracked && m.Coast && !m.FullRecheck && m.Mode == Sync
+	dst.CopyFrom(old)
 	if coastOn && old.coasting && !tr.LabelsChangedSince(old.coastEpoch) {
 		// Coast branch: the node is certified quiescent and nothing tracked
 		// in its 1-hop neighbourhood changed since certification — its step
 		// is pure clockwork (coast.go). This is exactly what a worklist
 		// engine replays in closed form when it skips the node, so dense and
 		// sparse stepping are bit-identical by construction.
-		if dst.staticValid && dst.L != nil && dst.MyID == old.MyID &&
-			dst.staticEpoch <= epoch && !tr.LabelsChangedSince(dst.staticEpoch) {
-			dst.copyFromKeepingLabels(old)
-		} else {
-			m.labelCopies.Add(1)
-			dst.CopyFrom(old)
-		}
 		m.coastTick(dst)
 		return dst
-	}
-	// Memo-hit label-copy elision. dst is the recycled two-rounds-old state
-	// of this same node; its label block is bit-identical to old's exactly
-	// when no tracked (label) change touched the neighbourhood since dst's
-	// static verdict was stamped — labels only move by being copied forward,
-	// and every mutation path (faults via SetState/Corrupt, the in-step
-	// ParentPort repair, the transformer's phase transitions) marks the node
-	// dirty past any legal stamp. The stamp must come from this engine's own
-	// history (StaticEpoch ≤ epoch; a transplanted state may carry any
-	// value) and dst must be this node's own lineage (MyID check — direct
-	// StepInto callers may pass arbitrary scratch). FullRecheck copies
-	// unconditionally: it is the check-everything, copy-everything
-	// reference the elided path is cross-checked against.
-	persistMemo := true
-	if tracked && !m.FullRecheck && dst.staticValid &&
-		dst.L != nil && old.L != nil && dst.MyID == old.MyID &&
-		dst.staticEpoch <= epoch && !tr.LabelsChangedSince(dst.staticEpoch) {
-		dst.copyFromKeepingLabels(old)
-	} else {
-		// A fresh dst (Machine.Step, or a cold scratch slot) is discarded
-		// after one round: persisting the claimed-level memo on it would
-		// allocate a per-step slice for nothing, so such steps build J(v)
-		// into the per-worker scratch instead (see the sampler layer).
-		persistMemo = dst.L != nil
-		m.labelCopies.Add(1)
-		dst.CopyFrom(old)
 	}
 	s := dst
 	if s.coasting {
@@ -727,26 +684,15 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// ---- Layer 5: the Ask/Show sampler with C1/C2 and piece equality. ----
 	// J(v), the claimed-level list the sampler sweeps, is a pure function of
 	// the strings, so it is rebuilt only when the label memo was dropped
-	// (full label copy, Clone, InvalidateMemo) — on the elided fast path the
-	// list rides along with the labels it derives from. Recycled states
-	// persist the rebuilt list in their memo (zero-length normalizes to nil
-	// so the two memo states compare DeepEqual); one-round fresh states
-	// borrow the per-worker scratch buffer instead of allocating.
+	// (Clone, InvalidateMemo) and otherwise rides along with the labels it
+	// derives from. The rebuild goes into a fresh slice: the old array may
+	// still be shared with this node's other buffer.
 	samplerAlarm := false
-	levels := s.samplerLevels
 	if !s.samplerMemoOK {
-		if persistMemo {
-			s.samplerLevels = appendClaimedLevels(s.samplerLevels[:0], &s.L.HS)
-			if len(s.samplerLevels) == 0 {
-				s.samplerLevels = nil
-			}
-			s.samplerMemoOK = true
-			levels = s.samplerLevels
-		} else {
-			sc.levels = appendClaimedLevels(sc.levels[:0], &s.L.HS)
-			levels = sc.levels
-		}
+		s.samplerLevels = appendClaimedLevels(nil, &s.L.HS)
+		s.samplerMemoOK = true
 	}
+	levels := s.samplerLevels
 	m.sampler(v, s, nbs, levels, n, &samplerAlarm)
 	if samplerAlarm {
 		setAlarm(AlarmSampler)

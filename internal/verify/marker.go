@@ -40,13 +40,14 @@
 // the engine's instrumentation at every node every round), the claimed-level
 // list J(v) the sampler sweeps, and the candidate port of the level being
 // asked about (captured with AskPiece once per dwell window, as protocol
-// state). On a memo-hit in-place step even the deep label copy is elided —
-// the recycled state's label buffers provably already hold the current
-// labels (see Machine.StepInto). Invalidation is uniform: a full label copy,
-// Clone, or InvalidateMemo (called by the engine on SetState/Corrupt and by
-// ApplyFault) drops every cache, so a quiet round performs close to zero
-// redundant work per node while staying bit-identical to FullRecheck —
-// including MaxStateBits.
+// state). Labels are never copied by a step at all: each node's label block
+// is immutable once marked and shared by reference between the marker's
+// Labeled, both engine buffers and every header copy (VState.CopyFrom).
+// A fault mutates a Clone — the one deep copy — and commits it through
+// SetState. Invalidation is uniform: Clone and InvalidateMemo (called by
+// the engine on SetState/Corrupt and by ApplyFault) drop every cache, so a
+// quiet round performs close to zero redundant work per node while staying
+// bit-identical to FullRecheck — including MaxStateBits.
 package verify
 
 import (
@@ -61,7 +62,9 @@ import (
 )
 
 // NodeLabels is the complete per-node label block of the scheme. Its
-// measured size is O(log n) bits (experiment E7).
+// measured size is O(log n) bits (experiment E7). A block is immutable once
+// marked: verifier states share it by reference (VState.L), so to change a
+// label, mutate a VState.Clone and commit it with SetState.
 type NodeLabels struct {
 	SP    labeling.SPLabel
 	Size  labeling.SizeLabel
@@ -84,17 +87,10 @@ func (l *NodeLabels) Clone() *NodeLabels {
 	}
 }
 
-// CopyFrom makes l a deep copy of src, reusing l's string and piece buffers
-// — the recycled-memory counterpart of Clone used by the in-place step path.
-func (l *NodeLabels) CopyFrom(src *NodeLabels) {
-	l.SP = src.SP
-	l.Size = src.Size
-	l.HS.CopyFrom(&src.HS)
-	l.Train.CopyFrom(&src.Train)
-}
-
 // Labeled is a fully marked instance: the subject tree (the components) and
-// every node's labels.
+// every node's labels. The label blocks are immutable once marked: engines
+// built on the instance install &Labels[v] by reference, so they stay
+// reachable (and must stay unchanged) for as long as any such engine lives.
 type Labeled struct {
 	G      *graph.Graph
 	Tree   *graph.Tree

@@ -180,7 +180,9 @@ func (r *Runner) InjectKind(v int, kind FaultKind, rng *rand.Rand) bool {
 // injection core shared by Runner.InjectKind and by embeddings that carry
 // VStates inside composite states (the self-stabilizing transformer).
 // degree is the node's degree (used by FaultComponent). It reports whether
-// the state actually changed.
+// the state actually changed. Most kinds rewrite the label block in place,
+// so s must own its block: pass a Clone, never a state whose labels an
+// engine or a Labeled still shares.
 //
 // On a change, every simulator-side memo the state carries (static verdict,
 // cached label BitSize, claimed-level list) is dropped: most fault kinds
