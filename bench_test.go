@@ -22,14 +22,14 @@ import (
 )
 
 // BenchmarkEngineScaling measures the double-buffered stepping engine at
-// growing n, serial vs pooled-parallel, on the zero-allocation
-// InPlaceStepper path — on the toy FloodMin protocol, on the §7 verifier
+// growing n, serial vs pooled-parallel, with every Machine.Step recycling
+// its node's state — on the toy FloodMin protocol, on the §7 verifier
 // (incremental, and with static-verdict memoization disabled:
 // "verify-fullrecheck"), and on the §10 transformer seeded into its check
 // phase. Acceptance: the steady-state round loop reports 0 allocs/op on all
 // three machines, the incremental verifier beats full re-check, and on ≥4
 // cores parallel is ≥2× faster than serial (see runtime.TestParallelSpeedup
-// for the asserted version; parallel/serial and Step/in-place bit-equality
+// for the asserted version; parallel/serial and fresh/recycled bit-equality
 // are asserted by runtime.TestParallelDeterminism,
 // verify.TestInPlaceMatchesClone and selfstab.TestInPlaceMatchesClone;
 // incremental/full-recheck equality by
@@ -71,7 +71,6 @@ func BenchmarkEngineScaling(b *testing.B) {
 			b.Run(fmt.Sprintf("n=%d/%s", n, bc.name), func(b *testing.B) {
 				e := bc.build(b)
 				e.Parallel = bc.parallel
-				e.ParallelThreshold = 256
 				e.ForcePool = bc.parallel // measure the pool even on 1 core
 				// Fill both buffers and let the per-node memo caches settle
 				// (the claimed-level memo persists on the first recycled

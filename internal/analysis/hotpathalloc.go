@@ -27,8 +27,8 @@ import (
 // The analyzer checks constructs, not callees: a hot function may call
 // helpers that are not annotated, and the runtime gate remains the
 // end-to-end backstop. Cold fallback lines inside a hot function (e.g. the
-// scratch-type-mismatch branch of StepInPlace) carry //ssmst:allow
-// hotpathalloc with a reason.
+// nil-scratch branch of a Machine.Step) carry //ssmst:allow hotpathalloc
+// with a reason.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc:  "functions annotated //ssmst:hotpath must contain no allocating constructs",

@@ -37,7 +37,7 @@ var MemoContract = &Analyzer{
 const (
 	invalidateMethod = "InvalidateMemo"
 	markMethod       = "MarkChanged"
-	// markLabelsMethod is verify.Tracker's spelling of the same signal
+	// markLabelsMethod is verify.NodeView's spelling of the same signal
 	// (forwarded to runtime.View.MarkChanged by every adapter).
 	markLabelsMethod = "MarkLabelsChanged"
 )

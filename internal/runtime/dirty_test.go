@@ -32,7 +32,7 @@ func (s *dirtyState) Clone() State { c := *s; return &c }
 
 func (m dirtyProbe) Init(v *View) State { return &dirtyState{} }
 
-func (m dirtyProbe) Step(v *View) State {
+func (m dirtyProbe) Step(v *View, _ State) State {
 	s := &dirtyState{
 		Changed:     v.NeighbourhoodChangedSince(int64(v.Round()) - 1),
 		ChangedPrev: v.NeighbourhoodChangedSince(int64(v.Round()) - 2),
@@ -105,7 +105,6 @@ func TestDirtyEpochParallelDeterminism(t *testing.T) {
 	serial := New(g, m, 1)
 	par := New(g, m, 1)
 	par.Parallel = true
-	par.ParallelThreshold = 1
 	par.ForcePool = true
 	for r := 0; r < 12; r++ {
 		serial.StepSync()

@@ -21,37 +21,27 @@ func (s *FloodMinState) Clone() State { c := *s; return &c }
 // that touches every neighbour state each round. It exists to measure the
 // engine itself — per-round overhead, allocations, parallel scaling — in
 // benchmarks, experiments, and examples, without the cost profile of any
-// particular paper algorithm. It implements the InPlaceStepper fast path,
-// so its steady-state round loop allocates nothing.
+// particular paper algorithm. Its Step recycles the scratch state, so its
+// steady-state round loop allocates nothing.
 type FloodMin struct{}
 
 // Init implements Machine.
 func (FloodMin) Init(v *View) State { return &FloodMinState{Min: v.ID()} }
 
-// Step implements Machine.
-func (m FloodMin) Step(v *View) State { return &FloodMinState{Min: m.nextMin(v)} }
-
-// StepInPlace implements InPlaceStepper, recycling the two-rounds-old state.
-func (m FloodMin) StepInPlace(v *View, scratch State) State {
-	s, ok := scratch.(*FloodMinState)
-	if !ok {
-		s = &FloodMinState{}
-	}
-	s.Min = m.nextMin(v)
-	return s
-}
-
-func (FloodMin) nextMin(v *View) graph.NodeID {
+// Step implements Machine, recycling the two-rounds-old state.
+func (FloodMin) Step(v *View, scratch State) State {
 	min := v.Self().(*FloodMinState).Min
 	for p := 0; p < v.Degree(); p++ {
 		if ns := v.Neighbour(p).(*FloodMinState); ns.Min < min {
 			min = ns.Min
 		}
 	}
-	return min
+	s, ok := scratch.(*FloodMinState)
+	if !ok {
+		s = &FloodMinState{}
+	}
+	s.Min = min
+	return s
 }
 
-var (
-	_ Machine        = FloodMin{}
-	_ InPlaceStepper = FloodMin{}
-)
+var _ Machine = FloodMin{}

@@ -18,18 +18,20 @@
 //     model delay variance.
 //
 // The engine supports adversarial state corruption (self-stabilization
-// starts from arbitrary states) and instruments rounds, activations, and the
-// maximum state size in bits, so the paper's complexity claims are measured
-// rather than asserted.
+// starts from arbitrary states) and instruments rounds, machine steps, and
+// the maximum state size in bits, so the paper's complexity claims are
+// measured rather than asserted.
 //
 // # Execution core (see also DESIGN.md in this directory)
 //
 // Synchronous rounds are double-buffered: the engine owns two persistent
 // []State buffers and swaps them each round, so the steady-state round loop
 // performs no slice allocation. The buffer being written into holds the
-// states of two rounds ago; machines that implement InPlaceStepper receive
-// that stale state as scratch memory and can recycle it, making the round
-// loop allocation-free end to end.
+// states of two rounds ago; Machine.Step receives that stale state as
+// scratch memory and can recycle it, making the round loop allocation-free
+// end to end. A worklist round (Engine.Worklist, see worklist.go) differs
+// only in which nodes it steps and how it installs them: both kinds run
+// the same chunk body and the same per-node step.
 //
 // Invariant (read-previous-round): during round r every View reads only the
 // buffer finalized at round r-1. The write buffer is never visible through a
@@ -295,39 +297,36 @@ func (v *View) Rand() *rand.Rand {
 
 // Machine is a distributed protocol in the register model. Init produces the
 // clean-start state of a node (simultaneous wake-up); Step computes the
-// node's next state from the view. Step must treat all states in the view as
-// immutable and return a fresh or cloned state.
-type Machine interface {
-	Init(v *View) State
-	Step(v *View) State
-}
-
-// InPlaceStepper is an optional Machine fast path for synchronous rounds.
-// StepInPlace computes the same next state Step would, but may recycle the
-// memory of scratch — the node's state from two rounds earlier (nil, or of a
-// foreign type, after New, SetState or Corrupt). The contract:
+// node's next state from the view, treating every state in the view as
+// immutable.
 //
-//   - The returned value must not depend on the contents of scratch; scratch
-//     is a memory recycling hint, never an input.
+// Step may recycle the memory of scratch: under the synchronous daemon it
+// is the node's state from two rounds earlier (nil, or of a foreign type,
+// after New, SetState or Corrupt); the asynchronous daemon always passes
+// nil, because it steps on a single buffer where the node's current state
+// stays visible during the step. The contract:
+//
+//   - A nil scratch means a fresh state. The returned value must not depend
+//     on the contents of scratch; scratch is a memory recycling hint, never
+//     an input.
 //   - The returned state must not alias anything reachable from the View
 //     (neighbour or self states of the read buffer) other than scratch —
 //     except blocks that no step ever writes, which may be shared by
 //     reference (the verifier's proof labels).
-//   - Under an InPlaceStepper machine, states obtained from Engine.State are
-//     invalidated two StepSync calls later (their memory is recycled);
-//     callers that need a durable snapshot must Clone.
-//
-// The asynchronous daemon never uses this path: it steps on a single buffer
-// where the node's current state stays visible during the step.
-type InPlaceStepper interface {
-	StepInPlace(v *View, scratch State) State
+//   - States obtained from Engine.State are invalidated two StepSync calls
+//     later (their memory may be recycled); callers that need a durable
+//     snapshot must Clone.
+type Machine interface {
+	Init(v *View) State
+	Step(v *View, scratch State) State
 }
 
-// DefaultParallelThreshold is the network size below which parallel
-// dispatch is skipped. Measured crossover: one pool handoff costs on the
-// order of a few microseconds, while a typical Step runs in ~100ns, so
-// fan-out starts paying for itself at a few hundred nodes.
-const DefaultParallelThreshold = 512
+// parallelThreshold is the number of nodes a round must step before
+// parallel dispatch engages (ForcePool waives it). Measured crossover: one
+// pool handoff costs on the order of a few microseconds, while a typical
+// Step runs in ~100ns, so fan-out starts paying for itself at a few hundred
+// nodes.
+const parallelThreshold = 512
 
 // stepChunk is the unit of work claimed off the round cursor: large enough
 // to amortize the atomic add, small enough to balance uneven step costs.
@@ -345,7 +344,6 @@ type Engine struct {
 	// synced at; MutateTopology/ResyncTopology advance it.
 	topoVersion int64
 	machine     Machine
-	inplace     InPlaceStepper // non-nil iff machine implements the fast path
 	states      []State
 	prev        []State // spare buffer; swapped with states each sync round
 	round       int
@@ -355,26 +353,25 @@ type Engine struct {
 	// Jitter > 0 makes the asynchronous daemon activate each node
 	// 1+Poisson-like extra times per time unit.
 	Jitter float64
-	// Parallel enables worker-pool fan-out for synchronous rounds.
+	// Parallel enables worker-pool fan-out for synchronous rounds that step
+	// at least parallelThreshold nodes on a multi-core process.
 	Parallel bool
 	// Workers caps this engine's fan-out (0 = all pool workers, i.e. the
 	// GOMAXPROCS of the process when the pool was first used).
 	Workers int
-	// ParallelThreshold is the minimum n at which fan-out engages
-	// (0 = DefaultParallelThreshold).
-	ParallelThreshold int
-	// ForcePool engages fan-out even on a single-core process, where it
-	// cannot win on wall-clock. For tests and measurements that must
-	// exercise the pool (which has a minimum of 2 workers) anywhere.
+	// ForcePool makes a Parallel engine fan out at any round size and on
+	// any core count, including a single-core process where it cannot win
+	// on wall-clock. For tests and measurements that must exercise the pool
+	// (which has a minimum of 2 workers) anywhere.
 	ForcePool bool
 	// Worklist enables sparse active-set stepping for synchronous rounds
 	// when the machine implements CoastStepper (see worklist.go); machines
-	// that do not implement it fall back to dense rounds. The asynchronous
-	// daemon ignores it.
+	// that do not implement it step dense rounds. The choice is latched by
+	// the first synchronous round that arms the worklist: clearing Worklist
+	// afterwards, or stepping the armed engine asynchronously, panics.
 	Worklist bool
 
-	maxBits     int
-	activations int64
+	maxBits int
 
 	// Incremental instrumentation: per-node alarm/termination flags and
 	// their population counts, maintained on every state write so the
@@ -403,8 +400,7 @@ type Engine struct {
 	frontier     []int32
 	nextFrontier []int32
 	inFrontier   []bool  // nextFrontier membership (dedup)
-	matT         []int64 // nil until the first sparse round
-	sparseActive []int32 // active list shared with pool workers for one round
+	matT         []int64 // nil until the worklist is armed
 	stepsTaken   int64
 	lastActive   int
 
@@ -412,12 +408,15 @@ type Engine struct {
 	view  View  // reusable View for serial stepping, Init, and async
 	order []int // reusable activation-order buffer for StepAsync
 
-	// Per-round fan-out state shared with pool workers.
-	stepSnap []State
-	stepNext []State
-	cursor   atomic.Int64
-	wg       sync.WaitGroup
-	mu       sync.Mutex // guards the merge of per-worker reductions
+	// Per-round state shared with the chunk body (serial or pool workers):
+	// the read and write buffers and the worklist round's active set (nil
+	// in a dense round).
+	stepSnap   []State
+	stepNext   []State
+	stepActive []int32
+	cursor     atomic.Int64
+	wg         sync.WaitGroup
+	mu         sync.Mutex // guards the merge of per-chunk-body reductions
 }
 
 // New creates an engine with clean-start states from machine.Init. The
@@ -438,7 +437,6 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 		done:        make([]bool, g.N()),
 		dirty:       make([]int64, g.N()),
 	}
-	e.inplace, _ = machine.(InPlaceStepper)
 	e.coaster, _ = machine.(CoastStepper)
 	e.view.engine = e
 	e.view.snap = e.states
@@ -465,16 +463,13 @@ func (e *Engine) G() *graph.Graph { return e.g }
 // Round returns the number of completed rounds/time units.
 func (e *Engine) Round() int { return e.round }
 
-// Activations returns the number of node activations so far.
-func (e *Engine) Activations() int64 { return e.activations }
-
 // MaxStateBits returns the maximum BitSize observed on any node at any time.
 func (e *Engine) MaxStateBits() int { return e.maxBits }
 
-// State returns node v's current state (read-only; see InPlaceStepper for
-// the lifetime caveat under in-place machines). Under worklist stepping a
-// skipped node's lagged clockwork is materialized before the state is
-// returned, so observers never see a lagged state.
+// State returns node v's current state (read-only; see Machine for the
+// lifetime caveat of recycled states). Under worklist stepping a skipped
+// node's lagged clockwork is materialized before the state is returned, so
+// observers never see a lagged state.
 func (e *Engine) State(v int) State {
 	if e.matT != nil && e.matT[v] < int64(e.round) {
 		e.materialize(v, int64(e.round))
@@ -703,186 +698,166 @@ func (e *Engine) noteState(v int) {
 	}
 	if alarm != e.alarmed[v] {
 		e.alarmed[v] = alarm
-		if alarm {
-			e.alarmCount++
-		} else {
-			e.alarmCount--
-		}
+		e.alarmCount += flip(alarm)
 	}
 	if done != e.done[v] {
 		e.done[v] = done
-		if done {
-			e.doneCount++
-		} else {
-			e.doneCount--
-		}
+		e.doneCount += flip(done)
 	}
 }
 
-// stepNode computes node i's next state into stepNext, refreshes its
-// instrumentation flags, and returns its (bits, alarm, done) contribution
-// for the caller's partial reduction.
+// flip is the population-count change of a per-node flag that just became
+// b: +1 when raised, −1 when cleared.
+func flip(b bool) int {
+	if b {
+		return 1
+	}
+	return -1
+}
+
+// stepNode computes node i's next state into stepNext, recycling the
+// state the slot held, refreshes its alarm and termination flags, and
+// returns its bit size and the flips of those flags for the caller's
+// partial reduction: every round adjusts the population counts by flips
+// instead of re-counting them.
 //
 //ssmst:hotpath
-func (e *Engine) stepNode(v *View, i int) (bitSize int, alarm, done bool) {
+func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 	v.node = i
 	v.rngOK = false
-	var s State
-	if e.inplace != nil {
-		s = e.inplace.StepInPlace(v, e.stepNext[i])
-	} else {
-		s = e.machine.Step(v)
-	}
+	s := e.machine.Step(v, e.stepNext[i])
 	e.stepNext[i] = s
-	bitSize = s.BitSize()
+	alarm, done := false, false
 	if a, ok := s.(Alarmer); ok && a.Alarm() {
 		alarm = true
 	}
 	if t, ok := s.(Terminator); ok && t.Done() {
 		done = true
 	}
-	e.alarmed[i] = alarm
-	e.done[i] = done
-	return bitSize, alarm, done
+	if alarm != e.alarmed[i] {
+		e.alarmed[i] = alarm
+		dAlarm = flip(alarm)
+	}
+	if done != e.done[i] {
+		e.done[i] = done
+		dDone = flip(done)
+	}
+	return s.BitSize(), dAlarm, dDone
 }
 
-// effectiveWorkers returns how many pool workers a parallel round should
-// occupy: capped by Workers and by the number of chunks in the round.
-func (e *Engine) effectiveWorkers(n int) int {
+// fanOut returns how many pool workers a round stepping count nodes should
+// occupy; 1 means the round runs serially on the engine's own View.
+// Fan-out needs Parallel and, unless ForcePool is set, at least
+// parallelThreshold nodes on a multi-core process (on one core it cannot
+// win); Workers and the round's chunk count cap it.
+func (e *Engine) fanOut(count int) int {
+	if !e.Parallel || (count < parallelThreshold && !e.ForcePool) {
+		return 1
+	}
+	ensurePool()
+	if pool.cores < 2 && !e.ForcePool {
+		return 1
+	}
 	w := pool.size
 	if e.Workers > 0 && e.Workers < w {
 		w = e.Workers
 	}
-	if c := (n + stepChunk - 1) / stepChunk; c < w {
+	if c := (count + stepChunk - 1) / stepChunk; c < w {
 		w = c
 	}
 	return w
 }
 
-// StepSync executes one synchronous round: every node reads the previous
-// round's states and all updates apply simultaneously. The two state
-// buffers are swapped; no allocation happens in the steady state.
+// StepSync executes one synchronous round: every stepped node reads the
+// previous round's states and all updates apply simultaneously. A dense
+// round steps all n nodes and swaps the two state buffers; a worklist
+// round (Worklist set and the machine a CoastStepper, see worklist.go)
+// steps only the frontier and installs each stepped node by per-slot swap.
+// Both run the same chunk body, serially or on the worker pool, and no
+// allocation happens in the steady state.
 func (e *Engine) StepSync() {
+	var active []int32 // the worklist round's active set; nil in a dense round
+	count := e.g.N()
 	if e.Worklist && e.coaster != nil {
-		e.stepSyncSparse()
+		active = e.takeFrontier()
+		count = len(active)
+	} else if e.matT != nil {
+		panic("runtime: Engine.Worklist cleared after the worklist was armed; the choice is latched")
+	}
+	e.lastActive = count
+	if count == 0 {
+		// All-quiet round: the clock advances, nothing is stepped. Skipped
+		// clockwork accrues lag and is replayed on demand.
+		e.round++
+		e.commitMarks()
 		return
 	}
-	if e.matT != nil {
-		// Worklist was switched off after sparse rounds ran: replay all
-		// residual lag so the dense round reads current states everywhere.
-		T := int64(e.round)
-		for i := range e.matT {
-			e.materialize(i, T)
-		}
-	}
-	n := e.g.N()
-	e.stepSnap, e.stepNext = e.states, e.prev
-	e.alarmCount, e.doneCount = 0, 0
+	e.stepSnap, e.stepNext, e.stepActive = e.states, e.prev, active
 	e.inSyncStep = true
-	parallel := false
-	if e.Parallel {
-		thr := e.ParallelThreshold
-		if thr == 0 {
-			thr = DefaultParallelThreshold
+	e.cursor.Store(0)
+	if w := e.fanOut(count); w > 1 {
+		e.wg.Add(w)
+		for i := 0; i < w; i++ {
+			pool.jobs <- e
 		}
-		if n >= thr {
-			ensurePool()
-			// On a single-core process fan-out cannot win; engage the
-			// (minimum-2) pool only under an explicit ForcePool.
-			if w := e.effectiveWorkers(n); w > 1 && (pool.cores > 1 || e.ForcePool) {
-				parallel = true
-				e.cursor.Store(0)
-				e.wg.Add(w)
-				for i := 0; i < w; i++ {
-					pool.jobs <- e
-				}
-				e.wg.Wait()
-			}
-		}
-	}
-	if !parallel {
-		v := &e.view
-		v.snap = e.stepSnap
-		localMax, alarms, done := 0, 0, 0
-		for i := 0; i < n; i++ {
-			b, a, d := e.stepNode(v, i)
-			if b > localMax {
-				localMax = b
-			}
-			if a {
-				alarms++
-			}
-			if d {
-				done++
-			}
-		}
-		if localMax > e.maxBits {
-			e.maxBits = localMax
-		}
-		e.alarmCount, e.doneCount = alarms, done
-		e.flushMarks(v)
+		e.wg.Wait()
+	} else {
+		e.runChunks(&e.view)
 	}
 	e.inSyncStep = false
-	e.states, e.prev = e.stepNext, e.stepSnap
-	e.stepSnap, e.stepNext = nil, nil
+	if active == nil {
+		e.states, e.prev = e.stepNext, e.stepSnap
+	} else {
+		e.installActive(active)
+	}
+	e.stepSnap, e.stepNext, e.stepActive = nil, nil, nil
 	e.round++
-	e.activations += int64(n)
-	e.stepsTaken += int64(n)
-	e.lastActive = n
-	if e.matT != nil {
-		// Every node stepped; re-stamp so no phantom lag replays on read.
-		T := int64(e.round)
-		for i := range e.matT {
-			e.matT[i] = T
+	e.stepsTaken += int64(count)
+	e.commitMarks() // under worklist stepping, wakes the marks' neighbourhoods
+	for _, i := range active {
+		if !e.coaster.Quiescent(e.states[i]) {
+			e.enqueue(i)
 		}
 	}
-	e.commitMarks()
 }
 
-// runChunks is the body a pool worker executes for one engine round: claim
-// fixed-size index ranges off the shared cursor until the round is
-// exhausted, then merge this worker's partial reduction.
+// runChunks is the stepping body of one synchronous round, run serially on
+// the engine's View or once per participating pool worker: claim
+// fixed-size ranges of the round's node sequence (all n nodes, or the
+// worklist round's active set) off the shared cursor until the round is
+// exhausted, then merge this body's partial reduction.
 func (e *Engine) runChunks(v *View) {
-	defer e.wg.Done()
-	// Drop the engine references before parking so a discarded engine's
-	// full state buffer is not pinned for the process lifetime. The machine
-	// scratch survives — reusing it across rounds is what keeps machine
-	// steps allocation-free — but releases the states its temporaries last
-	// pointed at (RefReleaser): with labels shared by reference, one pinned
-	// state would pin its engine's whole marked instance.
-	defer parkView(v)
-	v.engine = e
-	v.snap = e.stepSnap
-	n := len(e.stepSnap)
-	localMax, alarms, done := 0, 0, 0
+	v.engine, v.snap = e, e.stepSnap
+	active, n := e.stepActive, len(e.stepSnap)
+	if active != nil {
+		n = len(active)
+	}
+	localMax, dAlarm, dDone := 0, 0, 0
 	for {
 		lo := int(e.cursor.Add(stepChunk)) - stepChunk
 		if lo >= n {
 			break
 		}
-		hi := lo + stepChunk
-		if hi > n {
-			hi = n
-		}
-		for i := lo; i < hi; i++ {
-			b, a, d := e.stepNode(v, i)
+		hi := min(lo+stepChunk, n)
+		for k := lo; k < hi; k++ {
+			i := k
+			if active != nil {
+				i = int(active[k])
+			}
+			b, da, dd := e.stepNode(v, i)
 			if b > localMax {
 				localMax = b
 			}
-			if a {
-				alarms++
-			}
-			if d {
-				done++
-			}
+			dAlarm += da
+			dDone += dd
 		}
 	}
 	e.mu.Lock()
 	if localMax > e.maxBits {
 		e.maxBits = localMax
 	}
-	e.alarmCount += alarms
-	e.doneCount += done
+	e.alarmCount += dAlarm
+	e.doneCount += dDone
 	e.flushMarks(v)
 	e.mu.Unlock()
 }
@@ -910,11 +885,17 @@ func ensurePool() {
 			go func() {
 				var v View
 				for e := range pool.jobs {
-					if e.sparseActive != nil {
-						e.runChunksSparse(&v)
-					} else {
-						e.runChunks(&v)
-					}
+					e.runChunks(&v)
+					// Drop the engine references before parking so a
+					// discarded engine's full state buffer is not pinned for
+					// the process lifetime. The machine scratch survives —
+					// reusing it across rounds is what keeps machine steps
+					// allocation-free — but releases the states its
+					// temporaries last pointed at (RefReleaser): with labels
+					// shared by reference, one pinned state would pin its
+					// engine's whole marked instance.
+					parkView(&v)
+					e.wg.Done()
 				}
 			}()
 		}
@@ -923,18 +904,14 @@ func ensurePool() {
 
 // StepAsync executes one asynchronous time unit: every node is activated at
 // least once, in a random interleaving, each activation reading current
-// states. With Jitter > 0, additional activations are interleaved. The
+// states and building a fresh next state (Machine.Step with nil scratch).
+// With Jitter > 0, additional activations are interleaved. The
 // activation-order buffer is reused across time units.
 func (e *Engine) StepAsync() {
-	n := e.g.N()
 	if e.matT != nil {
-		// The async daemon reads current states directly; clear any lag left
-		// behind by earlier sparse rounds.
-		T := int64(e.round)
-		for i := 0; i < n; i++ {
-			e.materialize(i, T)
-		}
+		panic("runtime: StepAsync on an engine whose worklist is armed; worklist stepping is synchronous only")
 	}
+	n := e.g.N()
 	order := e.order[:0]
 	for i := 0; i < n; i++ {
 		order = append(order, i)
@@ -962,18 +939,11 @@ func (e *Engine) StepAsync() {
 		v.snap = e.states
 		v.node = node
 		v.rngOK = false
-		e.states[node] = e.machine.Step(v)
+		e.states[node] = e.machine.Step(v, nil)
 		e.noteState(node)
-		e.activations++
 		e.stepsTaken++
 	}
 	e.round++
-	if e.matT != nil {
-		T := int64(e.round)
-		for i := range e.matT {
-			e.matT[i] = T
-		}
-	}
 }
 
 // Step advances one time unit under the selected daemon.

@@ -24,7 +24,7 @@ type minIDMachine struct{}
 
 func (minIDMachine) Init(v *View) State { return &minIDState{min: v.ID()} }
 
-func (minIDMachine) Step(v *View) State {
+func (minIDMachine) Step(v *View, _ State) State {
 	min := v.Self().(*minIDState).min
 	if own := v.ID(); own < min {
 		min = own
@@ -78,7 +78,7 @@ func TestAsyncConverges(t *testing.T) {
 	if !ok {
 		t.Fatal("async run did not converge")
 	}
-	if e.Activations() < int64(g.N()) {
+	if e.StepsTaken() < int64(g.N()) {
 		t.Fatal("activation accounting wrong")
 	}
 }
@@ -124,33 +124,31 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// minIDInPlaceMachine is minIDMachine plus the InPlaceStepper fast path:
-// the next state is written into the recycled two-rounds-old state.
+// minIDInPlaceMachine is minIDMachine writing its next state into the
+// recycled two-rounds-old scratch state.
 type minIDInPlaceMachine struct{ minIDMachine }
 
-func (m minIDInPlaceMachine) StepInPlace(v *View, scratch State) State {
+func (m minIDInPlaceMachine) Step(v *View, scratch State) State {
 	s, ok := scratch.(*minIDState)
 	if !ok {
 		s = &minIDState{}
 	}
-	s.min = m.Step(v).(*minIDState).min
+	s.min = m.minIDMachine.Step(v, nil).(*minIDState).min
 	return s
 }
 
 // TestParallelDeterminism asserts the acceptance criterion of the engine
 // rewrite: over 100 rounds on a random graph, pooled parallel stepping —
-// with and without the in-place fast path — is bit-identical to serial
+// with fresh and with recycled next states — is bit-identical to serial
 // stepping, every round. Run under -race in CI to exercise the pool.
 func TestParallelDeterminism(t *testing.T) {
 	g := graph.RandomConnected(300, 900, 21)
 	serial := New(g, minIDMachine{}, 4)
 	par := New(g, minIDMachine{}, 4)
 	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.ForcePool = true // at any n, even on a single-core host
 	inplace := New(g, minIDInPlaceMachine{}, 4)
 	inplace.Parallel = true
-	inplace.ParallelThreshold = 1
 	inplace.ForcePool = true
 	for r := 0; r < 100; r++ {
 		serial.StepSync()
@@ -171,7 +169,7 @@ func TestParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestInPlaceConverges checks the in-place fast path against the toy
+// TestInPlaceConverges checks the recycled-scratch step against the toy
 // protocol's semantics end to end.
 func TestInPlaceConverges(t *testing.T) {
 	g := graph.Path(10, 1)
@@ -193,7 +191,6 @@ func TestWorkersCap(t *testing.T) {
 	serial := New(g, minIDMachine{}, 5)
 	capped := New(g, minIDMachine{}, 5)
 	capped.Parallel = true
-	capped.ParallelThreshold = 1
 	capped.ForcePool = true
 	capped.Workers = 1 // degenerates to the serial path
 	for r := 0; r < 20; r++ {
@@ -288,7 +285,7 @@ func (m alarmMachine) Init(v *View) State {
 	return &alarmState{minIDState: minIDState{min: v.ID()}}
 }
 
-func (m alarmMachine) Step(v *View) State {
+func (m alarmMachine) Step(v *View, _ State) State {
 	s := v.Self().(*alarmState).Clone().(*alarmState)
 	s.alarm = v.ID() == m.bad
 	return s

@@ -20,7 +20,7 @@ type probeScratch struct{ count int }
 
 func (scratchProbe) Init(v *View) State { return &probeState{} }
 
-func (scratchProbe) Step(v *View) State {
+func (scratchProbe) Step(v *View, _ State) State {
 	sc, ok := v.MachineScratch().(*probeScratch)
 	if !ok {
 		sc = &probeScratch{}
@@ -47,28 +47,26 @@ func TestMachineScratchPersistsAcrossRounds(t *testing.T) {
 	}
 }
 
-// stepOnly embeds a machine behind the Machine interface, so only Init and
-// Step are promoted: StepInPlace stays hidden and the engine takes its
-// Machine.Step fallback (the path the async daemon and machines without the
-// fast path use).
-type stepOnly struct{ Machine }
+// freshStep hides the engine's recycled scratch state from a machine: every
+// step gets nil scratch and builds its next state fresh, as under the
+// asynchronous daemon.
+type freshStep struct{ Machine }
 
-// TestStepFallbackMatchesInPlace asserts the engine's Machine.Step fallback
-// and its in-place fast path produce the same rounds.
+func (f freshStep) Step(v *View, _ State) State { return f.Machine.Step(v, nil) }
+
+// TestStepFallbackMatchesInPlace asserts that Machine.Step with nil scratch
+// (a fresh state) and with the recycled two-rounds-old state produce the
+// same rounds.
 func TestStepFallbackMatchesInPlace(t *testing.T) {
-	var m Machine = stepOnly{FloodMin{}}
-	if _, ok := m.(InPlaceStepper); ok {
-		t.Fatal("stepOnly leaked the StepInPlace method")
-	}
 	g := graph.Path(6, 2)
-	e := New(g, m, 2)
+	e := New(g, freshStep{FloodMin{}}, 2)
 	want := New(g, FloodMin{}, 2)
 	for r := 0; r < 10; r++ {
 		e.StepSync()
 		want.StepSync()
 		for v := 0; v < g.N(); v++ {
 			if e.State(v).(*FloodMinState).Min != want.State(v).(*FloodMinState).Min {
-				t.Fatalf("round %d node %d: Step fallback diverged from the fast path", r, v)
+				t.Fatalf("round %d node %d: fresh step diverged from the recycled one", r, v)
 			}
 		}
 	}

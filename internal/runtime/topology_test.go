@@ -38,7 +38,7 @@ func (topoProbe) Init(v *View) State {
 	return &topoState{WatchPort: v.Degree() - 1}
 }
 
-func (topoProbe) Step(v *View) State {
+func (topoProbe) Step(v *View, _ State) State {
 	old := v.Self().(*topoState)
 	s := &topoState{
 		Deg:       v.Degree(),

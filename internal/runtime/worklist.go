@@ -51,6 +51,16 @@ package runtime
 // CoastStepper states must keep BitSize constant while quiescent (the
 // verifier memoizes a width-complete coast footprint), so the bit
 // high-water mark needs no per-round re-measurement of skipped nodes.
+//
+// One round body: a worklist round is StepSync with a different node
+// sequence (the frontier instead of 0..n-1) and a different install
+// (per-slot swap instead of buffer swap); the chunk body, the per-node step
+// with its alarm/termination flip counting, the fan-out decision and the
+// reduction are the dense round's. The choice is latched: the first
+// synchronous round with Worklist set arms the worklist for the engine's
+// lifetime, so lag only ever exists on an engine that steps sparse rounds.
+// Clearing Worklist afterwards, or stepping the armed engine
+// asynchronously, panics instead of silently replaying that lag.
 
 // CoastStepper is the optional Machine contract behind worklist stepping
 // (Engine.Worklist). Quiescent reports whether node i's state s is in the
@@ -64,9 +74,9 @@ type CoastStepper interface {
 	CoastAdvance(s State, deg, k int)
 }
 
-// StepsTaken returns the cumulative number of machine steps executed. Under
-// dense stepping it advances by n per synchronous round; under worklist
-// stepping by the active-set size, so a quiet round adds ~0.
+// StepsTaken returns the cumulative number of machine steps executed: n per
+// dense synchronous round, the active-set size per worklist round (so a
+// quiet round adds 0), and one per asynchronous activation.
 func (e *Engine) StepsTaken() int64 { return e.stepsTaken }
 
 // LastActive returns the size of the previous synchronous round's active
@@ -138,40 +148,14 @@ func (e *Engine) materialize(i int, T int64) {
 	e.coaster.CoastAdvance(e.states[i], deg, int(k))
 }
 
-// stepNodeSparse steps node i and returns its bit size and the round's
-// alarm/termination count deltas (the sparse round adjusts the incremental
-// counters by flips instead of re-counting the population).
-//
-//ssmst:hotpath
-func (e *Engine) stepNodeSparse(v *View, i int) (bitSize, dAlarm, dDone int) {
-	wasA, wasD := e.alarmed[i], e.done[i]
-	b, a, d := e.stepNode(v, i)
-	if a != wasA {
-		if a {
-			dAlarm = 1
-		} else {
-			dAlarm = -1
-		}
-	}
-	if d != wasD {
-		if d {
-			dDone = 1
-		} else {
-			dDone = -1
-		}
-	}
-	return b, dAlarm, dDone
-}
-
-// stepSyncSparse is the worklist variant of StepSync: materialize the
-// active set and its read halo, step only the active set (serial or fanned
-// out over the shared pool), install the new states by per-slot buffer
-// swap, and rebuild the frontier for the next round from still-active nodes
-// plus the round's committed dirty marks.
-func (e *Engine) stepSyncSparse() {
+// takeFrontier arms the worklist on first use and takes this round's active
+// set, materialized to the current round together with its read halo
+// (every skipped neighbour of an active node), so machine steps read
+// fullsweep-equivalent values. Enqueues made during the round target the
+// next frontier.
+func (e *Engine) takeFrontier() []int32 {
 	e.ensureWorklist()
 	T := int64(e.round)
-	// Take this round's frontier; enqueues during the round target the next.
 	e.frontier, e.nextFrontier = e.nextFrontier, e.frontier[:0]
 	active := e.frontier
 	a := e.adj
@@ -187,112 +171,17 @@ func (e *Engine) stepSyncSparse() {
 			}
 		}
 	}
-	e.lastActive = len(active)
-	if len(active) == 0 {
-		// All-quiet round: the clock advances, nothing is stepped. Skipped
-		// clockwork accrues lag and is replayed on demand.
-		e.round++
-		e.commitMarks()
-		return
-	}
-
-	e.stepSnap, e.stepNext = e.states, e.prev
-	e.inSyncStep = true
-	parallel := false
-	if e.Parallel {
-		thr := e.ParallelThreshold
-		if thr == 0 {
-			thr = DefaultParallelThreshold
-		}
-		if len(active) >= thr {
-			ensurePool()
-			if w := e.effectiveWorkers(len(active)); w > 1 && (pool.cores > 1 || e.ForcePool) {
-				parallel = true
-				e.sparseActive = active
-				e.cursor.Store(0)
-				e.wg.Add(w)
-				for i := 0; i < w; i++ {
-					pool.jobs <- e
-				}
-				e.wg.Wait()
-				e.sparseActive = nil
-			}
-		}
-	}
-	if !parallel {
-		v := &e.view
-		v.snap = e.stepSnap
-		localMax, dAlarm, dDone := 0, 0, 0
-		for _, i := range active {
-			b, da, dd := e.stepNodeSparse(v, int(i))
-			if b > localMax {
-				localMax = b
-			}
-			dAlarm += da
-			dDone += dd
-		}
-		if localMax > e.maxBits {
-			e.maxBits = localMax
-		}
-		e.alarmCount += dAlarm
-		e.doneCount += dDone
-		e.flushMarks(v)
-	}
-	e.inSyncStep = false
-	// Install: per-slot swap, O(active). Skipped slots keep their (possibly
-	// lagged) states; the read-previous-round invariant held during the
-	// round because writes went to the spare buffer's slots only.
-	for _, i := range active {
-		e.states[i], e.prev[i] = e.prev[i], e.states[i]
-		e.matT[i] = T + 1
-	}
-	e.stepSnap, e.stepNext = nil, nil
-	e.round++
-	e.activations += int64(len(active))
-	e.stepsTaken += int64(len(active))
-	e.commitMarks() // wakes the marks' neighbourhoods for the next round
-	for _, i := range active {
-		if !e.coaster.Quiescent(e.states[i]) {
-			e.enqueue(i)
-		}
-	}
+	return active
 }
 
-// runChunksSparse is the pool-worker body of a sparse round: claim chunks
-// of the active list off the shared cursor, step those nodes, merge the
-// flip-delta reduction.
-func (e *Engine) runChunksSparse(v *View) {
-	defer e.wg.Done()
-	defer parkView(v)
-	v.engine = e
-	v.snap = e.stepSnap
-	active := e.sparseActive
-	n := len(active)
-	localMax, dAlarm, dDone := 0, 0, 0
-	for {
-		lo := int(e.cursor.Add(stepChunk)) - stepChunk
-		if lo >= n {
-			break
-		}
-		hi := lo + stepChunk
-		if hi > n {
-			hi = n
-		}
-		for _, i := range active[lo:hi] {
-			b, da, dd := e.stepNodeSparse(v, int(i))
-			if b > localMax {
-				localMax = b
-			}
-			dAlarm += da
-			dDone += dd
-		}
+// installActive installs a worklist round's new states by per-slot swap,
+// O(active). Skipped slots keep their (possibly lagged) states; the
+// read-previous-round invariant held during the round because writes went
+// to the spare buffer's slots only.
+func (e *Engine) installActive(active []int32) {
+	T := int64(e.round) + 1
+	for _, i := range active {
+		e.states[i], e.prev[i] = e.prev[i], e.states[i]
+		e.matT[i] = T
 	}
-	e.mu.Lock()
-	if localMax > e.maxBits {
-		e.maxBits = localMax
-	}
-	e.alarmCount += dAlarm
-	e.doneCount += dDone
-	e.flushMarks(v)
-	e.mu.Unlock()
 }

@@ -84,7 +84,6 @@ func TestTransformerQuietCheckPhaseFastPaths(t *testing.T) {
 	ser := NewRunner(g, g.N(), verify.Sync, 2)
 	ser.Eng.Parallel = false
 	par := NewRunner(g, g.N(), verify.Sync, 2)
-	par.Eng.ParallelThreshold = 1
 	par.Eng.ForcePool = true
 	for name, r := range map[string]*Runner{"serial": ser, "parallel": par} {
 		r.SeedStable(l)

@@ -11,16 +11,20 @@ import (
 	"ssmst/internal/verify"
 )
 
-// stepOnly hides a machine's StepInPlace fast path: embedding the Machine
-// interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh.
-type stepOnly struct{ runtime.Machine }
+// freshStep hides the engine's recycled scratch state from a machine: every
+// step gets nil scratch, so every next state is built fresh — the reference
+// the recycled path must match.
+type freshStep struct{ runtime.Machine }
+
+func (f freshStep) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
 
 // newEngine builds a transformer engine with the oracle snapshot wired, on
-// either the in-place fast path or the Machine.Step fallback.
+// either the recycled-scratch path or fresh nil-scratch steps.
 func newEngine(g *graph.Graph, seed int64, inplace bool) *runtime.Engine {
 	m := NewMachine(g, g.N(), verify.Sync)
-	var mm runtime.Machine = stepOnly{m}
+	var mm runtime.Machine = freshStep{m}
 	if inplace {
 		mm = m
 	}
@@ -57,17 +61,16 @@ func compareEngines(t *testing.T, r int, fresh, inplace, par *runtime.Engine) {
 
 // TestInPlaceMatchesClone runs the transformer from a clean start through a
 // full epoch — resync, build, label, and the check phase — and asserts the
-// in-place path (serial and parallel-forced) is bit-identical to
-// Machine.Step every round, including across every phase transition. CI
-// runs it under -race.
+// recycled-scratch path (serial and parallel-forced) is bit-identical to
+// fresh nil-scratch steps every round, including across every phase
+// transition. CI runs it under -race.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(16, 40, 3)
 	fresh := newEngine(g, 2, false)
 	inplace := newEngine(g, 2, true)
 	par := newEngine(g, 2, true)
 	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.ForcePool = true // at any n, even on a single-core host
 
 	m := NewMachine(g, g.N(), verify.Sync)
 	rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200

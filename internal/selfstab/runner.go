@@ -19,7 +19,8 @@ type Runner struct {
 
 // NewRunner builds the transformer engine; bound is the polynomial upper
 // bound N on n assumed by the reset substrate (pass g.N() for the exact
-// bound). Rounds run on the in-place zero-allocation fast path.
+// bound). Rounds recycle each node's two-rounds-old state and allocate
+// nothing within a phase.
 func NewRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
 	m := NewMachine(g, bound, mode)
 	eng := runtime.New(g, m, seed)

@@ -162,7 +162,6 @@ func (s *SState) Done() bool { return s.Phase == PhaseCheck && !s.Alarm() }
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
-	_ runtime.InPlaceStepper  = (*Machine)(nil)
 	_ runtime.Alarmer         = (*SState)(nil)
 	_ runtime.MemoInvalidator = (*SState)(nil)
 	_ runtime.PortRemapper    = (*SState)(nil)
@@ -272,23 +271,17 @@ func recycleCheck(dst, src *verify.VState) *verify.VState {
 	return dst
 }
 
-// Step advances the transformer at one node (the Machine.Step fallback:
-// every call returns freshly allocated state).
-func (m *Machine) Step(v *runtime.View) runtime.State {
-	return m.stepInto(v, new(SState), m.scratchOf(v))
-}
-
-// StepInPlace implements runtime.InPlaceStepper: the composite next state
-// is written into the recycled two-rounds-old SState, reusing its
-// Build/BuildPrev/Check sub-states, so the steady-state round loop
-// allocates only at phase transitions (and nothing at all once a phase is
-// entered).
+// Step implements runtime.Machine: the composite next state is written
+// into the recycled two-rounds-old SState, reusing its Build/BuildPrev/Check
+// sub-states, so the steady-state round loop allocates only at phase
+// transitions (and nothing at all once a phase is entered). A nil scratch
+// gets a fresh SState whose sub-states are allocated as needed.
 //
 //ssmst:hotpath
-func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
+func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*SState)
 	if !ok || dst == nil {
-		dst = new(SState) //ssmst:allow hotpathalloc -- cold fallback: first round only, before the engine owns a recycled slot
+		dst = new(SState) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
 	}
 	return m.stepInto(v, dst, m.scratchOf(v))
 }
@@ -563,12 +556,11 @@ func (b *buildView) Neighbour(port int) *syncmst.State {
 // pre-step verifier state (the read-buffer copy, so the in-place path can
 // use the node's own composite state as the write destination).
 //
-// It also implements verify.Tracker by forwarding to the engine's
-// dirty-epoch tracking: the transformer marks every check-relevant
-// composite change (epoch adoption, phase transitions, label installation,
-// the alarm reset — see stepInto), and fault injection marks through
-// SetState, so the embedded verifier's memoized static verdict stays exactly
-// as fresh as in a standalone run.
+// Its change clock forwards to the engine's dirty-epoch tracking: the
+// transformer marks every check-relevant composite change (epoch adoption,
+// phase transitions, label installation, the alarm reset — see stepInto),
+// and fault injection marks through SetState, so the embedded verifier's
+// memoized static verdict stays exactly as fresh as in a standalone run.
 type checkView struct {
 	//ssmst:allow determinism -- per-step adapter built fresh in stepInto; never outlives the step
 	v    *runtime.View

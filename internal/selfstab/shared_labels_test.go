@@ -24,7 +24,6 @@ func TestSharedLabelsStayPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(g, g.N(), verify.Sync, 3)
-	r.Eng.ParallelThreshold = 1
 	r.Eng.ForcePool = true
 	r.SeedStable(l)
 	r.Eng.RunSyncRounds(16)

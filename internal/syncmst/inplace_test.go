@@ -8,17 +8,21 @@ import (
 	"ssmst/internal/runtime"
 )
 
-// stepOnly hides a machine's StepInPlace fast path: embedding the Machine
-// interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh.
-type stepOnly struct{ runtime.Machine }
+// freshStep hides the engine's recycled scratch state from a machine: every
+// step gets nil scratch, so every next state is built fresh — the reference
+// the recycled path must match.
+type freshStep struct{ runtime.Machine }
+
+func (f freshStep) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
 
 // TestInPlaceMatchesClone asserts the SYNC_MST register program produces
-// bit-identical states on the in-place path and on Machine.Step, every round
+// bit-identical states with recycled and with nil scratch, every round
 // of a full construction.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(48, 120, 11)
-	fresh := runtime.New(g, stepOnly{Machine{}}, 1)
+	fresh := runtime.New(g, freshStep{Machine{}}, 1)
 	inplace := runtime.New(g, Machine{}, 1)
 	for r := 0; r < 400*2; r++ {
 		fresh.StepSync()

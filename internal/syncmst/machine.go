@@ -138,9 +138,8 @@ type NodeView interface {
 type Machine struct{}
 
 var (
-	_ runtime.Machine        = Machine{}
-	_ runtime.InPlaceStepper = Machine{}
-	_ runtime.CoastStepper   = Machine{}
+	_ runtime.Machine      = Machine{}
+	_ runtime.CoastStepper = Machine{}
 )
 
 // Quiescent implements runtime.CoastStepper: a Finished state is a literal
@@ -193,29 +192,24 @@ func (a runtimeView) Neighbour(port int) *State {
 	return nil
 }
 
-// Step implements runtime.Machine for standalone runs.
-func (Machine) Step(v *runtime.View) runtime.State { return StepCore(runtimeView{v}) }
-
-// StepInPlace implements runtime.InPlaceStepper: State is a flat value
-// (no reference fields), so the next state is computed straight into the
-// recycled slot and the steady-state round loop allocates nothing.
+// Step implements runtime.Machine for standalone runs: State is a flat
+// value (no reference fields), so the next state is computed straight into
+// the recycled scratch slot and the steady-state round loop allocates
+// nothing. A nil scratch gets a fresh State.
 //
 //ssmst:hotpath
-func (Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
+func (Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*State)
 	if !ok || dst == nil {
-		dst = new(State) //ssmst:allow hotpathalloc -- cold fallback: first round only, before the engine owns a recycled slot
+		dst = new(State) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
 	}
 	//ssmst:allow hotpathalloc -- the adapter does not escape StepCoreInto; the runtime alloc gate pins this at 0 allocs
 	return StepCoreInto(dst, runtimeView{v})
 }
 
-// StepCore advances one node by one synchronous round.
-func StepCore(v NodeView) *State { return StepCoreInto(new(State), v) }
-
-// StepCoreInto is StepCore writing into recycled memory: dst receives a
-// value copy of v.Self() and is stepped in place. dst must not alias
-// v.Self() or any neighbour state.
+// StepCoreInto advances one node by one synchronous round, writing into
+// recycled memory: dst receives a value copy of v.Self() and is stepped in
+// place. dst must not alias v.Self() or any neighbour state.
 //
 //ssmst:hotpath
 func StepCoreInto(dst *State, v NodeView) *State {

@@ -40,8 +40,9 @@ var _ runtime.Alarmer = (*TMState)(nil)
 // dynamic train state always self-starts).
 func (m *TestMachine) Init(v *runtime.View) runtime.State { return &TMState{} }
 
-// Step advances both trains of one node.
-func (m *TestMachine) Step(v *runtime.View) runtime.State {
+// Step advances both trains of one node into a fresh state (scratch is
+// not recycled).
+func (m *TestMachine) Step(v *runtime.View, _ runtime.State) runtime.State {
 	old := v.Self().(*TMState)
 	node := v.Node()
 	next := &TMState{}

@@ -22,7 +22,6 @@ func churnRunners(t *testing.T, n, m int, seed int64) (*graph.Graph, *Labeled, *
 	inc := NewRunner(l, Sync, 3)
 	inc.Eng.Parallel = false
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ParallelThreshold = 1
 	par.Eng.ForcePool = true
 	full := NewFullRecheckRunner(l, Sync, 3)
 	full.Eng.Parallel = false

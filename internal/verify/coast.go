@@ -218,9 +218,9 @@ func coastHorizon(s *VState) int64 {
 // node's tracked 1-hop neighbourhood has not changed for a full horizon.
 // It gates both the trains' RestOK and coast certification, so trains park
 // strictly before (never after) their node freezes.
-func (m *Machine) restsAt(tr Tracker, s *VState, epoch int64) bool {
+func (m *Machine) restsAt(v NodeView, s *VState, epoch int64) bool {
 	h := coastHorizon(s)
-	return epoch >= h && !tr.LabelsChangedSince(epoch-h)
+	return epoch >= h && !v.LabelsChangedSince(epoch-h)
 }
 
 // lineageFrozen enforces the root-to-leaf certification cascade: for each

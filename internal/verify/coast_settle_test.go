@@ -107,7 +107,7 @@ func TestCoastQuietRoundZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewCoastRunner(l, 9)
+	r := newCoastRunner(l, 9)
 	r.Eng.Parallel = false
 	budget := DetectionBudget(g.N())
 	settled := false

@@ -38,7 +38,6 @@ func TestIncrementalMatchesFullRecheck(t *testing.T) {
 	inc := NewRunner(l, Sync, 3)
 	inc.Eng.Parallel = false
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ParallelThreshold = 1
 	par.Eng.ForcePool = true
 	full := NewFullRecheckRunner(l, Sync, 3)
 	full.Eng.Parallel = false

@@ -10,14 +10,18 @@ import (
 	"ssmst/internal/runtime"
 )
 
-// stepOnly hides a machine's StepInPlace fast path: embedding the Machine
-// interface promotes only Init and Step, so the engine falls back to
-// Machine.Step, which builds every next state fresh.
-type stepOnly struct{ runtime.Machine }
+// freshStep hides the engine's recycled scratch state from a machine: every
+// step gets nil scratch, so every next state is built fresh — the reference
+// the recycled path must match.
+type freshStep struct{ runtime.Machine }
 
-// TestInPlaceMatchesClone asserts the verifier's InPlaceStepper fast path —
-// serial and parallel-forced — is bit-identical to Machine.Step, which never
-// sees a recycled scratch state, through a quiet phase, a multi-layer fault,
+func (f freshStep) Step(v *runtime.View, _ runtime.State) runtime.State {
+	return f.Machine.Step(v, nil)
+}
+
+// TestInPlaceMatchesClone asserts the verifier's recycled-scratch step —
+// serial and parallel-forced — is bit-identical to Machine.Step with nil
+// scratch, which builds every state fresh, through a quiet phase, a multi-layer fault,
 // detection, and the alarmed steady state. CI runs it under -race, which
 // also exercises the worker pool over the scratch-carrying Views.
 func TestInPlaceMatchesClone(t *testing.T) {
@@ -27,12 +31,11 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := &Machine{Mode: Sync, Labeled: l}
-	fresh := runtime.New(g, stepOnly{m}, 3)
+	fresh := runtime.New(g, freshStep{m}, 3)
 	inplace := runtime.New(g, m, 3)
 	par := runtime.New(g, m, 3)
 	par.Parallel = true
-	par.ParallelThreshold = 1 // fan out below the default threshold
-	par.ForcePool = true      // even on a single-core host
+	par.ForcePool = true // at any n, even on a single-core host
 	engines := []*runtime.Engine{fresh, inplace, par}
 
 	compare := func(r int) {

@@ -263,7 +263,6 @@ func pieceSize(p hierarchy.Piece) int {
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
-	_ runtime.InPlaceStepper  = (*Machine)(nil)
 	_ runtime.CoastStepper    = (*Machine)(nil)
 	_ runtime.Alarmer         = (*VState)(nil)
 	_ runtime.MemoInvalidator = (*VState)(nil)
@@ -272,6 +271,13 @@ var (
 
 // NodeView is the window one verifier step needs; the self-stabilizing
 // transformer of internal/selfstab adapts its own composite state to it.
+//
+// Its last three methods are the change clock that powers incremental
+// verification: StepEpoch is the current read-buffer epoch,
+// LabelsChangedSince reports whether the tracked (label) state of the node
+// or any neighbour changed after a given epoch, and MarkLabelsChanged
+// records that this step is itself mutating the node's labels (the
+// corrupted-ParentPort repair).
 type NodeView interface {
 	Degree() int
 	Weight(port int) graph.Weight
@@ -280,17 +286,6 @@ type NodeView interface {
 	// Neighbour returns the neighbour's verifier state, nil if that node is
 	// not currently running the verifier.
 	Neighbour(port int) *VState
-}
-
-// Tracker is the optional NodeView extension that powers incremental
-// verification. A view that implements it gives the step a change clock:
-// StepEpoch is the current read-buffer epoch, LabelsChangedSince reports
-// whether the tracked (label) state of the node or any neighbour changed
-// after a given epoch, and MarkLabelsChanged records that this step is
-// itself mutating the node's labels (the corrupted-ParentPort repair). A
-// view without it (StepCore in tests) simply re-checks every layer each
-// round.
-type Tracker interface {
 	StepEpoch() int64
 	LabelsChangedSince(epoch int64) bool
 	MarkLabelsChanged()
@@ -311,8 +306,7 @@ type Machine struct {
 	// quiet horizon and certified nodes freeze into pure clockwork, giving
 	// a worklist engine an O(active + Δ) quiet round. Off by default — the
 	// default trajectories are bit-identical to pre-coast builds. Requires
-	// Mode == Sync and incremental tracking; ignored under FullRecheck or
-	// trackerless views.
+	// Mode == Sync; ignored under FullRecheck.
 	Coast bool
 
 	// staticRecomputes counts static-layer recomputations (memo misses)
@@ -324,7 +318,7 @@ type Machine struct {
 
 // StaticRecomputes returns how many times any node recomputed the static
 // label layer from scratch (memo misses; every round counts once per node
-// under FullRecheck or trackerless views).
+// under FullRecheck).
 func (m *Machine) StaticRecomputes() int64 { return m.staticRecomputes.Load() }
 
 // LabelCopies returns how many deep label copies StepInto performed. Steps
@@ -332,8 +326,8 @@ func (m *Machine) StaticRecomputes() int64 { return m.staticRecomputes.Load() }
 // stays for callers that report it.
 func (m *Machine) LabelCopies() int64 { return 0 }
 
-// runtimeView adapts runtime.View to NodeView (and Tracker: the engine's
-// dirty-epoch tracking backs the change clock).
+// runtimeView adapts runtime.View to NodeView; the engine's dirty-epoch
+// tracking backs the change clock.
 //
 //ssmst:allow determinism -- stack-allocated per step call; never outlives the step
 type runtimeView struct{ v *runtime.View }
@@ -448,29 +442,20 @@ func scratchFor(v *runtime.View) *Scratch {
 	return sc
 }
 
-// Step implements runtime.Machine for standalone verification runs.
-func (m *Machine) Step(v *runtime.View) runtime.State {
-	return m.StepInto(new(VState), runtimeView{v}, scratchFor(v))
-}
-
-// StepInPlace implements runtime.InPlaceStepper: the next state is written
-// into the recycled two-rounds-old VState (sharing the immutable label
-// block) and the per-View Scratch supplies every temporary, so the
-// steady-state round loop allocates nothing.
+// Step implements runtime.Machine: the next state is written into the
+// recycled two-rounds-old VState (sharing the immutable label block) and
+// the per-View Scratch supplies every temporary, so the steady-state round
+// loop allocates nothing. A nil scratch (the asynchronous daemon, the first
+// rounds) gets a fresh VState.
 //
 //ssmst:hotpath
-func (m *Machine) StepInPlace(v *runtime.View, scratch runtime.State) runtime.State {
+func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*VState)
 	if !ok || dst == nil {
-		dst = new(VState) //ssmst:allow hotpathalloc -- cold fallback: first round only, before the engine owns a recycled slot
+		dst = new(VState) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
 	}
 	//ssmst:allow hotpathalloc -- the adapter does not escape StepInto; the runtime alloc gate pins this at 0 allocs
 	return m.StepInto(dst, runtimeView{v}, scratchFor(v))
-}
-
-// StepCore runs one verifier round at one node into a fresh state.
-func (m *Machine) StepCore(v NodeView) *VState {
-	return m.StepInto(new(VState), v, new(Scratch))
 }
 
 // StepInto runs one verifier round at one node, writing the next state into
@@ -482,7 +467,7 @@ func (m *Machine) StepCore(v NodeView) *VState {
 // SP + NumK, hierarchy strings, train position labels, and the label-derived
 // dwell window — reads only labels, which are constant between faults, so
 // its verdict is memoized in the node's VState and replayed while the
-// view's Tracker reports the closed neighbourhood unchanged. The dynamic
+// view's change clock reports the closed neighbourhood unchanged. The dynamic
 // layer — the two trains, the coverage residual, the Ask/Show sampler —
 // runs every round. In a quiet network the per-round cost is therefore the
 // dynamic layer plus one O(degree) change probe, not the full label check.
@@ -490,14 +475,10 @@ func (m *Machine) StepCore(v NodeView) *VState {
 //ssmst:hotpath
 func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	old := v.Self()
-	tr, tracked := v.(Tracker)
-	epoch := int64(0)
-	if tracked {
-		epoch = tr.StepEpoch()
-	}
-	coastOn := tracked && m.Coast && !m.FullRecheck && m.Mode == Sync
+	epoch := v.StepEpoch()
+	coastOn := m.Coast && !m.FullRecheck && m.Mode == Sync
 	dst.CopyFrom(old)
-	if coastOn && old.coasting && !tr.LabelsChangedSince(old.coastEpoch) {
+	if coastOn && old.coasting && !v.LabelsChangedSince(old.coastEpoch) {
 		// Coast branch: the node is certified quiescent and nothing tracked
 		// in its 1-hop neighbourhood changed since certification — its step
 		// is pure clockwork (coast.go). This is exactly what a worklist
@@ -515,9 +496,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		s.coasting = false
 		s.coastEpoch = 0
 		s.coastBits = 0
-		if tracked {
-			tr.MarkLabelsChanged()
-		}
+		v.MarkLabelsChanged()
 	}
 	alarm := false
 	code := AlarmNone
@@ -557,8 +536,8 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// history (StaticEpoch ≤ epoch — a state transplanted from a foreign
 	// run via SetState may carry any stamp) and nothing in the closed
 	// neighbourhood changed since the stamp.
-	if tracked && !m.FullRecheck && s.staticValid && s.ParentPort < deg &&
-		s.staticEpoch <= epoch && !tr.LabelsChangedSince(s.staticEpoch) {
+	if !m.FullRecheck && s.staticValid && s.ParentPort < deg &&
+		s.staticEpoch <= epoch && !v.LabelsChangedSince(s.staticEpoch) {
 		// Memo hit: replay the static verdict. ParentPort is settled (< deg:
 		// the corrupted-port repair marks the node dirty, so a repaired or
 		// re-corrupted port always forces the miss path first).
@@ -585,9 +564,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 			if s.ParentPort >= deg {
 				s.ParentPort = -1 // corrupted port: claim root; SP checks will object
 				isRoot = true
-				if tracked {
-					tr.MarkLabelsChanged() // the repair is itself a label change
-				}
+				v.MarkLabelsChanged() // the repair is itself a label change
 			} else if nbs[s.ParentPort].ok {
 				parent = nbs[s.ParentPort].st
 			}
@@ -673,7 +650,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		}
 	}
 	ctT, ctB := m.trainCtxs(sc, s, nbs, parent)
-	restOK := coastOn && m.restsAt(tr, s, epoch)
+	restOK := coastOn && m.restsAt(v, s, epoch)
 	ctT.RestOK, ctB.RestOK = restOK, restOK
 	train.StepInto(&s.TopS, &old.TopS, ctT)
 	train.StepInto(&s.BotS, &old.BotS, ctB)

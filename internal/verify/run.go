@@ -21,10 +21,11 @@ type Runner struct {
 
 // NewRunner builds an engine with the marker's labels installed. Synchronous
 // rounds fan out over the shared worker pool at large n (bit-identical to
-// serial stepping; see the runtime package doc), run on the in-place
-// zero-allocation fast path, and re-check the static label layers only when
-// the engine's change tracking reports a neighbourhood label change
-// (incremental verification; bit-identical to NewFullRecheckRunner).
+// serial stepping; see the runtime package doc), recycle each node's
+// two-rounds-old state without allocating, and re-check the static label
+// layers only when the engine's change tracking reports a neighbourhood
+// label change (incremental verification; bit-identical to
+// NewFullRecheckRunner).
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
 	return newRunner(l, mode, seed, false)
 }
@@ -45,25 +46,16 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
 }
 
-// NewCoastRunner is NewRunner (Sync mode) with the coast regime enabled but
-// DENSE stepping kept: every node is still visited every round, coasting
-// nodes through the clockwork branch. This is the full-sweep reference
-// configuration the worklist engine is differentially tested against — the
-// two run identical machine code and must be bit-identical everywhere.
-func NewCoastRunner(l *Labeled, seed int64) *Runner {
-	r := newRunner(l, Sync, seed, false)
-	r.Machine.Coast = true
-	return r
-}
-
-// NewWorklistRunner is NewCoastRunner with sparse active-set stepping
-// (runtime.Engine.Worklist): quiet rounds step only the frontier, skipped
-// coasting nodes are replayed in closed form, making round cost
-// O(active + Δ) instead of O(n). Verdicts, detection rounds, alarm traces
-// and MaxStateBits are bit-identical to NewCoastRunner by construction
+// NewWorklistRunner is NewRunner (Sync mode) with the coast regime enabled
+// (Machine.Coast) and sparse active-set stepping (runtime.Engine.Worklist):
+// quiet rounds step only the frontier, skipped coasting nodes are replayed
+// in closed form, making round cost O(active + Δ) instead of O(n).
+// Verdicts, detection rounds, alarm traces and MaxStateBits are
+// bit-identical to dense coast stepping by construction
 // (worklist_parity_test.go, FuzzWorklistParity).
 func NewWorklistRunner(l *Labeled, seed int64) *Runner {
-	r := NewCoastRunner(l, seed)
+	r := newRunner(l, Sync, seed, false)
+	r.Machine.Coast = true
 	r.Eng.Worklist = true
 	return r
 }

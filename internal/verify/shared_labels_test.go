@@ -20,7 +20,6 @@ import (
 
 // poolRunner forces r's synchronous rounds onto the worker pool.
 func poolRunner(r *Runner) *Runner {
-	r.Eng.ParallelThreshold = 1
 	r.Eng.ForcePool = true
 	return r
 }

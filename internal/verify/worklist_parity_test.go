@@ -18,15 +18,25 @@ import (
 // every node's full state, BitSize, alarm code, alarm rounds, and the
 // MaxStateBits high-water mark.
 
+// newCoastRunner is NewRunner (Sync mode) with the coast regime enabled but
+// DENSE stepping kept: every node is still visited every round, coasting
+// nodes through the clockwork branch. This is the full-sweep reference
+// configuration the worklist engine is differentially tested against — the
+// two run identical machine code and must be bit-identical everywhere.
+func newCoastRunner(l *Labeled, seed int64) *Runner {
+	r := newRunner(l, Sync, seed, false)
+	r.Machine.Coast = true
+	return r
+}
+
 // parityRunners builds the pair over one shared mutable graph: the dense
 // full-sweep coast reference (serial — the semantics oracle) and the sparse
 // worklist engine, serial or pool-forced.
 func parityRunners(l *Labeled, seed int64, parallel bool) (*Runner, *Runner) {
-	dense := NewCoastRunner(l, seed)
+	dense := newCoastRunner(l, seed)
 	dense.Eng.Parallel = false
 	wl := NewWorklistRunner(l, seed)
 	if parallel {
-		wl.Eng.ParallelThreshold = 1
 		wl.Eng.ForcePool = true
 	} else {
 		wl.Eng.Parallel = false

@@ -29,9 +29,10 @@ import (
 
 // Engine is the double-buffered stepping engine that executes register
 // protocols (runners expose theirs as Eng). Tuning knobs: Parallel enables
-// worker-pool fan-out for synchronous rounds, Workers caps it, and
-// ParallelThreshold sets the minimum n at which fan-out engages. Parallel
-// stepping is bit-identical to serial stepping.
+// worker-pool fan-out for synchronous rounds of at least a few hundred
+// nodes on a multi-core process, Workers caps it, and ForcePool makes it
+// fan out at any n on any core count. Parallel stepping is bit-identical
+// to serial stepping.
 type Engine = runtime.Engine
 
 // PoolWorkers reports the size of the shared synchronous worker pool
@@ -95,11 +96,12 @@ func MarkTree(g *Graph, treeEdges []int) (*Labeled, error) {
 }
 
 // NewVerifier builds a verification run over the labeled instance. Rounds
-// run on the engine's zero-allocation in-place fast path and re-check the
-// static label layers incrementally: their memoized per-node verdict is
-// replayed until the engine's change tracking reports a neighbourhood label
-// change, so a quiet round costs the dynamic train/sampler work plus one
-// O(Δ) change probe rather than the full label check.
+// recycle each node's two-rounds-old state, allocating nothing, and
+// re-check the static label layers incrementally: their memoized per-node
+// verdict is replayed until the engine's change tracking reports a
+// neighbourhood label change, so a quiet round costs the dynamic
+// train/sampler work plus one O(Δ) change probe rather than the full label
+// check.
 func NewVerifier(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewRunner(l, mode, seed)
 }
@@ -128,8 +130,9 @@ func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 }
 
 // NewSelfStabilizing builds a self-stabilizing MST run; bound is the
-// polynomial upper bound on n assumed by the reset substrate. Rounds run
-// on the engine's zero-allocation in-place fast path.
+// polynomial upper bound on n assumed by the reset substrate. Rounds
+// recycle each node's two-rounds-old state and allocate nothing within a
+// phase.
 func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
 	return selfstab.NewRunner(g, bound, mode, seed)
 }
