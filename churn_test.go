@@ -7,9 +7,8 @@ import (
 )
 
 // TestApplyChurnFacade drives the public churn surface: every menu kind
-// through ssmst.ApplyChurn on a verification run — MST-preserving kinds
-// silent, MST-breaking kinds detected — and the self-stabilizing runner
-// satisfying the same ChurnTarget interface.
+// through Verifier.ApplyChurn — MST-preserving kinds silent, MST-breaking
+// kinds detected.
 func TestApplyChurnFacade(t *testing.T) {
 	g := RandomGraph(64, 160, 21)
 	l, err := Mark(g)
@@ -23,7 +22,7 @@ func TestApplyChurnFacade(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(7))
 	for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy} {
-		ev, ok := ApplyChurn(v, kind, rng)
+		ev, ok := v.ApplyChurn(kind, rng)
 		if !ok {
 			t.Fatalf("no %v mutation available", kind)
 		}
@@ -31,7 +30,7 @@ func TestApplyChurnFacade(t *testing.T) {
 			t.Fatalf("MST-preserving %v raised an alarm: %v", ev, err)
 		}
 	}
-	ev, ok := ApplyChurn(v, ChurnWeightBreak, rng)
+	ev, ok := v.ApplyChurn(ChurnWeightBreak, rng)
 	if !ok {
 		t.Fatal("no weight-break mutation available")
 	}
@@ -45,9 +44,6 @@ func TestApplyChurnFacade(t *testing.T) {
 	if len(alarms) == 0 {
 		t.Fatal("detection reported no alarming nodes")
 	}
-
-	// The transformer satisfies the same facade interface.
-	var _ ChurnTarget = NewSelfStabilizing(g, g.N(), Sync, 1)
 }
 
 // TestChurnQuietAllocFree is the live-topology half of the zero-alloc gate:
@@ -68,7 +64,7 @@ func TestChurnQuietAllocFree(t *testing.T) {
 	v.Eng.RunSyncRounds(8)
 	rng := rand.New(rand.NewSource(11))
 	for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy} {
-		if _, ok := ApplyChurn(v, kind, rng); !ok {
+		if _, ok := v.ApplyChurn(kind, rng); !ok {
 			t.Fatalf("no %v mutation available", kind)
 		}
 		v.Eng.RunSyncRounds(4) // absorb the invalidated region

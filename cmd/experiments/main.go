@@ -1,5 +1,5 @@
-// Command experiments regenerates every experiment table of EXPERIMENTS.md
-// (one function per paper table/figure; see DESIGN.md §4).
+// Command experiments regenerates the paper's measured tables, one function
+// of internal/core per table or figure; -h lists the menu.
 //
 // Usage:
 //
@@ -16,10 +16,13 @@ import (
 )
 
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `experiments — regenerate the paper's measured tables (EXPERIMENTS.md).
+	fmt.Fprintf(flag.CommandLine.Output(), `experiments — regenerate the paper's measured tables.
 
-Each experiment maps to one table/figure of Korman–Kutten–Masuzawa (see
-DESIGN.md §4); tables print as Markdown on stdout.
+Each experiment maps to one table/figure of Korman–Kutten–Masuzawa (the
+E-numbers below); tables print as Markdown on stdout. The engine's own
+round cost (E14/E14b) is a benchmark instead:
+
+  go test -run '^$' -bench EngineScaling -benchmem .
 
 Usage:
 
@@ -31,8 +34,8 @@ Flags:
               (default 1)
   -exp name   which experiment to run (default "all"):
 
-    all               the default suite (every row below except the two
-                      long-running scaling experiments)
+    all               the default suite (every row below except
+                      detectionscaling, churnscaling and campaign)
     table1            Table 1 — space/time of the self-stabilizing MST vs
                       the baseline classes (measured bits/node and rounds)
     table2            Table 2 — Roots/EndP/Parents/Or_EndP strings on the
@@ -57,14 +60,11 @@ Flags:
                       storm, churn storm, transformer re-stabilization) —
                       every cell cross-checked against the centralized
                       T-lightness and cycle-property oracles
-    enginescaling     E14/E14b — engine rounds at growing n, serial vs
-                      parallel, plus verifier round cost (full re-check
-                      vs incremental; minutes of wall clock)
 `)
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|table1|table2|detection|detectionasync|detectionscaling|churnscaling|distance|construction|memory|partitions|selfstab|lowerbound|campaign|enginescaling")
+	exp := flag.String("exp", "all", "experiment: all|table1|table2|detection|detectionasync|detectionscaling|churnscaling|distance|construction|memory|partitions|selfstab|lowerbound|campaign")
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Usage = usage
 	flag.Parse()
@@ -104,9 +104,6 @@ func main() {
 	case "campaign":
 		tables = append(tables, core.CampaignKSweep(core.Families(), 256, []int{1, 4, 16, 64}, *seed))
 		tables = append(tables, core.CampaignScenarios(128, *seed))
-	case "enginescaling":
-		tables = append(tables, core.EngineScaling([]int{1024, 4096, 16384, 65536}, 50, *seed))
-		tables = append(tables, core.VerifierScaling([]int{1024, 4096, 16384}, 20, *seed))
 	default:
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"ssmst"
+	"ssmst/internal/selfstab"
 	"ssmst/internal/verify"
 )
 
@@ -82,8 +83,10 @@ Run-mode flags:
 Engine flags (the knobs BenchmarkEngineScaling measures):
 
   -serial       disable worker-pool fan-out for synchronous rounds
-  -workers int  cap pool workers per round (0 = all pool workers); nonzero
-                also forces pool engagement even on one core (-serial wins)
+  -workers int  pool workers per round. 0 (the default) fans out over the
+                whole pool once a round steps at least 512 nodes on a
+                multi-core process; k > 0 fans out over up to k workers at
+                any n, even on one core (-serial wins)
   -fullrecheck  disable incremental verification: re-check every label
                 layer every round instead of memoizing the static verdict
                 (the pre-incremental reference configuration)
@@ -98,9 +101,9 @@ func main() {
 	churn := flag.String("churn", "", "mutate the live topology: weight-keep|weight-break|cut|add-heavy|add-light")
 	corrupt := flag.Int("corrupt", -1, "label a k-edit corrupted spanning tree instead of the MST (-1: off; 0: the MST itself)")
 	async := flag.Bool("async", false, "asynchronous daemon")
-	selfstab := flag.Bool("selfstab", false, "run the self-stabilizing construction instead")
+	selfStab := flag.Bool("selfstab", false, "run the self-stabilizing construction instead")
 	serial := flag.Bool("serial", false, "disable worker-pool fan-out for synchronous rounds")
-	workers := flag.Int("workers", 0, "cap pool workers per round (0: all); nonzero also forces pool engagement (-serial wins)")
+	workers := flag.Int("workers", 0, "pool workers per round (0: automatic, the whole pool at n>=512 on multi-core; k>0: up to k at any n; -serial wins)")
 	fullRecheck := flag.Bool("fullrecheck", false, "disable incremental verification (re-check all label layers every round)")
 	flag.Usage = usage
 	flag.CommandLine.SetOutput(os.Stderr)
@@ -109,11 +112,10 @@ func main() {
 	tune := func(e *ssmst.Engine) {
 		e.Parallel = !*serial
 		e.Workers = *workers
-		e.ForcePool = *workers != 0
 	}
-	newVerifier, newSelfStabilizing := ssmst.NewVerifier, ssmst.NewSelfStabilizing
+	newVerifier := ssmst.NewVerifier
 	if *fullRecheck {
-		newVerifier, newSelfStabilizing = ssmst.NewVerifierFullRecheck, ssmst.NewSelfStabilizingFullRecheck
+		newVerifier = verify.NewFullRecheckRunner
 	}
 
 	if *m == 0 {
@@ -122,7 +124,7 @@ func main() {
 	if *fault != "" && *churn != "" {
 		log.Fatal("-fault and -churn are mutually exclusive (one injected event per run)")
 	}
-	if *corrupt >= 0 && (*fault != "" || *churn != "" || *selfstab) {
+	if *corrupt >= 0 && (*fault != "" || *churn != "" || *selfStab) {
 		log.Fatal("-corrupt is mutually exclusive with -fault/-churn/-selfstab (the corrupted tree is the fault)")
 	}
 	churnKind, churnOK := ssmst.ParseChurnKind(*churn)
@@ -173,8 +175,16 @@ func main() {
 		return
 	}
 
-	if *selfstab {
-		r := newSelfStabilizing(g, g.N(), mode, *seed)
+	if *selfStab {
+		var r *ssmst.SelfStabilizing
+		if *fullRecheck {
+			r = selfstab.NewFullRecheckRunner(g, g.N(), mode, *seed)
+		} else {
+			var err error
+			if r, err = ssmst.NewSelfStabilizing(g, g.N(), mode, *seed); err != nil {
+				log.Fatal(err)
+			}
+		}
 		tune(r.Eng)
 		rounds, ok := r.RunUntilStable(2 * r.StabilizationBudget())
 		fmt.Printf("self-stabilizing MST: stabilized=%v in %d rounds, MST=%v, max bits/node=%d\n",
@@ -186,30 +196,20 @@ func main() {
 			log.Fatalf("cannot inject the requested churn: the network did not stabilize within 2× budget")
 		}
 		rng := rand.New(rand.NewSource(*seed))
-		ev, applied := ssmst.ApplyChurn(r, churnKind, rng)
+		ev, applied := r.ApplyChurn(churnKind, rng)
 		if !applied {
 			log.Fatalf("no %v mutation available", churnKind)
 		}
 		fmt.Printf("churn: %v applied to the stabilized network\n", ev)
 		if !churnKind.BreaksMST() {
-			for i := 0; i < 60; i++ {
-				r.Step()
-				if !r.Eng.AllDone() {
-					log.Fatalf("MST-preserving churn knocked the network out of the check phase at round %d", i+1)
-				}
+			if i, left := r.RunUntilDetect(60); left {
+				log.Fatalf("MST-preserving churn knocked the network out of the check phase at round %d", i)
 			}
 			fmt.Printf("network held the check phase for 60 rounds; output MST=%v ✓\n", r.OutputIsMST())
 			return
 		}
-		detect := -1
-		for i := 0; i < 2*ssmst.DetectionBudget(g.N()); i++ {
-			r.Step()
-			if !r.Eng.AllDone() {
-				detect = i + 1
-				break
-			}
-		}
-		if detect < 0 {
+		detect, found := r.RunUntilDetect(2 * ssmst.DetectionBudget(g.N()))
+		if !found {
 			log.Fatal("MST-breaking churn was never detected")
 		}
 		rounds2, ok2 := r.RunUntilStable(2 * r.StabilizationBudget())
@@ -235,7 +235,7 @@ func main() {
 	if *churn != "" {
 		v.Eng.RunSyncRounds(budget / 4)
 		rng := rand.New(rand.NewSource(*seed))
-		ev, applied := ssmst.ApplyChurn(v, churnKind, rng)
+		ev, applied := v.ApplyChurn(churnKind, rng)
 		if !applied {
 			log.Fatalf("no %v mutation available", churnKind)
 		}

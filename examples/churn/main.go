@@ -28,7 +28,7 @@ func main() {
 	for _, kind := range []ssmst.ChurnKind{
 		ssmst.ChurnWeightKeep, ssmst.ChurnCut, ssmst.ChurnAddHeavy,
 	} {
-		ev, ok := ssmst.ApplyChurn(v, kind, rng)
+		ev, ok := v.ApplyChurn(kind, rng)
 		if !ok {
 			log.Fatalf("no %v mutation available", kind)
 		}
@@ -44,7 +44,7 @@ func main() {
 		}
 		v := ssmst.NewVerifier(labeled, ssmst.Sync, 1)
 		v.Eng.RunSyncRounds(budget / 4)
-		ev, ok := ssmst.ApplyChurn(v, kind, rng)
+		ev, ok := v.ApplyChurn(kind, rng)
 		if !ok {
 			log.Fatalf("no %v mutation available", kind)
 		}
@@ -60,11 +60,14 @@ func main() {
 	// over the mutated graph, and the network re-stabilizes on the new MST.
 	fmt.Println("\nself-stabilizing transformer under churn:")
 	sg := ssmst.RandomGraph(24, 60, 5)
-	r := ssmst.NewSelfStabilizing(sg, sg.N(), ssmst.Sync, 1)
+	r, err := ssmst.NewSelfStabilizing(sg, sg.N(), ssmst.Sync, 1)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if _, ok := r.RunUntilStable(2 * r.StabilizationBudget()); !ok {
 		log.Fatal("did not stabilize")
 	}
-	ev, ok := ssmst.ApplyChurn(r, ssmst.ChurnWeightBreak, rng)
+	ev, ok := r.ApplyChurn(ssmst.ChurnWeightBreak, rng)
 	if !ok {
 		log.Fatal("no weight-break mutation available")
 	}

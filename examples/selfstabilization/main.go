@@ -16,7 +16,10 @@ func main() {
 	g := ssmst.RandomGraph(24, 60, 11)
 	fmt.Printf("graph: n=%d m=%d\n", g.N(), g.M())
 
-	r := ssmst.NewSelfStabilizing(g, g.N(), ssmst.Sync, 5)
+	r, err := ssmst.NewSelfStabilizing(g, g.N(), ssmst.Sync, 5)
+	if err != nil {
+		log.Fatal(err)
+	}
 	r.Scramble(rand.New(rand.NewSource(99))) // adversarial initial states
 	rounds, ok := r.RunUntilStable(2 * r.StabilizationBudget())
 	if !ok {

@@ -35,16 +35,6 @@ func ForInt(v int64) int {
 	return 1 + ForUint(uint64(v))
 }
 
-// ForID returns the width of a node identifier field in a network whose
-// identifiers are drawn from [0, idSpace). Identifiers in the paper are
-// O(log n) bits; idSpace is polynomial in n.
-func ForID(idSpace int) int {
-	if idSpace <= 1 {
-		return 1
-	}
-	return ForUint(uint64(idSpace - 1))
-}
-
 // ForEnum returns the width of a field holding one of k distinct symbols.
 func ForEnum(k int) int {
 	if k <= 2 {
@@ -66,17 +56,6 @@ func Flag(bool) int { return ForBool }
 // alphabet of k symbols, as used by the Roots/EndP/Parents strings of §5.
 func ForString(n, k int) int {
 	return n * ForEnum(k)
-}
-
-// Max returns the largest of its arguments (0 for no arguments).
-func Max(vs ...int) int {
-	m := 0
-	for _, v := range vs {
-		if v > m {
-			m = v
-		}
-	}
-	return m
 }
 
 // Sum adds its arguments; a convenience for BitSize implementations.

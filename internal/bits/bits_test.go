@@ -48,15 +48,6 @@ func TestForEnum(t *testing.T) {
 	}
 }
 
-func TestForID(t *testing.T) {
-	if got := ForID(1); got != 1 {
-		t.Errorf("ForID(1) = %d, want 1", got)
-	}
-	if got := ForID(1024); got != 10 {
-		t.Errorf("ForID(1024) = %d, want 10", got)
-	}
-}
-
 func TestForString(t *testing.T) {
 	// Roots strings: length l+1 over {0,1,*} — 2 bits per entry.
 	if got := ForString(5, 3); got != 10 {
@@ -68,12 +59,9 @@ func TestForString(t *testing.T) {
 	}
 }
 
-func TestMaxSum(t *testing.T) {
-	if Max() != 0 || Sum() != 0 {
-		t.Fatal("empty Max/Sum should be 0")
-	}
-	if Max(3, 9, 1) != 9 {
-		t.Errorf("Max(3,9,1) = %d", Max(3, 9, 1))
+func TestSum(t *testing.T) {
+	if Sum() != 0 {
+		t.Fatal("empty Sum should be 0")
 	}
 	if Sum(3, 9, 1) != 13 {
 		t.Errorf("Sum(3,9,1) = %d", Sum(3, 9, 1))

@@ -193,12 +193,8 @@ func RunCampaign(spec CampaignSpec) (CampaignResult, error) {
 		_, victims := sr.ApplyRegionalOutage(spec.Radius, sScenario)
 		res.Victims = len(victims)
 		res.MustDetect = res.Victims > 0
-		for i := 0; i < res.Budget; i++ {
-			sr.Step()
-			if !sr.Eng.AllDone() {
-				res.Detected, res.DetectRounds = true, i+1
-				break
-			}
+		if rounds, ok := sr.RunUntilDetect(res.Budget); ok {
+			res.Detected, res.DetectRounds = true, rounds
 		}
 		if res.Detected {
 			res.RestabRounds, _ = sr.RunUntilStable(2 * sr.StabilizationBudget())

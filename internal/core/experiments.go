@@ -1,13 +1,12 @@
 // Package core orchestrates the experiment suite: every table and figure of
-// the paper maps to a function here (see DESIGN.md §4); cmd/experiments
-// prints the results and EXPERIMENTS.md records a reference run.
+// the paper maps to a function here, and cmd/experiments prints the results
+// (its -h menu maps each to its experiment number).
 package core
 
 import (
 	"fmt"
 	mbits "math/bits"
 	"math/rand"
-	gort "runtime"
 	"strings"
 	"time"
 
@@ -17,7 +16,6 @@ import (
 	"ssmst/internal/labeling"
 	"ssmst/internal/lowerbound"
 	"ssmst/internal/partition"
-	"ssmst/internal/runtime"
 	"ssmst/internal/selfstab"
 	"ssmst/internal/syncmst"
 	"ssmst/internal/train"
@@ -434,10 +432,8 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 		}
 		for trial := 0; trial < trials; trial++ {
 			// E12: the transformer, seeded into its stabilized check phase,
-			// with the same train-borne fault as E3. Detection is the node
-			// leaving the check phase (AllDone turning false): the step that
-			// sees the alarm atomically starts the new epoch, so AnyAlarm
-			// never observes the transformer's alarmed verifier state.
+			// with the same train-borne fault as E3; detection is a node
+			// leaving the check phase (Runner.RunUntilDetect).
 			sr := selfstab.NewRunner(g, n, verify.Sync, seed+int64(trial))
 			sr.SeedStable(l)
 			sr.Eng.RunSyncRounds(warm)
@@ -454,12 +450,8 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 			if !injected {
 				continue
 			}
-			for i := 0; i < 2*budget; i++ {
-				sr.Step()
-				if !sr.Eng.AllDone() {
-					sTimes = append(sTimes, i+1)
-					break
-				}
+			if rounds, ok := sr.RunUntilDetect(2 * budget); ok {
+				sTimes = append(sTimes, rounds)
 			}
 		}
 		if len(vTimes) == 0 || len(sTimes) == 0 {
@@ -610,98 +602,6 @@ func maxTrainBudget(l *verify.Labeled) int {
 	return max
 }
 
-// EngineScaling measures the stepping engine itself (experiment E14): ns
-// per synchronous round and allocations per round at growing n, serial vs
-// worker-pool parallel, on the zero-allocation FloodMin protocol. This is
-// the unit cost every detection/stabilization time multiplies, and the
-// knob that decides how large an n the paper's asymptotics can be checked
-// at empirically.
-func EngineScaling(sizes []int, rounds int, seed int64) *Table {
-	t := &Table{
-		Title:  "E14 — engine throughput: double-buffered rounds, serial vs parallel",
-		Header: []string{"n", "mode", "ns/round", "allocs/round", "B/round"},
-		Remarks: []string{
-			fmt.Sprintf("Worker pool: %d workers (GOMAXPROCS at first use); in-place fast path; steady state after warm-up.", runtime.PoolWorkers()),
-		},
-	}
-	for _, n := range sizes {
-		g := graph.RandomConnected(n, 3*n, seed)
-		for _, par := range []bool{false, true} {
-			e := runtime.New(g, runtime.FloodMin{}, seed)
-			e.Parallel = par
-			e.ForcePool = par  // keep the row's label truthful on 1-core hosts
-			e.RunSyncRounds(2) // fill both buffers: steady state
-			var m0, m1 gort.MemStats
-			gort.ReadMemStats(&m0)
-			start := time.Now()
-			e.RunSyncRounds(rounds)
-			elapsed := time.Since(start)
-			gort.ReadMemStats(&m1)
-			mode := "serial"
-			if par {
-				mode = "parallel"
-			}
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), mode,
-				fmt.Sprint(elapsed.Nanoseconds() / int64(rounds)),
-				fmt.Sprint((m1.Mallocs - m0.Mallocs) / uint64(rounds)),
-				fmt.Sprint((m1.TotalAlloc - m0.TotalAlloc) / uint64(rounds)),
-			})
-		}
-	}
-	return t
-}
-
-// VerifierScaling measures the production machine the engine exists for:
-// one verifier round over the whole network at growing n — the full
-// re-check reference vs the incremental verifier (experiment E14b). This is
-// the unit cost of every detection-time figure; the incremental column is
-// the one the large-n experiments (DetectionScaling) run on.
-func VerifierScaling(sizes []int, rounds int, seed int64) *Table {
-	t := &Table{
-		Title:  "E14b — verifier round cost: full re-check vs incremental",
-		Header: []string{"n", "path", "ns/round", "allocs/round", "B/round"},
-		Remarks: []string{
-			"incremental = in-place fast path + memoized static label layer (re-checked only when the neighbourhood's labels change); full-recheck = same engine, memoization disabled; the two are bit-identical in every protocol-visible field.",
-		},
-	}
-	for _, n := range sizes {
-		g := graph.RandomConnected(n, 3*n, seed)
-		l, err := verify.Mark(g)
-		if err != nil {
-			continue
-		}
-		for _, cfg := range []struct {
-			path        string
-			fullRecheck bool
-		}{
-			{"full-recheck", true},
-			{"incremental", false},
-		} {
-			e := runtime.New(g, &verify.Machine{Mode: verify.Sync, Labeled: l, FullRecheck: cfg.fullRecheck}, seed)
-			// Warm-up: fill both buffers AND let the per-node memo caches
-			// settle — on the incremental path the claimed-level memo is
-			// first persisted on the round that recycles a warm state (round
-			// 3), so a 2-round warm-up would charge that one-time allocation
-			// to the steady-state window.
-			e.RunSyncRounds(6)
-			var m0, m1 gort.MemStats
-			gort.ReadMemStats(&m0)
-			start := time.Now()
-			e.RunSyncRounds(rounds)
-			elapsed := time.Since(start)
-			gort.ReadMemStats(&m1)
-			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), cfg.path,
-				fmt.Sprint(elapsed.Nanoseconds() / int64(rounds)),
-				fmt.Sprint((m1.Mallocs - m0.Mallocs) / uint64(rounds)),
-				fmt.Sprint((m1.TotalAlloc - m0.TotalAlloc) / uint64(rounds)),
-			})
-		}
-	}
-	return t
-}
-
 // LowerBound measures the §9 tradeoff: detection time on stretched
 // instances for growing τ, and the time × memory product (experiment E8).
 func LowerBound(taus []int, seed int64) *Table {
@@ -760,7 +660,6 @@ func All(seed int64) []*Table {
 		Partitions([]int{32, 128, 512}, seed),
 		SelfStabilization([]int{16, 32}, seed),
 		LowerBound([]int{1, 2, 3}, seed),
-		EngineScaling([]int{1024, 4096, 16384}, 50, seed),
 	}
 }
 

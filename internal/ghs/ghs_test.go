@@ -52,7 +52,8 @@ func TestGHSTimeComparedToSyncMST(t *testing.T) {
 	// (GHS's O(n log n) vs SYNC_MST's O(n) is a worst-case separation; on
 	// random inputs merges are balanced and SYNC_MST's constant 22
 	// dominates). We assert both stay within their paper bounds and report
-	// the measured rounds; EXPERIMENTS.md records the comparison.
+	// the measured rounds; `go run ./cmd/experiments -exp construction`
+	// tables the comparison.
 	for _, n := range []int{32, 128, 512} {
 		g := graph.RandomConnected(n, 3*n, int64(n))
 		gr, err := Run(g)

@@ -74,18 +74,6 @@ func (h *Hierarchy) FragAt(v, j int) int {
 	return h.fragAt[v][j]
 }
 
-// Chain returns the indices of all fragments containing v, by increasing
-// level.
-func (h *Hierarchy) Chain(v int) []int {
-	var out []int
-	for _, f := range h.fragAt[v] {
-		if f >= 0 {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // FragmentID is the paper's unique fragment identifier (§6): the identity of
 // the fragment's root combined with its level.
 type FragmentID struct {

@@ -11,8 +11,8 @@
 // would see on G with labels blown up by a factor O(τ) (Lemma 9.1).
 //
 // The paper uses (h,µ)-hypertrees from [54] as a black box for the hard
-// instances; per DESIGN.md substitution 2 we exercise the same code path on
-// a synthetic hard family, and experiment E8 measures how detection time
+// instances; we exercise the same code path on a synthetic hard family
+// (README § "Substitutions"), and experiment E8 measures how detection time
 // grows with τ at fixed O(log n) memory, and the time × memory product
 // across the two schemes.
 package lowerbound

@@ -105,7 +105,7 @@ func TestDirtyEpochParallelDeterminism(t *testing.T) {
 	serial := New(g, m, 1)
 	par := New(g, m, 1)
 	par.Parallel = true
-	par.ForcePool = true
+	par.Workers = PoolWorkers()
 	for r := 0; r < 12; r++ {
 		serial.StepSync()
 		par.StepSync()

@@ -44,7 +44,7 @@
 // worker; workers claim fixed-size index chunks off a shared atomic cursor
 // (dynamic load balancing, deterministic output: node i's next state does
 // not depend on which worker computes it). Each worker owns one reusable
-// View whose per-node PRNG is reseeded, not reallocated, per step.
+// View.
 //
 // Instrumentation (max state bits, alarm and termination counts) is folded
 // into the step loop as per-worker partial reductions merged once per round,
@@ -148,8 +148,6 @@ type View struct {
 	engine  *Engine
 	node    int
 	snap    []State // states visible this step (previous round if synchronous)
-	rng     *rand.Rand
-	rngOK   bool    // rng is seeded for the current (node, round)
 	scratch any     // per-View machine scratch; see MachineScratch
 	pending []int32 // in-round dirty marks (MarkChanged), flushed per round
 }
@@ -278,23 +276,6 @@ func (v *View) NeighbourhoodChangedSince(epoch int64) bool {
 // self-stabilizing protocols must not rely on it.
 func (v *View) Round() int { return v.engine.round }
 
-// Rand returns a deterministic per-node-per-round PRNG, safe under parallel
-// stepping. The generator object is reused across steps and reseeded from
-// (engine seed, node, round), so the stream a Step observes is identical no
-// matter which worker — or how many — executes it.
-func (v *View) Rand() *rand.Rand {
-	if !v.rngOK {
-		seed := v.engine.seed ^ int64(v.node)*0x1E3779B97F4A7C15 ^ int64(v.engine.round)*0x3F58476D1CE4E5B9
-		if v.rng == nil {
-			v.rng = rand.New(rand.NewSource(seed))
-		} else {
-			v.rng.Seed(seed)
-		}
-		v.rngOK = true
-	}
-	return v.rng
-}
-
 // Machine is a distributed protocol in the register model. Init produces the
 // clean-start state of a node (simultaneous wake-up); Step computes the
 // node's next state from the view, treating every state in the view as
@@ -322,10 +303,10 @@ type Machine interface {
 }
 
 // parallelThreshold is the number of nodes a round must step before
-// parallel dispatch engages (ForcePool waives it). Measured crossover: one
-// pool handoff costs on the order of a few microseconds, while a typical
-// Step runs in ~100ns, so fan-out starts paying for itself at a few hundred
-// nodes.
+// automatic parallel dispatch engages (Workers > 0 waives it). Measured
+// crossover: one pool handoff costs on the order of a few microseconds,
+// while a typical Step runs in ~100ns, so fan-out starts paying for itself
+// at a few hundred nodes.
 const parallelThreshold = 512
 
 // stepChunk is the unit of work claimed off the round cursor: large enough
@@ -347,23 +328,20 @@ type Engine struct {
 	states      []State
 	prev        []State // spare buffer; swapped with states each sync round
 	round       int
-	seed        int64
-	rng         *rand.Rand
+	rng         *rand.Rand // the asynchronous daemon's activation order
 
 	// Jitter > 0 makes the asynchronous daemon activate each node
 	// 1+Poisson-like extra times per time unit.
 	Jitter float64
-	// Parallel enables worker-pool fan-out for synchronous rounds that step
-	// at least parallelThreshold nodes on a multi-core process.
+	// Parallel enables worker-pool fan-out for synchronous rounds.
 	Parallel bool
-	// Workers caps this engine's fan-out (0 = all pool workers, i.e. the
-	// GOMAXPROCS of the process when the pool was first used).
+	// Workers selects a Parallel engine's fan-out. 0 is automatic: a round
+	// stepping at least parallelThreshold nodes on a multi-core process
+	// fans out over every pool worker (the GOMAXPROCS of the process when
+	// the pool was first used, minimum 2). k > 0 fans out over min(k, pool
+	// size) workers at any round size and on any core count, including a
+	// single-core process where it cannot win on wall-clock.
 	Workers int
-	// ForcePool makes a Parallel engine fan out at any round size and on
-	// any core count, including a single-core process where it cannot win
-	// on wall-clock. For tests and measurements that must exercise the pool
-	// (which has a minimum of 2 workers) anywhere.
-	ForcePool bool
 	// Worklist enables sparse active-set stepping for synchronous rounds
 	// when the machine implements CoastStepper (see worklist.go); machines
 	// that do not implement it step dense rounds. The choice is latched by
@@ -431,7 +409,6 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 		machine:     machine,
 		states:      make([]State, g.N()),
 		prev:        make([]State, g.N()),
-		seed:        seed,
 		rng:         rand.New(rand.NewSource(seed)),
 		alarmed:     make([]bool, g.N()),
 		done:        make([]bool, g.N()),
@@ -442,7 +419,6 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 	e.view.snap = e.states
 	for i := 0; i < g.N(); i++ {
 		e.view.node = i
-		e.view.rngOK = false
 		e.states[i] = machine.Init(&e.view)
 		e.noteState(i)
 	}
@@ -451,7 +427,9 @@ func New(g *graph.Graph, machine Machine, seed int64) *Engine {
 
 // PoolWorkers returns the size of the shared synchronous worker pool,
 // derived from runtime.GOMAXPROCS(0) at first use (minimum 2, so the
-// parallel path stays exercisable on single-core machines).
+// parallel path stays exercisable on single-core machines). Setting
+// Workers to it makes a Parallel engine fan out over the whole pool at any
+// n.
 func PoolWorkers() int {
 	ensurePool()
 	return pool.size
@@ -724,7 +702,6 @@ func flip(b bool) int {
 //ssmst:hotpath
 func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 	v.node = i
-	v.rngOK = false
 	s := e.machine.Step(v, e.stepNext[i])
 	e.stepNext[i] = s
 	alarm, done := false, false
@@ -747,25 +724,22 @@ func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 
 // fanOut returns how many pool workers a round stepping count nodes should
 // occupy; 1 means the round runs serially on the engine's own View.
-// Fan-out needs Parallel and, unless ForcePool is set, at least
+// Fan-out needs Parallel. With Workers = 0 it also needs at least
 // parallelThreshold nodes on a multi-core process (on one core it cannot
-// win); Workers and the round's chunk count cap it.
+// win) and uses every pool worker; Workers = k > 0 fans out over min(k,
+// pool size) workers unconditionally. The round's chunk count caps both.
 func (e *Engine) fanOut(count int) int {
-	if !e.Parallel || (count < parallelThreshold && !e.ForcePool) {
+	if !e.Parallel || (e.Workers == 0 && count < parallelThreshold) {
 		return 1
 	}
 	ensurePool()
-	if pool.cores < 2 && !e.ForcePool {
+	w := pool.size
+	if e.Workers > 0 {
+		w = min(w, e.Workers)
+	} else if pool.cores < 2 {
 		return 1
 	}
-	w := pool.size
-	if e.Workers > 0 && e.Workers < w {
-		w = e.Workers
-	}
-	if c := (count + stepChunk - 1) / stepChunk; c < w {
-		w = c
-	}
-	return w
+	return min(w, (count+stepChunk-1)/stepChunk)
 }
 
 // StepSync executes one synchronous round: every stepped node reads the
@@ -938,7 +912,6 @@ func (e *Engine) StepAsync() {
 	for _, node := range order {
 		v.snap = e.states
 		v.node = node
-		v.rngOK = false
 		e.states[node] = e.machine.Step(v, nil)
 		e.noteState(node)
 		e.stepsTaken++

@@ -146,10 +146,10 @@ func TestParallelDeterminism(t *testing.T) {
 	serial := New(g, minIDMachine{}, 4)
 	par := New(g, minIDMachine{}, 4)
 	par.Parallel = true
-	par.ForcePool = true // at any n, even on a single-core host
+	par.Workers = PoolWorkers() // at any n, even on a single-core host
 	inplace := New(g, minIDInPlaceMachine{}, 4)
 	inplace.Parallel = true
-	inplace.ForcePool = true
+	inplace.Workers = PoolWorkers()
 	for r := 0; r < 100; r++ {
 		serial.StepSync()
 		par.StepSync()
@@ -191,7 +191,6 @@ func TestWorkersCap(t *testing.T) {
 	serial := New(g, minIDMachine{}, 5)
 	capped := New(g, minIDMachine{}, 5)
 	capped.Parallel = true
-	capped.ForcePool = true
 	capped.Workers = 1 // degenerates to the serial path
 	for r := 0; r < 20; r++ {
 		serial.StepSync()

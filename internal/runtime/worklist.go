@@ -18,8 +18,7 @@ package runtime
 // per-node clockwork (CoastAdvance with k=1) — and provides the k-round
 // closed form of that clockwork. The verifier's coast regime (certified
 // static verdict, trains at rest, starved sampler sweep; see
-// internal/verify/coast.go) and SYNC_MST's terminated states (a literal
-// fixed point) implement it.
+// internal/verify/coast.go) implements it.
 //
 // The engine side seeds the frontier from the same dirty-epoch journal that
 // powers incremental verification:

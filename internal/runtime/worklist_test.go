@@ -151,7 +151,7 @@ func TestWorklistMatchesDense(t *testing.T) {
 	pooled := New(g, coastProbe{}, 5)
 	pooled.Worklist = true
 	pooled.Parallel = true
-	pooled.ForcePool = true // at any n, even on a single-core host
+	pooled.Workers = PoolWorkers() // at any n, even on a single-core host
 	engines := []*Engine{dense, serial, pooled}
 	names := []string{"dense", "worklist", "worklist-pool"}
 	maxBits := make([]int, len(engines))

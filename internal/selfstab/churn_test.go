@@ -28,11 +28,8 @@ func TestChurnRestabilizesToNewMST(t *testing.T) {
 		if !ok {
 			t.Fatalf("no %v mutation available", kind)
 		}
-		for i := 0; i < 40; i++ {
-			r.Step()
-			if !r.Eng.AllDone() {
-				t.Fatalf("MST-preserving churn %v knocked a node out of the check phase at round %d", ev, i+1)
-			}
+		if i, left := r.RunUntilDetect(40); left {
+			t.Fatalf("MST-preserving churn %v knocked a node out of the check phase at round %d", ev, i)
 		}
 		if !r.OutputIsMST() {
 			t.Fatalf("output is no longer the MST after MST-preserving churn %v", ev)
@@ -45,15 +42,7 @@ func TestChurnRestabilizesToNewMST(t *testing.T) {
 	if !ok {
 		t.Fatal("no weight-break mutation available")
 	}
-	detected := false
-	for i := 0; i < 2*verify.DetectionBudget(g.N()); i++ {
-		r.Step()
-		if !r.Eng.AllDone() {
-			detected = true
-			break
-		}
-	}
-	if !detected {
+	if _, detected := r.RunUntilDetect(2 * verify.DetectionBudget(g.N())); !detected {
 		t.Fatalf("MST-breaking churn %v was never detected", ev)
 	}
 	if _, ok := r.RunUntilStable(2 * r.StabilizationBudget()); !ok {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 	"ssmst/internal/verify"
 )
 
@@ -44,22 +45,14 @@ func TestIncrementalCheckPhaseDetection(t *testing.T) {
 		if !okI {
 			continue
 		}
-		detect := func(r *Runner) int {
-			budget := 2 * verify.DetectionBudget(g.N())
-			for i := 0; i < budget; i++ {
-				r.Step()
-				if !r.Eng.AllDone() {
-					return i + 1
-				}
-			}
-			return -1
-		}
-		dI, dF := detect(inc), detect(full)
-		if dI != dF {
+		budget := 2 * verify.DetectionBudget(g.N())
+		dI, detI := inc.RunUntilDetect(budget)
+		dF, detF := full.RunUntilDetect(budget)
+		if dI != dF || detI != detF {
 			t.Fatalf("trial %d: detection rounds diverged: incremental %d vs full re-check %d",
 				trial, dI, dF)
 		}
-		if dI < 0 {
+		if !detI {
 			t.Fatalf("trial %d: fault never detected", trial)
 		}
 		// Inside the transformer, too, the memoized label BitSize must keep
@@ -84,7 +77,7 @@ func TestTransformerQuietCheckPhaseFastPaths(t *testing.T) {
 	ser := NewRunner(g, g.N(), verify.Sync, 2)
 	ser.Eng.Parallel = false
 	par := NewRunner(g, g.N(), verify.Sync, 2)
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers()
 	for name, r := range map[string]*Runner{"serial": ser, "parallel": par} {
 		r.SeedStable(l)
 		r.Eng.RunSyncRounds(40)

@@ -70,7 +70,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	inplace := newEngine(g, 2, true)
 	par := newEngine(g, 2, true)
 	par.Parallel = true
-	par.ForcePool = true // at any n, even on a single-core host
+	par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
 
 	m := NewMachine(g, g.N(), verify.Sync)
 	rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200

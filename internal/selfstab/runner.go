@@ -118,6 +118,21 @@ func (r *Runner) RunUntilStable(maxRounds int) (int, bool) {
 	return maxRounds, false
 }
 
+// RunUntilDetect steps until some node leaves the check phase
+// (Engine.AllDone turning false) — the transformer's detection: the step
+// that sees an alarm starts the new epoch at once, so AnyAlarm never
+// observes it. It returns the rounds taken and whether a node left within
+// maxRounds.
+func (r *Runner) RunUntilDetect(maxRounds int) (int, bool) {
+	for i := 0; i < maxRounds; i++ {
+		r.Step()
+		if !r.Eng.AllDone() {
+			return i + 1, true
+		}
+	}
+	return maxRounds, false
+}
+
 // StabilizationBudget is the O(N) bound within which a clean run (or a run
 // from arbitrary states with one detection round-trip) must stabilize.
 func (r *Runner) StabilizationBudget() int {
@@ -138,19 +153,7 @@ func (r *Runner) SeedStable(l *verify.Labeled) { SeedChecked(r.Eng, l) }
 func SeedChecked(eng *runtime.Engine, l *verify.Labeled) {
 	g := eng.G()
 	for v := 0; v < g.N(); v++ {
-		pp := -1
-		if p := l.Tree.Parent[v]; p >= 0 {
-			pp = g.PortTo(v, p)
-		}
-		eng.SetState(v, &SState{
-			MyID:  g.ID(v),
-			Phase: PhaseCheck,
-			Check: &verify.VState{
-				MyID:       g.ID(v),
-				ParentPort: pp,
-				L:          &l.Labels[v],
-			},
-		})
+		eng.SetState(v, &SState{MyID: g.ID(v), Phase: PhaseCheck, Check: l.NodeState(v)})
 	}
 }
 
@@ -186,10 +189,8 @@ func (r *Runner) Scramble(rng *rand.Rand) {
 
 // InjectCheckFault applies a mutation to node v's installed verifier state
 // (check phase only); f reports whether it changed anything. Detection
-// inside the transformer is observed as the node leaving the check phase
-// (Engine.AllDone turning false): the step that sees the alarm atomically
-// starts the new epoch, so the alarmed verifier state itself is never
-// visible between rounds.
+// inside the transformer is a node leaving the check phase; see
+// RunUntilDetect.
 func (r *Runner) InjectCheckFault(v int, f func(*verify.VState) bool) bool {
 	st, ok := r.Eng.State(v).(*SState)
 	if !ok || st.Phase != PhaseCheck || st.Check == nil {

@@ -19,8 +19,8 @@
 //	          is SYNC_MST plus label-writing actions (Lemma 5.4) and three
 //	          multi-waves (§6.3); this implementation computes the labels
 //	          with an engine-level oracle and charges the phase the
-//	          corresponding O(n) rounds (Corollary 6.11) — see DESIGN.md,
-//	          substitution 3.
+//	          corresponding O(n) rounds (Corollary 6.11) — see README
+//	          § "Substitutions".
 //	Check   — the verifier runs forever (it is itself self-stabilizing and
 //	          asynchrony-tolerant, so it needs no synchronizer); any alarm
 //	          starts a new epoch. The embedded verifier is incremental: its
@@ -170,7 +170,7 @@ var (
 // Machine is the transformer register program.
 type Machine struct {
 	G    *graph.Graph
-	N    int // polynomial upper bound on n (substitution 3 of DESIGN.md)
+	N    int // polynomial upper bound on n (README § "Substitutions")
 	Mode verify.Mode
 
 	verifier *verify.Machine
@@ -457,15 +457,7 @@ func (m *Machine) installLabels(node int, s *SState) *verify.VState {
 	if l == nil {
 		return poisonState(s.MyID)
 	}
-	pp := -1
-	if p := l.Tree.Parent[node]; p >= 0 {
-		pp = m.G.PortTo(node, p)
-	}
-	return &verify.VState{
-		MyID:       s.MyID,
-		ParentPort: pp,
-		L:          &l.Labels[node],
-	}
+	return l.NodeState(node)
 }
 
 // oracle computes (once per epoch) the labels for the currently built tree.

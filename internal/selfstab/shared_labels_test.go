@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 	"ssmst/internal/verify"
 )
 
@@ -24,7 +25,7 @@ func TestSharedLabelsStayPristine(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewRunner(g, g.N(), verify.Sync, 3)
-	r.Eng.ForcePool = true
+	r.Eng.Workers = runtime.PoolWorkers()
 	r.SeedStable(l)
 	r.Eng.RunSyncRounds(16)
 	if !r.Stabilized() {

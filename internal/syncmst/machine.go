@@ -31,9 +31,6 @@ func PhaseOf(r int) int {
 	return p
 }
 
-// PhaseStart returns the first round of phase p.
-func PhaseStart(p int) int { return 11 * (1 << uint(p)) }
-
 // State is the register content of one SYNC_MST node.
 type State struct {
 	MyID graph.NodeID // the node's identity, published for neighbours
@@ -137,24 +134,7 @@ type NodeView interface {
 // Machine is the SYNC_MST register program.
 type Machine struct{}
 
-var (
-	_ runtime.Machine      = Machine{}
-	_ runtime.CoastStepper = Machine{}
-)
-
-// Quiescent implements runtime.CoastStepper: a Finished state is a literal
-// fixed point — StepCoreInto returns it unchanged regardless of the
-// neighbourhood — so a worklist engine may skip it outright.
-func (Machine) Quiescent(st runtime.State) bool {
-	s, ok := st.(*State)
-	return ok && s.Finished
-}
-
-// CoastAdvance implements runtime.CoastStepper: a Finished state carries no
-// clockwork, so replaying k skipped rounds is the identity.
-//
-//ssmst:coastpure
-func (Machine) CoastAdvance(st runtime.State, deg, k int) {}
+var _ runtime.Machine = Machine{}
 
 // NewState produces the clean simultaneous-wake-up state: the node is the
 // root of its own singleton fragment at level 0.

@@ -8,9 +8,9 @@ import (
 
 // TestMachine runs the two trains of every node in isolation (no sampler,
 // no string verification) over a marker-labeled tree. The full verifier of
-// internal/verify embeds the same Step logic; this machine exists so the
+// internal/verify embeds the same StepInto logic; this machine exists so the
 // train's delivery, timing and self-stabilization properties (Theorem 7.1,
-// experiment E11) can be tested and benchmarked on their own.
+// experiment E11) can be tested on their own.
 type TestMachine struct {
 	Tree    *graph.Tree
 	Labels  []NodeLabels
@@ -74,11 +74,10 @@ func (m *TestMachine) Step(v *runtime.View, _ runtime.State) runtime.State {
 				L: pickLabels(&m.Labels[c], top),
 			})
 		}
-		res := Step(oldT, ctx)
 		if top {
-			next.TopS = *res
+			StepInto(&next.TopS, oldT, ctx)
 		} else {
-			next.BotS = *res
+			StepInto(&next.BotS, oldT, ctx)
 		}
 	}
 	return next
@@ -98,14 +97,9 @@ func pickLabels(l *NodeLabels, top bool) *Labels {
 	return &l.Bottom
 }
 
-// NeededLevels returns the level sets JTop(v) and JBottom(v) a node must see
-// on each train, derived from its strings and the delimiter.
-func NeededLevels(s *hierarchy.Strings, n int) (topLevels, bottomLevels []int) {
-	return AppendNeededLevels(nil, nil, s, n)
-}
-
-// AppendNeededLevels is NeededLevels appending into caller-provided slices
-// (pass x[:0] to reuse capacity); the zero-allocation step path uses it.
+// AppendNeededLevels appends the level sets JTop(v) and JBottom(v) a node
+// must see on each train, derived from its strings and the delimiter, to
+// caller-provided slices (pass x[:0] to reuse capacity).
 func AppendNeededLevels(topDst, bottomDst []int, s *hierarchy.Strings, n int) (topLevels, bottomLevels []int) {
 	split := LevelSplit(n)
 	for j := 0; j < s.Levels(); j++ {

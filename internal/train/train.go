@@ -122,17 +122,9 @@ func inPart(c *Ctx, p *PeerTrain) bool {
 	return p != nil && p.L != nil && p.S != nil && p.L.PartRootID == c.Lab.PartRootID
 }
 
-// Step computes the next train state. It never mutates its inputs.
-func Step(old *State, c *Ctx) *State {
-	s := new(State)
-	StepInto(s, old, c)
-	return s
-}
-
-// StepInto computes the next train state into dst — the recycled-memory
-// variant of Step (State has no reference fields, so recycling is a plain
-// overwrite). dst must not alias old or any peer state reachable from c.
-// Inputs are never mutated.
+// StepInto computes the next train state into dst (State has no reference
+// fields, so recycling is a plain overwrite). dst must not alias old or any
+// peer state reachable from c. Inputs are never mutated.
 //
 //ssmst:hotpath
 func StepInto(dst *State, old *State, c *Ctx) {

@@ -148,7 +148,7 @@ func coverageTime(t *testing.T, f *fixture, maxRounds int, async bool, seed int6
 	needBot := make([]map[int]bool, n)
 	remaining := 0
 	for v := 0; v < n; v++ {
-		topL, botL := NeededLevels(&f.strings[v], n)
+		topL, botL := AppendNeededLevels(nil, nil, &f.strings[v], n)
 		needTop[v] = map[int]bool{}
 		needBot[v] = map[int]bool{}
 		for _, j := range topL {
@@ -361,7 +361,7 @@ func TestTrainDeliveryProperty(t *testing.T) {
 		needTop := make([]map[int]bool, n)
 		needBot := make([]map[int]bool, n)
 		for v := 0; v < n; v++ {
-			topL, botL := NeededLevels(&machine.Strings[v], n)
+			topL, botL := AppendNeededLevels(nil, nil, &machine.Strings[v], n)
 			needTop[v], needBot[v] = map[int]bool{}, map[int]bool{}
 			for _, j := range topL {
 				needTop[v][j] = true

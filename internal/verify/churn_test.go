@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
 // churnRunners builds the three configurations every churn assertion runs
@@ -22,7 +23,7 @@ func churnRunners(t *testing.T, n, m int, seed int64) (*graph.Graph, *Labeled, *
 	inc := NewRunner(l, Sync, 3)
 	inc.Eng.Parallel = false
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers()
 	full := NewFullRecheckRunner(l, Sync, 3)
 	full.Eng.Parallel = false
 	return g, l, inc, par, full

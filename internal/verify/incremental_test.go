@@ -38,7 +38,7 @@ func TestIncrementalMatchesFullRecheck(t *testing.T) {
 	inc := NewRunner(l, Sync, 3)
 	inc.Eng.Parallel = false
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ForcePool = true
+	par.Eng.Workers = runtime.PoolWorkers()
 	full := NewFullRecheckRunner(l, Sync, 3)
 	full.Eng.Parallel = false
 	runners := []*Runner{inc, par, full}

@@ -35,7 +35,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	inplace := runtime.New(g, m, 3)
 	par := runtime.New(g, m, 3)
 	par.Parallel = true
-	par.ForcePool = true // at any n, even on a single-core host
+	par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
 	engines := []*runtime.Engine{fresh, inplace, par}
 
 	compare := func(r int) {

@@ -350,16 +350,7 @@ func (a runtimeView) MarkLabelsChanged() { a.v.MarkChanged() }
 
 // Init installs the marker's labels and the component structure.
 func (m *Machine) Init(v *runtime.View) runtime.State {
-	node := v.Node()
-	pp := -1
-	if p := m.Labeled.Tree.Parent[node]; p >= 0 {
-		pp = m.Labeled.G.PortTo(node, p)
-	}
-	return &VState{
-		MyID:       v.ID(),
-		ParentPort: pp,
-		L:          &m.Labeled.Labels[node],
-	}
+	return m.Labeled.NodeState(v.Node())
 }
 
 // Scratch holds the reusable per-worker temporaries of one verifier step:

@@ -105,8 +105,11 @@ type Labeled struct {
 
 // Mark runs the full marker on a graph: construct the MST with SYNC_MST,
 // slice it into the hierarchy, build partitions, place pieces, and emit
-// every label layer.
+// every label layer. A graph of fewer than 2 nodes is an error.
 func Mark(g *graph.Graph) (*Labeled, error) {
+	if err := checkMarkable(g); err != nil {
+		return nil, err
+	}
 	res, err := syncmst.Simulate(g)
 	if err != nil {
 		return nil, fmt.Errorf("verify: construction: %w", err)
@@ -120,9 +123,12 @@ func Mark(g *graph.Graph) (*Labeled, error) {
 // given tree would produce. Verification of the result must reject unless
 // the tree is an MST. overrideOmega selects what the pieces claim as ω̂(F):
 // the true minimum outgoing weight in G (false — C1 then catches non-MSTs)
-// or the candidate's own weight (true — C2 then catches them). A tree edge
-// id outside [0, g.M()) is an error naming the first such id.
+// or the candidate's own weight (true — C2 then catches them). A graph of
+// fewer than 2 nodes, or a tree edge id outside [0, g.M()), is an error.
 func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, error) {
+	if err := checkMarkable(g); err != nil {
+		return nil, err
+	}
 	for _, e := range treeEdges {
 		if e < 0 || e >= g.M() {
 			return nil, fmt.Errorf("verify: tree edge id %d out of range [0, %d)", e, g.M())
@@ -174,6 +180,16 @@ func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, er
 	return markHierarchy(g, tree, h, res.Rounds)
 }
 
+// checkMarkable rejects graphs the scheme cannot label: the partition of §6
+// needs a tree edge, and the verifier rejects a claimed n < 2 outright
+// (AlarmSize).
+func checkMarkable(g *graph.Graph) error {
+	if g.N() < 2 {
+		return fmt.Errorf("verify: marking needs at least 2 nodes (n=%d)", g.N())
+	}
+	return nil
+}
+
 func idsOf(g *graph.Graph) []graph.NodeID {
 	ids := make([]graph.NodeID, g.N())
 	for v := range ids {
@@ -203,6 +219,17 @@ func markHierarchy(g *graph.Graph, tree *graph.Tree, h *hierarchy.Hierarchy, rou
 		Labels:           labels,
 		ConstructionTime: partition.MarkerTime(h, rounds, parts),
 	}, nil
+}
+
+// NodeState returns node v's verifier state in the marked instance: its
+// identity, its parent port on the marked tree (-1 at the root) and its
+// label block, shared by reference.
+func (l *Labeled) NodeState(v int) *VState {
+	pp := -1
+	if p := l.Tree.Parent[v]; p >= 0 {
+		pp = l.G.PortTo(v, p)
+	}
+	return &VState{MyID: l.G.ID(v), ParentPort: pp, L: &l.Labels[v]}
 }
 
 // MaxLabelBits returns the largest label block over all nodes.

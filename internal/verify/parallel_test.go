@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
 // TestParallelVerifierMatchesSerial forces worker-pool fan-out on the real
@@ -21,7 +22,7 @@ func TestParallelVerifierMatchesSerial(t *testing.T) {
 	serial := NewRunner(l, Sync, 3)
 	serial.Eng.Parallel = false
 	par := NewRunner(l, Sync, 3)
-	par.Eng.ForcePool = true // at any n, even on a single-core host
+	par.Eng.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
 	for r := 0; r < 60; r++ {
 		serial.Step()
 		par.Step()

@@ -25,7 +25,8 @@ type Runner struct {
 // two-rounds-old state without allocating, and re-check the static label
 // layers only when the engine's change tracking reports a neighbourhood
 // label change (incremental verification; bit-identical to
-// NewFullRecheckRunner).
+// NewFullRecheckRunner). Like every runner constructor, it panics on a nil
+// l.
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
 	return newRunner(l, mode, seed, false)
 }
@@ -40,6 +41,9 @@ func NewFullRecheckRunner(l *Labeled, mode Mode, seed int64) *Runner {
 }
 
 func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
+	if l == nil {
+		panic("verify: runner built on a nil *Labeled; mark the instance first (Mark or MarkTree)")
+	}
 	m := &Machine{Mode: mode, Labeled: l, FullRecheck: fullRecheck}
 	eng := runtime.New(l.G, m, seed)
 	eng.Parallel = true

@@ -20,7 +20,7 @@ import (
 
 // poolRunner forces r's synchronous rounds onto the worker pool.
 func poolRunner(r *Runner) *Runner {
-	r.Eng.ForcePool = true
+	r.Eng.Workers = runtime.PoolWorkers()
 	return r
 }
 

@@ -151,6 +151,46 @@ func TestMarkTreeRejectsBadEdgeIDs(t *testing.T) {
 	}
 }
 
+// TestMarkRejectsTinyGraphs: below 2 nodes there is nothing to partition,
+// and the verifier rejects such a network outright, so both markers say so
+// instead of failing deep inside the partitioner.
+func TestMarkRejectsTinyGraphs(t *testing.T) {
+	for n := 0; n < 2; n++ {
+		g := graph.New(n, nil)
+		for name, mark := range map[string]func() (*Labeled, error){
+			"Mark":     func() (*Labeled, error) { return Mark(g) },
+			"MarkTree": func() (*Labeled, error) { return MarkTree(g, nil, false) },
+		} {
+			l, err := mark()
+			if err == nil || l != nil {
+				t.Fatalf("%s n=%d: got (%v, %v), want an error", name, n, l, err)
+			}
+			if !strings.Contains(err.Error(), "at least 2 nodes") {
+				t.Fatalf("%s n=%d: error %q does not say why", name, n, err)
+			}
+		}
+	}
+}
+
+// TestRunnersRejectNilLabeled: every runner constructor names the nil
+// marked instance instead of dereferencing it.
+func TestRunnersRejectNilLabeled(t *testing.T) {
+	for name, build := range map[string]func(){
+		"NewRunner":            func() { NewRunner(nil, Sync, 1) },
+		"NewWorklistRunner":    func() { NewWorklistRunner(nil, 1) },
+		"NewFullRecheckRunner": func() { NewFullRecheckRunner(nil, Async, 1) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "nil *Labeled") {
+					t.Errorf("%s(nil): panic %q does not name the nil *Labeled", name, msg)
+				}
+			}()
+			build()
+		}()
+	}
+}
+
 // TestDetectsEveryFaultKind: every fault in the menu is detected within the
 // budget (after the instance had stabilized), and transient train faults
 // recover without permanent alarms.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/runtime"
 )
 
 // worklistParity is the differential battery locking the worklist engine to
@@ -37,7 +38,7 @@ func parityRunners(l *Labeled, seed int64, parallel bool) (*Runner, *Runner) {
 	dense.Eng.Parallel = false
 	wl := NewWorklistRunner(l, seed)
 	if parallel {
-		wl.Eng.ForcePool = true
+		wl.Eng.Workers = runtime.PoolWorkers()
 	} else {
 		wl.Eng.Parallel = false
 	}

@@ -16,7 +16,8 @@
 package ssmst
 
 import (
-	"math/rand"
+	"errors"
+	"fmt"
 	"sort"
 
 	"ssmst/internal/graph"
@@ -29,15 +30,11 @@ import (
 
 // Engine is the double-buffered stepping engine that executes register
 // protocols (runners expose theirs as Eng). Tuning knobs: Parallel enables
-// worker-pool fan-out for synchronous rounds of at least a few hundred
-// nodes on a multi-core process, Workers caps it, and ForcePool makes it
-// fan out at any n on any core count. Parallel stepping is bit-identical
-// to serial stepping.
+// worker-pool fan-out for synchronous rounds; with Workers = 0 it engages
+// for rounds of at least a few hundred nodes on a multi-core process, and
+// Workers = k > 0 fans out over up to k pool workers at any n on any core
+// count. Parallel stepping is bit-identical to serial stepping.
 type Engine = runtime.Engine
-
-// PoolWorkers reports the size of the shared synchronous worker pool
-// (GOMAXPROCS at first use).
-func PoolWorkers() int { return runtime.PoolWorkers() }
 
 // Graph is an undirected edge-weighted network with unique node identities
 // and per-node port numbering (§2.1).
@@ -101,17 +98,9 @@ func MarkTree(g *Graph, treeEdges []int) (*Labeled, error) {
 // verdict is replayed until the engine's change tracking reports a
 // neighbourhood label change, so a quiet round costs the dynamic
 // train/sampler work plus one O(Δ) change probe rather than the full label
-// check.
+// check. A nil l panics.
 func NewVerifier(l *Labeled, mode Mode, seed int64) *Verifier {
 	return verify.NewRunner(l, mode, seed)
-}
-
-// NewVerifierFullRecheck is NewVerifier with incremental verification
-// disabled: every round re-checks all label layers from scratch. The
-// reference configuration incremental runs are measured against; the two
-// are bit-identical in every protocol-visible field.
-func NewVerifierFullRecheck(l *Labeled, mode Mode, seed int64) *Verifier {
-	return verify.NewFullRecheckRunner(l, mode, seed)
 }
 
 // NewVerifierWorklist is NewVerifier (Sync only) with the coasting regime
@@ -132,17 +121,16 @@ func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 // NewSelfStabilizing builds a self-stabilizing MST run; bound is the
 // polynomial upper bound on n assumed by the reset substrate. Rounds
 // recycle each node's two-rounds-old state and allocate nothing within a
-// phase.
-func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
-	return selfstab.NewRunner(g, bound, mode, seed)
-}
-
-// NewSelfStabilizingFullRecheck is NewSelfStabilizing with the embedded
-// verifier's incremental memoization disabled (the check phase re-checks
-// every label layer every round) — the reference configuration for
-// cross-checking the incremental transformer.
-func NewSelfStabilizingFullRecheck(g *Graph, bound int, mode Mode, seed int64) *SelfStabilizing {
-	return selfstab.NewFullRecheckRunner(g, bound, mode, seed)
+// phase. A disconnected graph has no spanning tree to stabilize to, and a
+// bound below g.N() breaks the substrate's timing: both are errors.
+func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) (*SelfStabilizing, error) {
+	if !g.Connected() {
+		return nil, errors.New("ssmst: NewSelfStabilizing: graph is disconnected; it has no spanning tree")
+	}
+	if bound < g.N() {
+		return nil, fmt.Errorf("ssmst: NewSelfStabilizing: bound %d is below n=%d", bound, g.N())
+	}
+	return selfstab.NewRunner(g, bound, mode, seed), nil
 }
 
 // ChurnKind selects a topology-mutation fault: live weight perturbation,
@@ -169,26 +157,9 @@ const NumChurnKinds = verify.NumChurnKinds
 
 // ParseChurnKind resolves a churn kind by its canonical name ("weight-keep",
 // "weight-break", "cut", "add-heavy", "add-light"); ok is false for unknown
-// names. CLI menus parse against this single table.
+// names. CLI menus parse against this single table. Verifier and
+// SelfStabilizing both apply a churn event with their ApplyChurn method.
 func ParseChurnKind(name string) (ChurnKind, bool) { return verify.ParseChurnKind(name) }
-
-// ChurnTarget is any runner that accepts live topology mutations — both
-// Verifier and SelfStabilizing do.
-type ChurnTarget interface {
-	ApplyChurn(kind ChurnKind, rng *rand.Rand) (ChurnEvent, bool)
-}
-
-// ApplyChurn plans a churn event of the given kind against the tree the
-// runner currently verifies (or outputs) and applies it through the
-// engine's topology-mutation path: the CSR adjacency is re-synced,
-// port-indexed protocol state is remapped under port compaction, and the
-// touched neighbourhoods' memo caches and dirty epochs are invalidated so
-// incremental verification stays bit-identical to a full re-check. It
-// reports the event and whether one was applied (a given kind may be
-// unavailable — e.g. no non-tree edge to cut).
-func ApplyChurn(r ChurnTarget, kind ChurnKind, rng *rand.Rand) (ChurnEvent, bool) {
-	return r.ApplyChurn(kind, rng)
-}
 
 // IsMST reports whether the edge set is the minimum spanning tree of g.
 func IsMST(g *Graph, edges []int) bool {

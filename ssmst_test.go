@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+
+	"ssmst/internal/graph"
 )
 
 func TestFacadePipeline(t *testing.T) {
@@ -61,12 +63,35 @@ func TestFacadeMarkTreeRejectsBadEdgeIDs(t *testing.T) {
 
 func TestFacadeSelfStabilizing(t *testing.T) {
 	g := RandomGraph(12, 30, 7)
-	r := NewSelfStabilizing(g, g.N(), Sync, 2)
+	r, err := NewSelfStabilizing(g, g.N(), Sync, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, ok := r.RunUntilStable(r.StabilizationBudget()); !ok {
 		t.Fatal("did not stabilize")
 	}
 	if !r.OutputIsMST() {
 		t.Fatal("output not MST")
+	}
+}
+
+// TestFacadeSelfStabilizingRejectsBadInput: a disconnected graph never
+// stabilizes and a bound below n breaks the reset substrate's timing, so
+// both are errors instead of a run that silently never converges.
+func TestFacadeSelfStabilizingRejectsBadInput(t *testing.T) {
+	split := graph.New(4, nil) // two components: 0–1 and 2–3
+	split.MustAddEdge(0, 1, 1)
+	split.MustAddEdge(2, 3, 2)
+	if r, err := NewSelfStabilizing(split, split.N(), Sync, 1); err == nil || r != nil {
+		t.Fatalf("disconnected graph: got (%v, %v), want an error", r, err)
+	}
+	g := RandomGraph(12, 30, 7)
+	r, err := NewSelfStabilizing(g, g.N()-1, Sync, 1)
+	if err == nil || r != nil {
+		t.Fatalf("bound n-1: got (%v, %v), want an error", r, err)
+	}
+	if !strings.Contains(err.Error(), "bound 11") {
+		t.Fatalf("bound n-1: error %q does not name the bound", err)
 	}
 }
 
