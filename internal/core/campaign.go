@@ -128,7 +128,7 @@ func RunCampaign(spec CampaignSpec) (CampaignResult, error) {
 		if err != nil {
 			return res, err
 		}
-		if res.OracleMST, err = crossCheck(g, parentEdges(l.Tree)); err != nil {
+		if res.OracleMST, err = crossCheck(g, l.Tree.EdgeSet()); err != nil {
 			return res, err
 		}
 		r := verify.NewRunner(l, verify.Sync, sEngine)
@@ -301,19 +301,6 @@ func sc2waves(sc string) int {
 		return 4
 	}
 	return 0
-}
-
-// parentEdges collects a tree's edge set from its parent-edge pointers —
-// valid while the underlying graph is unmutated (churn scenarios resolve
-// through Runner.TreeEdges instead, which survives index compaction).
-func parentEdges(tr *graph.Tree) []int {
-	edges := make([]int, 0, len(tr.ParentEdge)-1)
-	for _, e := range tr.ParentEdge {
-		if e >= 0 {
-			edges = append(edges, e)
-		}
-	}
-	return edges
 }
 
 // hashName folds a scenario name into a SubSeed path element.

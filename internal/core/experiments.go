@@ -7,6 +7,7 @@ import (
 	"fmt"
 	mbits "math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"time"
 
@@ -670,12 +671,8 @@ func log2floor(n int) int {
 }
 
 func median(xs []int) int {
-	s := append([]int(nil), xs...)
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
 	return s[len(s)/2]
 }
 

@@ -13,6 +13,7 @@ package ghs
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ssmst/internal/graph"
 )
@@ -47,9 +48,24 @@ func Run(g *graph.Graph) (*Result, error) {
 	n := g.N()
 	frags := make([]*fragment, n)
 	fragOf := make([]int, n)
+	// hook[fi] is the fragment fi hooks into this pass over edgeOf[fi] (fi
+	// itself for a fragment that does not hook); find resolves it to the
+	// group's sink.
+	hook := make([]int, n)
+	edgeOf := make([]int, n)
 	for v := 0; v < n; v++ {
 		frags[v] = &fragment{nodes: []int{v}, root: v}
 		fragOf[v] = v
+	}
+	find := func(x int) int {
+		r := x
+		for hook[r] != r {
+			r = hook[r]
+		}
+		for hook[x] != r {
+			hook[x], x = r, hook[x]
+		}
+		return r
 	}
 	var treeEdges []int
 	rounds := 0
@@ -60,16 +76,13 @@ func Run(g *graph.Graph) (*Result, error) {
 		// its minimum outgoing edge and either merges (equal level, same
 		// edge) or is absorbed by the higher-level fragment it points at.
 		minLevel := 1 << 30
-		for _, f := range frags {
+		for fi, f := range frags {
+			hook[fi] = fi
 			if f != nil && f.level < minLevel {
 				minLevel = f.level
 			}
 		}
-		type choice struct {
-			frag int
-			edge int
-		}
-		var choices []choice
+		hooked := false
 		for fi, f := range frags {
 			if f == nil || f.level != minLevel {
 				continue
@@ -88,121 +101,68 @@ func Run(g *graph.Graph) (*Result, error) {
 			if best < 0 {
 				continue
 			}
-			choices = append(choices, choice{fi, best})
+			// Fragment fi hooks into the fragment across its chosen edge.
+			ed := g.Edge(best)
+			target := fragOf[ed.U]
+			if target == fi {
+				target = fragOf[ed.V]
+			}
+			hook[fi], edgeOf[fi] = target, best
+			treeEdges = append(treeEdges, best)
+			hooked = true
 		}
-		if len(choices) == 0 {
+		if !hooked {
 			// All minimum-level fragments are spanning or blocked: the
 			// remaining fragment spans the graph.
 			break
 		}
-		// Apply merges: fragment fi hooks into the fragment across its
-		// chosen edge; equal-level mutual pairs raise the level.
-		hooked := map[int]int{}
-		edgeOf := map[int]int{}
-		for _, c := range choices {
-			ed := g.Edge(c.edge)
-			target := fragOf[ed.U]
-			if target == c.frag {
-				target = fragOf[ed.V]
-			}
-			hooked[c.frag] = target
-			edgeOf[c.frag] = c.edge
-			treeEdges = append(treeEdges, c.edge)
-		}
 		// Break mutual pairs (the only possible cycles, by the decreasing-
 		// weight argument of §4.1): the fragment with the larger root
 		// identity wins and does not hook.
-		for fi, target := range hooked {
-			if t2, ok := hooked[target]; ok && t2 == fi && edgeOf[fi] == edgeOf[target] {
+		for fi, target := range hook {
+			if target != fi && hook[target] == fi && edgeOf[fi] == edgeOf[target] {
 				winner := fi
 				if g.ID(frags[target].root) > g.ID(frags[fi].root) {
 					winner = target
 				}
-				delete(hooked, winner)
+				hook[winner] = winner
 			}
 		}
-		find := func(x int) int {
-			for i := 0; i < n+2; i++ {
-				t, ok := hooked[x]
-				if !ok {
-					return x
-				}
-				x = t
-			}
-			return x
-		}
-		groups := map[int][]int{}
-		for fi, f := range frags {
-			if f != nil {
-				groups[find(fi)] = append(groups[find(fi)], fi)
-			}
-		}
+		// Each group merges into its sink. Only minimum-level fragments
+		// hook, so a sink at the minimum level won a mutual merge of
+		// equal-level fragments, which raises the level.
 		largest := 1
-		for sink, members := range groups {
-			if len(members) == 1 {
+		for fi, f := range frags {
+			if f == nil || hook[fi] == fi {
 				continue
 			}
-			merged := &fragment{root: frags[sink].root}
-			lvl := 0
-			for _, fi := range members {
-				merged.nodes = append(merged.nodes, frags[fi].nodes...)
-				if frags[fi].level > lvl {
-					lvl = frags[fi].level
-				}
+			si := find(fi)
+			sink := frags[si]
+			if sink.level == minLevel {
+				sink.level++
 			}
-			// A mutual merge of equal-level fragments raises the level.
-			equal := 0
-			for _, fi := range members {
-				if frags[fi].level == lvl {
-					equal++
-				}
+			if sink.level > maxLevel {
+				maxLevel = sink.level
 			}
-			if equal >= 2 {
-				lvl++
+			sink.nodes = append(sink.nodes, f.nodes...)
+			for _, v := range f.nodes {
+				fragOf[v] = si
 			}
-			merged.level = lvl
-			if lvl > maxLevel {
-				maxLevel = lvl
+			if len(sink.nodes) > largest {
+				largest = len(sink.nodes)
 			}
-			for _, fi := range members {
-				if fi != sink {
-					frags[fi] = nil
-					live--
-				}
-			}
-			frags[sink] = merged
-			for _, v := range merged.nodes {
-				fragOf[v] = sink
-			}
-			if len(merged.nodes) > largest {
-				largest = len(merged.nodes)
-			}
+			frags[fi] = nil
+			live--
 		}
 		// Ideal time of the pass: find/found/change-root waves walk the
 		// largest resulting fragment, plus the test/accept exchange.
 		rounds += 3*largest + 2
 	}
-	treeEdges = dedupe(treeEdges)
+	// Both sides of a mutual pair chose the shared edge.
+	slices.Sort(treeEdges)
+	treeEdges = slices.Compact(treeEdges)
 	if len(treeEdges) != n-1 {
 		return nil, fmt.Errorf("ghs: %d tree edges for %d nodes", len(treeEdges), n)
 	}
 	return &Result{TreeEdges: treeEdges, Rounds: rounds, Levels: maxLevel}, nil
-}
-
-func dedupe(xs []int) []int {
-	seen := map[int]bool{}
-	out := xs[:0]
-	for _, x := range xs {
-		if !seen[x] {
-			seen[x] = true
-			out = append(out, x)
-		}
-	}
-	// sort ascending
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

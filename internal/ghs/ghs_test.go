@@ -1,6 +1,8 @@
 package ghs
 
 import (
+	"fmt"
+	"hash/fnv"
 	"testing"
 
 	"ssmst/internal/graph"
@@ -83,5 +85,41 @@ func TestGHSRejectsBadInput(t *testing.T) {
 	g.MustAddEdge(0, 1, 1)
 	if _, err := Run(g); err == nil {
 		t.Fatal("disconnected accepted")
+	}
+}
+
+// TestGHSPins pins Run's output on every campaign family at two sizes: the
+// tree edge list (hashed with FNV-64a), the ideal-time rounds and the level
+// count, recorded before Run was rewritten.
+func TestGHSPins(t *testing.T) {
+	for _, tc := range []struct {
+		family         string
+		n              int
+		edges          uint64
+		rounds, levels int
+	}{
+		{"random", 256, 0xc1d06a9936381f78, 1289, 4},
+		{"random", 1024, 0x6a0ee61f76980ff2, 4205, 4},
+		{"powerlaw", 256, 0x0fd4ae0a09b4a199, 1646, 4},
+		{"powerlaw", 1024, 0x5f2fb32e6777ba07, 6884, 4},
+		{"geometric", 256, 0x4d58af4e5a18687e, 1555, 5},
+		{"geometric", 1024, 0xe13ff86d1056949d, 5637, 6},
+		{"highgirth", 256, 0x376137dc797e9bb1, 1343, 4},
+		{"highgirth", 1024, 0xa9671c741dd0b9dd, 4130, 4},
+	} {
+		g, err := graph.ByFamily(tc.family, tc.n, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Run(g)
+		if err != nil {
+			t.Fatalf("%s n=%d: %v", tc.family, tc.n, err)
+		}
+		h := fnv.New64a()
+		fmt.Fprint(h, res.TreeEdges)
+		if got := h.Sum64(); got != tc.edges || res.Rounds != tc.rounds || res.Levels != tc.levels {
+			t.Errorf("%s n=%d: edges %#x rounds %d levels %d, want %#x %d %d",
+				tc.family, tc.n, got, res.Rounds, res.Levels, tc.edges, tc.rounds, tc.levels)
+		}
 	}
 }

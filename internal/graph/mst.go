@@ -223,8 +223,8 @@ func IsMST(g *Graph, edges []int, less EdgeOrder) bool {
 
 // FragmentMinOutEdge returns the minimum outgoing edge (under less) of the
 // node set frag (given as a membership predicate over node indices), or -1
-// if no outgoing edge exists. Used as the oracle against which distributed
-// minimum-outgoing-edge searches are tested.
+// if no outgoing edge exists. It scans every edge, so it is the oracle
+// against which the marker's per-fragment ω(F) is tested.
 func FragmentMinOutEdge(g *Graph, member func(v int) bool, less EdgeOrder) int {
 	best := -1
 	for e := 0; e < g.M(); e++ {

@@ -3,12 +3,14 @@ package graph
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Tree is a rooted spanning tree of a graph, represented distributively as
 // the paper's components c(v): each non-root node stores a single parent
-// pointer (§2.1). Tree additionally caches children lists, depths, subtree
-// sizes and a DFS order, which the marker algorithms consume.
+// pointer (§2.1). Tree additionally caches children lists (read off each
+// parent's port list, in port order), depths, subtree sizes and a DFS
+// order, which the marker algorithms consume.
 type Tree struct {
 	G          *Graph
 	Root       int
@@ -47,12 +49,15 @@ func NewTree(g *Graph, root int, parent []int) (*Tree, error) {
 			return nil, fmt.Errorf("graph: node %d parent %d not adjacent", v, p)
 		}
 		t.ParentEdge[v] = e
-		t.children[p] = append(t.children[p], v)
 	}
 	// Children in port order at the parent, so DFS order is reproducible
 	// from local information only (as the distributed DFS of §6.3.6 is).
 	for v := range t.children {
-		t.sortChildrenByPort(v)
+		for _, h := range g.Ports(v) {
+			if t.Parent[h.Peer] == v {
+				t.children[v] = append(t.children[v], h.Peer)
+			}
+		}
 	}
 	t.depth = make([]int, g.N())
 	t.size = make([]int, g.N())
@@ -65,16 +70,6 @@ func NewTree(g *Graph, root int, parent []int) (*Tree, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-func (t *Tree) sortChildrenByPort(v int) {
-	ch := t.children[v]
-	// insertion sort by port number at v (children lists are short).
-	for i := 1; i < len(ch); i++ {
-		for j := i; j > 0 && t.G.PortTo(v, ch[j]) < t.G.PortTo(v, ch[j-1]); j-- {
-			ch[j], ch[j-1] = ch[j-1], ch[j]
-		}
-	}
 }
 
 func (t *Tree) computeOrders() error {
@@ -147,34 +142,8 @@ func (t *Tree) EdgeSet() []int {
 			es = append(es, e)
 		}
 	}
-	// counting-sortish: small slices, plain sort is fine
-	for i := 1; i < len(es); i++ {
-		for j := i; j > 0 && es[j] < es[j-1]; j-- {
-			es[j], es[j-1] = es[j-1], es[j]
-		}
-	}
+	slices.Sort(es)
 	return es
-}
-
-// IsAncestor reports whether a is an ancestor of v (or equal).
-func (t *Tree) IsAncestor(a, v int) bool {
-	for v != -1 {
-		if v == a {
-			return true
-		}
-		v = t.Parent[v]
-	}
-	return false
-}
-
-// PathToRoot returns v, parent(v), ..., root.
-func (t *Tree) PathToRoot(v int) []int {
-	var path []int
-	for v != -1 {
-		path = append(path, v)
-		v = t.Parent[v]
-	}
-	return path
 }
 
 // TreeFromEdges roots the given spanning-tree edge set at root and returns

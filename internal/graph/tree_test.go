@@ -67,25 +67,6 @@ func TestTreeDFSOrderFollowsPorts(t *testing.T) {
 	}
 }
 
-func TestTreeAncestorAndPath(t *testing.T) {
-	g := Path(6, 4)
-	tree, _ := Kruskal(g, ByWeight(g))
-	tr := mustTree(t, g, tree, 0)
-	if !tr.IsAncestor(0, 5) || !tr.IsAncestor(3, 5) || tr.IsAncestor(5, 3) {
-		t.Fatal("ancestor relation wrong")
-	}
-	p := tr.PathToRoot(3)
-	want := []int{3, 2, 1, 0}
-	if len(p) != len(want) {
-		t.Fatalf("path %v", p)
-	}
-	for i := range p {
-		if p[i] != want[i] {
-			t.Fatalf("path %v, want %v", p, want)
-		}
-	}
-}
-
 func TestTreeEdgeSetRoundTrip(t *testing.T) {
 	g := RandomConnected(12, 24, 6)
 	tree, _ := Kruskal(g, ByWeight(g))

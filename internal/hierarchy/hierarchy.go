@@ -231,8 +231,10 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 		if parent < 0 {
 			return nil, fmt.Errorf("hierarchy: fragment %d has no parent", i)
 		}
-		if !containsAll(h.Frags[parent].Nodes, f.Nodes) {
-			return nil, fmt.Errorf("hierarchy: fragments %d and %d violate laminarity", parent, i)
+		for _, v := range f.Nodes {
+			if !h.contains(parent, v) {
+				return nil, fmt.Errorf("hierarchy: fragments %d and %d violate laminarity", parent, i)
+			}
 		}
 		f.Parent = parent
 		h.Frags[parent].Children = append(h.Frags[parent].Children, i)
@@ -245,25 +247,9 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 	return h, nil
 }
 
-// containsAll reports whether sorted slice sup contains every element of
-// sorted slice sub.
-func containsAll(sup, sub []int) bool {
-	i := 0
-	for _, x := range sub {
-		for i < len(sup) && sup[i] < x {
-			i++
-		}
-		if i >= len(sup) || sup[i] != x {
-			return false
-		}
-	}
-	return true
-}
-
+// contains reports whether node v belongs to fragment f.
 func (h *Hierarchy) contains(f, v int) bool {
-	nodes := h.Frags[f].Nodes
-	i := sort.SearchInts(nodes, v)
-	return i < len(nodes) && nodes[i] == v
+	return h.fragAt[v][h.Frags[f].Level] == f
 }
 
 // validateCandidates checks Definition 5.2: every non-T fragment has a
@@ -297,29 +283,38 @@ func (h *Hierarchy) validateCandidates() error {
 	}
 	// E(F) = {χ(F') : F' ∈ H(F)}: check per fragment by edge counting —
 	// a fragment on k nodes has k-1 tree edges; its strict descendants'
-	// distinct candidates must be exactly those edges.
+	// distinct candidates must be exactly those edges. seenBy[e] is the
+	// last fragment whose walk counted candidate e.
+	seenBy := make([]int, t.G.M())
+	for e := range seenBy {
+		seenBy[e] = -1
+	}
+	var stack []int
 	for i := range h.Frags {
 		f := &h.Frags[i]
 		if f.IsSingleton() {
 			continue
 		}
-		edges := map[int]bool{}
-		var collect func(fi int)
-		collect = func(fi int) {
-			for _, c := range h.Frags[fi].Children {
-				edges[h.Frags[c].Cand] = true
-				collect(c)
+		distinct, leaving := 0, -1
+		stack = append(stack[:0], f.Children...)
+		for len(stack) > 0 {
+			c := stack[len(stack)-1]
+			stack = append(stack[:len(stack)-1], h.Frags[c].Children...)
+			e := h.Frags[c].Cand
+			if seenBy[e] == i {
+				continue
+			}
+			seenBy[e] = i
+			distinct++
+			if ed := t.G.Edge(e); leaving < 0 && (!h.contains(i, ed.U) || !h.contains(i, ed.V)) {
+				leaving = e
 			}
 		}
-		collect(i)
-		if len(edges) != f.Size()-1 {
-			return fmt.Errorf("hierarchy: fragment %d has %d nodes but %d descendant candidates", i, f.Size(), len(edges))
+		if distinct != f.Size()-1 {
+			return fmt.Errorf("hierarchy: fragment %d has %d nodes but %d descendant candidates", i, f.Size(), distinct)
 		}
-		for e := range edges {
-			ed := h.Tree.G.Edge(e)
-			if !h.contains(i, ed.U) || !h.contains(i, ed.V) {
-				return fmt.Errorf("hierarchy: fragment %d: descendant candidate %d leaves the fragment", i, e)
-			}
+		if leaving >= 0 {
+			return fmt.Errorf("hierarchy: fragment %d: descendant candidate %d leaves the fragment", i, leaving)
 		}
 	}
 	return nil
@@ -335,14 +330,10 @@ func (h *Hierarchy) computeMinOutWeights() {
 			f.MinOutW = NoOutWeight
 			continue
 		}
-		member := make(map[int]bool, f.Size())
-		for _, v := range f.Nodes {
-			member[v] = true
-		}
 		best := NoOutWeight
 		for _, v := range f.Nodes {
 			for _, half := range g.Ports(v) {
-				if !member[half.Peer] {
+				if !h.contains(i, half.Peer) {
 					if w := g.Edge(half.Edge).W; w < best {
 						best = w
 					}
@@ -369,28 +360,4 @@ func (h *Hierarchy) CheckMinimality() error {
 		}
 	}
 	return nil
-}
-
-// Heights returns the height of every fragment in the hierarchy-tree
-// (singletons 0); exposed for experiments comparing heights and levels.
-func (h *Hierarchy) Heights() []int {
-	heights := make([]int, len(h.Frags))
-	// Process fragments by increasing size so children come first.
-	order := make([]int, len(h.Frags))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		return h.Frags[order[a]].Size() < h.Frags[order[b]].Size()
-	})
-	for _, i := range order {
-		hi := 0
-		for _, c := range h.Frags[i].Children {
-			if heights[c]+1 > hi {
-				hi = heights[c] + 1
-			}
-		}
-		heights[i] = hi
-	}
-	return heights
 }

@@ -256,23 +256,6 @@ func TestCheckMinimalityDetectsBadCandidate(t *testing.T) {
 	}
 }
 
-func TestHeightsVsLevels(t *testing.T) {
-	h := mustExample(t)
-	heights := h.Heights()
-	// Heights never exceed levels (fragments can skip levels but not
-	// heights), and the whole tree has the maximum of both.
-	for i := range h.Frags {
-		if heights[i] > h.Frags[i].Level {
-			t.Errorf("fragment %d height %d > level %d", i, heights[i], h.Frags[i].Level)
-		}
-	}
-	// {d,e,h,i} has height 1 but level 2 — the example's level-skip.
-	fi := h.FragAt(exD, 2)
-	if heights[fi] != 1 {
-		t.Errorf("fragment {d,e,h,i} height = %d, want 1", heights[fi])
-	}
-}
-
 func TestPieces(t *testing.T) {
 	h := mustExample(t)
 	fi := h.FragAt(exD, 2)

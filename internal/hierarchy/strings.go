@@ -2,7 +2,6 @@ package hierarchy
 
 import (
 	"fmt"
-	"sort"
 
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
@@ -60,13 +59,17 @@ func (s *Strings) InFragmentAt(j int) bool {
 }
 
 // MarkStrings computes the marker's Strings for every node from a validated
-// hierarchy (the "correct instance" labels of §5.2–5.3).
+// hierarchy (the "correct instance" labels of §5.2–5.3). One pass in reverse
+// DFS order fills each node after its children, so Or_EndP aggregates
+// bottom-up within each fragment.
 func MarkStrings(h *Hierarchy) []Strings {
 	t := h.Tree
 	n := t.G.N()
 	ell := h.Ell()
 	out := make([]Strings, n)
-	for v := 0; v < n; v++ {
+	order := t.DFSOrder()
+	for i := n - 1; i >= 0; i-- {
+		v := order[i]
 		out[v] = Strings{
 			Roots:   make([]byte, ell+1),
 			EndP:    make([]byte, ell+1),
@@ -94,6 +97,13 @@ func MarkStrings(h *Hierarchy) []Strings {
 			default:
 				out[v].EndP[j] = EndPDown
 			}
+			or := out[v].EndP[j] != EndPNone
+			for _, c := range t.Children(v) {
+				if h.FragAt(c, j) == fi && out[c].OrEndP[j] {
+					or = true
+				}
+			}
+			out[v].OrEndP[j] = or
 		}
 	}
 	// Parents[j] at x: (y,x) is the candidate of the level-j fragment
@@ -111,25 +121,6 @@ func MarkStrings(h *Hierarchy) []Strings {
 		if t.Parent[outNode] == in {
 			// Candidate goes down from the inside endpoint to its child.
 			out[outNode].Parents[f.Level] = true
-		}
-	}
-	// OrEndP: aggregate within each fragment, bottom-up over the tree.
-	for i := range h.Frags {
-		f := &h.Frags[i]
-		// Process fragment nodes in reverse DFS order so children precede
-		// parents.
-		nodes := append([]int(nil), f.Nodes...)
-		sort.Slice(nodes, func(a, b int) bool {
-			return t.DFSIndex(nodes[a]) > t.DFSIndex(nodes[b])
-		})
-		for _, v := range nodes {
-			or := out[v].EndP[f.Level] == EndPUp || out[v].EndP[f.Level] == EndPDown
-			for _, c := range t.Children(v) {
-				if h.FragAt(c, f.Level) == i && out[c].OrEndP[f.Level] {
-					or = true
-				}
-			}
-			out[v].OrEndP[f.Level] = or
 		}
 	}
 	return out

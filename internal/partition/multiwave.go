@@ -13,6 +13,8 @@ package partition
 // experiment E7) reports.
 
 import (
+	"slices"
+
 	"ssmst/internal/hierarchy"
 )
 
@@ -61,11 +63,9 @@ func SimulateMultiWave(h *hierarchy.Hierarchy) *MultiWaveSchedule {
 	for i := range order {
 		order[i] = i
 	}
-	for i := 1; i < len(order); i++ {
-		for j := i; j > 0 && h.Frags[order[j]].Size() < h.Frags[order[j-1]].Size(); j-- {
-			order[j], order[j-1] = order[j-1], order[j]
-		}
-	}
+	slices.SortStableFunc(order, func(a, b int) int {
+		return h.Frags[a].Size() - h.Frags[b].Size()
+	})
 	t := h.Tree
 	for _, f := range order {
 		fr := &h.Frags[f]

@@ -124,11 +124,11 @@ func Compute(h *hierarchy.Hierarchy) (*Partitions, error) {
 		p.BottomOf[v] = -1
 	}
 	p.colorFragments()
-	pp, err := p.mergeBlues()
+	pp, partOf, err := p.mergeBlues()
 	if err != nil {
 		return nil, err
 	}
-	if err := p.splitTopParts(pp); err != nil {
+	if err := p.splitTopParts(pp, partOf); err != nil {
 		return nil, err
 	}
 	if err := p.buildBottomParts(); err != nil {
@@ -185,8 +185,9 @@ type p2Part struct {
 }
 
 // mergeBlues runs Procedure Merge: large fragments in increasing size order;
-// every blue child merges into a touching part inside the large parent.
-func (p *Partitions) mergeBlues() ([]*p2Part, error) {
+// every blue child merges into a touching part inside the large parent. It
+// returns the P′′ parts and partOf[v], the index of v's part.
+func (p *Partitions) mergeBlues() ([]*p2Part, []int, error) {
 	h := p.H
 	t := h.Tree
 	n := t.G.N()
@@ -225,10 +226,7 @@ func (p *Partitions) mergeBlues() ([]*p2Part, error) {
 		}
 		// Iterate to fixpoint: a blue with a tree edge to an assigned node
 		// inside this large fragment merges into that node's part.
-		inLarge := make(map[int]bool, h.Frags[li].Size())
-		for _, v := range h.Frags[li].Nodes {
-			inLarge[v] = true
-		}
+		level := h.Frags[li].Level
 		for len(blues) > 0 {
 			progressed := false
 			rest := blues[:0]
@@ -237,7 +235,7 @@ func (p *Partitions) mergeBlues() ([]*p2Part, error) {
 				for _, v := range h.Frags[b].Nodes {
 					for _, half := range t.G.Ports(v) {
 						u := half.Peer
-						if inLarge[u] && partOf[u] >= 0 && (t.Parent[v] == u || t.Parent[u] == v) {
+						if h.FragAt(u, level) == li && partOf[u] >= 0 && (t.Parent[v] == u || t.Parent[u] == v) {
 							target = partOf[u]
 							break
 						}
@@ -258,57 +256,51 @@ func (p *Partitions) mergeBlues() ([]*p2Part, error) {
 			}
 			blues = rest
 			if !progressed && len(blues) > 0 {
-				return nil, fmt.Errorf("partition: %d blue fragments unreachable in large fragment %d", len(blues), li)
+				return nil, nil, fmt.Errorf("partition: %d blue fragments unreachable in large fragment %d", len(blues), li)
 			}
 		}
 	}
 	for v := 0; v < n; v++ {
 		if partOf[v] < 0 {
-			return nil, fmt.Errorf("partition: node %d not covered by P''", v)
+			return nil, nil, fmt.Errorf("partition: node %d not covered by P''", v)
 		}
 	}
-	return parts, nil
+	return parts, partOf, nil
 }
 
 // splitTopParts splits each P′′ part into connected subtrees of size ≥ λ
 // and depth ≤ 2λ, then records them as partition Top. The split cuts a
 // subtree whenever its residual size reaches λ; the leftover containing the
 // part root (size < λ) is merged into one of the pieces below it.
-func (p *Partitions) splitTopParts(pp []*p2Part) error {
+func (p *Partitions) splitTopParts(pp []*p2Part, partOf []int) error {
 	t := p.H.Tree
-	for _, part := range pp {
-		member := make(map[int]bool, len(part.nodes))
-		for _, v := range part.nodes {
-			member[v] = true
-		}
+	n := t.G.N()
+	// Per-node split state; each node is in exactly one P′′ part.
+	cut := make([]bool, n)
+	res := make([]int, n)
+	pieceOf := make([]int, n)
+	for pi, part := range pp {
 		root := highestNode(t, part.nodes)
-		// Children lists within the part.
-		kids := make(map[int][]int, len(part.nodes))
 		for _, v := range part.nodes {
-			if v != root && member[t.Parent[v]] {
-				kids[t.Parent[v]] = append(kids[t.Parent[v]], v)
-			} else if v != root && !member[t.Parent[v]] {
+			if v != root && partOf[t.Parent[v]] != pi {
 				return fmt.Errorf("partition: P'' part not a subtree at node %d", v)
 			}
 		}
 		// Bottom-up residual split (reverse DFS order of the part): cut a
 		// node when its residual subtree size reaches λ.
-		order := partDFS(t, root, member)
-		cut := make(map[int]bool, len(part.nodes))
-		res := make(map[int]int, len(part.nodes))
+		order := partDFS(t, root, partOf, pi)
 		numCuts := 0
 		for i := len(order) - 1; i >= 0; i-- {
 			v := order[i]
 			r := 1
-			for _, c := range kids[v] {
-				if !cut[c] {
+			for _, c := range t.Children(v) {
+				if partOf[c] == pi && !cut[c] {
 					r += res[c]
 				}
 			}
 			if r >= p.Lambda && v != root {
 				cut[v] = true
 				numCuts++
-				res[v] = 0
 			} else {
 				res[v] = r
 			}
@@ -323,7 +315,6 @@ func (p *Partitions) splitTopParts(pp []*p2Part) error {
 		// root (marked -1) merges with the piece of the shallowest cut node
 		// below it (which is tree-adjacent to the leftover).
 		const leftover = -1
-		pieceOf := make(map[int]int, len(part.nodes))
 		var pieceID int
 		mergeTarget := -1
 		for _, v := range order {
@@ -389,40 +380,28 @@ func (p *Partitions) buildBottomParts() error {
 func (p *Partitions) emitPart(kind Kind, nodes []int, anchor int) {
 	t := p.H.Tree
 	sort.Ints(nodes)
-	member := make(map[int]bool, len(nodes))
+	index, of := len(p.Parts), p.BottomOf
+	if kind == Top {
+		of = p.TopOf
+	}
 	for _, v := range nodes {
-		member[v] = true
+		of[v] = index
 	}
 	root := highestNode(t, nodes)
-	dfs := partDFS(t, root, member)
+	dfs := partDFS(t, root, of, index)
 	depth := 0
-	dist := map[int]int{root: 0}
 	for _, v := range dfs {
-		if v == root {
-			continue
-		}
-		dist[v] = dist[t.Parent[v]] + 1
-		if dist[v] > depth {
-			depth = dist[v]
-		}
+		depth = max(depth, t.Depth(v)-t.Depth(root))
 	}
-	part := Part{
-		Index: len(p.Parts),
+	p.Parts = append(p.Parts, Part{
+		Index: index,
 		Kind:  kind,
 		Root:  root,
 		Nodes: nodes,
+		Frags: p.fragsFor(kind, anchor),
 		DFS:   dfs,
 		Depth: depth,
-	}
-	part.Frags = p.fragsFor(kind, anchor)
-	p.Parts = append(p.Parts, part)
-	for _, v := range nodes {
-		if kind == Top {
-			p.TopOf[v] = part.Index
-		} else {
-			p.BottomOf[v] = part.Index
-		}
-	}
+	})
 }
 
 // fragsFor lists the fragments whose pieces a part stores, in increasing
@@ -493,16 +472,16 @@ func highestNode(t *graph.Tree, nodes []int) int {
 	return best
 }
 
-// partDFS returns the DFS preorder of the subtree induced by member,
-// starting at root and descending in port order (matching the distributed
-// DFS of §6.3.6).
-func partDFS(t *graph.Tree, root int, member map[int]bool) []int {
+// partDFS returns the DFS preorder of the subtree induced by the nodes v
+// with of[v] == part, starting at root and descending in port order
+// (matching the distributed DFS of §6.3.6).
+func partDFS(t *graph.Tree, root int, of []int, part int) []int {
 	var out []int
 	var rec func(v int)
 	rec = func(v int) {
 		out = append(out, v)
 		for _, c := range t.Children(v) {
-			if member[c] {
+			if of[c] == part {
 				rec(c)
 			}
 		}

@@ -264,28 +264,13 @@ func (r *Runner) ResyncTopology() bool { return r.Eng.ResyncTopology() }
 // corruption and re-stabilize by rebuilding the MST. Deterministic in
 // (engine state, seed); returns the center and the corrupted nodes.
 func (r *Runner) ApplyRegionalOutage(radius int, seed int64) (center int, victims []int) {
-	rng := rand.New(rand.NewSource(verify.SubSeed(seed, int64(radius))))
 	g := r.Eng.G()
-	center = rng.Intn(g.N())
-	dist := g.BFSDistances(center)
-	kinds := verify.StaticFaultKinds()
-	for v := 0; v < g.N(); v++ {
-		if dist[v] < 0 || dist[v] > radius {
-			continue
-		}
-		start := rng.Intn(len(kinds))
-		for i := range kinds {
-			kind := kinds[(start+i)%len(kinds)]
-			deg := g.Degree(v)
-			if r.InjectCheckFault(v, func(c *verify.VState) bool {
-				return verify.ApplyFault(c, kind, rng, deg)
-			}) {
-				victims = append(victims, v)
-				break
-			}
-		}
-	}
-	return center, victims
+	return verify.RegionalOutage(g, radius, seed, func(v int, kind verify.FaultKind, rng *rand.Rand) bool {
+		deg := g.Degree(v)
+		return r.InjectCheckFault(v, func(c *verify.VState) bool {
+			return verify.ApplyFault(c, kind, rng, deg)
+		})
+	})
 }
 
 // InjectLabelFault corrupts a node's verifier state post-stabilization.

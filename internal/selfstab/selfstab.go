@@ -183,8 +183,8 @@ type Machine struct {
 }
 
 // Verifier exposes the embedded check-phase verifier machine — read-only
-// access to its incremental counters (StaticRecomputes, LabelCopies) for
-// tests and experiments that pin down the transformer's quiet-round cost.
+// access to its incremental counter StaticRecomputes for tests and
+// experiments that pin down the transformer's quiet-round cost.
 func (m *Machine) Verifier() *verify.Machine { return m.verifier }
 
 // NewMachine builds the transformer for a graph with bound N ≥ n.

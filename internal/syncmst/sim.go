@@ -59,17 +59,29 @@ func Simulate(g *graph.Graph) (*Result, error) {
 		return nil, errors.New("syncmst: weights must be distinct (normalize first)")
 	}
 	n := g.N()
-	comp := make([]*component, 0, n)
+	comp := make([]*component, n)
 	compOf := make([]int, n)
+	// hook[ci] is the component ci hooks into this phase (ci itself for a
+	// component that does not hook); find resolves it to the group's sink.
+	hook := make([]int, n)
 	for v := 0; v < n; v++ {
-		comp = append(comp, &component{nodes: []int{v}, root: v})
+		comp[v] = &component{nodes: []int{v}, root: v}
 		compOf[v] = v
+	}
+	find := func(x int) int {
+		r := x
+		for hook[r] != r {
+			r = hook[r]
+		}
+		for hook[x] != r {
+			hook[x], x = r, hook[x]
+		}
+		return r
 	}
 	var raws []hierarchy.RawFragment
 	treeEdges := make([]int, 0, n-1)
 	finalRoot := -1
 
-	live := len(comp)
 	phase := 0
 	for ; ; phase++ {
 		if phase > 2*n+2 {
@@ -84,6 +96,7 @@ func Simulate(g *graph.Graph) (*Result, error) {
 			}
 			c.active = len(c.nodes) <= limit
 			c.cand = -1
+			hook[ci] = ci
 			if c.active {
 				active = append(active, ci)
 			}
@@ -130,7 +143,6 @@ func Simulate(g *graph.Graph) (*Result, error) {
 		// root of the merged component. Components connected through
 		// selected edges unite; if a group contains an inactive component,
 		// that component's root remains root (nobody re-roots it).
-		parent := make(map[int]int, len(active)) // component -> component it hooks into
 		for _, ci := range active {
 			c := comp[ci]
 			e := g.Edge(c.cand)
@@ -146,61 +158,31 @@ func Simulate(g *graph.Graph) (*Result, error) {
 					continue // c's endpoint wins; c does not hook
 				}
 			}
-			parent[ci] = dj
+			hook[ci] = dj
 			treeEdges = append(treeEdges, c.cand)
 		}
-		// Union groups.
-		find := func(x int) int {
-			for {
-				p, ok := parent[x]
-				if !ok {
-					return x
-				}
-				x = p
-			}
-		}
-		groups := make(map[int][]int)
+		// Each group merges into its sink, which keeps its index. The sink
+		// either is inactive (kept its root) or won a mutual handshake, in
+		// which case the re-orientation rooted it at the winning endpoint
+		// of the shared edge.
 		for ci, c := range comp {
-			if c == nil {
+			if c == nil || hook[ci] == ci {
 				continue
 			}
-			groups[find(ci)] = append(groups[find(ci)], ci)
+			si := find(ci)
+			sink := comp[si]
+			if sink.active {
+				sink.root = sink.candW
+			}
+			sink.nodes = append(sink.nodes, c.nodes...)
+			for _, v := range c.nodes {
+				compOf[v] = si
+			}
+			comp[ci] = nil
 		}
-		newComp := make([]*component, len(comp))
-		copy(newComp, comp)
-		//ssmst:allow determinism -- groups are disjoint and each is processed independently; the merge result is order-invariant
-		for rootCi, members := range groups {
-			if len(members) == 1 {
-				continue
-			}
-			// The group's sink either is inactive (kept its root) or won a
-			// mutual handshake, in which case the re-orientation rooted it
-			// at the winning endpoint of the shared edge.
-			sink := comp[rootCi]
-			mergedRoot := sink.root
-			if sink.active && sink.cand >= 0 {
-				mergedRoot = sink.candW
-			}
-			merged := &component{root: mergedRoot}
-			for _, ci := range members {
-				merged.nodes = append(merged.nodes, comp[ci].nodes...)
-			}
-			newComp[rootCi] = merged
-			for _, ci := range members {
-				if ci != rootCi {
-					newComp[ci] = nil
-					live--
-				}
-			}
-			for _, v := range merged.nodes {
-				compOf[v] = rootCi
-			}
-		}
-		comp = newComp
-		_ = live
 	}
 
-	tree, err := graph.TreeFromEdges(g, sortedUnique(treeEdges), finalRoot)
+	tree, err := graph.TreeFromEdges(g, treeEdges, finalRoot)
 	if err != nil {
 		return nil, fmt.Errorf("syncmst: merged edges are not a spanning tree: %w", err)
 	}
@@ -214,21 +196,4 @@ func Simulate(g *graph.Graph) (*Result, error) {
 		Rounds:    22*(1<<phase) - 1,
 		Phases:    phase + 1,
 	}, nil
-}
-
-func sortedUnique(xs []int) []int {
-	out := append([]int(nil), xs...)
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	k := 0
-	for i := range out {
-		if i == 0 || out[i] != out[i-1] {
-			out[k] = out[i]
-			k++
-		}
-	}
-	return out[:k]
 }

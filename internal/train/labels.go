@@ -109,11 +109,20 @@ func Mark(p *partition.Partitions) []NodeLabels {
 	t := p.H.Tree
 	n := t.G.N()
 	out := make([]NodeLabels, n)
+	// Per-node piece counts, DFS prefix sums and subtree sums, rewritten
+	// for each part (every node is in one part of each kind).
+	cnt := make([]int, n)
+	pos := make([]int, n)
+	sub := make([]int, n)
 	for pi := range p.Parts {
 		part := &p.Parts[pi]
+		of := p.BottomOf
+		if part.Kind == partition.Top {
+			of = p.TopOf
+		}
 		k := len(part.Frags)
-		// Per-node piece counts in DFS order.
-		cnt := make(map[int]int, len(part.DFS))
+		// Piece counts and PosStart in DFS order; SubCnt bottom-up.
+		running := 0
 		for i, v := range part.DFS {
 			c := 0
 			if 2*i < k {
@@ -122,34 +131,16 @@ func Mark(p *partition.Partitions) []NodeLabels {
 			if 2*i+1 < k {
 				c++
 			}
-			cnt[v] = c
+			cnt[v], pos[v] = c, running
+			running += c
 		}
-		member := make(map[int]bool, len(part.Nodes))
-		for _, v := range part.Nodes {
-			member[v] = true
-		}
-		// PosStart via DFS prefix sums; SubCnt bottom-up.
-		pos := make(map[int]int, len(part.DFS))
-		running := 0
-		for _, v := range part.DFS {
-			pos[v] = running
-			running += cnt[v]
-		}
-		sub := make(map[int]int, len(part.DFS))
 		for i := len(part.DFS) - 1; i >= 0; i-- {
 			v := part.DFS[i]
-			s := cnt[v]
+			sub[v] = cnt[v]
 			for _, c := range t.Children(v) {
-				if member[c] {
-					s += sub[c]
+				if of[c] == pi {
+					sub[v] += sub[c]
 				}
-			}
-			sub[v] = s
-		}
-		depth := map[int]int{part.Root: 0}
-		for _, v := range part.DFS {
-			if v != part.Root {
-				depth[v] = depth[t.Parent[v]] + 1
 			}
 		}
 		for _, v := range part.Nodes {
@@ -165,7 +156,7 @@ func Mark(p *partition.Partitions) []NodeLabels {
 				Cnt:        cnt[v],
 				SubCnt:     sub[v],
 				K:          k,
-				Depth:      depth[v],
+				Depth:      t.Depth(v) - t.Depth(part.Root),
 				DiamBound:  part.Depth,
 				Stored:     append([]hierarchy.Piece(nil), stored...),
 			}

@@ -2,6 +2,8 @@ package verify
 
 import (
 	"math/rand"
+
+	"ssmst/internal/graph"
 )
 
 // This file is the correlated-fault scenario layer of the adversarial
@@ -55,8 +57,17 @@ func StaticFaultKinds() []FaultKind {
 // is corrupted). Deterministic in (engine state, seed); returns the center
 // and the corrupted nodes.
 func (r *Runner) ApplyRegionalOutage(radius int, seed int64) (center int, victims []int) {
+	return RegionalOutage(r.Labeled.G, radius, seed, r.InjectKind)
+}
+
+// RegionalOutage is the body of both runners' ApplyRegionalOutage. It draws
+// a center from one RNG stream derived from (seed, radius), then visits the
+// BFS ball of the given radius in node order and offers each node the
+// static fault kinds, starting at a random one, until inject reports that
+// the node changed. inject draws its fault parameters from the same stream,
+// so the victims are a function of the seed and the nodes' states alone.
+func RegionalOutage(g *graph.Graph, radius int, seed int64, inject func(v int, kind FaultKind, rng *rand.Rand) bool) (center int, victims []int) {
 	rng := rand.New(rand.NewSource(SubSeed(seed, int64(radius))))
-	g := r.Labeled.G
 	center = rng.Intn(g.N())
 	dist := g.BFSDistances(center)
 	kinds := StaticFaultKinds()
@@ -66,7 +77,7 @@ func (r *Runner) ApplyRegionalOutage(radius int, seed int64) (center int, victim
 		}
 		start := rng.Intn(len(kinds))
 		for i := range kinds {
-			if r.InjectKind(v, kinds[(start+i)%len(kinds)], rng) {
+			if inject(v, kinds[(start+i)%len(kinds)], rng) {
 				victims = append(victims, v)
 				break
 			}

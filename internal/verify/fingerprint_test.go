@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/hierarchy"
 )
 
 // fingerprint hashes a marked instance with FNV-64a: the edge list with
@@ -31,46 +32,184 @@ func fingerprint(l *Labeled) uint64 {
 	return h.Sum64()
 }
 
+// partsFingerprint hashes what fingerprint leaves out: the marker's
+// simulated construction time and every partition part (kind, root, nodes,
+// DFS order, depth and fragment list).
+func partsFingerprint(l *Labeled) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "t%d;", l.ConstructionTime)
+	for i := range l.Parts.Parts {
+		p := &l.Parts.Parts[i]
+		fmt.Fprintf(h, "q%d %v %d %v %v %d %v;", i, p.Kind, p.Root, p.Nodes, p.DFS, p.Depth, p.Frags)
+	}
+	return h.Sum64()
+}
+
+// markPins are Mark's recorded fingerprint and partsFingerprint for every
+// campaign family at two sizes and two seeds.
+var markPins = []struct {
+	family      string
+	n           int
+	seed        int64
+	want, parts uint64
+}{
+	{"random", 256, 1, 0xd8ea7dcce5e0139b, 0xafba0ad1c488ac0c},
+	{"random", 256, 2, 0xdb51df5789c406cd, 0x4f62e5f23e0c98c7},
+	{"random", 1024, 1, 0xab74ba93e8303434, 0xacef89404f052eac},
+	{"random", 1024, 2, 0xe3b797ae0dcf1557, 0x75161b4e24c96337},
+	{"powerlaw", 256, 1, 0xd8cc8ce580742e66, 0xc904a0df55457369},
+	{"powerlaw", 256, 2, 0xdcd2ce8f50351432, 0x6a068e0d9ed8a63e},
+	{"powerlaw", 1024, 1, 0x261d19e3a8421f2f, 0x6938d718d5ef86bf},
+	{"powerlaw", 1024, 2, 0x4adae721d64c63c7, 0x77669bc1a76e9851},
+	{"geometric", 256, 1, 0x245770740b4580d7, 0xa0963fb48ea3800d},
+	{"geometric", 256, 2, 0x28f914f939575f81, 0xf8e70188c3abeeb6},
+	{"geometric", 1024, 1, 0x17968504c3f81b8f, 0xbf51378cff617afa},
+	{"geometric", 1024, 2, 0x042b74ea76b05bb0, 0x63437eaf849b2c5e},
+	{"highgirth", 256, 1, 0xc7601e4a2d2e630f, 0x41527da83c9571e6},
+	{"highgirth", 256, 2, 0xbee859555215e59e, 0x9397a15b272bd671},
+	{"highgirth", 1024, 1, 0x1bc96561e972ab96, 0x50469f3d4c466b36},
+	{"highgirth", 1024, 2, 0xdc7cb82219246628, 0x60dea1d5257eab50},
+}
+
+// checkPins reports a marked instance whose fingerprints differ from the
+// recorded ones.
+func checkPins(t *testing.T, name string, l *Labeled, want, parts uint64) {
+	t.Helper()
+	if got := fingerprint(l); got != want {
+		t.Errorf("%s: fingerprint %#x, want %#x", name, got, want)
+	}
+	if got := partsFingerprint(l); got != parts {
+		t.Errorf("%s: parts fingerprint %#x, want %#x", name, got, parts)
+	}
+}
+
 // TestInstanceFingerprints pins instance generation and marking byte for
 // byte: every campaign family at two sizes and two seeds, marked, must hash
-// to the recorded value. A rewrite of a generator, SYNC_MST, hierarchy.Build,
+// to the recorded values. A rewrite of a generator, SYNC_MST, hierarchy.Build,
 // the partitioner or a label marker may not move any of them:
 // TestDetectionRoundsGolden and the benchmark's fixed graphs depend on the
 // exact instances.
 func TestInstanceFingerprints(t *testing.T) {
-	for _, tc := range []struct {
-		family string
-		n      int
-		seed   int64
-		want   uint64
-	}{
-		{"random", 256, 1, 0xd8ea7dcce5e0139b},
-		{"random", 256, 2, 0xdb51df5789c406cd},
-		{"random", 1024, 1, 0xab74ba93e8303434},
-		{"random", 1024, 2, 0xe3b797ae0dcf1557},
-		{"powerlaw", 256, 1, 0xd8cc8ce580742e66},
-		{"powerlaw", 256, 2, 0xdcd2ce8f50351432},
-		{"powerlaw", 1024, 1, 0x261d19e3a8421f2f},
-		{"powerlaw", 1024, 2, 0x4adae721d64c63c7},
-		{"geometric", 256, 1, 0x245770740b4580d7},
-		{"geometric", 256, 2, 0x28f914f939575f81},
-		{"geometric", 1024, 1, 0x17968504c3f81b8f},
-		{"geometric", 1024, 2, 0x042b74ea76b05bb0},
-		{"highgirth", 256, 1, 0xc7601e4a2d2e630f},
-		{"highgirth", 256, 2, 0xbee859555215e59e},
-		{"highgirth", 1024, 1, 0x1bc96561e972ab96},
-		{"highgirth", 1024, 2, 0xdc7cb82219246628},
-	} {
+	for _, tc := range markPins {
 		g, err := graph.ByFamily(tc.family, tc.n, tc.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
+		name := fmt.Sprintf("%s n=%d seed=%d", tc.family, tc.n, tc.seed)
 		l, err := Mark(g)
 		if err != nil {
-			t.Fatalf("%s n=%d seed=%d: %v", tc.family, tc.n, tc.seed, err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if got := fingerprint(l); got != tc.want {
-			t.Errorf("%s n=%d seed=%d: fingerprint %#x, want %#x", tc.family, tc.n, tc.seed, got, tc.want)
+		checkPins(t, name, l, tc.want, tc.parts)
+	}
+}
+
+// TestMarkTreeFingerprints pins MarkTree the same way at n=256, with and
+// without the ω override: on the MST it must reproduce Mark's pins, and on
+// a tree four cycle edits away from the MST the recorded values.
+func TestMarkTreeFingerprints(t *testing.T) {
+	const n = 256
+	for _, tc := range []struct {
+		family string
+		seed   int64
+		want   [2]uint64 // fingerprint without and with the ω override
+		parts  uint64
+	}{
+		{"random", 1, [2]uint64{0xbaad9be23a401e26, 0x47fd8011cb8f52f3}, 0xe272611eeb56cc9e},
+		{"random", 2, [2]uint64{0x2e7a0a134211762e, 0x315f474707fcd82c}, 0x1ad8c162b9798a33},
+		{"powerlaw", 1, [2]uint64{0x4956cbca20829504, 0xfb0fccd145a0f01c}, 0xabf6abf766579212},
+		{"powerlaw", 2, [2]uint64{0xc5fc485f8b792206, 0x48d0804eb9885747}, 0x8dbe8fbfbf3e45de},
+		{"geometric", 1, [2]uint64{0x356e48eecefbe0c5, 0xd9809e810d898031}, 0x1520b4c3cfba499b},
+		{"geometric", 2, [2]uint64{0xdc055895957ac28f, 0x73bee81a9c41573b}, 0x7d9db929051fb5cd},
+		{"highgirth", 1, [2]uint64{0xa186b61253c87093, 0x6e465c6368f6ad55}, 0x73a5abfd67aa224c},
+		{"highgirth", 2, [2]uint64{0xc69d67071b7ec522, 0x552d496f07172a4d}, 0xb60b90fb184165b1},
+	} {
+		g, err := graph.ByFamily(tc.family, n, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen, err := graph.NewCorruptedMSTGenerator(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupted, err := gen.Generate(4, tc.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mst := markPins[0]
+		for _, p := range markPins {
+			if p.family == tc.family && p.n == n && p.seed == tc.seed {
+				mst = p
+			}
+		}
+		for i, omega := range []bool{false, true} {
+			for _, c := range []struct {
+				tree        string
+				edges       []int
+				want, parts uint64
+			}{
+				{"MST", gen.MST(), mst.want, mst.parts},
+				{"corrupted", corrupted, tc.want[i], tc.parts},
+			} {
+				name := fmt.Sprintf("%s seed=%d %s ω override=%v", tc.family, tc.seed, c.tree, omega)
+				l, err := MarkTree(g, c.edges, omega)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkPins(t, name, l, c.want, c.parts)
+			}
+		}
+	}
+}
+
+// TestMinOutWeightsMatchOracle checks every fragment's ω(F) against the
+// centralized oracle graph.FragmentMinOutEdge, with membership taken from
+// the fragment's node list: Mark and MarkTree (a corrupted tree, no ω
+// override) on every family at n ∈ {256, 1024}. The whole tree T carries
+// NoOutWeight and has no outgoing edge.
+func TestMinOutWeightsMatchOracle(t *testing.T) {
+	for _, family := range graph.Families() {
+		for _, n := range []int{256, 1024} {
+			g, err := graph.ByFamily(family, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := graph.NewCorruptedMSTGenerator(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			corrupted, err := gen.Generate(4, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			marked, err := Mark(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			onTree, err := MarkTree(g, corrupted, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			member := make([]bool, n)
+			inFrag := func(v int) bool { return member[v] }
+			for _, l := range []*Labeled{marked, onTree} {
+				for i := range l.H.Frags {
+					f := &l.H.Frags[i]
+					for _, v := range f.Nodes {
+						member[v] = true
+					}
+					e := graph.FragmentMinOutEdge(g, inFrag, graph.ByWeight(g))
+					for _, v := range f.Nodes {
+						member[v] = false
+					}
+					switch {
+					case e < 0 && f.MinOutW != hierarchy.NoOutWeight:
+						t.Errorf("%s n=%d fragment %d: ω=%d, but the oracle finds no outgoing edge", family, n, i, f.MinOutW)
+					case e >= 0 && f.MinOutW != g.Edge(e).W:
+						t.Errorf("%s n=%d fragment %d: ω=%d, oracle minimum outgoing weight %d", family, n, i, f.MinOutW, g.Edge(e).W)
+					}
+				}
+			}
 		}
 	}
 }
