@@ -55,8 +55,9 @@ Run-mode flags:
               synchronous rounds; detection budgets scale to O(Δ·log³ n)
   -selfstab   run the self-stabilizing transformer (§10) to stabilization
               instead of the verify-only pipeline
-  -fault kind inject one fault after a warm-up quarter-budget and measure
-              detection time and distance. Kinds (each corrupts a different
+  -fault kind inject one fault after a warm-up quarter-budget (at the
+              first random node it applies to) and measure detection
+              time and distance. Kinds (each corrupts a different
               label layer): piecew (stored piece's ω̂), pieceid (stored
               piece's fragment id), roots (a Roots string entry, §5), endp
               (an EndP entry, §5), spdist (SP distance, §2.6), sizen (the
@@ -233,7 +234,7 @@ func main() {
 	tune(v.Eng)
 	budget := ssmst.DetectionBudget(g.N())
 	if *churn != "" {
-		v.Eng.RunSyncRounds(budget / 4)
+		warmUp(v, budget/4)
 		rng := rand.New(rand.NewSource(*seed))
 		ev, applied := v.ApplyChurn(churnKind, rng)
 		if !applied {
@@ -278,10 +279,16 @@ func main() {
 	if !ok {
 		log.Fatalf("unknown fault %q", *fault)
 	}
-	v.Eng.RunSyncRounds(budget / 4)
+	warmUp(v, budget/4)
+	// Not every node stores a piece (piecew, pieceid): retry victims until
+	// the fault applies, keeping the first draw.
 	rng := rand.New(rand.NewSource(*seed))
-	node := rng.Intn(g.N())
-	if !v.InjectKind(node, kind, rng) {
+	node, injected := -1, false
+	for att := 0; att < g.N() && !injected; att++ {
+		node = rng.Intn(g.N())
+		injected = v.InjectKind(node, kind, rng)
+	}
+	if !injected {
 		log.Fatal("fault did not apply")
 	}
 	det, alarms, found := v.RunUntilAlarm(2 * budget)
@@ -292,4 +299,12 @@ func main() {
 	d := verify.DetectionDistance(g, []int{node}, alarms)[0]
 	fmt.Printf("fault %q at node %d: detected in %d rounds, distance %d, %d alarming nodes\n",
 		*fault, node, det, d, len(alarms))
+}
+
+// warmUp steps the verifier for the given number of time units under the
+// daemon it was built with.
+func warmUp(v *ssmst.Verifier, units int) {
+	for i := 0; i < units; i++ {
+		v.Step()
+	}
 }

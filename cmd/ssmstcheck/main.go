@@ -7,12 +7,13 @@
 //	go run ./cmd/ssmstcheck ./...            # whole module (CI invocation)
 //	go run ./cmd/ssmstcheck ./internal/verify
 //	go run ./cmd/ssmstcheck -a bitsizeaudit ./...
-//	go run ./cmd/ssmstcheck -json -variants race_on ./...
+//	go run ./cmd/ssmstcheck -json ./...
 //
-// Each variant in -variants is one build-tag configuration, loaded and
-// type-checked from scratch so tag-gated files (internal/raceflag) are
-// audited in every shipped shape. Diagnostics are merged across variants,
-// deduplicated, and printed in a stable position order.
+// The module is loaded and type-checked once, under the default build's
+// tags. Only internal/raceflag has build-tagged files, and only tests import
+// it, so every other build (-race included) audits the same code; the
+// analysis meta test fails if a tag-gated file appears anywhere else.
+// Diagnostics are printed in a stable position order.
 //
 // Exit codes: 0 — clean; 1 — findings; 2 — the run itself failed (bad
 // flags, load/type-check error, or an analyzer error).
@@ -35,23 +36,15 @@ import (
 	"ssmst/internal/analysis"
 )
 
-// variantTags maps the CI variant names onto the build tags they assert.
-var variantTags = map[string][]string{
-	"race_off": nil,
-	"race_on":  {"race"},
-}
-
 func main() {
 	var (
-		only     string
-		asJSON   bool
-		variants string
+		only   string
+		asJSON bool
 	)
 	flag.StringVar(&only, "a", "", "comma-separated analyzer names to run (default: all)")
 	flag.BoolVar(&asJSON, "json", false, "emit findings as a JSON array on stdout")
-	flag.StringVar(&variants, "variants", "race_off,race_on", "comma-separated build-tag variants to audit (race_off, race_on)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: ssmstcheck [-a analyzers] [-json] [-variants race_off,race_on] [./... | packages...]\n\nanalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: ssmstcheck [-a analyzers] [-json] [./... | packages...]\n\nanalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(os.Stderr, "  %-16s %s\n", a.Name, a.Doc)
 		}
@@ -72,43 +65,25 @@ func main() {
 	}
 
 	start := time.Now()
-	var merged []analysis.Diagnostic
-	loaded := 0
-	names := strings.Split(variants, ",")
-	for _, v := range names {
-		v = strings.TrimSpace(v)
-		tags, ok := variantTags[v]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "ssmstcheck: unknown variant %q (known: race_off, race_on)\n", v)
+	loader, err := analysis.NewLoader(".")
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssmstcheck: %v\n", err)
+		os.Exit(2)
+	}
+	pkgs, err := load(loader, flag.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "ssmstcheck: %v\n", err)
+		os.Exit(2)
+	}
+	diags := analysis.Run(pkgs, analyzers, analysis.DefaultConfig())
+	for _, d := range diags {
+		// An analyzer that errored is a broken run, not a finding.
+		if strings.HasPrefix(d.Message, "analyzer error:") {
+			fmt.Fprintf(os.Stderr, "ssmstcheck: [%s] %s\n", d.Analyzer, d.Message)
 			os.Exit(2)
 		}
-
-		loader, err := analysis.NewLoader(".")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssmstcheck: %s: %v\n", v, err)
-			os.Exit(2)
-		}
-		loader.Tags = tags
-
-		pkgs, err := load(loader, flag.Args())
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ssmstcheck: %s: %v\n", v, err)
-			os.Exit(2)
-		}
-		loaded = len(pkgs)
-
-		diags := analysis.Run(pkgs, analyzers, analysis.DefaultConfig())
-		for _, d := range diags {
-			// An analyzer that errored is a broken run, not a finding.
-			if strings.HasPrefix(d.Message, "analyzer error:") {
-				fmt.Fprintf(os.Stderr, "ssmstcheck: %s: [%s] %s\n", v, d.Analyzer, d.Message)
-				os.Exit(2)
-			}
-		}
-		merged = append(merged, diags...)
 	}
 
-	diags := dedup(merged)
 	if asJSON {
 		printJSON(diags)
 	} else {
@@ -116,29 +91,12 @@ func main() {
 			fmt.Println(d)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "ssmstcheck: %d analyzer(s) × %d package(s) × %d variant(s) in %v\n",
-		len(analyzers), loaded, len(names), time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "ssmstcheck: %d analyzer(s) × %d package(s) in %v\n",
+		len(analyzers), len(pkgs), time.Since(start).Round(time.Millisecond))
 	if len(diags) > 0 {
 		fmt.Fprintf(os.Stderr, "ssmstcheck: %d finding(s)\n", len(diags))
 		os.Exit(1)
 	}
-}
-
-// dedup drops findings that repeat across variant runs (files not gated on
-// any tag are loaded and analyzed once per variant). Input is a
-// concatenation of per-variant runs, each already position-sorted; output
-// keeps that order with exact duplicates removed.
-func dedup(diags []analysis.Diagnostic) []analysis.Diagnostic {
-	seen := map[analysis.Diagnostic]bool{}
-	out := diags[:0]
-	for _, d := range diags {
-		if seen[d] {
-			continue
-		}
-		seen[d] = true
-		out = append(out, d)
-	}
-	return analysis.Sort(out)
 }
 
 // jsonDiag is the stable machine-readable finding shape for -json.

@@ -274,12 +274,12 @@ func Run(pkgs []*Package, analyzers []*Analyzer, cfg Config) []Diagnostic {
 			}
 		}
 	}
-	return Sort(diags)
+	return sortDiags(diags)
 }
 
-// Sort orders findings by position, then analyzer, then message — the
-// stable output order of one run and of merged multi-variant runs.
-func Sort(diags []Diagnostic) []Diagnostic {
+// sortDiags orders findings by position, then analyzer, then message — the
+// stable output order of a run.
+func sortDiags(diags []Diagnostic) []Diagnostic {
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
 		if a.Pos.Filename != b.Pos.Filename {

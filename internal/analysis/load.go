@@ -32,11 +32,6 @@ type Package struct {
 type Loader struct {
 	ModuleRoot string
 	ModulePath string
-	// Tags lists extra build tags that hold for this load (e.g. "race" for
-	// the race_on variant of the instrumentation gate). Set before the first
-	// Load call; GOOS/GOARCH always hold. Each variant needs its own Loader —
-	// checked packages are cached under the tags they were loaded with.
-	Tags []string
 
 	fset *token.FileSet
 	std  types.Importer
@@ -138,7 +133,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !l.buildConstraintOK(f) {
+		if !buildConstraintOK(f) {
 			continue
 		}
 		files = append(files, f)
@@ -168,11 +163,10 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 }
 
 // buildConstraintOK reports whether a file belongs to the build the
-// analyzers audit. The target platform's tags hold, plus whatever l.Tags
-// lists ("race" selects the race_on variant of the instrumentation gate);
-// every other tag evaluates false, exactly as `go build` with those tags
-// would decide.
-func (l *Loader) buildConstraintOK(f *ast.File) bool {
+// analyzers audit: the default build, where the target platform's tags
+// hold and every other tag (race included) evaluates false, exactly as a
+// plain `go build` would decide.
+func buildConstraintOK(f *ast.File) bool {
 	for _, cg := range f.Comments {
 		if cg.Pos() > f.Package {
 			break
@@ -186,15 +180,7 @@ func (l *Loader) buildConstraintOK(f *ast.File) bool {
 				return true // malformed constraints are the compiler's problem
 			}
 			return expr.Eval(func(tag string) bool {
-				if tag == runtime.GOOS || tag == runtime.GOARCH {
-					return true
-				}
-				for _, t := range l.Tags {
-					if tag == t {
-						return true
-					}
-				}
-				return false
+				return tag == runtime.GOOS || tag == runtime.GOARCH
 			})
 		}
 	}

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/ast"
+	"go/build/constraint"
 	"go/parser"
 	"go/token"
 	"os"
@@ -51,36 +52,13 @@ func countAnnotations(p *Package) map[string]int {
 // A misplaced directive is worse than a missing one: it reads as
 // enforced while the analyzers never see it.
 func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
-	root, _, err := findModule(".")
-	if err != nil {
-		t.Fatal(err)
-	}
 	known := map[string]bool{}
 	for _, a := range All() {
 		known[a.Name] = true
 	}
 
-	fset := token.NewFileSet()
 	total := 0
-	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			name := d.Name()
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-
+	eachSourceFile(t, func(fset *token.FileSet, _ string, f *ast.File) {
 		// Where do the analyzers look? Function doc groups and field
 		// doc/line comments.
 		funcDoc := map[*ast.Comment]bool{}
@@ -141,12 +119,70 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 				}
 			}
 		}
+	})
+	if total == 0 {
+		t.Error("no //ssmst: directives found in the tree: the contracts are unwired")
+	}
+}
+
+// TestOnlyRaceflagIsTagGated: ssmstcheck audits one build, the default
+// one. That covers every shipped shape only while no non-test file outside
+// internal/raceflag (which only tests import) carries a //go:build line. A
+// new tag-gated file must bring per-tag audits back on purpose.
+func TestOnlyRaceflagIsTagGated(t *testing.T) {
+	eachSourceFile(t, func(fset *token.FileSet, rel string, f *ast.File) {
+		if filepath.Dir(rel) == filepath.Join("internal", "raceflag") {
+			return
+		}
+		for _, cg := range f.Comments {
+			if cg.Pos() > f.Package {
+				break
+			}
+			for _, c := range cg.List {
+				if constraint.IsGoBuild(c.Text) {
+					t.Errorf("%s: %s — ssmstcheck audits only the default build", fset.Position(c.Pos()), c.Text)
+				}
+			}
+		}
+	})
+}
+
+// eachSourceFile parses (without type checking) every non-test Go file of
+// the repository, skipping the directories the loader skips, and hands each
+// to visit with its path relative to the module root.
+func eachSourceFile(t *testing.T, visit func(fset *token.FileSet, rel string, f *ast.File)) {
+	t.Helper()
+	root, _, err := findModule(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	err = filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata" || name == "vendor") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, err := filepath.Rel(root, path)
+		if err != nil {
+			return err
+		}
+		visit(fset, rel, f)
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if total == 0 {
-		t.Error("no //ssmst: directives found in the tree: the contracts are unwired")
 	}
 }

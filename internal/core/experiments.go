@@ -603,8 +603,9 @@ func maxTrainBudget(l *verify.Labeled) int {
 	return max
 }
 
-// LowerBound measures the §9 tradeoff: detection time on stretched
-// instances for growing τ, and the time × memory product (experiment E8).
+// LowerBound measures the §9 tradeoff: detection time on the stretched hard
+// instance lowerbound.HardFamily(3) for growing τ, and the time × memory
+// product (experiment E8).
 func LowerBound(taus []int, seed int64) *Table {
 	t := &Table{
 		Title:  "E8 — §9 stretching: detection time vs τ at O(log n) memory",
@@ -613,7 +614,7 @@ func LowerBound(taus []int, seed int64) *Table {
 			"The §9 reduction: a τ-time scheme on G′ yields a 1-time scheme on G with O(τ·ℓ) labels, so time × memory = Ω(log² n).",
 		},
 	}
-	g := graph.RandomConnected(8, 12, seed)
+	g := lowerbound.HardFamily(3)
 	rng := rand.New(rand.NewSource(seed))
 	for _, tau := range taus {
 		st, err := lowerbound.Stretch(g, tau)
@@ -644,7 +645,6 @@ func LowerBound(taus []int, seed int64) *Table {
 			fmt.Sprint(bitsMax), fmt.Sprint(rounds * bitsMax),
 		})
 	}
-	_ = rng
 	return t
 }
 

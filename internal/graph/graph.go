@@ -23,11 +23,10 @@
 // next Adjacency call (AddEdge/RemoveEdge), so CSR reads can never observe a
 // pre-mutation topology. RemoveEdge compacts port numbers (ports above the
 // removed one shift down by one at each endpoint) and keeps edge indices
-// dense (the last edge is swapped into the freed slot). Consumers that hold
-// port- or version-sensitive state across mutations — the runtime engine —
-// subscribe to a change journal (StartChangeLog / ChangesSince) that records,
-// per mutation, the endpoints and the port movements needed to remap
-// port-indexed state.
+// dense (the last edge is swapped into the freed slot). A consumer that
+// holds port-indexed state across mutations — the runtime engine — applies
+// them through Record, which returns, per mutation, the endpoints and the
+// port movements needed to remap that state.
 package graph
 
 import (
@@ -60,7 +59,6 @@ type Edge struct {
 // generator to construct one.
 type Graph struct {
 	ids   []NodeID
-	idx   map[NodeID]int
 	adj   [][]Half
 	edges []Edge
 
@@ -74,26 +72,16 @@ type Graph struct {
 	csr        *Adj
 	csrVersion int64
 
-	// Change journal: once logging is on (StartChangeLog) every mutation
-	// appends a Change, so engines holding port- or topology-derived state
-	// can re-sync precisely. Off during plain construction, so bulk AddEdge
-	// loops journal nothing. The journal is bounded (maxJournal): when full,
-	// the oldest half is dropped and logBase advances, so a consumer that
-	// far behind gets ok=false from ChangesSince and falls back to a full
-	// re-sync — memory stays O(1) in the mutation count with graceful
-	// degradation, never silent change loss.
-	logging bool
-	logBase int64 // versions ≤ logBase are not journaled
-	changes []Change
+	// recording is set for the duration of a Record call; every mutation
+	// made meanwhile appends to changes.
+	recording bool
+	changes   []Change
 }
-
-// maxJournal bounds the change journal length; see the field comment.
-const maxJournal = 4096
 
 // ChangeKind says what a Change did to the graph.
 type ChangeKind uint8
 
-// The mutation kinds recorded in the change journal.
+// The mutation kinds Record reports.
 const (
 	WeightChanged ChangeKind = iota
 	EdgeAdded
@@ -104,13 +92,12 @@ func (k ChangeKind) String() string {
 	return [...]string{"weight-changed", "edge-added", "edge-removed"}[k]
 }
 
-// Change is one journal entry: a mutation, the version it produced, its
-// endpoints and — for removals — the port compaction data a consumer needs
-// to remap port-indexed state (ports above PortU/PortV shifted down by one
-// at the respective endpoint; OldDegU/OldDegV are the degrees *before* the
+// Change is one mutation as Record reports it: its endpoints and — for
+// removals — the port compaction data a consumer needs to remap
+// port-indexed state (ports above PortU/PortV shifted down by one at the
+// respective endpoint; OldDegU/OldDegV are the degrees *before* the
 // removal, i.e. the domain size of the remap).
 type Change struct {
-	Version          int64
 	Kind             ChangeKind
 	U, V             int
 	W                Weight
@@ -136,7 +123,7 @@ type Change struct {
 // patches the current snapshot's Weight column in place; AddEdge and
 // RemoveEdge orphan it (the next Adjacency call rebuilds), so holders must
 // re-fetch after structural mutations — the runtime engine does this in
-// MutateTopology/ResyncTopology.
+// MutateTopology.
 type Adj struct {
 	Off      []int32 // len n+1: node v's slots are [Off[v], Off[v+1])
 	Peer     []int32 // neighbour node index per slot
@@ -191,77 +178,24 @@ func (g *Graph) Adjacency() *Adj {
 // whether topology-derived caches are current.
 func (g *Graph) Version() int64 { return g.version }
 
-// StartChangeLog turns on the mutation journal: every subsequent AddEdge,
-// RemoveEdge and SetWeight appends a Change retrievable via ChangesSince.
-// The runtime engine calls it at construction; plain graph building (before
-// any engine attaches) journals nothing. Idempotent.
-func (g *Graph) StartChangeLog() {
-	if !g.logging {
-		g.logging = true
-		g.logBase = g.version
+// Record runs f on the graph and returns the mutations it applied, in
+// order — also when f fails part-way, together with f's error. Only
+// mutations made during the call are recorded; plain construction records
+// nothing. A nested Record call panics.
+func (g *Graph) Record(f func(*Graph) error) ([]Change, error) {
+	if g.recording {
+		panic("graph: nested Record")
 	}
+	g.recording = true
+	defer func() { g.recording, g.changes = false, nil }()
+	err := f(g)
+	return g.changes, err
 }
 
-// ChangesSince returns the journal entries with Version > since, in
-// application order, and whether the journal covers that span. ok is false
-// when logging was not yet on at version since — the caller must then treat
-// the whole graph as changed. The returned slice aliases the journal; it is
-// valid until the next mutation-with-logging.
-func (g *Graph) ChangesSince(since int64) (cs []Change, ok bool) {
-	if !g.logging || since < g.logBase {
-		return nil, false
+func (g *Graph) record(c Change) {
+	if g.recording {
+		g.changes = append(g.changes, c)
 	}
-	// Entries are version-ordered; find the first one past since.
-	lo, hi := 0, len(g.changes)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if g.changes[mid].Version <= since {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return g.changes[lo:], true
-}
-
-// TrimChangeLog drops journal entries with Version ≤ upTo — an optional
-// eager reclaim for callers that know every consumer has re-synced past
-// upTo (the journal is bounded by maxJournal regardless, so calling this is
-// never required for memory safety). After trimming, ChangesSince below
-// upTo reports ok=false.
-func (g *Graph) TrimChangeLog(upTo int64) {
-	if !g.logging {
-		return
-	}
-	// Clamp: trimming "past the end" must not advance logBase beyond the
-	// version counter, or ChangesSince would report a gap — and consumers
-	// would degrade to full re-syncs — for future spans the journal in fact
-	// covers.
-	if upTo > g.version {
-		upTo = g.version
-	}
-	keep := 0
-	for keep < len(g.changes) && g.changes[keep].Version <= upTo {
-		keep++
-	}
-	if keep > 0 {
-		g.changes = append(g.changes[:0], g.changes[keep:]...)
-		if upTo > g.logBase {
-			g.logBase = upTo
-		}
-	}
-}
-
-func (g *Graph) logChange(c Change) {
-	if !g.logging {
-		return
-	}
-	if len(g.changes) >= maxJournal {
-		drop := len(g.changes) / 2
-		g.logBase = g.changes[drop-1].Version
-		g.changes = append(g.changes[:0], g.changes[drop:]...)
-	}
-	g.changes = append(g.changes, c)
 }
 
 // New creates a graph with n nodes and the given identities. If ids is nil,
@@ -271,19 +205,19 @@ func (g *Graph) logChange(c Change) {
 func New(n int, ids []NodeID) *Graph {
 	g := &Graph{
 		ids: make([]NodeID, n),
-		idx: make(map[NodeID]int, n),
 		adj: make([][]Half, n),
 	}
+	seen := make(map[NodeID]bool, n)
 	for i := 0; i < n; i++ {
 		id := NodeID(i + 1)
 		if ids != nil {
 			id = ids[i]
 		}
 		g.ids[i] = id
-		if _, dup := g.idx[id]; dup {
+		if seen[id] {
 			panic(fmt.Sprintf("graph: duplicate node identity %d", id))
 		}
-		g.idx[id] = i
+		seen[id] = true
 	}
 	return g
 }
@@ -296,14 +230,6 @@ func (g *Graph) M() int { return len(g.edges) }
 
 // ID returns the identity of node index v.
 func (g *Graph) ID(v int) NodeID { return g.ids[v] }
-
-// IndexOf returns the node index carrying identity id, or -1.
-func (g *Graph) IndexOf(id NodeID) int {
-	if i, ok := g.idx[id]; ok {
-		return i
-	}
-	return -1
-}
 
 // MaxID returns the largest node identity, used to size identifier fields.
 func (g *Graph) MaxID() NodeID {
@@ -367,7 +293,7 @@ func (g *Graph) AddEdge(u, v int, w Weight) (int, error) {
 	g.adj[u] = append(g.adj[u], Half{Peer: v, PeerPort: pv, Edge: e})
 	g.adj[v] = append(g.adj[v], Half{Peer: u, PeerPort: pu, Edge: e})
 	g.version++
-	g.logChange(Change{Version: g.version, Kind: EdgeAdded, U: u, V: v, W: w, PortU: pu, PortV: pv})
+	g.record(Change{Kind: EdgeAdded, U: u, V: v, W: w, PortU: pu, PortV: pv})
 	return e, nil
 }
 
@@ -397,7 +323,7 @@ func (g *Graph) SetWeight(e int, w Weight) error {
 		}
 		g.csrVersion = g.version // the in-place patch keeps the snapshot current
 	}
-	g.logChange(Change{Version: g.version, Kind: WeightChanged, U: ed.U, V: ed.V, W: w})
+	g.record(Change{Kind: WeightChanged, U: ed.U, V: ed.V, W: w})
 	return nil
 }
 
@@ -405,8 +331,8 @@ func (g *Graph) SetWeight(e int, w Weight) error {
 // endpoints — every port above the removed one shifts down by one, and the
 // peers of the shifted half-edges have their PeerPort records updated — and
 // edge indices stay dense (the last edge is swapped into slot e). The cached
-// CSR is orphaned; the change journal records the removed ports and the
-// pre-removal degrees so subscribed engines can remap port-indexed state.
+// CSR is orphaned; Record reports the removed ports and the pre-removal
+// degrees so the engine can remap port-indexed state.
 func (g *Graph) RemoveEdge(e int) error {
 	if e < 0 || e >= len(g.edges) {
 		return fmt.Errorf("graph: RemoveEdge: edge %d out of range m=%d", e, len(g.edges))
@@ -453,8 +379,7 @@ func (g *Graph) RemoveEdge(e int) error {
 	g.edges = g.edges[:last]
 	g.csr = nil // structural change: the snapshot's Off/Peer arrays are wrong
 	g.version++
-	ch.Version = g.version
-	g.logChange(ch)
+	g.record(ch)
 	return nil
 }
 
@@ -643,12 +568,8 @@ func (g *Graph) Validate() error {
 func (g *Graph) Clone() *Graph {
 	c := &Graph{
 		ids:   append([]NodeID(nil), g.ids...),
-		idx:   make(map[NodeID]int, len(g.idx)),
 		adj:   make([][]Half, len(g.adj)),
 		edges: append([]Edge(nil), g.edges...),
-	}
-	for id, i := range g.idx {
-		c.idx[id] = i
 	}
 	for v := range g.adj {
 		c.adj[v] = append([]Half(nil), g.adj[v]...)

@@ -13,13 +13,13 @@ func TestNewAssignsUniqueIDs(t *testing.T) {
 			t.Fatalf("duplicate id %d", id)
 		}
 		seen[id] = true
-		if g.IndexOf(id) != v {
-			t.Fatalf("IndexOf(%d) = %d, want %d", id, g.IndexOf(id), v)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("New accepted a duplicate identity")
 		}
-	}
-	if g.IndexOf(NodeID(9999)) != -1 {
-		t.Fatal("IndexOf of unknown id should be -1")
-	}
+	}()
+	New(3, []NodeID{7, 8, 7})
 }
 
 func TestAddEdgeAndPorts(t *testing.T) {

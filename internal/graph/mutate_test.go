@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -111,98 +113,60 @@ func TestRemoveEdgeCompaction(t *testing.T) {
 	}
 }
 
-// TestChangeJournal: the journal records every mutation after
-// StartChangeLog with the data needed to replay port compaction, supports
-// multiple consumers at different versions, and reports ok=false for spans
-// it does not cover.
-func TestChangeJournal(t *testing.T) {
+// TestRecord: Record returns exactly the mutations f applied, in order —
+// a removal with its ports and pre-removal degrees — and nothing applied
+// outside the call; an f that fails part-way still reports what it applied.
+func TestRecord(t *testing.T) {
 	g := RandomConnected(16, 30, 5)
-	if _, ok := g.ChangesSince(0); ok {
-		t.Fatal("journal must be off before StartChangeLog")
+	if err := g.SetWeight(1, 111_111); err != nil { // before Record: not reported
+		t.Fatal(err)
 	}
-	g.StartChangeLog()
-	v0 := g.Version()
-	if cs, ok := g.ChangesSince(v0); !ok || len(cs) != 0 {
-		t.Fatalf("fresh journal: got (%v, %v), want (empty, true)", cs, ok)
-	}
-
-	ed := g.Edge(4)
+	ed, e0 := g.Edge(4), g.Edge(0)
 	degU, degV := g.Degree(ed.U), g.Degree(ed.V)
-	if err := g.RemoveEdge(4); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.SetWeight(0, 123_456); err != nil {
-		t.Fatal(err)
-	}
-	v1 := g.Version()
-	if _, err := g.AddEdge(ed.U, ed.V, 654_321); err != nil {
-		t.Fatal(err)
-	}
-
-	cs, ok := g.ChangesSince(v0)
-	if !ok || len(cs) != 3 {
-		t.Fatalf("ChangesSince(v0): got %d entries ok=%v, want 3 entries", len(cs), ok)
-	}
-	rm := cs[0]
-	if rm.Kind != EdgeRemoved || rm.OldDegU != degU || rm.OldDegV != degV {
-		t.Fatalf("removal entry %+v: want EdgeRemoved with old degrees (%d,%d)", rm, degU, degV)
-	}
-	if rm.PortU < 0 || rm.PortU >= degU || rm.PortV < 0 || rm.PortV >= degV {
-		t.Fatalf("removal entry ports out of range: %+v", rm)
-	}
-	if cs[1].Kind != WeightChanged || cs[2].Kind != EdgeAdded {
-		t.Fatalf("journal order wrong: %+v", cs)
-	}
-	// A late consumer sees only the tail.
-	if cs2, ok := g.ChangesSince(v1); !ok || len(cs2) != 1 || cs2[0].Kind != EdgeAdded {
-		t.Fatalf("ChangesSince(v1): got %+v ok=%v", cs2, ok)
-	}
-	// Trimming drops coverage below the trim point.
-	g.TrimChangeLog(v1)
-	if _, ok := g.ChangesSince(v0); ok {
-		t.Fatal("journal must report ok=false for a trimmed span")
-	}
-	if cs3, ok := g.ChangesSince(v1); !ok || len(cs3) != 1 {
-		t.Fatalf("trim must keep the tail: got %+v ok=%v", cs3, ok)
-	}
-	// Over-trimming clamps to the current version: future mutations are
-	// still journaled and covered (logBase must never outrun the counter).
-	g.TrimChangeLog(g.Version() + 100)
-	v2 := g.Version()
-	if err := g.SetWeight(0, 999_111); err != nil {
-		t.Fatal(err)
-	}
-	if cs4, ok := g.ChangesSince(v2); !ok || len(cs4) != 1 {
-		t.Fatalf("post-over-trim mutation must be covered: got %+v ok=%v", cs4, ok)
-	}
-}
-
-// TestChangeJournalBounded: the journal never grows past its cap — the
-// oldest half is dropped and a consumer that far behind gets ok=false (the
-// full-resync fallback), while an up-to-date consumer still reads its tail.
-func TestChangeJournalBounded(t *testing.T) {
-	g := New(4, nil)
-	g.MustAddEdge(0, 1, 1)
-	g.StartChangeLog()
-	early := g.Version()
-	for i := 0; i < 3*maxJournal; i++ {
-		if err := g.SetWeight(0, Weight(100+i)); err != nil {
-			t.Fatal(err)
+	pu, pv := g.PortTo(ed.U, ed.V), g.PortTo(ed.V, ed.U)
+	cs, err := g.Record(func(g *Graph) error {
+		if err := g.RemoveEdge(4); err != nil {
+			return err
 		}
-	}
-	if len(g.changes) > maxJournal {
-		t.Fatalf("journal grew to %d entries, cap is %d", len(g.changes), maxJournal)
-	}
-	if _, ok := g.ChangesSince(early); ok {
-		t.Fatal("a consumer behind the dropped span must get ok=false")
-	}
-	mid := g.Version()
-	if err := g.SetWeight(0, 7); err != nil {
+		for range 2 { // the repeat changes nothing and is not reported
+			if err := g.SetWeight(0, 123_456); err != nil {
+				return err
+			}
+		}
+		_, err := g.AddEdge(ed.U, ed.V, 654_321)
+		return err
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	cs, ok := g.ChangesSince(mid)
-	if !ok || len(cs) != 1 || cs[0].W != 7 {
-		t.Fatalf("current consumer must read its tail: got %+v ok=%v", cs, ok)
+	want := []Change{
+		{Kind: EdgeRemoved, U: ed.U, V: ed.V, W: ed.W, PortU: pu, PortV: pv, OldDegU: degU, OldDegV: degV},
+		{Kind: WeightChanged, U: e0.U, V: e0.V, W: 123_456},
+		{Kind: EdgeAdded, U: ed.U, V: ed.V, W: 654_321, PortU: degU - 1, PortV: degV - 1},
+	}
+	if !slices.Equal(cs, want) {
+		t.Fatalf("Record reported\n%+v\nwant\n%+v", cs, want)
+	}
+
+	if err := g.SetWeight(2, 7); err != nil { // between Records: not reported
+		t.Fatal(err)
+	}
+	boom := errors.New("boom")
+	cs, err = g.Record(func(g *Graph) error {
+		if err := g.SetWeight(3, 222_222); err != nil {
+			return err
+		}
+		return boom
+	})
+	e3 := g.Edge(3)
+	if want := []Change{{Kind: WeightChanged, U: e3.U, V: e3.V, W: 222_222}}; !errors.Is(err, boom) || !slices.Equal(cs, want) {
+		t.Fatalf("failing f: Record = (%+v, %v), want (%+v, boom)", cs, err, want)
+	}
+	if cs, err := g.Record(func(*Graph) error { return nil }); err != nil || len(cs) != 0 {
+		t.Fatalf("empty f: Record = (%+v, %v), want nothing", cs, err)
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,7 +21,6 @@ type Tree struct {
 	depth    []int
 	size     []int
 	dfsOrder []int // preorder: dfsOrder[i] = i-th node visited
-	dfsIndex []int // inverse of dfsOrder
 }
 
 // NewTree builds a rooted tree from parent pointers over g. parent[root]
@@ -62,10 +61,6 @@ func NewTree(g *Graph, root int, parent []int) (*Tree, error) {
 	t.depth = make([]int, g.N())
 	t.size = make([]int, g.N())
 	t.dfsOrder = make([]int, 0, g.N())
-	t.dfsIndex = make([]int, g.N())
-	for i := range t.dfsIndex {
-		t.dfsIndex[i] = -1
-	}
 	if err := t.computeOrders(); err != nil {
 		return nil, err
 	}
@@ -76,16 +71,15 @@ func (t *Tree) computeOrders() error {
 	type frame struct{ v, ci int }
 	stack := []frame{{t.Root, 0}}
 	t.depth[t.Root] = 0
-	visited := 0
+	seen := make([]bool, t.G.N())
 	for len(stack) > 0 {
 		f := &stack[len(stack)-1]
 		if f.ci == 0 {
-			if t.dfsIndex[f.v] >= 0 {
+			if seen[f.v] {
 				return fmt.Errorf("graph: cycle through node %d", f.v)
 			}
-			t.dfsIndex[f.v] = len(t.dfsOrder)
+			seen[f.v] = true
 			t.dfsOrder = append(t.dfsOrder, f.v)
-			visited++
 		}
 		if f.ci < len(t.children[f.v]) {
 			c := t.children[f.v][f.ci]
@@ -101,8 +95,8 @@ func (t *Tree) computeOrders() error {
 		}
 		stack = stack[:len(stack)-1]
 	}
-	if visited != t.G.N() {
-		return fmt.Errorf("graph: tree spans %d of %d nodes", visited, t.G.N())
+	if len(t.dfsOrder) != t.G.N() {
+		return fmt.Errorf("graph: tree spans %d of %d nodes", len(t.dfsOrder), t.G.N())
 	}
 	return nil
 }
@@ -130,9 +124,6 @@ func (t *Tree) Height() int {
 // DFSOrder returns the preorder sequence of nodes starting at the root,
 // descending into children in port order; owned by the tree.
 func (t *Tree) DFSOrder() []int { return t.dfsOrder }
-
-// DFSIndex returns the position of v in DFSOrder.
-func (t *Tree) DFSIndex(v int) int { return t.dfsIndex[v] }
 
 // EdgeSet returns the tree's edge indices sorted ascending.
 func (t *Tree) EdgeSet() []int {

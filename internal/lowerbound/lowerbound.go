@@ -171,10 +171,8 @@ func pathEndpointV(st *Stretched, e int) int {
 // (substitution for the (h,µ)-hypertrees of [54]): a complete binary tree
 // skeleton with cross edges whose weights make many near-ties, so MST
 // verification must compare information across Θ(log n) levels.
-func HardFamily(k int, seed int64) *graph.Graph {
+func HardFamily(k int) *graph.Graph {
 	n := 1<<uint(k) - 1 // complete binary tree on k levels
-	g := graph.RandomTree(2, seed)
-	_ = g
 	out := graph.New(n, nil)
 	w := graph.Weight(1)
 	for v := 1; v < n; v++ {

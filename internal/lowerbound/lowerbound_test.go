@@ -137,7 +137,7 @@ func TestDetectionTimeGrowsWithTau(t *testing.T) {
 }
 
 func TestHardFamily(t *testing.T) {
-	g := HardFamily(5, 1)
+	g := HardFamily(5)
 	if !g.Connected() || !g.HasDistinctWeights() {
 		t.Fatal("hard family malformed")
 	}

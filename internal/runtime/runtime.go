@@ -77,7 +77,6 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	gort "runtime"
@@ -114,10 +113,9 @@ type Terminator interface {
 // calls InvalidateMemo on every state installed through SetState or Corrupt
 // — the injection paths mutate state behind the step function, so any memo
 // the state carries may describe content that no longer exists — and on the
-// states of every node a topology mutation touched (MutateTopology /
-// ResyncTopology): a changed neighbourhood invalidates verdicts computed
-// over the old one. Steps never need it: in-step mutations maintain their
-// own caches.
+// states of every node a topology mutation touched (MutateTopology): a
+// changed neighbourhood invalidates verdicts computed over the old one.
+// Steps never need it: in-step mutations maintain their own caches.
 type MemoInvalidator interface {
 	InvalidateMemo()
 }
@@ -322,7 +320,8 @@ type Engine struct {
 	g   *graph.Graph
 	adj *graph.Adj // CSR adjacency snapshot; all View topology reads.
 	// topoVersion is the graph version adj (and every per-node memo) was
-	// synced at; MutateTopology/ResyncTopology advance it.
+	// synced at; only MutateTopology advances it, so a mismatch means the
+	// graph was mutated some other way (checkTopology).
 	topoVersion int64
 	machine     Machine
 	states      []State
@@ -397,11 +396,9 @@ type Engine struct {
 	mu         sync.Mutex // guards the merge of per-chunk-body reductions
 }
 
-// New creates an engine with clean-start states from machine.Init. The
-// graph's change journal is started, so topology mutations made after this
-// point can be re-synced precisely (MutateTopology / ResyncTopology).
+// New creates an engine with clean-start states from machine.Init. From
+// then on the graph's topology may change only through MutateTopology.
 func New(g *graph.Graph, machine Machine, seed int64) *Engine {
-	g.StartChangeLog()
 	e := &Engine{
 		g:           g,
 		adj:         g.Adjacency(),
@@ -525,36 +522,19 @@ func (e *Engine) Corrupt(v int, f func(State) State) {
 	e.SetState(v, f(e.State(v).Clone()))
 }
 
-// ErrResyncDegraded is returned by MutateTopology when the mutation WAS
-// applied but the re-sync could not replay the journal precisely (the span
-// exceeded the journal — e.g. a single f applying more than maxJournal
-// mutations, or an engine already behind a trimmed journal): every node was
-// conservatively invalidated, but port-indexed state was not remapped and
-// must be treated as a fault injection — see ResyncTopology.
-var ErrResyncDegraded = errors.New("runtime: topology re-sync degraded (journal gap): port-indexed state not remapped")
-
 // MutateTopology applies a topology mutation — graph.SetWeight, AddEdge,
 // RemoveEdge, or any combination — to the engine's graph between rounds and
-// re-syncs the engine with the result (ResyncTopology). In the paper's
-// model a link insertion, deletion or weight change is just another fault
-// the network must detect and recover from; this is the supported injection
-// point for it. Must not be called while a Step* is in flight. An error
-// from f aborts after re-syncing whatever f already applied; a nil f error
-// with a degraded re-sync returns ErrResyncDegraded (the mutation is in
-// effect either way).
-func (e *Engine) MutateTopology(f func(*graph.Graph) error) error {
-	err := f(e.g)
-	if precise := e.ResyncTopology(); !precise && err == nil {
-		err = ErrResyncDegraded
-	}
-	return err
-}
-
-// ResyncTopology brings the engine up to date with mutations applied to its
-// graph directly, or through another engine sharing it (reference runs step
-// the same mutated graph under several configurations). Per journaled
-// change it:
+// re-syncs the engine with exactly the changes f applied (graph.Record). In
+// the paper's model a link insertion, deletion or weight change is just
+// another fault the network must detect and recover from; this is the only
+// way an engine's topology may change. After a mutation made any other way
+// — directly on the graph, or through another engine sharing it — the
+// engine's next round or MutateTopology call panics. Must not be called
+// while a Step* is in flight. An error from f is returned after re-syncing
+// whatever f already applied. Per applied change it:
 //
+//   - replays the lagged coast clockwork of the endpoints (worklist
+//     stepping) under the old topology;
 //   - re-fetches the CSR adjacency snapshot (stale Off/Peer arrays are
 //     never read again);
 //   - remaps port-indexed state at endpoints whose ports were compacted
@@ -565,47 +545,22 @@ func (e *Engine) MutateTopology(f func(*graph.Graph) error) error {
 //     SetState does, so memoizing machines re-check the changed
 //     neighbourhoods on their next step while the rest of the network keeps
 //     replaying its verdicts.
-//
-// The return value reports whether the replay was precise. If the graph's
-// journal does not cover the span (the graph was mutated before the engine
-// attached, trimmed too far, or overflowed maxJournal), it returns false:
-// every node is conservatively treated as touched, but port-indexed state
-// CANNOT be remapped — after a removal in the uncovered gap, ports stored
-// in states may name different physical edges. A self-stabilizing machine
-// treats that as an adversarial transient and recovers; callers relying on
-// churn-parity or silence guarantees (the verify-only pipeline) must treat
-// a false return as a fault injection, not a clean mutation.
-func (e *Engine) ResyncTopology() (precise bool) {
-	if e.g.Version() == e.topoVersion {
-		return true
-	}
-	changes, ok := e.g.ChangesSince(e.topoVersion)
+func (e *Engine) MutateTopology(f func(*graph.Graph) error) error {
+	e.checkTopology()
+	changes, err := e.g.Record(f)
 	if e.matT != nil {
-		// Replay lagged coast clockwork for every node the mutation batch
-		// touched BEFORE the CSR snapshot is replaced: the lag accrued
-		// entirely under the pre-mutation topology, so the algebraic replay
-		// must see the old degrees.
+		// Replay lagged coast clockwork for every node the mutation touched
+		// BEFORE the CSR snapshot is replaced: the lag accrued entirely
+		// under the pre-mutation topology, so the algebraic replay must see
+		// the old degrees.
 		T := int64(e.round)
-		if !ok {
-			for v := range e.matT {
-				e.materialize(v, T)
-			}
-		} else {
-			for _, c := range changes {
-				e.materialize(c.U, T)
-				e.materialize(c.V, T)
-			}
+		for _, c := range changes {
+			e.materialize(c.U, T)
+			e.materialize(c.V, T)
 		}
 	}
 	e.adj = e.g.Adjacency()
 	epoch := int64(e.round) + 1
-	if !ok {
-		for v := 0; v < e.g.N(); v++ {
-			e.touchTopology(v, epoch)
-		}
-		e.topoVersion = e.g.Version()
-		return false
-	}
 	for _, c := range changes {
 		if c.Kind == graph.EdgeRemoved {
 			e.remapPorts(c.U, c.PortU, c.OldDegU)
@@ -615,7 +570,16 @@ func (e *Engine) ResyncTopology() (precise bool) {
 		e.touchTopology(c.V, epoch)
 	}
 	e.topoVersion = e.g.Version()
-	return true
+	return err
+}
+
+// checkTopology panics when the graph changed since the engine last synced
+// with it: the CSR snapshot, port-indexed state and memos would describe a
+// topology that no longer exists.
+func (e *Engine) checkTopology() {
+	if e.g.Version() != e.topoVersion {
+		panic("runtime: the engine's graph was mutated outside Engine.MutateTopology; apply topology changes through MutateTopology")
+	}
 }
 
 // touchTopology marks node v as changed by a topology mutation: dirty past
@@ -750,6 +714,7 @@ func (e *Engine) fanOut(count int) int {
 // Both run the same chunk body, serially or on the worker pool, and no
 // allocation happens in the steady state.
 func (e *Engine) StepSync() {
+	e.checkTopology()
 	var active []int32 // the worklist round's active set; nil in a dense round
 	count := e.g.N()
 	if e.Worklist && e.coaster != nil {
@@ -885,6 +850,7 @@ func (e *Engine) StepAsync() {
 	if e.matT != nil {
 		panic("runtime: StepAsync on an engine whose worklist is armed; worklist stepping is synchronous only")
 	}
+	e.checkTopology()
 	n := e.g.N()
 	order := e.order[:0]
 	for i := 0; i < n; i++ {

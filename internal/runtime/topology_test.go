@@ -155,31 +155,29 @@ func TestMutateTopologyRemove(t *testing.T) {
 	}
 }
 
-// TestMutateTopologyAddAndSharedGraph: an added edge is visible on the next
-// round, and a second engine sharing the (already mutated) graph re-syncs
-// via ResyncTopology and converges to the same per-node observations.
+// TestMutateTopologyAddAndSharedGraph: two engines started from one graph
+// each step their own copy. The same AddEdge, applied through each engine's
+// MutateTopology, is visible on the next round, and the engines agree node
+// for node.
 func TestMutateTopologyAddAndSharedGraph(t *testing.T) {
 	g := testGraph()
 	e1 := New(g, topoProbe{}, 1)
-	e2 := New(g, topoProbe{}, 1)
-	e1.RunSyncRounds(2)
-	e2.RunSyncRounds(2)
-
-	if err := e1.MutateTopology(func(g *graph.Graph) error {
+	e2 := New(g.Clone(), topoProbe{}, 1)
+	add := func(g *graph.Graph) error {
 		_, err := g.AddEdge(0, 2, 70)
 		return err
-	}); err != nil {
-		t.Fatal(err)
 	}
-	if !e2.ResyncTopology() {
-		t.Fatal("journal-covered shared-graph resync must be precise")
+	for _, e := range []*Engine{e1, e2} {
+		e.RunSyncRounds(2)
+		if err := e.MutateTopology(add); err != nil {
+			t.Fatal(err)
+		}
+		e.StepSync()
 	}
-	e1.StepSync()
-	e2.StepSync()
 	for v := 0; v < g.N(); v++ {
 		a, b := e1.State(v).(*topoState), e2.State(v).(*topoState)
 		if a.Deg != b.Deg || a.WSum != b.WSum || a.Changed != b.Changed {
-			t.Fatalf("node %d: engines diverged after shared mutation: %+v vs %+v", v, *a, *b)
+			t.Fatalf("node %d: engines diverged after the same mutation: %+v vs %+v", v, *a, *b)
 		}
 	}
 	if got := e1.State(0).(*topoState).Deg; got != 3 {
@@ -190,66 +188,40 @@ func TestMutateTopologyAddAndSharedGraph(t *testing.T) {
 	}
 }
 
-// TestResyncTopologyJournalGap exercises the graceful-degradation fallback:
-// when the graph's journal no longer covers the engine's last synced
-// version (here forced via TrimChangeLog; in production via the maxJournal
-// cap), ResyncTopology must treat every node as touched — memos dropped,
-// dirty epochs bumped network-wide, CSR re-fetched, version advanced — and
-// leave the engine fully functional for subsequent precise re-syncs. Port
-// remapping is documented as unavailable on this path (the compaction data
-// is gone), so the probe state's WatchPort is deliberately not asserted.
-func TestResyncTopologyJournalGap(t *testing.T) {
-	g := testGraph()
-	e := New(g, topoProbe{}, 1)
-	e.RunSyncRounds(3)
+// TestMutationOutsideMutateTopologyPanics: MutateTopology is the only way
+// an engine's topology may change. After a mutation made any other way —
+// on the graph directly, or through another engine sharing it — the
+// engine's next round on either daemon, and its next MutateTopology call,
+// panic instead of stepping on a stale CSR snapshot and stale port state.
+func TestMutationOutsideMutateTopologyPanics(t *testing.T) {
+	reweight := func(g *graph.Graph) error { return g.SetWeight(g.EdgeBetween(0, 1), 15) }
+	cut := func(g *graph.Graph) error { return g.RemoveEdge(g.EdgeBetween(1, 3)) }
+	next := []struct {
+		name string
+		op   func(e *Engine)
+	}{
+		{"StepSync", (*Engine).StepSync},
+		{"StepAsync", (*Engine).StepAsync},
+		{"MutateTopology", func(e *Engine) { _ = e.MutateTopology(reweight) }},
+	}
+	for _, c := range next {
+		t.Run(c.name, func(t *testing.T) {
+			g := testGraph()
+			e := New(g, topoProbe{}, 1)
+			e.RunSyncRounds(2)
+			if err := reweight(g); err != nil {
+				t.Fatal(err)
+			}
+			mustPanic(t, "MutateTopology", func() { c.op(e) })
 
-	// Mutate behind the engine's back, then trim the journal past it.
-	if err := g.SetWeight(g.EdgeBetween(2, 3), 35); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.RemoveEdge(g.EdgeBetween(1, 3)); err != nil {
-		t.Fatal(err)
-	}
-	g.TrimChangeLog(g.Version())
-	if e.ResyncTopology() {
-		t.Fatal("a journal-gap resync must report precise=false")
-	}
-
-	// Every node — not just the endpoints — must have been touched.
-	for v := 0; v < g.N(); v++ {
-		if e.State(v).(*topoState).memoOK {
-			t.Fatalf("node %d: memo survived the full-resync fallback", v)
-		}
-	}
-	e.StepSync()
-	for v := 0; v < g.N(); v++ {
-		s := e.State(v).(*topoState)
-		if !s.Changed {
-			t.Errorf("node %d: dirty bump missing on the fallback path", v)
-		}
-		if s.Deg != g.Degree(v) {
-			t.Errorf("node %d: view degree %d, graph degree %d", v, s.Deg, g.Degree(v))
-		}
-	}
-	if got := e.State(2).(*topoState).WSum; got != 20+35 {
-		t.Fatalf("node 2 weight sum %d after fallback re-sync, want 55", got)
-	}
-	// The engine is caught up: a further journaled mutation re-syncs
-	// precisely (no-op resync first, then a normal remap-capable one).
-	if !e.ResyncTopology() {
-		t.Fatal("an up-to-date resync must report precise=true")
-	}
-	if err := e.MutateTopology(func(g *graph.Graph) error {
-		return g.RemoveEdge(g.EdgeBetween(0, 1))
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	e.StepSync()
-	if got := e.State(1).(*topoState).Deg; got != 1 {
-		t.Fatalf("node 1 degree %d after post-fallback removal, want 1", got)
+			g = testGraph()
+			e, other := New(g, topoProbe{}, 1), New(g, topoProbe{}, 1)
+			if err := other.MutateTopology(cut); err != nil {
+				t.Fatal(err)
+			}
+			other.StepSync() // the engine that applied the change stays usable
+			mustPanic(t, "MutateTopology", func() { c.op(e) })
+		})
 	}
 }
 

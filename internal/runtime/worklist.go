@@ -24,7 +24,7 @@ package runtime
 // powers incremental verification:
 //
 //   - every dirty bump — View.MarkChanged commits, SetState, Corrupt,
-//     MutateTopology/ResyncTopology — wakes the marked node AND its 1-hop
+//     MutateTopology — wakes the marked node AND its 1-hop
 //     neighbours (a step reads exactly the 1-hop neighbourhood, so that is
 //     the full influence cone of one change);
 //   - every stepped node that remains non-quiescent re-enters the frontier

@@ -1,6 +1,7 @@
 package selfstab
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -107,27 +108,34 @@ func TestChurnLinkCutOfTreeEdge(t *testing.T) {
 		ed := g.Edge(e)
 		treeEdges = append(treeEdges, pair{ed.U, ed.V})
 	}
-	// Cut a tree edge whose removal keeps the graph connected.
+	// Cut a tree edge whose removal keeps the graph connected; a bridge is
+	// put back within the same mutation.
 	cut := false
 	for _, p := range treeEdges {
-		e := g.EdgeBetween(p.u, p.v)
-		if e < 0 {
-			t.Fatalf("tree edge (%d,%d) vanished", p.u, p.v)
-		}
-		w := g.Edge(e).W
-		if err := g.RemoveEdge(e); err != nil {
+		bridge := false
+		err := r.Eng.MutateTopology(func(g *graph.Graph) error {
+			e := g.EdgeBetween(p.u, p.v)
+			if e < 0 {
+				return fmt.Errorf("tree edge (%d,%d) vanished", p.u, p.v)
+			}
+			w := g.Edge(e).W
+			if err := g.RemoveEdge(e); err != nil {
+				return err
+			}
+			if g.Connected() {
+				return nil
+			}
+			bridge = true
+			_, err := g.AddEdge(p.u, p.v, w)
+			return err
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if g.Connected() {
+		if !bridge {
 			cut = true
-			r.ResyncTopology()
 			break
 		}
-		// A bridge: put it back and try another.
-		if _, err := g.AddEdge(p.u, p.v, w); err != nil {
-			t.Fatal(err)
-		}
-		r.ResyncTopology()
 	}
 	if !cut {
 		t.Skip("every tree edge is a bridge in this instance")

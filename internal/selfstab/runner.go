@@ -1,7 +1,6 @@
 package selfstab
 
 import (
-	"errors"
 	"math/rand"
 
 	"ssmst/internal/graph"
@@ -241,20 +240,8 @@ func (r *Runner) ApplyChurn(kind verify.ChurnKind, rng *rand.Rand) (verify.Churn
 	if !ok {
 		return planned, false
 	}
-	// A degraded re-sync still applied the mutation; the unremapped port
-	// state is one more transient the transformer detects and rebuilds from.
-	if err := r.Eng.MutateTopology(apply); err != nil && !errors.Is(err, runtime.ErrResyncDegraded) {
-		return planned, false
-	}
-	return planned, true
+	return planned, r.Eng.MutateTopology(apply) == nil
 }
-
-// ResyncTopology re-syncs this runner's engine after its graph was mutated
-// externally (another runner sharing the graph applied the churn). It
-// reports whether the replay was precise; on false, unremapped port state
-// is an adversarial transient the transformer detects and rebuilds from —
-// see runtime.Engine.ResyncTopology.
-func (r *Runner) ResyncTopology() bool { return r.Eng.ResyncTopology() }
 
 // ApplyRegionalOutage corrupts the installed verifier state of every
 // check-phase node in the BFS ball of the given radius around a random

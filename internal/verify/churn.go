@@ -1,12 +1,10 @@
 package verify
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 
 	"ssmst/internal/graph"
-	"ssmst/internal/runtime"
 )
 
 // This file is the topology-churn fault menu: live mutations of the network
@@ -100,9 +98,10 @@ func (ev ChurnEvent) String() string {
 // event, an apply function for runtime.Engine.MutateTopology, and whether a
 // mutation of that kind exists (a tree-only graph has no edge to cut, a
 // dense graph none to add, a light cycle needs a tree edge heavier than some
-// free weight). Planning only reads the graph; the same plan can therefore
-// be applied once to a graph shared by several engines, with the other
-// engines re-synced via ResyncTopology.
+// free weight). Planning only reads the graph, and the apply function looks
+// the edge up by its endpoints, so one plan applies to every copy of the
+// graph: reference runners each step their own copy and receive every
+// planned event through their own engine.
 func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
 	ev := ChurnEvent{Kind: kind, U: -1, V: -1}
 	switch kind {
@@ -200,29 +199,14 @@ func RandomChurn(g *graph.Graph, parent []int, rng *rand.Rand) (ChurnEvent, func
 
 // ApplyChurn plans a churn event of the given kind against the verified
 // tree and applies it through the engine (MutateTopology). It reports the
-// event and whether one was applied — true also for a degraded re-sync
-// (runtime.ErrResyncDegraded: the mutation is in effect, but an engine that
-// was already behind a journal gap could not remap port state; the network
-// treats that as an extra fault). Reference runners stepping the same
-// shared graph must ResyncTopology afterwards.
+// event and whether one was applied.
 func (r *Runner) ApplyChurn(kind ChurnKind, rng *rand.Rand) (ChurnEvent, bool) {
 	ev, apply, ok := PlanChurn(r.Eng.G(), r.Labeled.Tree.Parent, kind, rng)
 	if !ok {
 		return ev, false
 	}
-	if err := r.Eng.MutateTopology(apply); err != nil && !errors.Is(err, runtime.ErrResyncDegraded) {
-		return ev, false
-	}
-	return ev, true
+	return ev, r.Eng.MutateTopology(apply) == nil
 }
-
-// ResyncTopology re-syncs this runner's engine after its graph was mutated
-// externally — typically through another runner sharing the graph (the
-// full-recheck reference stepping the same churn schedule). It reports
-// whether the replay was precise; false (the journal no longer covered the
-// gap) means port-indexed state could not be remapped and must be treated
-// as a fault injection — see runtime.Engine.ResyncTopology.
-func (r *Runner) ResyncTopology() bool { return r.Eng.ResyncTopology() }
 
 // setWeightFn returns an apply function that re-resolves the edge by its
 // endpoints at apply time (edge indices may have been compacted since).

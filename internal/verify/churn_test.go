@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -10,34 +9,37 @@ import (
 	"ssmst/internal/runtime"
 )
 
-// churnRunners builds the three configurations every churn assertion runs
-// against: incremental serial, incremental parallel-forced, and the
-// full-recheck reference — all stepping the same shared, mutable graph.
-func churnRunners(t *testing.T, n, m int, seed int64) (*graph.Graph, *Labeled, *Runner, *Runner, *Runner) {
+// markCopy marks a copy of g0, so every runner built on the result steps a
+// graph of its own.
+func markCopy(t *testing.T, g0 *graph.Graph) *Labeled {
 	t.Helper()
-	g := graph.RandomConnected(n, m, seed)
-	l, err := Mark(g)
+	l, err := Mark(g0.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	inc := NewRunner(l, Sync, 3)
-	inc.Eng.Parallel = false
-	par := NewRunner(l, Sync, 3)
-	par.Eng.Workers = runtime.PoolWorkers()
-	full := NewFullRecheckRunner(l, Sync, 3)
-	full.Eng.Parallel = false
-	return g, l, inc, par, full
+	return l
 }
 
-// applyShared applies one planned churn event to the graph the three
-// runners share: mutate through the first engine, re-sync the rest.
-func applyShared(apply func(*graph.Graph) error, first *Runner, rest ...*Runner) error {
-	if err := first.Eng.MutateTopology(apply); err != nil {
-		return err
-	}
-	for _, r := range rest {
-		if !r.ResyncTopology() {
-			return fmt.Errorf("shared-graph resync degraded (journal gap) — parity no longer guaranteed")
+// churnRunners builds the three configurations every churn assertion runs
+// against: incremental serial, incremental parallel-forced, and the
+// full-recheck reference — each on its own marked copy of one graph.
+func churnRunners(t *testing.T, n, m int, seed int64) (inc, par, full *Runner) {
+	t.Helper()
+	g0 := graph.RandomConnected(n, m, seed)
+	inc = NewRunner(markCopy(t, g0), Sync, 3)
+	inc.Eng.Parallel = false
+	par = NewRunner(markCopy(t, g0), Sync, 3)
+	par.Eng.Workers = runtime.PoolWorkers()
+	full = NewFullRecheckRunner(markCopy(t, g0), Sync, 3)
+	full.Eng.Parallel = false
+	return inc, par, full
+}
+
+// applyEach applies one planned churn event to every runner's own graph.
+func applyEach(apply func(*graph.Graph) error, runners ...*Runner) error {
+	for _, r := range runners {
+		if err := r.Eng.MutateTopology(apply); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -51,8 +53,9 @@ func applyShared(apply func(*graph.Graph) error, first *Runner, rest ...*Runner)
 // stays bit-identical to the full-recheck reference in every
 // protocol-visible field, every node, every round, including MaxStateBits.
 func TestChurnParityWithFullRecheck(t *testing.T) {
-	g, l, inc, par, full := churnRunners(t, 80, 200, 13)
+	inc, par, full := churnRunners(t, 80, 200, 13)
 	runners := []*Runner{inc, par, full}
+	g, l := inc.Eng.G(), inc.Labeled // events are planned on one copy, applied to each
 
 	compare := func(r int) {
 		t.Helper()
@@ -107,14 +110,16 @@ func TestChurnParityWithFullRecheck(t *testing.T) {
 			t.Logf("event %d: no mutation available, skipped", i)
 			continue
 		}
-		if err := applyShared(apply, inc, par, full); err != nil {
+		if err := applyEach(apply, runners...); err != nil {
 			t.Fatalf("event %d (%v): %v", i, ev, err)
 		}
 		compare(round) // the mutation itself (remap + invalidation) must agree
 		step(12 + rng.Intn(8))
 	}
-	if err := g.Validate(); err != nil {
-		t.Fatalf("graph invariants violated after the schedule: %v", err)
+	for _, r := range runners {
+		if err := r.Eng.G().Validate(); err != nil {
+			t.Fatalf("graph invariants violated after the schedule: %v", err)
+		}
 	}
 }
 
@@ -124,7 +129,8 @@ func TestChurnParityWithFullRecheck(t *testing.T) {
 // same alarming nodes; MST-preserving events before it keep both silent.
 func TestChurnDetectionRoundsMatch(t *testing.T) {
 	for _, kind := range []ChurnKind{ChurnWeightBreak, ChurnAddLight} {
-		g, l, inc, _, full := churnRunners(t, 96, 240, 17+int64(kind))
+		inc, _, full := churnRunners(t, 96, 240, 17+int64(kind))
+		g, l := inc.Eng.G(), inc.Labeled
 		budget := DetectionBudget(g.N())
 		rng := rand.New(rand.NewSource(int64(71 + kind)))
 		both := []*Runner{inc, full}
@@ -138,7 +144,7 @@ func TestChurnDetectionRoundsMatch(t *testing.T) {
 			if !ok {
 				continue
 			}
-			if err := applyShared(apply, inc, full); err != nil {
+			if err := applyEach(apply, both...); err != nil {
 				t.Fatalf("%v: %v", ev, err)
 			}
 			for _, r := range both {
@@ -152,7 +158,7 @@ func TestChurnDetectionRoundsMatch(t *testing.T) {
 		if !ok {
 			t.Fatalf("no %v mutation available", kind)
 		}
-		if err := applyShared(apply, inc, full); err != nil {
+		if err := applyEach(apply, both...); err != nil {
 			t.Fatalf("%v: %v", ev, err)
 		}
 		rI, alarmsI, okI := inc.RunUntilAlarm(2 * budget)
@@ -176,7 +182,7 @@ func TestChurnDetectionRoundsMatch(t *testing.T) {
 // verifier returns to the quiet fast path — zero static recomputes and zero
 // label copies per round once the dirty epochs age out.
 func TestChurnQuietRecovery(t *testing.T) {
-	_, _, inc, _, _ := churnRunners(t, 64, 160, 23)
+	inc, _, _ := churnRunners(t, 64, 160, 23)
 	inc.Eng.RunSyncRounds(20)
 	rng := rand.New(rand.NewSource(5))
 	for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy} {

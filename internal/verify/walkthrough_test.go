@@ -33,6 +33,10 @@ func TestFigures4to9Walkthrough(t *testing.T) {
 	prevWant := make([]train.Want, g.N())
 	prevCur := make([]int, g.N())
 	prevAskValid := make([]bool, g.N())
+	indexOf := make(map[graph.NodeID]int, g.N())
+	for v := 0; v < g.N(); v++ {
+		indexOf[g.ID(v)] = v
+	}
 
 	budget := DetectionBudget(g.N())
 	for round := 0; round < budget; round++ {
@@ -54,8 +58,7 @@ func TestFigures4to9Walkthrough(t *testing.T) {
 			// A server holding: some neighbour wants exactly what this node
 			// shows (valid member piece of the wanted level).
 			if prevWant[v].Valid {
-				server := g.IndexOf(prevWant[v].ServerID)
-				if server >= 0 {
+				if server, ok := indexOf[prevWant[v].ServerID]; ok {
 					ss := r.Eng.State(server).(*VState)
 					for _, d := range []train.Down{ss.TopS.Down, ss.BotS.Down} {
 						if d.Valid && d.P.ID.Level == prevWant[v].Level {

@@ -32,16 +32,12 @@ func fuzzWorklistParity(t *testing.T, data []byte) {
 	if len(data) > 48 {
 		data = data[:48] // bound the schedule; the tail is ignored, not invalid
 	}
-	g := graph.RandomConnected(32, 72, 99)
-	l, err := Mark(g)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// The default (full-sweep) horizon is used deliberately: the oracle
 	// assertion below depends on it — a short override can re-freeze a
 	// melted region before its sweep reaches a latent violation.
-	dense, wl := parityRunners(l, 17, false)
-	d := &parityDriver{t: t, g: g, l: l, dense: dense, wl: wl}
+	dense, wl := parityRunners(t, graph.RandomConnected(32, 72, 99), 17, false)
+	g := dense.Eng.G()
+	d := &parityDriver{t: t, g: g, l: dense.Labeled, dense: dense, wl: wl}
 
 	// Settle into the coasting regime so every schedule exercises melt,
 	// re-detection, and re-freezing rather than a fully-awake network.
@@ -79,7 +75,7 @@ func fuzzWorklistParity(t *testing.T, data []byte) {
 			if d.inject(int(vb)%g.N(), FaultKind(int(kb)%NumFaultKinds), rng) {
 				d.step(8, true)
 			}
-		case 2: // churn event against the shared live graph
+		case 2: // churn event, applied to both live graphs
 			kb, _ := next()
 			rng := rand.New(rand.NewSource(SubSeed(int64(kb), 2)))
 			if d.churn(churnMenu[int(kb)%len(churnMenu)], rng) {

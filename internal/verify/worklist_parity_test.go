@@ -30,13 +30,14 @@ func newCoastRunner(l *Labeled, seed int64) *Runner {
 	return r
 }
 
-// parityRunners builds the pair over one shared mutable graph: the dense
-// full-sweep coast reference (serial — the semantics oracle) and the sparse
-// worklist engine, serial or pool-forced.
-func parityRunners(l *Labeled, seed int64, parallel bool) (*Runner, *Runner) {
-	dense := newCoastRunner(l, seed)
+// parityRunners builds the pair, each on its own marked copy of g0: the
+// dense full-sweep coast reference (serial — the semantics oracle) and the
+// sparse worklist engine, serial or pool-forced.
+func parityRunners(t *testing.T, g0 *graph.Graph, seed int64, parallel bool) (*Runner, *Runner) {
+	t.Helper()
+	dense := newCoastRunner(markCopy(t, g0), seed)
 	dense.Eng.Parallel = false
-	wl := NewWorklistRunner(l, seed)
+	wl := NewWorklistRunner(markCopy(t, g0), seed)
 	if parallel {
 		wl.Eng.Workers = runtime.PoolWorkers()
 	} else {
@@ -69,7 +70,8 @@ func compareWorklist(t *testing.T, tag string, g *graph.Graph, dense, wl *Runner
 	}
 }
 
-// parityDriver runs the randomized differential schedule.
+// parityDriver runs the randomized differential schedule. g and l are the
+// dense runner's graph and marking, which churn events are planned on.
 type parityDriver struct {
 	t            *testing.T
 	g            *graph.Graph
@@ -144,31 +146,33 @@ func (d *parityDriver) inject(v int, kind FaultKind, rng *rand.Rand) bool {
 	return true
 }
 
-// churn applies one planned topology mutation to the shared graph through
-// the dense engine and re-syncs the worklist engine from the journal.
+// applyChurn applies one planned topology mutation to both engines, each
+// on its own graph.
+func (d *parityDriver) applyChurn(ev ChurnEvent, apply func(*graph.Graph) error) {
+	d.t.Helper()
+	for _, r := range []*Runner{d.dense, d.wl} {
+		if err := r.Eng.MutateTopology(apply); err != nil {
+			d.t.Fatalf("%s: churn %v: %v", d.tag(), ev, err)
+		}
+	}
+}
+
+// churn plans one topology mutation of the given kind and applies it to
+// both engines.
 func (d *parityDriver) churn(kind ChurnKind, rng *rand.Rand) bool {
 	ev, apply, ok := PlanChurn(d.g, d.l.Tree.Parent, kind, rng)
 	if !ok {
 		return false
 	}
-	if err := d.dense.Eng.MutateTopology(apply); err != nil {
-		d.t.Fatalf("%s: churn %v: %v", d.tag(), ev, err)
-	}
-	if !d.wl.ResyncTopology() {
-		d.t.Fatalf("%s: churn %v: worklist resync degraded (journal gap)", d.tag(), ev)
-	}
+	d.applyChurn(ev, apply)
 	compareWorklist(d.t, d.tag()+" (post-churn)", d.g, d.dense, d.wl)
 	d.lastMutation = d.round
 	return true
 }
 
 func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
-	g := graph.RandomConnected(72, 180, seed)
-	l, err := Mark(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dense, wl := parityRunners(l, SubSeed(seed, 0), parallel)
+	dense, wl := parityRunners(t, graph.RandomConnected(72, 180, seed), SubSeed(seed, 0), parallel)
+	g, l := dense.Eng.G(), dense.Labeled
 	d := &parityDriver{t: t, g: g, l: l, dense: dense, wl: wl}
 	budget := DetectionBudget(g.N())
 
@@ -200,7 +204,7 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 		d.step(31, false) // lazy aftermath: untouched regions keep coasting
 	}
 
-	// Phase 4: churn events of every kind against the shared live graph.
+	// Phase 4: churn events of every kind, applied to both live graphs.
 	for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy, ChurnWeightBreak, ChurnAddLight} {
 		if !d.churn(kind, rng) {
 			t.Logf("%s: no %v mutation available, skipped", d.tag(), kind)
@@ -217,20 +221,17 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 			d.inject(rng.Intn(g.N()), FaultKind(rng.Intn(NumFaultKinds)), rng)
 		}
 		if ev, apply, ok := RandomChurn(g, l.Tree.Parent, rng); ok {
-			if err := dense.Eng.MutateTopology(apply); err != nil {
-				t.Fatalf("%s: burst churn %v: %v", d.tag(), ev, err)
-			}
-			if !wl.ResyncTopology() {
-				t.Fatalf("%s: burst churn resync degraded", d.tag())
-			}
+			d.applyChurn(ev, apply)
 		}
 		compareWorklist(t, d.tag()+" (post-burst)", d.g, dense, wl)
 		d.step(24, true)
 		d.step(40+rng.Intn(40), false)
 	}
 
-	if err := g.Validate(); err != nil {
-		t.Fatalf("graph invariants violated after the schedule: %v", err)
+	for _, r := range []*Runner{dense, wl} {
+		if err := r.Eng.G().Validate(); err != nil {
+			t.Fatalf("graph invariants violated after the schedule: %v", err)
+		}
 	}
 	t.Logf("parity held: settled at round %d, finished at round %d, %d alarm rounds, worklist steps %d",
 		settleRound, d.round, len(d.alarmRec), wl.Eng.StepsTaken())
