@@ -58,8 +58,10 @@ type Hierarchy struct {
 	// TopIndex is the index of the fragment equal to the whole tree T.
 	TopIndex int
 
-	// fragAt[v][j] = index of the level-j fragment containing v, or -1.
-	fragAt [][]int
+	// fragAt[v*stride+j] = index of the level-j fragment containing v, or
+	// -1; stride = ℓ+1.
+	fragAt []int32
+	stride int
 }
 
 // Ell returns ℓ, the level of the whole-tree fragment.
@@ -68,10 +70,10 @@ func (h *Hierarchy) Ell() int { return h.Frags[h.TopIndex].Level }
 // FragAt returns the index of the level-j fragment containing node v, or -1
 // if v belongs to no level-j fragment.
 func (h *Hierarchy) FragAt(v, j int) int {
-	if j < 0 || j >= len(h.fragAt[v]) {
+	if j < 0 || j >= h.stride {
 		return -1
 	}
-	return h.fragAt[v][j]
+	return int(h.fragAt[v*h.stride+j])
 }
 
 // FragmentID is the paper's unique fragment identifier (§6): the identity of
@@ -169,12 +171,10 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 	// Check that all singletons are present and build fragAt (which also
 	// proves per-level disjointness).
 	ell := h.Frags[h.TopIndex].Level
-	h.fragAt = make([][]int, n)
-	for v := 0; v < n; v++ {
-		h.fragAt[v] = make([]int, ell+1)
-		for j := range h.fragAt[v] {
-			h.fragAt[v][j] = -1
-		}
+	h.stride = ell + 1
+	h.fragAt = make([]int32, n*h.stride)
+	for i := range h.fragAt {
+		h.fragAt[i] = -1
 	}
 	singleton := make([]bool, n)
 	for i := range h.Frags {
@@ -186,10 +186,11 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 			singleton[f.Nodes[0]] = true
 		}
 		for _, v := range f.Nodes {
-			if prev := h.fragAt[v][f.Level]; prev >= 0 {
-				return nil, fmt.Errorf("hierarchy: node %d in two level-%d fragments (%d, %d)", v, f.Level, prev, i)
+			at := &h.fragAt[v*h.stride+f.Level]
+			if *at >= 0 {
+				return nil, fmt.Errorf("hierarchy: node %d in two level-%d fragments (%d, %d)", v, f.Level, *at, i)
 			}
-			h.fragAt[v][f.Level] = i
+			*at = int32(i)
 		}
 	}
 	for v := 0; v < n; v++ {
@@ -221,7 +222,7 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 		// f.Root; laminarity demands it contains all of f.
 		parent := -1
 		for j := f.Level; j <= ell; j++ {
-			cand := h.fragAt[f.Root][j]
+			cand := h.FragAt(f.Root, j)
 			if cand >= 0 && cand != i && h.Frags[cand].Size() > f.Size() {
 				if parent < 0 || h.Frags[cand].Size() < h.Frags[parent].Size() {
 					parent = cand
@@ -249,7 +250,7 @@ func Build(t *graph.Tree, raws []RawFragment) (*Hierarchy, error) {
 
 // contains reports whether node v belongs to fragment f.
 func (h *Hierarchy) contains(f, v int) bool {
-	return h.fragAt[v][h.Frags[f].Level] == f
+	return int(h.fragAt[v*h.stride+h.Frags[f].Level]) == f
 }
 
 // validateCandidates checks Definition 5.2: every non-T fragment has a

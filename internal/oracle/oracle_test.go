@@ -325,15 +325,16 @@ func FuzzTLightness(f *testing.F) {
 	})
 }
 
-// TestCrossCheckAtScale: at n=65536 the cross-check accepts the MST and
-// rejects a k=16 corrupted tree, and the T-lightness witness is valid. Only
-// the random and powerlaw families run: geometric and highgirth generation
-// is O(n²) or worse at this size.
+// TestCrossCheckAtScale: on every family at n=65536 the cross-check
+// accepts the MST and rejects a k=16 corrupted tree, and the T-lightness
+// witness is valid.
 func TestCrossCheckAtScale(t *testing.T) {
 	const n, seed = 65536, int64(5)
 	for name, g := range map[string]*graph.Graph{
-		"random":   graph.RandomConnected(n, 3*n, seed),
-		"powerlaw": graph.PowerLaw(n, 3, seed),
+		"random":    graph.RandomConnected(n, 3*n, seed),
+		"powerlaw":  graph.PowerLaw(n, 3, seed),
+		"geometric": graph.Geometric(n, seed),
+		"highgirth": graph.HighGirth(n, 2*n, 6, seed),
 	} {
 		less := graph.ByWeight(g)
 		gen, err := graph.NewCorruptedMSTGenerator(g)

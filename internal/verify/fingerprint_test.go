@@ -104,6 +104,60 @@ func TestInstanceFingerprints(t *testing.T) {
 	}
 }
 
+// instanceHash hashes a bare instance with FNV-64a: every node's identity
+// and the edge list with weights.
+func instanceHash(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	for v := 0; v < g.N(); v++ {
+		fmt.Fprintf(h, "i%d %d;", v, g.ID(v))
+	}
+	for e := 0; e < g.M(); e++ {
+		ed := g.Edge(e)
+		fmt.Fprintf(h, "e%d %d %d %d;", e, ed.U, ed.V, ed.W)
+	}
+	return h.Sum64()
+}
+
+// TestBenchInstancePins pins the graphs the benchmark runs on, which the
+// n ≤ 1024 pins above do not reach: the eight oracle-campaign graphs (every
+// family at n=4096, sub-seeds 0 and 1 of instance seed 1) and geometric and
+// highgirth at n=16384. A generator rewrite may not move any of them.
+func TestBenchInstancePins(t *testing.T) {
+	const campaignN = 4096
+	campaign := [][2]uint64{
+		{0x733a8362d34e3c6d, 0x9ac6ad9c87669aac}, // random
+		{0x3bf1527779bc46b7, 0x27022ea30448a651}, // powerlaw
+		{0x58ff3946122ba8f2, 0xacb52d93d0cad70f}, // geometric
+		{0xf9ee7efc57411f5f, 0x8630aa79b4a737c2}, // highgirth
+	}
+	for fi, fam := range graph.Families() {
+		for si, want := range campaign[fi] {
+			g, err := graph.ByFamily(fam, campaignN, SubSeed(1, campaignN, int64(fi), int64(si)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := instanceHash(g); got != want {
+				t.Errorf("%s n=%d sub-seed %d: hash %#x, want %#x", fam, campaignN, si, got, want)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		family string
+		want   uint64
+	}{
+		{"geometric", 0x0c2f084917d2d449},
+		{"highgirth", 0xa7536f337617ebbf},
+	} {
+		g, err := graph.ByFamily(tc.family, 16384, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := instanceHash(g); got != tc.want {
+			t.Errorf("%s n=16384 seed 1: hash %#x, want %#x", tc.family, got, tc.want)
+		}
+	}
+}
+
 // TestMarkTreeFingerprints pins MarkTree the same way at n=256, with and
 // without the ω override: on the MST it must reproduce Mark's pins, and on
 // a tree four cycle edits away from the MST the recorded values.
