@@ -89,7 +89,6 @@ func DefaultConfig() Config {
 			"internal/selfstab",
 			"internal/syncmst",
 			"internal/train",
-			"internal/datalink",
 		},
 	}
 }

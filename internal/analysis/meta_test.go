@@ -58,7 +58,7 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 	}
 
 	total := 0
-	eachSourceFile(t, func(fset *token.FileSet, _ string, f *ast.File) {
+	eachSourceFile(t, false, func(fset *token.FileSet, _ string, f *ast.File) {
 		// Where do the analyzers look? Function doc groups and field
 		// doc/line comments.
 		funcDoc := map[*ast.Comment]bool{}
@@ -130,7 +130,7 @@ func TestAnnotationsAttachToRecognizedDeclarations(t *testing.T) {
 // internal/raceflag (which only tests import) carries a //go:build line. A
 // new tag-gated file must bring per-tag audits back on purpose.
 func TestOnlyRaceflagIsTagGated(t *testing.T) {
-	eachSourceFile(t, func(fset *token.FileSet, rel string, f *ast.File) {
+	eachSourceFile(t, false, func(fset *token.FileSet, rel string, f *ast.File) {
 		if filepath.Dir(rel) == filepath.Join("internal", "raceflag") {
 			return
 		}
@@ -148,9 +148,10 @@ func TestOnlyRaceflagIsTagGated(t *testing.T) {
 }
 
 // eachSourceFile parses (without type checking) every non-test Go file of
-// the repository, skipping the directories the loader skips, and hands each
-// to visit with its path relative to the module root.
-func eachSourceFile(t *testing.T, visit func(fset *token.FileSet, rel string, f *ast.File)) {
+// the repository, or with tests set every _test.go file, skipping the
+// directories the loader skips, and hands each to visit with its path
+// relative to the module root.
+func eachSourceFile(t *testing.T, tests bool, visit func(fset *token.FileSet, rel string, f *ast.File)) {
 	t.Helper()
 	root, _, err := findModule(".")
 	if err != nil {
@@ -168,7 +169,7 @@ func eachSourceFile(t *testing.T, visit func(fset *token.FileSet, rel string, f 
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.ParseComments|parser.SkipObjectResolution)

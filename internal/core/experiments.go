@@ -5,7 +5,6 @@ package core
 
 import (
 	"fmt"
-	mbits "math/bits"
 	"math/rand"
 	"slices"
 	"strings"
@@ -121,11 +120,12 @@ func Table2() *Table {
 func DetectionSync(sizes []int, trials int, seed int64) *Table {
 	t := &Table{
 		Title:  "E3 — synchronous detection time after one fault (paper: O(log² n))",
-		Header: []string{"n", "λ", "median rounds", "max rounds", "budget"},
+		Header: []string{"n", "λ", "median rounds", "max rounds", "detected/applied/trials", "budget"},
 	}
 	for _, n := range sizes {
 		g := graph.RandomConnected(n, 2*n, seed+int64(n))
 		var times []int
+		applied := 0
 		rng := rand.New(rand.NewSource(seed))
 		for trial := 0; trial < trials; trial++ {
 			l, err := verify.Mark(g)
@@ -139,16 +139,14 @@ func DetectionSync(sizes []int, trials int, seed int64) *Table {
 			if !r.InjectKind(node, verify.FaultStoredPieceW, rng) {
 				continue
 			}
+			applied++
 			if rounds, _, ok := r.RunUntilAlarm(2 * budget); ok {
 				times = append(times, rounds)
 			}
 		}
-		if len(times) == 0 {
-			continue
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(train.LambdaThreshold(n)),
-			fmt.Sprint(median(times)), fmt.Sprint(maxOf(times)),
+			medianCell(times), maxCell(times), trialCounts(len(times), applied, trials),
 			fmt.Sprint(verify.DetectionBudget(n)),
 		})
 	}
@@ -160,12 +158,13 @@ func DetectionSync(sizes []int, trials int, seed int64) *Table {
 func DetectionAsync(sizes []int, trials int, seed int64) *Table {
 	t := &Table{
 		Title:  "E4 — asynchronous detection time after one fault (paper: O(Δ·log³ n))",
-		Header: []string{"n", "Δ", "median time units", "max time units"},
+		Header: []string{"n", "Δ", "median time units", "max time units", "detected/applied/trials"},
 	}
 	for _, n := range sizes {
 		g := graph.RandomConnected(n, 2*n, seed+int64(n))
 		rng := rand.New(rand.NewSource(seed))
 		var times []int
+		applied := 0
 		for trial := 0; trial < trials; trial++ {
 			l, err := verify.Mark(g)
 			if err != nil {
@@ -180,16 +179,14 @@ func DetectionAsync(sizes []int, trials int, seed int64) *Table {
 			if !r.InjectKind(rng.Intn(n), verify.FaultStoredPieceW, rng) {
 				continue
 			}
+			applied++
 			if rounds, _, ok := r.RunUntilAlarm(4 * budget); ok {
 				times = append(times, rounds)
 			}
 		}
-		if len(times) == 0 {
-			continue
-		}
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(g.MaxDegree()),
-			fmt.Sprint(median(times)), fmt.Sprint(maxOf(times)),
+			medianCell(times), maxCell(times), trialCounts(len(times), applied, trials),
 		})
 	}
 	return t
@@ -395,12 +392,13 @@ func SelfStabilization(sizes []int, seed int64) *Table {
 func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 	t := &Table{
 		Title: "E3/E12 at scale — synchronous detection time vs the O(log² n) bound (in-place engine)",
-		Header: []string{"n", "λ", "log²n", "E3 verifier median rounds", "E12 selfstab median rounds",
-			"budget", "verifier ns/round"},
+		Header: []string{"n", "λ", "log²n", "E3 verifier median rounds", "E3 detected/applied/trials",
+			"E12 selfstab median rounds", "E12 detected/applied/trials", "budget", "verifier ns/round"},
 		Remarks: []string{
 			"Fault: FaultStoredPieceW (a stored piece's ω̂ raised) in both columns — detection must flow through the trains and the sampler, the O(log² n) path.",
-			"budget is DetectionBudget(n) — the Theorem 8.5 bound the measured medians must stay under.",
+			"budget is DetectionBudget(n) — the Theorem 8.5 bound the measured medians must stay under; detected counts the applied faults alarmed within 2·budget, and a median is over detected trials only.",
 			"E12 detection = first round a node leaves the check phase (the transformer consumes the alarm and starts a new epoch in the same step).",
+			"An E12 trial whose seeded check-phase configuration did not hold through the warm-up gets no fault; the E12 counts show how many such trials there were as (k not held).",
 		},
 	}
 	for _, n := range sizes {
@@ -413,6 +411,7 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 		budget := verify.DetectionBudget(n)
 		rng := rand.New(rand.NewSource(seed))
 		var vTimes, sTimes, nsRounds []int
+		vApplied, sApplied, notHeld := 0, 0, 0
 		for trial := 0; trial < trials; trial++ {
 			// E3: the standalone verifier.
 			r := verify.NewRunner(l, verify.Sync, seed+int64(trial))
@@ -427,6 +426,7 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 			if !injected {
 				continue
 			}
+			vApplied++
 			if rounds, _, ok := r.RunUntilAlarm(2 * budget); ok {
 				vTimes = append(vTimes, rounds)
 			}
@@ -439,7 +439,8 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 			sr.SeedStable(l)
 			sr.Eng.RunSyncRounds(warm)
 			if !sr.Eng.AllDone() {
-				continue // seeded configuration did not hold (unexpected)
+				notHeld++
+				continue
 			}
 			injected := false
 			for att := 0; att < n && !injected; att++ {
@@ -451,17 +452,20 @@ func DetectionScaling(sizes []int, trials int, seed int64) *Table {
 			if !injected {
 				continue
 			}
+			sApplied++
 			if rounds, ok := sr.RunUntilDetect(2 * budget); ok {
 				sTimes = append(sTimes, rounds)
 			}
 		}
-		if len(vTimes) == 0 || len(sTimes) == 0 {
-			continue
+		sCounts := trialCounts(len(sTimes), sApplied, trials)
+		if notHeld > 0 {
+			sCounts += fmt.Sprintf(" (%d not held)", notHeld)
 		}
-		lg := log2floor(n)
+		lg := hierarchy.Ell(n)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprint(n), fmt.Sprint(train.LambdaThreshold(n)), fmt.Sprint(lg * lg),
-			fmt.Sprint(median(vTimes)), fmt.Sprint(median(sTimes)),
+			medianCell(vTimes), trialCounts(len(vTimes), vApplied, trials),
+			medianCell(sTimes), sCounts,
 			fmt.Sprint(budget), fmt.Sprint(median(nsRounds)),
 		})
 	}
@@ -527,7 +531,7 @@ func ChurnScaling(sizes []int, trials int, seed int64) *Table {
 	preserving := []verify.ChurnKind{verify.ChurnWeightKeep, verify.ChurnCut, verify.ChurnAddHeavy}
 	for _, n := range sizes {
 		budget := verify.DetectionBudget(n)
-		lg := log2floor(n)
+		lg := hierarchy.Ell(n)
 		// The preserving menu runs once per trial (shared across rows). Only
 		// events that were actually planned count toward the soundness
 		// claim: a trial where no mutation of some kind exists on that
@@ -574,12 +578,8 @@ func ChurnScaling(sizes []int, trials int, seed int64) *Table {
 			if planned == 0 {
 				continue
 			}
-			med := "-"
-			if len(times) > 0 {
-				med = fmt.Sprint(median(times))
-			}
 			t.Rows = append(t.Rows, []string{
-				fmt.Sprint(n), kind.String(), med,
+				fmt.Sprint(n), kind.String(), medianCell(times),
 				fmt.Sprintf("%d/%d", detected, planned),
 				fmt.Sprint(budget), fmt.Sprint(lg * lg),
 				fmt.Sprintf("%d/%d", silent, plannedQuiet),
@@ -636,13 +636,16 @@ func LowerBound(taus []int, seed int64) *Table {
 			applied = r.InjectKind(v, verify.FaultStoredPieceW, rng)
 		}
 		rounds, _, ok := r.RunUntilAlarm(2 * budget)
-		if !ok {
-			continue
-		}
 		bitsMax := l.MaxLabelBits()
+		roundsCol, product := fmt.Sprint(rounds), fmt.Sprint(rounds*bitsMax)
+		switch {
+		case !applied:
+			roundsCol, product = "not applied", "-"
+		case !ok:
+			roundsCol, product = "miss", "-"
+		}
 		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(tau), fmt.Sprint(st.G.N()), fmt.Sprint(rounds),
-			fmt.Sprint(bitsMax), fmt.Sprint(rounds * bitsMax),
+			fmt.Sprint(tau), fmt.Sprint(st.G.N()), roundsCol, fmt.Sprint(bitsMax), product,
 		})
 	}
 	return t
@@ -664,24 +667,31 @@ func All(seed int64) []*Table {
 	}
 }
 
-// log2floor returns ⌊log₂ n⌋ — the log²n column convention shared by the
-// E3 and E3-churn tables.
-func log2floor(n int) int {
-	return mbits.Len(uint(n)) - 1
-}
-
 func median(xs []int) int {
 	s := slices.Clone(xs)
 	slices.Sort(s)
 	return s[len(s)/2]
 }
 
-func maxOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
+// medianCell and maxCell render a column over the detected trials, "-" when
+// none was detected: a row stays in the table when every trial missed.
+func medianCell(xs []int) string {
+	if len(xs) == 0 {
+		return "-"
 	}
-	return m
+	return fmt.Sprint(median(xs))
+}
+
+func maxCell(xs []int) string {
+	if len(xs) == 0 {
+		return "-"
+	}
+	return fmt.Sprint(slices.Max(xs))
+}
+
+// trialCounts renders a detected/applied/trials cell: of the trials run,
+// those whose fault was actually injected, and of those, the ones detected
+// within the budget.
+func trialCounts(detected, applied, trials int) string {
+	return fmt.Sprintf("%d/%d/%d", detected, applied, trials)
 }

@@ -416,7 +416,7 @@ func TestCorruptedMSTGenerator(t *testing.T) {
 			t.Fatalf("seed %d: k=0 does not reproduce the MST", seed)
 		}
 	}
-	prev := MSTWeight(g, mst)
+	prev := mstWeight(g, mst)
 	for _, k := range []int{1, 2, 4, 8, 16, 24} {
 		tree, err := gen.Generate(k, seed)
 		if err != nil {
@@ -428,7 +428,7 @@ func TestCorruptedMSTGenerator(t *testing.T) {
 		if IsMST(g, tree, ByWeight(g)) {
 			t.Fatalf("seed %d k=%d: still minimal", seed, k)
 		}
-		w := MSTWeight(g, tree)
+		w := mstWeight(g, tree)
 		if w <= prev {
 			t.Fatalf("seed %d k=%d: weight %d did not increase (prev %d)", seed, k, w, prev)
 		}

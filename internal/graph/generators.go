@@ -116,17 +116,6 @@ func Star(n int, seed int64) *Graph {
 	return g
 }
 
-// RandomTree returns a uniformly random labeled tree (random attachment).
-func RandomTree(n int, seed int64) *Graph {
-	rng := rand.New(rand.NewSource(seed))
-	g := New(n, scrambledIDs(n, rng))
-	ws := distinctWeights(n, rng)
-	for i := 1; i < n; i++ {
-		g.MustAddEdge(i, rng.Intn(i), ws[i-1])
-	}
-	return g
-}
-
 // RandomConnected returns a connected graph with n nodes and m edges,
 // m ≥ n-1: a random spanning tree plus random extra edges.
 func RandomConnected(n, m int, seed int64) *Graph {
@@ -203,48 +192,12 @@ func Lollipop(n, k int, seed int64) *Graph {
 	return g
 }
 
-// Regular returns a connected d-regular graph on n nodes (n·d even, d ≥ 2),
-// built as d/2 superimposed shifted rings (for even d) or a ring plus a
-// perfect matching for odd d with even n. Used for Δ-sweeps at fixed n.
-func Regular(n, d int, seed int64) *Graph {
-	if d < 2 || d >= n {
-		panic("graph: regular needs 2 <= d < n")
-	}
-	if n*d%2 != 0 {
-		panic("graph: regular needs n*d even")
-	}
-	rng := rand.New(rand.NewSource(seed))
-	g := New(n, scrambledIDs(n, rng))
-	ws := distinctWeights(n*d, rng)
-	k := 0
-	add := func(u, v int) {
-		if u != v && g.PortTo(u, v) < 0 {
-			g.MustAddEdge(u, v, ws[k])
-			k++
-		}
-	}
-	// Circulant construction: connect i to i±s for s = 1..d/2.
-	for s := 1; s <= d/2; s++ {
-		for i := 0; i < n; i++ {
-			add(i, (i+s)%n)
-		}
-	}
-	if d%2 == 1 {
-		// Diameter matching i — i+n/2.
-		for i := 0; i < n/2; i++ {
-			add(i, i+n/2)
-		}
-	}
-	return g
-}
-
 // WithDuplicateWeights returns a copy of g whose weights are collapsed
 // modulo k, deliberately creating ties; used to exercise the ω′ transform.
-func WithDuplicateWeights(g *Graph, k int, seed int64) *Graph {
+func WithDuplicateWeights(g *Graph, k int) *Graph {
 	c := g.Clone()
 	for i := range c.edges {
 		c.edges[i].W = Weight(int64(c.edges[i].W)%int64(k) + 1)
 	}
-	_ = seed
 	return c
 }

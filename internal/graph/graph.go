@@ -498,8 +498,7 @@ func (g *Graph) BFSDistances(src int) []int {
 // passes — O(n+m) — instead of the previous all-pairs O(n·m) sweep, so it is
 // safe to call per churn event at n=65536. The value is exact on trees (a is
 // always an endpoint of a diametral path) and a lower bound within a factor
-// of 2 on general graphs; callers needing the exact general-graph value use
-// DiameterExact.
+// of 2 on general graphs.
 func (g *Graph) Diameter() int {
 	if g.N() <= 1 {
 		return 0
@@ -518,21 +517,6 @@ func farthest(dist []int) (node, d int) {
 		}
 	}
 	return node, d
-}
-
-// DiameterExact returns the exact hop diameter by running BFS from every
-// node — O(n·m), intended for test/reference sizes only (Diameter is the
-// production path).
-func (g *Graph) DiameterExact() int {
-	d := 0
-	for v := 0; v < g.N(); v++ {
-		for _, x := range g.BFSDistances(v) {
-			if x > d {
-				d = x
-			}
-		}
-	}
-	return d
 }
 
 // Validate checks structural invariants: port symmetry, edge endpoint order,

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -101,12 +102,12 @@ func TestGenerators(t *testing.T) {
 		{"grid", Grid(3, 4, 3), 12, 17, 4},
 		{"complete", Complete(6, 3), 6, 15, 5},
 		{"star", Star(9, 3), 9, 8, 8},
-		{"randomtree", RandomTree(20, 3), 20, 19, -1},
+		{"randomtree", randomTree(20, 3), 20, 19, -1},
 		{"randomconn", RandomConnected(20, 40, 3), 20, 40, -1},
 		{"caterpillar", Caterpillar(5, 2, 3), 15, 14, -1},
 		{"lollipop", Lollipop(10, 4, 3), 10, 12, -1},
-		{"regular4", Regular(10, 4, 3), 10, 20, 4},
-		{"regular3", Regular(10, 3, 3), 10, 15, 3},
+		{"regular4", regular(10, 4, 3), 10, 20, 4},
+		{"regular3", regular(10, 3, 3), 10, 15, 3},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -159,7 +160,7 @@ func TestGeneratorsDeterministic(t *testing.T) {
 func TestRegularDegrees(t *testing.T) {
 	for _, d := range []int{2, 3, 4, 5} {
 		n := 12
-		g := Regular(n, d, 7)
+		g := regular(n, d, 7)
 		for v := 0; v < n; v++ {
 			if g.Degree(v) != d {
 				t.Fatalf("d=%d: node %d has degree %d", d, v, g.Degree(v))
@@ -170,7 +171,7 @@ func TestRegularDegrees(t *testing.T) {
 
 func TestWithDuplicateWeights(t *testing.T) {
 	g := Complete(6, 5)
-	dup := WithDuplicateWeights(g, 3, 0)
+	dup := WithDuplicateWeights(g, 3)
 	if dup.HasDistinctWeights() {
 		t.Fatal("expected ties after collapsing weights")
 	}
@@ -195,4 +196,50 @@ func TestClone(t *testing.T) {
 	if err := g.Validate(); err != nil {
 		t.Fatalf("original corrupted: %v", err)
 	}
+}
+
+// randomTree returns a uniformly random labeled tree (random attachment).
+func randomTree(n int, seed int64) *Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := New(n, scrambledIDs(n, rng))
+	ws := distinctWeights(n, rng)
+	for i := 1; i < n; i++ {
+		g.MustAddEdge(i, rng.Intn(i), ws[i-1])
+	}
+	return g
+}
+
+// regular returns a connected d-regular graph on n nodes (n·d even, d ≥ 2),
+// built as d/2 superimposed shifted rings (for even d) or a ring plus a
+// perfect matching for odd d with even n.
+func regular(n, d int, seed int64) *Graph {
+	if d < 2 || d >= n {
+		panic("graph: regular needs 2 <= d < n")
+	}
+	if n*d%2 != 0 {
+		panic("graph: regular needs n*d even")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	g := New(n, scrambledIDs(n, rng))
+	ws := distinctWeights(n*d, rng)
+	k := 0
+	add := func(u, v int) {
+		if u != v && g.PortTo(u, v) < 0 {
+			g.MustAddEdge(u, v, ws[k])
+			k++
+		}
+	}
+	// Circulant construction: connect i to i±s for s = 1..d/2.
+	for s := 1; s <= d/2; s++ {
+		for i := 0; i < n; i++ {
+			add(i, (i+s)%n)
+		}
+	}
+	if d%2 == 1 {
+		// Diameter matching i — i+n/2.
+		for i := 0; i < n/2; i++ {
+			add(i, i+n/2)
+		}
+	}
+	return g
 }

@@ -129,15 +129,6 @@ func Kruskal(g *Graph, less EdgeOrder) ([]int, error) {
 	return tree, nil
 }
 
-// MSTWeight returns the total raw weight of an edge set.
-func MSTWeight(g *Graph, edges []int) Weight {
-	var w Weight
-	for _, e := range edges {
-		w += g.Edge(e).W
-	}
-	return w
-}
-
 // IsSpanningTree reports whether the edge set forms a spanning tree of g.
 // An edge id outside [0, M) makes it false.
 func IsSpanningTree(g *Graph, edges []int) bool {

@@ -87,7 +87,7 @@ func TestTreeEdgeSetRoundTrip(t *testing.T) {
 func TestTreeInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		n := 3 + int(uint64(seed)%20)
-		g := RandomTree(n, seed)
+		g := randomTree(n, seed)
 		edges := make([]int, g.M())
 		for i := range edges {
 			edges[i] = i

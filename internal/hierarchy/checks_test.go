@@ -36,7 +36,7 @@ func TestChecksCatchSingleEntryCorruptions(t *testing.T) {
 			caught++
 			return
 		}
-		if h2, err := FromStrings(h.Tree, ss); err == nil {
+		if h2, err := fromStrings(h.Tree, ss); err == nil {
 			if err := h2.CheckMinimality(); err == nil {
 				return // semantically still a correct proof
 			}
@@ -141,7 +141,7 @@ func TestChecksCatchRandomMultiCorruptions(t *testing.T) {
 		if len(CheckAll(h.Tree, ell, ss)) > 0 {
 			continue // caught locally
 		}
-		h2, err := FromStrings(h.Tree, ss)
+		h2, err := fromStrings(h.Tree, ss)
 		if err != nil {
 			t.Fatalf("trial %d: locally accepted strings do not represent a hierarchy: %v", trial, err)
 		}

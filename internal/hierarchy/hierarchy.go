@@ -1,9 +1,10 @@
 // Package hierarchy implements the fragment-hierarchy machinery of §5 of the
 // paper: laminar families of fragments over a rooted spanning tree, levels,
 // candidate functions (Definition 5.2), the distributed representation via
-// the per-node strings Roots/EndP/Parents/Or_EndP, the legality conditions
-// RS0–RS5 and EPS0–EPS5, and reconstruction of a hierarchy from legal
-// strings (the object the verifier reasons about).
+// the per-node strings Roots/EndP/Parents/Or_EndP (the object the verifier
+// reasons about) and their legality conditions RS0–RS5 and EPS0–EPS5. The
+// package tests reconstruct a hierarchy from legal strings to show the
+// representation round-trips.
 //
 // Levels follow the semantics of the worked example (Figure 1/Table 2) and
 // of SYNC_MST (§4): the level of an active fragment F is the phase at which
@@ -14,8 +15,10 @@ package hierarchy
 import (
 	"fmt"
 	"math"
+	mbits "math/bits"
 	"sort"
 
+	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 )
 
@@ -67,6 +70,16 @@ type Hierarchy struct {
 // Ell returns ℓ, the level of the whole-tree fragment.
 func (h *Hierarchy) Ell() int { return h.Frags[h.TopIndex].Level }
 
+// Ell returns ℓ = ⌊log₂ n⌋ for a claimed node count n (0 for n ≤ 1): the
+// top level of SYNC_MST's hierarchy (Lemma 4.1), so strings have ℓ+1
+// entries. It is the one place the level count is derived from n.
+func Ell(n int) int {
+	if n < 2 {
+		return 0
+	}
+	return mbits.Len(uint(n)) - 1
+}
+
 // FragAt returns the index of the level-j fragment containing node v, or -1
 // if v belongs to no level-j fragment.
 func (h *Hierarchy) FragAt(v, j int) int {
@@ -94,6 +107,17 @@ func (h *Hierarchy) ID(f int) FragmentID {
 type Piece struct {
 	ID FragmentID
 	W  graph.Weight // weight of F's claimed minimum outgoing edge
+}
+
+// BitSize returns the encoded width of the piece: the root identity, the
+// level, and ω (one bit for the NoOutWeight sentinel of T). It is the one
+// piece width every label and register holding a piece is charged.
+func (p Piece) BitSize() int {
+	w := 1
+	if p.W != NoOutWeight {
+		w = bits.ForInt(int64(p.W))
+	}
+	return bits.ForInt(int64(p.ID.RootID)) + bits.ForInt(int64(p.ID.Level)) + w
 }
 
 // Piece returns I(F) for fragment index f.

@@ -1,11 +1,6 @@
 package hierarchy
 
-import (
-	"fmt"
-
-	"ssmst/internal/bits"
-	"ssmst/internal/graph"
-)
+import "ssmst/internal/bits"
 
 // Entry symbols for the Roots strings (§5.2).
 const (
@@ -124,105 +119,4 @@ func MarkStrings(h *Hierarchy) []Strings {
 		}
 	}
 	return out
-}
-
-// FromStrings reconstructs the hierarchy and candidate function represented
-// by per-node strings over a rooted tree. It returns an error if the strings
-// are not a legal representation (the global analogue of the local RS/EPS
-// checks; used in tests to establish the round-trip property and the
-// soundness of the local checks).
-func FromStrings(t *graph.Tree, ss []Strings) (*Hierarchy, error) {
-	n := t.G.N()
-	if len(ss) != n {
-		return nil, fmt.Errorf("hierarchy: %d strings for %d nodes", len(ss), n)
-	}
-	levels := ss[0].Levels()
-	for v := range ss {
-		if ss[v].Levels() != levels {
-			return nil, fmt.Errorf("hierarchy: node %d string length %d ≠ %d", v, ss[v].Levels(), levels)
-		}
-	}
-	var raws []RawFragment
-	// For each level and each root-marked node, collect the fragment by
-	// walking down the tree through RootsNo entries.
-	for j := 0; j < levels; j++ {
-		assigned := make([]bool, n)
-		for v := 0; v < n; v++ {
-			if ss[v].Roots[j] != RootsYes {
-				continue
-			}
-			var nodes []int
-			stack := []int{v}
-			for len(stack) > 0 {
-				x := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				nodes = append(nodes, x)
-				assigned[x] = true
-				for _, c := range t.Children(x) {
-					if ss[c].Roots[j] == RootsNo {
-						stack = append(stack, c)
-					}
-				}
-			}
-			cand, err := findCandidate(t, ss, nodes, j)
-			if err != nil {
-				return nil, err
-			}
-			raws = append(raws, RawFragment{Nodes: nodes, Cand: cand})
-		}
-		for v := 0; v < n; v++ {
-			if ss[v].Roots[j] == RootsNo && !assigned[v] {
-				return nil, fmt.Errorf("hierarchy: node %d marked member at level %d but unreachable from a root", v, j)
-			}
-		}
-	}
-	return Build(t, raws)
-}
-
-// findCandidate locates the induced candidate edge of the fragment with the
-// given nodes at level j, per the EndP/Parents conventions.
-func findCandidate(t *graph.Tree, ss []Strings, nodes []int, j int) (int, error) {
-	cand := -1
-	wholeTree := len(nodes) == t.G.N()
-	for _, v := range nodes {
-		switch ss[v].EndP[j] {
-		case EndPUp:
-			if cand >= 0 {
-				return -1, fmt.Errorf("hierarchy: two candidate endpoints at level %d", j)
-			}
-			if t.Parent[v] < 0 {
-				return -1, fmt.Errorf("hierarchy: EndP up at root of T (level %d)", j)
-			}
-			cand = t.ParentEdge[v]
-		case EndPDown:
-			if cand >= 0 {
-				return -1, fmt.Errorf("hierarchy: two candidate endpoints at level %d", j)
-			}
-			marked := -1
-			for _, c := range t.Children(v) {
-				if j < ss[c].Levels() && ss[c].Parents[j] {
-					if marked >= 0 {
-						return -1, fmt.Errorf("hierarchy: two Parents marks under node %d level %d", v, j)
-					}
-					marked = c
-				}
-			}
-			if marked < 0 {
-				return -1, fmt.Errorf("hierarchy: EndP down at node %d level %d without Parents mark", v, j)
-			}
-			cand = t.ParentEdge[marked]
-		case EndPNone:
-		case EndPStar:
-			return -1, fmt.Errorf("hierarchy: EndP '*' inside a level-%d fragment", j)
-		default:
-			return -1, fmt.Errorf("hierarchy: invalid EndP symbol %q", ss[v].EndP[j])
-		}
-	}
-	if cand < 0 && !wholeTree {
-		return -1, fmt.Errorf("hierarchy: level-%d fragment without candidate", j)
-	}
-	if cand >= 0 && wholeTree {
-		return -1, fmt.Errorf("hierarchy: whole tree has candidate")
-	}
-	return cand, nil
 }

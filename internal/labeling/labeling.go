@@ -1,14 +1,14 @@
 // Package labeling implements the paper's 1-proof labeling schemes: the
-// warm-up examples of §2.6 — SP (a rooted spanning tree), NumK (knowing the
-// number of nodes) and EDIAM (an upper bound on a tree's height) — and the
-// O(log² n)-bit 1-time MST verification scheme of Korman–Kutten [54,55]
-// used as the comparison baseline in the experiments.
+// warm-up examples of §2.6 that the verifier builds on — SP (a rooted
+// spanning tree) and NumK (knowing the number of nodes) — and the marker of
+// the O(log² n)-bit 1-time MST verification scheme of Korman–Kutten
+// [54,55], whose label width the experiments compare against.
 //
-// Each scheme consists of a marker (computing the labels of a correct
-// instance) and a verifier: a pure local predicate over a node's own label
-// and the labels of its neighbours, evaluated in one time unit. The
-// register-level verifier of internal/verify calls these predicates every
-// round; 1-proof schemes are trivially self-stabilizing (§2.4).
+// Each of SP and NumK consists of a marker (computing the labels of a
+// correct instance) and a verifier: a pure local predicate over a node's
+// own label and the labels of its neighbours, evaluated in one time unit.
+// The register-level verifier of internal/verify calls these predicates
+// every round; 1-proof schemes are trivially self-stabilizing (§2.4).
 package labeling
 
 import (
@@ -135,53 +135,6 @@ func CheckSize(own *SizeLabel, isRoot bool, children []*SizeLabel, nbs []*SizeLa
 	}
 	if isRoot && own.Sub != own.N {
 		return fmt.Errorf("size: root Sub %d ≠ N %d", own.Sub, own.N)
-	}
-	return nil
-}
-
-// DiamLabel is the Example EDIAM label: a claimed upper bound x on the
-// height of a rooted tree, with per-node depth evidence.
-type DiamLabel struct {
-	Bound int
-	Depth int
-}
-
-// BitSize returns the encoded width.
-func (l *DiamLabel) BitSize() int {
-	return bits.ForInt(int64(l.Bound)) + bits.ForInt(int64(l.Depth))
-}
-
-// MarkDiam computes EDIAM labels certifying the given bound (callers pass
-// bound ≥ height; the marker uses the exact height).
-func MarkDiam(t *graph.Tree, bound int) []DiamLabel {
-	out := make([]DiamLabel, t.G.N())
-	for v := range out {
-		out[v] = DiamLabel{Bound: bound, Depth: t.Depth(v)}
-	}
-	return out
-}
-
-// CheckDiam evaluates the EDIAM verifier at one node.
-func CheckDiam(own *DiamLabel, isRoot bool, parent *DiamLabel, nbs []*DiamLabel) error {
-	for _, nb := range nbs {
-		if nb.Bound != own.Bound {
-			return fmt.Errorf("diam: bound disagreement %d vs %d", own.Bound, nb.Bound)
-		}
-	}
-	if isRoot {
-		if own.Depth != 0 {
-			return fmt.Errorf("diam: root depth %d", own.Depth)
-		}
-	} else {
-		if parent == nil {
-			return fmt.Errorf("diam: non-root without parent label")
-		}
-		if own.Depth != parent.Depth+1 {
-			return fmt.Errorf("diam: depth %d, parent %d", own.Depth, parent.Depth)
-		}
-	}
-	if own.Depth > own.Bound {
-		return fmt.Errorf("diam: depth %d exceeds bound %d", own.Depth, own.Bound)
 	}
 	return nil
 }

@@ -25,16 +25,11 @@ import (
 
 // Stretched is the result of the G → G′ transformation.
 type Stretched struct {
-	G   *graph.Graph // G′
+	G   *graph.Graph // G′; original node v keeps index v
 	Tau int
-	// NodeOf maps original node indices to their indices in G′.
-	NodeOf []int
 	// PathNodes lists, per original edge, the 2τ inner nodes of its path in
 	// DFS order from the smaller-identity endpoint.
 	PathNodes [][]int
-	// EdgeTree reports whether the original edge was in the candidate tree
-	// (its path is then oriented as in Figure 10, else Figure 11).
-	EdgeTree []bool
 }
 
 // Stretch builds G′ from G for parameter τ ≥ 1: each edge becomes a path
@@ -62,12 +57,7 @@ func Stretch(g *graph.Graph, tau int) (*Stretched, error) {
 	st := &Stretched{
 		G:         out,
 		Tau:       tau,
-		NodeOf:    make([]int, n),
 		PathNodes: make([][]int, g.M()),
-		EdgeTree:  make([]bool, g.M()),
-	}
-	for v := 0; v < n; v++ {
-		st.NodeOf[v] = v
 	}
 	// Scale original weights so the unit-weight path edges are strictly
 	// lighter than every original edge: w′ = w·(2τ+3) keeps order and
@@ -108,63 +98,6 @@ func Stretch(g *graph.Graph, tau int) (*Stretched, error) {
 		return nil, fmt.Errorf("lowerbound: stretched weights collide")
 	}
 	return st, nil
-}
-
-// StretchTree maps a spanning tree of G (edge set) to the corresponding
-// spanning structure of G′ per Figures 10–11: tree-edge paths are included
-// whole; for a non-tree edge, the path is included except its middle edge
-// (the two half-paths hang off the endpoints), so G′'s candidate structure
-// is a spanning tree of G′ iff the original was one of G, and it is minimal
-// iff the original was (the heavy last edge of a non-tree path is excluded
-// exactly when the original edge was excluded... the last edge of each
-// non-tree path replaces the middle edge as the excluded one).
-func StretchTree(st *Stretched, origTree []int) ([]int, error) {
-	g := st.G
-	inTree := make(map[int]bool, len(origTree))
-	for _, e := range origTree {
-		inTree[e] = true
-	}
-	var edges []int
-	for e := range st.PathNodes {
-		nodes := st.PathNodes[e]
-		// Reconstruct the full node path u, inner..., v.
-		full := make([]int, 0, len(nodes)+2)
-		full = append(full, pathEndpointU(st, e))
-		full = append(full, nodes...)
-		full = append(full, pathEndpointV(st, e))
-		st.EdgeTree[e] = inTree[e]
-		for k := 0; k+1 < len(full); k++ {
-			if !inTree[e] && k+2 == len(full) {
-				continue // exclude the heavy last edge of a non-tree path
-			}
-			ei := g.EdgeBetween(full[k], full[k+1])
-			if ei < 0 {
-				return nil, fmt.Errorf("lowerbound: missing path edge")
-			}
-			edges = append(edges, ei)
-		}
-	}
-	return edges, nil
-}
-
-func pathEndpointU(st *Stretched, e int) int {
-	first := st.PathNodes[e][0]
-	for _, h := range st.G.Ports(first) {
-		if h.Peer < len(st.NodeOf) {
-			return h.Peer
-		}
-	}
-	return -1
-}
-
-func pathEndpointV(st *Stretched, e int) int {
-	last := st.PathNodes[e][len(st.PathNodes[e])-1]
-	for _, h := range st.G.Ports(last) {
-		if h.Peer < len(st.NodeOf) {
-			return h.Peer
-		}
-	}
-	return -1
 }
 
 // HardFamily returns the synthetic hard instance of size parameter k

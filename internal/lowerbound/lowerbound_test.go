@@ -41,10 +41,7 @@ func TestStretchPreservesMSTness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := StretchTree(st, mst)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := stretchTree(t, g, st, mst)
 	if !graph.IsSpanningTree(st.G, good) {
 		t.Fatal("stretched MST not a spanning tree")
 	}
@@ -58,10 +55,7 @@ func TestStretchPreservesMSTness(t *testing.T) {
 	}
 	bad := buildNonMST(t, g, mst)
 	if bad != nil {
-		badStretched, err := StretchTree(st, bad)
-		if err != nil {
-			t.Fatal(err)
-		}
+		badStretched := stretchTree(t, g, st, bad)
 		if !graph.IsSpanningTree(st.G, badStretched) {
 			t.Fatal("stretched tree not spanning")
 		}
@@ -69,6 +63,38 @@ func TestStretchPreservesMSTness(t *testing.T) {
 			t.Fatal("non-MST stretched to an MST")
 		}
 	}
+}
+
+// stretchTree maps a spanning tree of G (edge set) to the corresponding
+// spanning structure of G′ per Figures 10–11: tree-edge paths are included
+// whole; a non-tree edge's path is included except its heavy last edge, so
+// the image is a spanning tree of G′ iff the original was one of G, and it
+// is minimal iff the original was.
+func stretchTree(t *testing.T, g *graph.Graph, st *Stretched, origTree []int) []int {
+	t.Helper()
+	inTree := make(map[int]bool, len(origTree))
+	for _, e := range origTree {
+		inTree[e] = true
+	}
+	var edges []int
+	for e, inner := range st.PathNodes {
+		u, v := g.Edge(e).U, g.Edge(e).V
+		if g.ID(u) > g.ID(v) {
+			u, v = v, u
+		}
+		full := append(append([]int{u}, inner...), v)
+		for k := 0; k+1 < len(full); k++ {
+			if !inTree[e] && k+2 == len(full) {
+				continue // exclude the heavy last edge of a non-tree path
+			}
+			ei := st.G.EdgeBetween(full[k], full[k+1])
+			if ei < 0 {
+				t.Fatalf("edge %d: missing path edge %d–%d", e, full[k], full[k+1])
+			}
+			edges = append(edges, ei)
+		}
+	}
+	return edges
 }
 
 func buildNonMST(t *testing.T, g *graph.Graph, mst []int) []int {

@@ -100,7 +100,7 @@ func TestRejectsCorruptedTrees(t *testing.T) {
 func TestModifiedOrderDuplicateWeights(t *testing.T) {
 	const seed = int64(31)
 	g0 := graph.RandomConnected(48, 120, seed)
-	g := graph.WithDuplicateWeights(g0, 5, seed)
+	g := graph.WithDuplicateWeights(g0, 5)
 	for _, candidate := range [][]int{
 		mustKruskal(t, g, graph.ModifiedOrder(g, func(int) bool { return false })),
 		mustKruskal(t, g0, graph.ByWeight(g0)), // MST of g0, generally not of g

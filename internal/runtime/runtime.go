@@ -911,32 +911,20 @@ func (e *Engine) AnyAlarm() (int, bool) {
 }
 
 // AlarmNodes returns all nodes currently raising an alarm in a fresh slice.
-// The no-alarm case is O(1) and allocation-free; hot loops that poll every
-// round use AppendAlarmNodes with a recycled buffer instead.
+// The no-alarm case is O(1) and allocation-free; otherwise it is one O(n)
+// scan, so loops that poll every round use AnyAlarm and collect the nodes
+// once, at detection.
 func (e *Engine) AlarmNodes() []int {
 	if e.alarmCount == 0 {
 		return nil
 	}
-	return e.AppendAlarmNodes(make([]int, 0, e.alarmCount))
-}
-
-// AppendAlarmNodes appends all nodes currently raising an alarm to buf
-// (pass buf[:0] to reuse capacity) and returns the extended slice — the
-// caller-buffer variant of AlarmNodes, allocation-free once buf has grown
-// to the alarm population, so per-round polling stays on the engine's
-// zero-alloc path. The no-alarm case is O(1).
-//
-//ssmst:hotpath
-func (e *Engine) AppendAlarmNodes(buf []int) []int {
-	if e.alarmCount == 0 {
-		return buf
-	}
+	nodes := make([]int, 0, e.alarmCount)
 	for i, a := range e.alarmed {
 		if a {
-			buf = append(buf, i)
+			nodes = append(nodes, i)
 		}
 	}
-	return buf
+	return nodes
 }
 
 // AllDone reports whether every node's state signals termination. O(1).

@@ -225,27 +225,20 @@ func TestMutationOutsideMutateTopologyPanics(t *testing.T) {
 	}
 }
 
-// TestAppendAlarmNodes: the caller-buffer variant matches AlarmNodes and
-// performs no allocation once the buffer has capacity.
+// TestAppendAlarmNodes: AlarmNodes, which absorbed the loop of the former
+// caller-buffer variant, reports nothing (and allocates nothing) before any
+// node alarms and exactly the alarming node after.
 func TestAppendAlarmNodes(t *testing.T) {
 	g := graph.Path(6, 4)
 	e := New(g, alarmMachine{bad: g.ID(3)}, 0)
-	buf := e.AppendAlarmNodes(nil)
-	if len(buf) != 0 {
-		t.Fatalf("alarm nodes before stepping: %v", buf)
+	if nodes := e.AlarmNodes(); len(nodes) != 0 {
+		t.Fatalf("alarm nodes before stepping: %v", nodes)
+	}
+	if allocs := testing.AllocsPerRun(50, func() { _ = e.AlarmNodes() }); allocs != 0 {
+		t.Fatalf("AlarmNodes allocated %.1f times per call with no alarm", allocs)
 	}
 	e.StepSync()
-	buf = e.AppendAlarmNodes(buf[:0])
-	if len(buf) != 1 || buf[0] != 3 {
-		t.Fatalf("AppendAlarmNodes = %v, want [3]", buf)
-	}
-	if got := e.AlarmNodes(); len(got) != 1 || got[0] != buf[0] {
-		t.Fatalf("AlarmNodes %v disagrees with AppendAlarmNodes %v", got, buf)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		buf = e.AppendAlarmNodes(buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("AppendAlarmNodes allocated %.1f times per call with a warm buffer", allocs)
+	if nodes := e.AlarmNodes(); len(nodes) != 1 || nodes[0] != 3 {
+		t.Fatalf("AlarmNodes = %v, want [3]", nodes)
 	}
 }

@@ -230,7 +230,7 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 	if _, err := Simulate(g); err == nil {
 		t.Fatal("disconnected accepted")
 	}
-	dup := graph.WithDuplicateWeights(graph.Complete(5, 1), 2, 0)
+	dup := graph.WithDuplicateWeights(graph.Complete(5, 1), 2)
 	if _, err := Simulate(dup); err == nil {
 		t.Fatal("duplicate weights accepted")
 	}

@@ -65,17 +65,9 @@ func (l *Labels) BitSize() int {
 		bits.ForInt(int64(l.DiamBound)),
 	)
 	for _, p := range l.Stored {
-		total += pieceBits(p)
+		total += p.BitSize()
 	}
 	return total
-}
-
-func pieceBits(p hierarchy.Piece) int {
-	w := 1
-	if p.W != hierarchy.NoOutWeight {
-		w = bits.ForInt(int64(p.W))
-	}
-	return bits.ForInt(int64(p.ID.RootID)) + bits.ForInt(int64(p.ID.Level)) + w
 }
 
 // Clone returns a deep copy.
@@ -203,6 +195,24 @@ func LevelSplit(n int) int {
 	return mbits.TrailingZeros(uint(LambdaThreshold(n)))
 }
 
+// AppendNeededLevels appends the level sets JTop(v) and JBottom(v) a node
+// must see on each train, derived from its strings and the delimiter, to
+// caller-provided slices (pass x[:0] to reuse capacity).
+func AppendNeededLevels(topDst, bottomDst []int, s *hierarchy.Strings, n int) (topLevels, bottomLevels []int) {
+	split := LevelSplit(n)
+	for j := 0; j < s.Levels(); j++ {
+		if s.Roots[j] == hierarchy.RootsNone {
+			continue
+		}
+		if j >= split {
+			topDst = append(topDst, j)
+		} else {
+			bottomDst = append(bottomDst, j)
+		}
+	}
+	return topDst, bottomDst
+}
+
 func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []NeighbourLabels, top bool) error {
 	lam := LambdaThreshold(n)
 	split := LevelSplit(n)
@@ -226,10 +236,7 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 		return fmt.Errorf("depth %d exceeds bound %d", l.Depth, l.DiamBound)
 	}
 	// Stored pieces: level-sorted, on the correct side of the delimiter.
-	ell := 0
-	for 1<<uint(ell+1) <= n {
-		ell++
-	}
+	ell := hierarchy.Ell(n)
 	for i, p := range l.Stored {
 		if p.ID.Level < 0 || p.ID.Level > ell {
 			return fmt.Errorf("stored piece level %d out of range", p.ID.Level)

@@ -58,9 +58,9 @@ type State struct {
 func (s *State) BitSize() int {
 	return bits.Flag(s.Up.Valid) + bits.Flag(s.Down.Valid) + bits.Flag(s.Down.Flag) +
 		bits.Flag(s.Reset) + bits.Flag(s.ResetAck) + bits.Flag(s.CovValid) + bits.Flag(s.Alarm) +
-		bits.ForInt(int64(s.Up.Pos)) + pieceBits(s.Up.P) +
+		bits.ForInt(int64(s.Up.Pos)) + s.Up.P.BitSize() +
 		bits.ForInt(int64(s.UpNext)) +
-		bits.ForInt(int64(s.Down.Pos)) + pieceBits(s.Down.P) +
+		bits.ForInt(int64(s.Down.Pos)) + s.Down.P.BitSize() +
 		bits.ForInt(int64(s.Timer)) +
 		bits.ForInt(int64(s.LastPos)) +
 		bits.ForInt(int64(s.SeenCnt)) +

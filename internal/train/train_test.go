@@ -41,8 +41,92 @@ func makeFixture(t *testing.T, g *graph.Graph) *fixture {
 	}
 }
 
-func (f *fixture) machine(n int) *TestMachine {
-	return &TestMachine{Tree: f.tree, Labels: f.labels, Strings: f.strings, N: n}
+// testMachine runs the two trains of every node in isolation (no sampler,
+// no string verification) over a marker-labeled tree. The full verifier of
+// internal/verify embeds the same StepInto logic; this machine exists so the
+// train's delivery, timing and self-stabilization properties (Theorem 7.1,
+// experiment E11) can be tested on their own.
+type testMachine struct {
+	Tree    *graph.Tree
+	Labels  []NodeLabels
+	Strings []hierarchy.Strings
+	N       int
+}
+
+// tmState is the dynamic state of one node under testMachine.
+type tmState struct {
+	TopS State
+	BotS State
+}
+
+// BitSize measures both trains.
+func (s *tmState) BitSize() int { return s.TopS.BitSize() + s.BotS.BitSize() }
+
+// Clone returns a deep copy.
+func (s *tmState) Clone() runtime.State { c := *s; return &c }
+
+// Alarm reports a cycle-set violation on either train.
+func (s *tmState) Alarm() bool { return s.TopS.Alarm || s.BotS.Alarm }
+
+var _ runtime.Machine = (*testMachine)(nil)
+var _ runtime.Alarmer = (*tmState)(nil)
+
+// Init starts with quiescent trains (the marker initializes only labels;
+// dynamic train state always self-starts).
+func (m *testMachine) Init(v *runtime.View) runtime.State { return &tmState{} }
+
+// Step advances both trains of one node into a fresh state (scratch is
+// not recycled).
+func (m *testMachine) Step(v *runtime.View, _ runtime.State) runtime.State {
+	old := v.Self().(*tmState)
+	node := v.Node()
+	next := &tmState{}
+	for _, top := range []bool{true, false} {
+		ctx := &Ctx{
+			OwnID:   v.ID(),
+			Strings: &m.Strings[node],
+			N:       m.N,
+			Top:     top,
+		}
+		var oldT *State
+		if top {
+			ctx.Lab = &m.Labels[node].Top
+			oldT = &old.TopS
+		} else {
+			ctx.Lab = &m.Labels[node].Bottom
+			oldT = &old.BotS
+		}
+		if p := m.Tree.Parent[node]; p >= 0 {
+			port := m.Tree.G.PortTo(node, p)
+			ps := v.Neighbour(port).(*tmState)
+			ctx.Parent = &PeerTrain{S: pickState(ps, top), L: pick(&m.Labels[p], top)}
+		}
+		for _, c := range m.Tree.Children(node) {
+			port := m.Tree.G.PortTo(node, c)
+			cs := v.Neighbour(port).(*tmState)
+			ctx.Children = append(ctx.Children, PeerTrain{
+				S: pickState(cs, top),
+				L: pick(&m.Labels[c], top),
+			})
+		}
+		if top {
+			StepInto(&next.TopS, oldT, ctx)
+		} else {
+			StepInto(&next.BotS, oldT, ctx)
+		}
+	}
+	return next
+}
+
+func pickState(s *tmState, top bool) *State {
+	if top {
+		return &s.TopS
+	}
+	return &s.BotS
+}
+
+func (f *fixture) machine(n int) *testMachine {
+	return &testMachine{Tree: f.tree, Labels: f.labels, Strings: f.strings, N: n}
 }
 
 func labelNbs(f *fixture, v int) []NeighbourLabels {
@@ -163,7 +247,7 @@ func coverageTime(t *testing.T, f *fixture, maxRounds int, async bool, seed int6
 	for r := 0; r < maxRounds; r++ {
 		eng.Step(async)
 		for v := 0; v < n; v++ {
-			st := eng.State(v).(*TMState)
+			st := eng.State(v).(*tmState)
 			if Member(st.TopS.Down, &f.strings[v], true, n) {
 				if j := st.TopS.Down.P.ID.Level; needTop[v][j] {
 					delete(needTop[v], j)
@@ -236,7 +320,7 @@ func TestTrainsSelfStabilizeFromGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	for v := 0; v < n; v++ {
 		eng.Corrupt(v, func(s runtime.State) runtime.State {
-			st := s.(*TMState)
+			st := s.(*tmState)
 			for _, tr := range []*State{&st.TopS, &st.BotS} {
 				tr.UpNext = rng.Intn(20)
 				tr.Up = Car{Valid: rng.Intn(2) == 0, Pos: rng.Intn(20),
@@ -283,7 +367,7 @@ func TestCycleTimeScalesWithPartSize(t *testing.T) {
 	for r := 0; r < 3000; r++ {
 		eng.StepSync()
 		for v := 0; v < n; v++ {
-			st := eng.State(v).(*TMState)
+			st := eng.State(v).(*tmState)
 			if st.TopS.Down.Valid {
 				if prevPos[v] >= 0 && st.TopS.Down.Pos < prevPos[v] {
 					if lastWrap[v] > 0 && r-lastWrap[v] > worst {
@@ -349,7 +433,7 @@ func TestTrainDeliveryProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		machine := &TestMachine{
+		machine := &testMachine{
 			Tree:    res.Tree,
 			Labels:  Mark(p),
 			Strings: hierarchy.MarkStrings(res.Hierarchy),
@@ -378,7 +462,7 @@ func TestTrainDeliveryProperty(t *testing.T) {
 				return false
 			}
 			for v := 0; v < n; v++ {
-				st := eng.State(v).(*TMState)
+				st := eng.State(v).(*tmState)
 				if Member(st.TopS.Down, &machine.Strings[v], true, n) && needTop[v][st.TopS.Down.P.ID.Level] {
 					delete(needTop[v], st.TopS.Down.P.ID.Level)
 					need--

@@ -184,19 +184,6 @@ func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (Ch
 	return ev, nil, false
 }
 
-// RandomChurn draws a kind uniformly and plans it, retrying across kinds so
-// a schedule never stalls on a graph that momentarily lacks one kind.
-func RandomChurn(g *graph.Graph, parent []int, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
-	start := rng.Intn(NumChurnKinds)
-	for i := 0; i < NumChurnKinds; i++ {
-		kind := ChurnKind((start + i) % NumChurnKinds)
-		if ev, apply, ok := PlanChurn(g, parent, kind, rng); ok {
-			return ev, apply, true
-		}
-	}
-	return ChurnEvent{}, nil, false
-}
-
 // ApplyChurn plans a churn event of the given kind against the verified
 // tree and applies it through the engine (MutateTopology). It reports the
 // event and whether one was applied.

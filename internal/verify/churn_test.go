@@ -90,7 +90,7 @@ func TestChurnParityWithFullRecheck(t *testing.T) {
 	step(25) // memos settle before the storm
 
 	// A deterministic prefix guarantees every kind is exercised, then a
-	// randomized tail (RandomChurn: uniform kind draw with cross-kind
+	// randomized tail (randomChurn: uniform kind draw with cross-kind
 	// retry, so the schedule never stalls) mixes kinds and interleaves
 	// quiet stretches.
 	rng := rand.New(rand.NewSource(29))
@@ -104,7 +104,7 @@ func TestChurnParityWithFullRecheck(t *testing.T) {
 		if i < len(kinds) {
 			ev, apply, ok = PlanChurn(g, l.Tree.Parent, kinds[i], rng)
 		} else {
-			ev, apply, ok = RandomChurn(g, l.Tree.Parent, rng)
+			ev, apply, ok = randomChurn(g, l.Tree.Parent, rng)
 		}
 		if !ok {
 			t.Logf("event %d: no mutation available, skipped", i)
@@ -236,4 +236,17 @@ func TestVStateRemapPorts(t *testing.T) {
 	if s.ParentPort != -1 {
 		t.Fatalf("root claim disturbed by remap: %d", s.ParentPort)
 	}
+}
+
+// randomChurn draws a kind uniformly and plans it, retrying across kinds so
+// a schedule never stalls on a graph that momentarily lacks one kind.
+func randomChurn(g *graph.Graph, parent []int, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
+	start := rng.Intn(NumChurnKinds)
+	for i := 0; i < NumChurnKinds; i++ {
+		kind := ChurnKind((start + i) % NumChurnKinds)
+		if ev, apply, ok := PlanChurn(g, parent, kind, rng); ok {
+			return ev, apply, true
+		}
+	}
+	return ChurnEvent{}, nil, false
 }

@@ -333,7 +333,7 @@ func (m *Machine) coastFootprint(s *VState) int {
 		coastTrainBits(&s.TopS, &s.L.Train.Top, s.MyID) +
 		coastTrainBits(&s.BotS, &s.L.Train.Bottom, s.MyID) +
 		maxBitsInt(int64(s.AskIdx), int64(L-1)) +
-		pieceSize(s.AskPiece) +
+		s.AskPiece.BitSize() +
 		bits.ForInt(int64(s.AskTimer)) +
 		maxBitsInt(int64(s.CapTimer), int64(w)) +
 		bits.ForInt(int64(s.ServerCur)) +

@@ -103,7 +103,7 @@ func TestIncrementalMatchesFullRecheck(t *testing.T) {
 	// invalidate the relevant memos and keep the paths in lockstep through
 	// detection, recovery of transient faults, and steady alarms.
 	rng := rand.New(rand.NewSource(23))
-	for kind := 0; kind < NumFaultKinds; kind++ {
+	for kind := 0; kind < int(numFaultKinds); kind++ {
 		victim := rng.Intn(g.N())
 		for _, r := range runners {
 			// One shared rng would desynchronize the three injections; each
@@ -250,7 +250,7 @@ func TestBitSizeMemoFaultParity(t *testing.T) {
 	// The whole fault menu, via ApplyFault (which must invalidate even when
 	// called on states outside an engine — here through Corrupt's clone).
 	rng := rand.New(rand.NewSource(5))
-	for kind := 0; kind < NumFaultKinds; kind++ {
+	for kind := 0; kind < int(numFaultKinds); kind++ {
 		victim := rng.Intn(g.N())
 		for _, r := range []*Runner{inc, full} {
 			kindRng := rand.New(rand.NewSource(int64(300*kind + victim)))

@@ -244,21 +244,13 @@ func (s *VState) BitSize() int {
 		s.TopS.BitSize() +
 		s.BotS.BitSize() +
 		bits.ForInt(int64(s.AskIdx)) +
-		pieceSize(s.AskPiece) +
+		s.AskPiece.BitSize() +
 		bits.ForInt(int64(s.AskTimer)) +
 		bits.ForInt(int64(s.CapTimer)) +
 		bits.ForInt(int64(s.ServerCur)) +
 		bits.ForInt(int64(s.ServerTmr)) +
 		bits.ForInt(int64(s.Want.ServerID)) + bits.ForInt(int64(s.Want.Level)) +
 		bits.ForInt(int64(s.CandPort))
-}
-
-func pieceSize(p hierarchy.Piece) int {
-	w := 1
-	if p.W != hierarchy.NoOutWeight {
-		w = bits.ForInt(int64(p.W))
-	}
-	return bits.ForInt(int64(p.ID.RootID)) + bits.ForInt(int64(p.ID.Level)) + w
 }
 
 var (
@@ -585,7 +577,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		}
 
 		// ---- Layer 2: hierarchy strings (RS/EPS/Or_EndP). ----
-		sc.lv.Ell = labeling.Ell(n)
+		sc.lv.Ell = hierarchy.Ell(n)
 		sc.lv.IsTreeRoot = isRoot
 		sc.lv.Own = &s.L.HS
 		sc.lv.Parent = nil

@@ -69,10 +69,7 @@ func NewWorklistRunner(l *Labeled, seed int64) *Runner {
 // train stabilization, with slack. Synchronous shape: O(log² n).
 func DetectionBudget(n int) int {
 	lam := train.LambdaThreshold(n)
-	levels := 1
-	for 1<<uint(levels) <= n {
-		levels++
-	}
+	levels := hierarchy.Ell(n) + 1
 	return 4 * levels * (2*(8*(10*lam)+24) + 16)
 }
 
@@ -95,8 +92,7 @@ func (r *Runner) RunQuiet(rounds int) error {
 // and the alarming nodes (a fresh slice — callers may retain it across
 // further runs). The per-round poll is the engine's O(1) incremental
 // instrumentation, so the loop itself is allocation-free; the O(n) alarm
-// collection runs once, at detection. Hot loops that poll alarm sets every
-// round use Engine.AppendAlarmNodes with a recycled buffer instead.
+// collection runs once, at detection.
 func (r *Runner) RunUntilAlarm(maxRounds int) (int, []int, bool) {
 	for i := 0; i < maxRounds; i++ {
 		r.Step()
@@ -149,9 +145,6 @@ const (
 	FaultTrainDyn  // scramble dynamic train state (transient)
 	numFaultKinds
 )
-
-// NumFaultKinds is the size of the fault menu.
-const NumFaultKinds = int(numFaultKinds)
 
 // InjectKind applies the given fault kind at node v, using rng for the
 // specifics. It reports whether the fault actually changed something.

@@ -197,7 +197,7 @@ func TestRunnersRejectNilLabeled(t *testing.T) {
 func TestDetectsEveryFaultKind(t *testing.T) {
 	g := graph.RandomConnected(32, 80, 17)
 	budget := DetectionBudget(g.N())
-	for kind := 0; kind < NumFaultKinds; kind++ {
+	for kind := 0; kind < int(numFaultKinds); kind++ {
 		l := mustMark(t, g)
 		r := NewRunner(l, Sync, int64(kind)+1)
 		r.Eng.RunSyncRounds(budget / 2) // warm up: trains cycling, sampler sweeping

@@ -72,7 +72,7 @@ func fuzzWorklistParity(t *testing.T, data []byte) {
 			vb, _ := next()
 			kb, _ := next()
 			rng := rand.New(rand.NewSource(SubSeed(int64(vb), int64(kb))))
-			if d.inject(int(vb)%g.N(), FaultKind(int(kb)%NumFaultKinds), rng) {
+			if d.inject(int(vb)%g.N(), FaultKind(int(kb)%int(numFaultKinds)), rng) {
 				d.step(8, true)
 			}
 		case 2: // churn event, applied to both live graphs

@@ -194,7 +194,7 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 	// Phase 3: fault storm over the whole menu — every fault melts a frozen
 	// region; wake, detection, and recovery must agree round for round.
 	rng := rand.New(rand.NewSource(SubSeed(seed, 1)))
-	for kind := FaultKind(0); kind < FaultKind(NumFaultKinds); kind++ {
+	for kind := FaultKind(0); kind < numFaultKinds; kind++ {
 		v := rng.Intn(g.N())
 		if !d.inject(v, kind, rng) {
 			continue
@@ -218,9 +218,9 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 	// every-round and endpoint-only comparison.
 	for b := 0; b < 2; b++ {
 		for i := 0; i < 3; i++ {
-			d.inject(rng.Intn(g.N()), FaultKind(rng.Intn(NumFaultKinds)), rng)
+			d.inject(rng.Intn(g.N()), FaultKind(rng.Intn(int(numFaultKinds))), rng)
 		}
-		if ev, apply, ok := RandomChurn(g, l.Tree.Parent, rng); ok {
+		if ev, apply, ok := randomChurn(g, l.Tree.Parent, rng); ok {
 			d.applyChurn(ev, apply)
 		}
 		compareWorklist(t, d.tag()+" (post-burst)", d.g, dense, wl)

@@ -12,7 +12,7 @@ import (
 // paper: the property the standard tie-break lacks).
 func TestNormalizeWeightsPreservesMSTness(t *testing.T) {
 	for seed := int64(0); seed < 15; seed++ {
-		g := graph.WithDuplicateWeights(graph.RandomConnected(10, 22, seed), 4, 0)
+		g := graph.WithDuplicateWeights(graph.RandomConnected(10, 22, seed), 4)
 		if g.HasDistinctWeights() {
 			continue
 		}
