@@ -18,8 +18,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	minimal := ssmst.IsMST(g, edges)
 	fmt.Printf("SYNC_MST: %d tree edges in %d rounds; minimal: %v\n",
-		len(edges), rounds, ssmst.IsMST(g, edges))
+		len(edges), rounds, minimal)
+	if !minimal {
+		log.Fatal("SYNC_MST's tree is not the minimum spanning tree")
+	}
 
 	// 2. The marker (§5–6): every node gets O(log n) bits of proof labels.
 	labeled, err := ssmst.Mark(g)

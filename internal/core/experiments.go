@@ -65,11 +65,7 @@ func Table1(sizes []int, seed int64) *Table {
 	for _, n := range sizes {
 		g := graph.RandomConnected(n, 2*n, seed+int64(n))
 		r := selfstab.NewRunner(g, n, verify.Sync, seed)
-		rounds, ok := r.RunUntilStable(r.StabilizationBudget())
-		status := fmt.Sprintf("%d", rounds)
-		if !ok {
-			status = "DNF"
-		}
+		status := roundsCell(r.RunUntilStable(r.StabilizationBudget()))
 		t.Rows = append(t.Rows, []string{"this paper (selfstab)", fmt.Sprint(n),
 			fmt.Sprint(r.Eng.MaxStateBits()), status})
 
@@ -355,27 +351,33 @@ func SelfStabilization(sizes []int, seed int64) *Table {
 	for _, n := range sizes {
 		g := graph.RandomConnected(n, 2*n, seed+int64(n))
 		r := selfstab.NewRunner(g, n, verify.Sync, seed)
-		clean, ok := r.RunUntilStable(r.StabilizationBudget())
-		if !ok {
-			continue
-		}
+		clean := roundsCell(r.RunUntilStable(r.StabilizationBudget()))
 		r2 := selfstab.NewRunner(g, n, verify.Sync, seed+1)
 		r2.Scramble(rand.New(rand.NewSource(seed)))
-		arb, ok2 := r2.RunUntilStable(2 * r2.StabilizationBudget())
-		arbCol := fmt.Sprint(arb)
-		if !ok2 {
-			arbCol = "DNF"
-		}
-		rng := rand.New(rand.NewSource(seed + 2))
-		rec := "-"
-		if r.InjectLabelFault(0, rng) {
-			if rr, ok3 := r.RunUntilStable(r.StabilizationBudget()); ok3 {
-				rec = fmt.Sprint(rr)
-			}
-		}
-		t.Rows = append(t.Rows, []string{fmt.Sprint(n), fmt.Sprint(clean), arbCol, rec})
+		arb := roundsCell(r2.RunUntilStable(2 * r2.StabilizationBudget()))
+		rec := recoveryCell(r, rand.New(rand.NewSource(seed+2)), r.StabilizationBudget())
+		t.Rows = append(t.Rows, []string{fmt.Sprint(n), clean, arb, rec})
 	}
 	return t
+}
+
+// recoveryCell renders E13's cell: it injects a label fault into r, if r is
+// stabilized, and reports the rounds to re-stabilize — "not applied" when r
+// never stabilized or the fault changed nothing, "DNF" when recovery missed
+// budget.
+func recoveryCell(r *selfstab.Runner, rng *rand.Rand, budget int) string {
+	if !r.Stabilized() || !r.InjectLabelFault(0, rng) {
+		return "not applied"
+	}
+	return roundsCell(r.RunUntilStable(budget))
+}
+
+// roundsCell renders a round count, "DNF" when the run missed its budget.
+func roundsCell(rounds int, ok bool) string {
+	if !ok {
+		return "DNF"
+	}
+	return fmt.Sprint(rounds)
 }
 
 // DetectionScaling extends the detection-time experiments E3 (standalone

@@ -2,8 +2,14 @@ package core
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
+
+	"ssmst/internal/graph"
+	"ssmst/internal/selfstab"
+	"ssmst/internal/verify"
 )
 
 // TestDetectionTablesCountEveryTrial: at seed 1 one of E3's three n=32
@@ -51,5 +57,58 @@ func TestDetectionScalingTable(t *testing.T) {
 			trials != 2 || applied > trials || detected > applied {
 			t.Errorf("%s = %q, want detected ≤ applied ≤ 2 trials", h, row[i])
 		}
+	}
+}
+
+// TestMemoryGolden pins the bit widths Theorem 8.5's memory measure reports
+// at seed 1: E7's two label columns and Table 1's measured bits/node of the
+// self-stabilizing transformer. A change to any BitSize (a label, a piece, a
+// verifier or transformer field) moves them; an intended one re-records
+// them here.
+func TestMemoryGolden(t *testing.T) {
+	e7 := Memory([]int{16, 64, 256, 1024}, 1)
+	var got []string
+	for _, row := range e7.Rows {
+		got = append(got, row[0]+":"+row[1]+"/"+row[2])
+	}
+	if want := "16:153/123 64:214/189 256:267/260 1024:302/334"; strings.Join(got, " ") != want {
+		t.Errorf("E7 n:this/KK bits = %s, want %s", strings.Join(got, " "), want)
+	}
+	got = got[:0]
+	for _, row := range Table1([]int{16, 32, 64}, 1).Rows {
+		if row[0] == "this paper (selfstab)" {
+			got = append(got, row[1]+":"+row[2])
+		}
+	}
+	if want := "16:270 32:306 64:336"; strings.Join(got, " ") != want {
+		t.Errorf("Table 1 n:bits = %s, want %s", strings.Join(got, " "), want)
+	}
+}
+
+// TestRecoveryCellOutcomes: E13's recovery cell tells its three outcomes
+// apart — the rounds to re-stabilize, "not applied" when there was no
+// stabilized network to fault, and "DNF" when recovery missed its budget.
+func TestRecoveryCellOutcomes(t *testing.T) {
+	g := graph.RandomConnected(16, 32, 17)
+	stable := func() *selfstab.Runner {
+		r := selfstab.NewRunner(g, g.N(), verify.Sync, 1)
+		if _, ok := r.RunUntilStable(r.StabilizationBudget()); !ok {
+			t.Fatal("clean start missed its budget")
+		}
+		return r
+	}
+	rng := func() *rand.Rand { return rand.New(rand.NewSource(3)) }
+
+	r := stable()
+	got := recoveryCell(r, rng(), r.StabilizationBudget())
+	if rounds, err := strconv.Atoi(got); err != nil || rounds < 2 || !r.OutputIsMST() {
+		t.Errorf("recovered: recovery cell %q, output MST %v; want a round count", got, r.OutputIsMST())
+	}
+	if got := recoveryCell(stable(), rng(), 1); got != "DNF" {
+		t.Errorf("one-round budget: recovery cell %q, want DNF", got)
+	}
+	fresh := selfstab.NewRunner(g, g.N(), verify.Sync, 1)
+	if got := recoveryCell(fresh, rng(), fresh.StabilizationBudget()); got != "not applied" {
+		t.Errorf("never stabilized: recovery cell %q, want %q", got, "not applied")
 	}
 }

@@ -48,12 +48,10 @@ func (c *CorruptedMSTGenerator) Generate(k int, seed int64) ([]int, error) {
 	for _, e := range c.mst {
 		inTree[e] = true
 	}
-	parent := make([]int, g.N())
-	parentEdge := make([]int, g.N())
-	depth := make([]int, g.N())
+	t := &Tree{G: g, Parent: make([]int, g.N()), ParentEdge: make([]int, g.N()), depth: make([]int, g.N())}
 	for edit := 0; edit < k; edit++ {
-		treeBFS(g, inTree, parent, parentEdge, depth)
-		if !cycleEdit(g, rng, inTree, parent, parentEdge, depth) {
+		t.rootAlong(inTree)
+		if !cycleEdit(t, rng, inTree) {
 			return nil, fmt.Errorf("graph: corrupted-MST generator saturated after %d of %d edits (no strictly lighter tree edge on any non-tree cycle)", edit, k)
 		}
 	}
@@ -66,11 +64,12 @@ func (c *CorruptedMSTGenerator) Generate(k int, seed int64) ([]int, error) {
 	return out, nil
 }
 
-// cycleEdit performs one random cycle edit: among the non-tree edges (in
-// random order) find one whose tree cycle carries a strictly lighter tree
-// edge, and swap a random such edge out for it. Reports false when no edit
-// is possible anywhere.
-func cycleEdit(g *Graph, rng *rand.Rand, inTree []bool, parent, parentEdge, depth []int) bool {
+// cycleEdit performs one random cycle edit on the tree t roots: among the
+// non-tree edges (in random order) find one whose tree cycle carries a
+// strictly lighter tree edge, and swap a random such edge out for it.
+// Reports false when no edit is possible anywhere.
+func cycleEdit(t *Tree, rng *rand.Rand, inTree []bool) bool {
+	g := t.G
 	cands := make([]int, 0, g.M())
 	for e := 0; e < g.M(); e++ {
 		if !inTree[e] {
@@ -82,18 +81,14 @@ func cycleEdit(g *Graph, rng *rand.Rand, inTree []bool, parent, parentEdge, dept
 		e := cands[i]
 		ed := g.Edge(e)
 		lighter = lighter[:0]
-		// Walk both endpoints up to their LCA; the traversed tree edges are
-		// exactly the cycle e closes.
-		u, v := ed.U, ed.V
-		for u != v {
-			if depth[u] < depth[v] {
-				u, v = v, u
-			}
-			if pe := parentEdge[u]; pe >= 0 && g.Edge(pe).W < ed.W {
+		// The walk's parent edges are exactly the cycle e closes; the edge
+		// swapped out is picked by its index in the walk's order.
+		t.WalkPath(ed.U, ed.V, func(x int) bool {
+			if pe := t.ParentEdge[x]; g.Edge(pe).W < ed.W {
 				lighter = append(lighter, pe)
 			}
-			u = parent[u]
-		}
+			return true
+		})
 		if len(lighter) == 0 {
 			continue
 		}
@@ -102,38 +97,4 @@ func cycleEdit(g *Graph, rng *rand.Rand, inTree []bool, parent, parentEdge, dept
 		return true
 	}
 	return false
-}
-
-// treeBFS fills parent/parentEdge/depth for the spanning tree given by the
-// inTree membership mask, rooted at node 0.
-func treeBFS(g *Graph, inTree []bool, parent, parentEdge, depth []int) {
-	adj := make([][]Half, g.N())
-	for e := range inTree {
-		if !inTree[e] {
-			continue
-		}
-		ed := g.Edge(e)
-		adj[ed.U] = append(adj[ed.U], Half{Peer: ed.V, Edge: e})
-		adj[ed.V] = append(adj[ed.V], Half{Peer: ed.U, Edge: e})
-	}
-	for i := range parent {
-		parent[i], parentEdge[i], depth[i] = -1, -1, 0
-	}
-	queue := make([]int, 0, g.N())
-	queue = append(queue, 0)
-	seen := make([]bool, g.N())
-	seen[0] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range adj[v] {
-			if !seen[h.Peer] {
-				seen[h.Peer] = true
-				parent[h.Peer] = v
-				parentEdge[h.Peer] = h.Edge
-				depth[h.Peer] = depth[v] + 1
-				queue = append(queue, h.Peer)
-			}
-		}
-	}
 }

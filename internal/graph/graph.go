@@ -1,9 +1,17 @@
 // Package graph provides the weighted-graph substrate used throughout the
 // reproduction: undirected edge-weighted graphs with unique node identities
-// and per-node port numbering (§2.1 of the paper), graph generators, a
-// reference MST oracle (Kruskal), rooted-tree utilities, and the
-// distinct-weight transform ω′ of Kor et al. used when edge weights are not
-// guaranteed distinct (footnote 1 of the paper).
+// and per-node port numbering (§2.1 of the paper), graph generators,
+// Kruskal's MST, rooted trees, and the distinct-weight transform ω′ of Kor
+// et al. used when edge weights are not guaranteed distinct (footnote 1 of
+// the paper).
+//
+// A spanning tree given as an edge set is rooted by one pass — a BFS from
+// the root over the graph's own port lists that follows tree edges only —
+// and tree paths are walked by one routine, Tree.WalkPath (the deeper
+// endpoint steps first; the walk can stop early). TreeFromEdges, the
+// cycle-property reference IsMST, the corrupted-MST generator and
+// verify.PlanChurn all go through them. IsMST serves the tests only:
+// production MST verdicts come from internal/oracle.
 //
 // Nodes are referred to by dense indices 0..n-1 inside the simulator; each
 // node additionally carries a unique identity ID(v) of O(log n) bits, which

@@ -5,13 +5,14 @@ import (
 	"sort"
 )
 
-// This file implements the reference MST oracle (Kruskal over a union-find)
-// and the distinct-weight transform ω′ of Kor et al. described in footnote 1
-// of the paper: ω′(e) = ⟨ω(e), 1−Y(e), IDmin(e), IDmax(e)⟩, where Y(e)
-// indicates membership in the candidate tree T. Under ω′ all weights are
-// distinct and T is an MST under ω iff T is an MST under ω′ — which is the
-// property verification needs (the standard ID-only tie-break does not
-// preserve it).
+// This file implements Kruskal over a union-find, the spanning-tree test,
+// the cycle-property reference IsMST the tests check verdicts against
+// (production verdicts come from internal/oracle), and the distinct-weight
+// transform ω′ of Kor et al. described in footnote 1 of the paper:
+// ω′(e) = ⟨ω(e), 1−Y(e), IDmin(e), IDmax(e)⟩, where Y(e) indicates
+// membership in the candidate tree T. Under ω′ all weights are distinct and
+// T is an MST under ω iff T is an MST under ω′ — which is the property
+// verification needs (the standard ID-only tie-break does not preserve it).
 
 // EdgeOrder is a strict weak order on edge indices of a graph. All MST code
 // in the repository compares edges only through an EdgeOrder, so the same
@@ -151,62 +152,22 @@ func IsSpanningTree(g *Graph, edges []int) bool {
 // IsMST reports whether the edge set is a minimum spanning tree of g under
 // the given order, using the cycle property: for every non-tree edge e, e
 // must be the unique maximum on the tree path between its endpoints. This
-// check is valid for any total order, including ω′.
+// check is valid for any total order, including ω′. It walks every path,
+// O(m·h) for tree height h, and serves only as the tests' reference (the
+// oracle package's included); production verdicts come from
+// oracle.TLightness.
 func IsMST(g *Graph, edges []int, less EdgeOrder) bool {
-	if !IsSpanningTree(g, edges) {
+	t, err := TreeFromEdges(g, edges, 0)
+	if err != nil {
 		return false
 	}
-	inTree := make([]bool, g.M())
-	for _, e := range edges {
-		inTree[e] = true
-	}
-	// Build tree adjacency.
-	adj := make([][]Half, g.N())
-	for _, e := range edges {
-		ed := g.Edge(e)
-		adj[ed.U] = append(adj[ed.U], Half{Peer: ed.V, Edge: e})
-		adj[ed.V] = append(adj[ed.V], Half{Peer: ed.U, Edge: e})
-	}
-	// Root at 0; compute parents by BFS.
-	parent := make([]int, g.N())
-	parentEdge := make([]int, g.N())
-	depth := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -1
-		parentEdge[i] = -1
-	}
-	queue := []int{0}
-	seen := make([]bool, g.N())
-	seen[0] = true
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, h := range adj[v] {
-			if !seen[h.Peer] {
-				seen[h.Peer] = true
-				parent[h.Peer] = v
-				parentEdge[h.Peer] = h.Edge
-				depth[h.Peer] = depth[v] + 1
-				queue = append(queue, h.Peer)
-			}
-		}
-	}
 	for e := 0; e < g.M(); e++ {
-		if inTree[e] {
-			continue
-		}
 		ed := g.Edge(e)
-		// Walk the tree path from both endpoints to their LCA; every tree
-		// edge on the path must be lighter than e under the order.
-		u, v := ed.U, ed.V
-		for u != v {
-			if depth[u] < depth[v] {
-				u, v = v, u
-			}
-			if !less(parentEdge[u], e) {
-				return false
-			}
-			u = parent[u]
+		if t.ParentEdge[ed.U] == e || t.ParentEdge[ed.V] == e {
+			continue // a tree edge
+		}
+		if !t.WalkPath(ed.U, ed.V, func(x int) bool { return less(t.ParentEdge[x], e) }) {
+			return false
 		}
 	}
 	return true

@@ -143,27 +143,52 @@ func TreeFromEdges(g *Graph, edges []int, root int) (*Tree, error) {
 	if !IsSpanningTree(g, edges) {
 		return nil, errors.New("graph: edge set is not a spanning tree")
 	}
-	adj := make([][]int, g.N())
+	inTree := make([]bool, g.M())
 	for _, e := range edges {
-		ed := g.Edge(e)
-		adj[ed.U] = append(adj[ed.U], ed.V)
-		adj[ed.V] = append(adj[ed.V], ed.U)
+		inTree[e] = true
 	}
-	parent := make([]int, g.N())
-	for i := range parent {
-		parent[i] = -2
+	t := &Tree{G: g, Root: root, Parent: make([]int, g.N()), ParentEdge: make([]int, g.N()), depth: make([]int, g.N())}
+	t.rootAlong(inTree)
+	return NewTree(g, root, t.Parent)
+}
+
+// rootAlong is the one rooting pass over a spanning tree: a BFS from t.Root
+// over t.G's own port lists that follows the edges inTree marks and fills
+// t.Parent and t.ParentEdge (-1 at the root) and t.depth. That is all
+// WalkPath needs, so a Tree filled only this far (the corrupted-MST
+// generator re-roots one per edit) walks paths but has no children or
+// orders. A node the marked edges do not reach keeps parent and depth -1.
+func (t *Tree) rootAlong(inTree []bool) {
+	for v := range t.Parent {
+		t.Parent[v], t.ParentEdge[v], t.depth[v] = -1, -1, -1
 	}
-	parent[root] = -1
-	queue := []int{root}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range adj[v] {
-			if parent[u] == -2 {
-				parent[u] = v
-				queue = append(queue, u)
+	t.depth[t.Root] = 0
+	queue := append(make([]int, 0, len(t.Parent)), t.Root)
+	for i := 0; i < len(queue); i++ {
+		v := queue[i]
+		for _, h := range t.G.adj[v] {
+			if inTree[h.Edge] && t.depth[h.Peer] < 0 {
+				t.Parent[h.Peer], t.ParentEdge[h.Peer], t.depth[h.Peer] = v, h.Edge, t.depth[v]+1
+				queue = append(queue, h.Peer)
 			}
 		}
 	}
-	return NewTree(g, root, parent)
+}
+
+// WalkPath walks the tree path between u and v: while they differ, the
+// deeper of the two (the one held in u on a tie) steps to its parent, and
+// step sees each node x before it steps — so the path's edges are the parent
+// edges of the nodes step sees, in that order. It stops as soon as step
+// returns false and reports whether the walk met in the middle.
+func (t *Tree) WalkPath(u, v int, step func(x int) bool) bool {
+	for u != v {
+		if t.depth[u] < t.depth[v] {
+			u, v = v, u
+		}
+		if !step(u) {
+			return false
+		}
+		u = t.Parent[u]
+	}
+	return true
 }

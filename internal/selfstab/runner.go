@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/oracle"
 	"ssmst/internal/runtime"
 	"ssmst/internal/syncmst"
 	"ssmst/internal/verify"
@@ -96,13 +97,11 @@ func (r *Runner) OutputEdges() ([]int, bool) {
 }
 
 // OutputIsMST reports whether the current output is the minimum spanning
-// tree of the graph.
+// tree of the graph: the oracle.TLightness verdict.
 func (r *Runner) OutputIsMST() bool {
+	g := r.Eng.G()
 	edges, ok := r.OutputEdges()
-	if !ok {
-		return false
-	}
-	return graph.IsMST(r.Eng.G(), edges, graph.ByWeight(r.Eng.G()))
+	return ok && oracle.TLightness(g, edges, graph.ByWeight(g)).IsMST
 }
 
 // RunUntilStable steps until Stabilized and the output is the MST, or the
@@ -211,32 +210,26 @@ func (r *Runner) InjectCheckFault(v int, f func(*verify.VState) bool) bool {
 // checking quietly; an MST-breaking kind is detected by the check phase,
 // which starts a new epoch and rebuilds the MST of the mutated graph.
 //
-// It reports the planned event and whether one was applied. Planning
-// requires a coherent output to classify edges against: every node in the
-// quiet check phase (Engine.AllDone) and the output forming a spanning
-// tree — otherwise ok is false and nothing is mutated (planning against a
-// half-built parent forest could misclassify a bridge as a removable
-// non-tree edge). Mid-rebuild mutations remain available through
-// Eng.MutateTopology directly, as arbitrary adversarial events.
+// It reports the planned event and whether one was applied. Planning roots
+// the output edges (graph.TreeFromEdges) and requires a coherent output to
+// classify edges against: every node in the quiet check phase
+// (Engine.AllDone) and the output forming a spanning tree — otherwise ok is
+// false and nothing is mutated (planning against a half-built parent forest
+// could misclassify a bridge as a removable non-tree edge). Mid-rebuild
+// mutations remain available through Eng.MutateTopology directly, as
+// arbitrary adversarial events.
 func (r *Runner) ApplyChurn(kind verify.ChurnKind, rng *rand.Rand) (verify.ChurnEvent, bool) {
 	ev := verify.ChurnEvent{Kind: kind, U: -1, V: -1}
 	if !r.Eng.AllDone() {
 		return ev, false
 	}
-	if _, spanning := r.OutputEdges(); !spanning {
+	g := r.Eng.G()
+	edges, spanning := r.OutputEdges()
+	t, err := graph.TreeFromEdges(g, edges, 0)
+	if !spanning || err != nil {
 		return ev, false
 	}
-	g := r.Eng.G()
-	parent := make([]int, g.N())
-	for v := range parent {
-		parent[v] = -1
-		if st, ok := r.Eng.State(v).(*SState); ok && st.Check != nil {
-			if pp := st.Check.ParentPort; pp >= 0 && pp < g.Degree(v) {
-				parent[v] = g.Half(v, pp).Peer
-			}
-		}
-	}
-	planned, apply, ok := verify.PlanChurn(g, parent, kind, rng)
+	planned, apply, ok := verify.PlanChurn(g, t, kind, rng)
 	if !ok {
 		return planned, false
 	}

@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"ssmst/internal/graph"
@@ -93,20 +94,20 @@ func (ev ChurnEvent) String() string {
 }
 
 // PlanChurn picks a concrete mutation of the given kind against graph g and
-// the spanning tree given by parent pointers (parent[v] = parent node index,
-// -1 at the root — the tree currently under verification). It returns the
-// event, an apply function for runtime.Engine.MutateTopology, and whether a
+// the spanning tree t currently under verification. It returns the event,
+// an apply function for runtime.Engine.MutateTopology, and whether a
 // mutation of that kind exists (a tree-only graph has no edge to cut, a
 // dense graph none to add, a light cycle needs a tree edge heavier than some
-// free weight). Planning only reads the graph, and the apply function looks
-// the edge up by its endpoints, so one plan applies to every copy of the
-// graph: reference runners each step their own copy and receive every
-// planned event through their own engine.
-func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
+// free weight). Planning reads only g and t's parent pointers and depths —
+// never t.ParentEdge or t.G, whose edge indices churn may have compacted —
+// and the apply function looks the edge up by its endpoints, so one plan
+// applies to every copy of the graph: reference runners each step their own
+// copy and receive every planned event through their own engine.
+func PlanChurn(g *graph.Graph, t *graph.Tree, kind ChurnKind, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
 	ev := ChurnEvent{Kind: kind, U: -1, V: -1}
 	switch kind {
 	case ChurnWeightKeep, ChurnWeightBreak, ChurnCut:
-		cands := nonTreeEdges(g, parent)
+		cands := nonTreeEdges(g, t.Parent)
 		if len(cands) == 0 {
 			return ev, nil, false
 		}
@@ -119,7 +120,7 @@ func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (Ch
 			used := usedWeights(g)
 			for _, i := range rng.Perm(len(cands)) {
 				ed := g.Edge(cands[i])
-				limit, ok := treeCycleMaxWeight(g, parent, ed.U, ed.V)
+				limit, ok := treeCycleMaxWeight(g, t, ed.U, ed.V)
 				if !ok {
 					continue
 				}
@@ -164,7 +165,7 @@ func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (Ch
 			if kind == ChurnAddHeavy {
 				ev.W = freshWeightAbove(g, rng)
 			} else {
-				limit, ok := treeCycleMaxWeight(g, parent, u, v)
+				limit, ok := treeCycleMaxWeight(g, t, u, v)
 				if !ok {
 					continue
 				}
@@ -188,7 +189,7 @@ func PlanChurn(g *graph.Graph, parent []int, kind ChurnKind, rng *rand.Rand) (Ch
 // tree and applies it through the engine (MutateTopology). It reports the
 // event and whether one was applied.
 func (r *Runner) ApplyChurn(kind ChurnKind, rng *rand.Rand) (ChurnEvent, bool) {
-	ev, apply, ok := PlanChurn(r.Eng.G(), r.Labeled.Tree.Parent, kind, rng)
+	ev, apply, ok := PlanChurn(r.Eng.G(), r.Labeled.Tree, kind, rng)
 	if !ok {
 		return ev, false
 	}
@@ -219,50 +220,20 @@ func nonTreeEdges(g *graph.Graph, parent []int) []int {
 	return cand
 }
 
-// treeCycleMaxWeight returns the heaviest tree-edge weight on the tree path
-// between u and v — the cycle any (u,v) link closes. ok is false when the
-// parent pointers do not connect u and v (a severed tree).
-func treeCycleMaxWeight(g *graph.Graph, parent []int, u, v int) (graph.Weight, bool) {
-	const unset = graph.Weight(-1) << 62
-	// Max edge weight from u up to each of its ancestors.
-	upMax := map[int]graph.Weight{u: unset}
-	run := unset
-	for x := u; parent[x] >= 0; {
-		e := g.EdgeBetween(x, parent[x])
-		if e < 0 {
-			return 0, false
+// treeCycleMaxWeight returns the heaviest weight in g of the tree links on
+// t's path between u and v — the cycle any (u,v) link closes — reading each
+// hop's weight through EdgeBetween. ok is false for an empty path (u == v)
+// or a tree link g lacks.
+func treeCycleMaxWeight(g *graph.Graph, t *graph.Tree, u, v int) (graph.Weight, bool) {
+	max := graph.Weight(math.MinInt64)
+	whole := t.WalkPath(u, v, func(x int) bool {
+		e := g.EdgeBetween(x, t.Parent[x])
+		if e >= 0 && g.Edge(e).W > max {
+			max = g.Edge(e).W
 		}
-		if w := g.Edge(e).W; w > run {
-			run = w
-		}
-		x = parent[x]
-		upMax[x] = run
-	}
-	// Walk v upward to the first common ancestor.
-	run = unset
-	for y := v; ; {
-		if mu, ok := upMax[y]; ok {
-			best := mu
-			if run > best {
-				best = run
-			}
-			if best == unset {
-				return 0, false // u == v or an empty path
-			}
-			return best, true
-		}
-		if parent[y] < 0 {
-			return 0, false
-		}
-		e := g.EdgeBetween(y, parent[y])
-		if e < 0 {
-			return 0, false
-		}
-		if w := g.Edge(e).W; w > run {
-			run = w
-		}
-		y = parent[y]
-	}
+		return e >= 0
+	})
+	return max, whole && u != v
 }
 
 // freshWeightAbove returns an unused weight strictly above every current

@@ -102,9 +102,9 @@ func TestChurnParityWithFullRecheck(t *testing.T) {
 			ok    bool
 		)
 		if i < len(kinds) {
-			ev, apply, ok = PlanChurn(g, l.Tree.Parent, kinds[i], rng)
+			ev, apply, ok = PlanChurn(g, l.Tree, kinds[i], rng)
 		} else {
-			ev, apply, ok = randomChurn(g, l.Tree.Parent, rng)
+			ev, apply, ok = randomChurn(g, l.Tree, rng)
 		}
 		if !ok {
 			t.Logf("event %d: no mutation available, skipped", i)
@@ -140,7 +140,7 @@ func TestChurnDetectionRoundsMatch(t *testing.T) {
 
 		// An MST-preserving prelude: the network must stay silent through it.
 		for _, pre := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy} {
-			ev, apply, ok := PlanChurn(g, l.Tree.Parent, pre, rng)
+			ev, apply, ok := PlanChurn(g, l.Tree, pre, rng)
 			if !ok {
 				continue
 			}
@@ -154,7 +154,7 @@ func TestChurnDetectionRoundsMatch(t *testing.T) {
 			}
 		}
 
-		ev, apply, ok := PlanChurn(g, l.Tree.Parent, kind, rng)
+		ev, apply, ok := PlanChurn(g, l.Tree, kind, rng)
 		if !ok {
 			t.Fatalf("no %v mutation available", kind)
 		}
@@ -238,13 +238,56 @@ func TestVStateRemapPorts(t *testing.T) {
 	}
 }
 
+// TestTreeCycleMaxWeight: churn planning reads each hop's weight from the
+// graph it is given, by endpoints, so a reweighted and compacted copy plans
+// correctly against a tree built on the original; an empty path, or a tree
+// link the graph lacks, gives ok=false.
+func TestTreeCycleMaxWeight(t *testing.T) {
+	g := graph.New(4, nil)
+	g.MustAddEdge(0, 3, 20) // the one non-tree edge, at index 0
+	g.MustAddEdge(0, 1, 5)
+	g.MustAddEdge(1, 2, 9)
+	g.MustAddEdge(2, 3, 3)
+	tree, err := graph.TreeFromEdges(g, []int{1, 2, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, g *graph.Graph, u, v int, want graph.Weight, wantOK bool) {
+		t.Helper()
+		if w, ok := treeCycleMaxWeight(g, tree, u, v); ok != wantOK || ok && w != want {
+			t.Errorf("%s: (%d,%d) = %d, %v; want %d, %v", name, u, v, w, ok, want, wantOK)
+		}
+	}
+	check("original", g, 0, 3, 9, true)
+	check("original", g, 3, 0, 9, true)
+	check("empty path", g, 2, 2, 0, false)
+
+	// Cutting the non-tree edge moves (2,3) from index 3 into slot 0.
+	moved := g.Clone()
+	if err := moved.RemoveEdge(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := moved.SetWeight(0, 12); err != nil {
+		t.Fatal(err)
+	}
+	check("compacted copy", moved, 1, 3, 12, true)
+	check("compacted copy", moved, 0, 1, 5, true)
+
+	severed := g.Clone()
+	if err := severed.RemoveEdge(severed.EdgeBetween(1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	check("severed copy", severed, 0, 3, 0, false)
+	check("severed copy", severed, 2, 3, 3, true)
+}
+
 // randomChurn draws a kind uniformly and plans it, retrying across kinds so
 // a schedule never stalls on a graph that momentarily lacks one kind.
-func randomChurn(g *graph.Graph, parent []int, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
+func randomChurn(g *graph.Graph, tree *graph.Tree, rng *rand.Rand) (ChurnEvent, func(*graph.Graph) error, bool) {
 	start := rng.Intn(NumChurnKinds)
 	for i := 0; i < NumChurnKinds; i++ {
 		kind := ChurnKind((start + i) % NumChurnKinds)
-		if ev, apply, ok := PlanChurn(g, parent, kind, rng); ok {
+		if ev, apply, ok := PlanChurn(g, tree, kind, rng); ok {
 			return ev, apply, true
 		}
 	}

@@ -118,10 +118,22 @@ func instanceHash(g *graph.Graph) uint64 {
 	return h.Sum64()
 }
 
+// treeHash hashes a spanning tree's edge indices with FNV-64a.
+func treeHash(edges []int) uint64 {
+	h := fnv.New64a()
+	for _, e := range edges {
+		fmt.Fprintf(h, "t%d;", e)
+	}
+	return h.Sum64()
+}
+
 // TestBenchInstancePins pins the graphs the benchmark runs on, which the
 // n ≤ 1024 pins above do not reach: the eight oracle-campaign graphs (every
 // family at n=4096, sub-seeds 0 and 1 of instance seed 1) and geometric and
-// highgirth at n=16384. A generator rewrite may not move any of them.
+// highgirth at n=16384. A generator rewrite may not move any of them. On
+// each campaign graph it also pins the trees 16 and 64 cycle edits away
+// from the MST that oracle-campaign measures at --seed 1: cell c = 2·family
+// + sub-seed, edit count j, generator seed SubSeed(1, 1, c, j).
 func TestBenchInstancePins(t *testing.T) {
 	const campaignN = 4096
 	campaign := [][2]uint64{
@@ -129,6 +141,13 @@ func TestBenchInstancePins(t *testing.T) {
 		{0x3bf1527779bc46b7, 0x27022ea30448a651}, // powerlaw
 		{0x58ff3946122ba8f2, 0xacb52d93d0cad70f}, // geometric
 		{0xf9ee7efc57411f5f, 0x8630aa79b4a737c2}, // highgirth
+	}
+	ks := []int{16, 64}
+	corrupted := [][2][2]uint64{ // [family][sub-seed][k]
+		{{0x8331c9ec3a5a6f53, 0x4c9f7053be5904c0}, {0x33d04e027878b985, 0x6f41b31aa2566d34}}, // random
+		{{0x20b81e2d8373bca6, 0xd39d20419a0ea12f}, {0xa354163b42f69053, 0x795184a07a7c54ac}}, // powerlaw
+		{{0x8454d8c8a18e1eb5, 0x3d049f6a89180ab0}, {0x3315f214aaee7ab4, 0x321366e3d1a0009f}}, // geometric
+		{{0x4cabc5a7782766d8, 0x57115cf2887bc883}, {0xa766572a4557246a, 0xccd9b4f5e32dd6ff}}, // highgirth
 	}
 	for fi, fam := range graph.Families() {
 		for si, want := range campaign[fi] {
@@ -138,6 +157,20 @@ func TestBenchInstancePins(t *testing.T) {
 			}
 			if got := instanceHash(g); got != want {
 				t.Errorf("%s n=%d sub-seed %d: hash %#x, want %#x", fam, campaignN, si, got, want)
+			}
+			gen, err := graph.NewCorruptedMSTGenerator(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cell := int64(2*fi + si)
+			for j, k := range ks {
+				tree, err := gen.Generate(k, SubSeed(1, 1, cell, int64(j)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := treeHash(tree); got != corrupted[fi][si][j] {
+					t.Errorf("%s n=%d sub-seed %d k=%d: corrupted-tree hash %#x, want %#x", fam, campaignN, si, k, got, corrupted[fi][si][j])
+				}
 			}
 		}
 	}

@@ -160,7 +160,7 @@ func (d *parityDriver) applyChurn(ev ChurnEvent, apply func(*graph.Graph) error)
 // churn plans one topology mutation of the given kind and applies it to
 // both engines.
 func (d *parityDriver) churn(kind ChurnKind, rng *rand.Rand) bool {
-	ev, apply, ok := PlanChurn(d.g, d.l.Tree.Parent, kind, rng)
+	ev, apply, ok := PlanChurn(d.g, d.l.Tree, kind, rng)
 	if !ok {
 		return false
 	}
@@ -220,7 +220,7 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 		for i := 0; i < 3; i++ {
 			d.inject(rng.Intn(g.N()), FaultKind(rng.Intn(int(numFaultKinds))), rng)
 		}
-		if ev, apply, ok := randomChurn(g, l.Tree.Parent, rng); ok {
+		if ev, apply, ok := randomChurn(g, l.Tree, rng); ok {
 			d.applyChurn(ev, apply)
 		}
 		compareWorklist(t, d.tag()+" (post-burst)", d.g, dense, wl)

@@ -161,9 +161,10 @@ const NumChurnKinds = verify.NumChurnKinds
 // SelfStabilizing both apply a churn event with their ApplyChurn method.
 func ParseChurnKind(name string) (ChurnKind, bool) { return verify.ParseChurnKind(name) }
 
-// IsMST reports whether the edge set is the minimum spanning tree of g.
+// IsMST reports whether the edge set is the minimum spanning tree of g: the
+// verdict of the offline path-max T-lightness oracle (internal/oracle).
 func IsMST(g *Graph, edges []int) bool {
-	return graph.IsMST(g, edges, graph.ByWeight(g))
+	return oracle.TLightness(g, edges, graph.ByWeight(g)).IsMST
 }
 
 // NormalizeWeights returns a copy of g whose weights are replaced by their
