@@ -69,42 +69,8 @@ func main() {
 	flag.Usage = usage
 	flag.Parse()
 
-	var tables []*core.Table
-	switch *exp {
-	case "all":
-		tables = core.All(*seed)
-	case "table1":
-		tables = append(tables, core.Table1([]int{16, 32, 64}, *seed))
-	case "table2":
-		tables = append(tables, core.Table2())
-	case "detection":
-		tables = append(tables, core.DetectionSync([]int{16, 32, 64, 128}, 3, *seed))
-	case "detectionasync":
-		tables = append(tables, core.DetectionAsync([]int{16, 32}, 2, *seed))
-	case "detectionscaling":
-		// E3/E12 past n=10⁴ on the in-place engine; minutes of wall clock,
-		// so it is not part of the default suite.
-		tables = append(tables, core.DetectionScaling([]int{1024, 4096, 16384}, 1, *seed))
-	case "churnscaling":
-		// Detection latency under live topology churn; minutes of wall
-		// clock, so it is not part of the default suite.
-		tables = append(tables, core.ChurnScaling([]int{1024, 4096, 16384}, 1, *seed))
-	case "distance":
-		tables = append(tables, core.DetectionDistance(64, []int{1, 2, 4}, *seed))
-	case "construction":
-		tables = append(tables, core.Construction([]int{16, 32, 64, 128, 256}, *seed))
-	case "memory":
-		tables = append(tables, core.Memory([]int{16, 64, 256, 1024}, *seed))
-	case "partitions":
-		tables = append(tables, core.Partitions([]int{32, 128, 512}, *seed))
-	case "selfstab":
-		tables = append(tables, core.SelfStabilization([]int{16, 32}, *seed))
-	case "lowerbound":
-		tables = append(tables, core.LowerBound([]int{1, 2, 3}, *seed))
-	case "campaign":
-		tables = append(tables, core.CampaignKSweep(core.Families(), 256, []int{1, 4, 16, 64}, *seed))
-		tables = append(tables, core.CampaignScenarios(128, *seed))
-	default:
+	tables, ok := core.Experiment(*exp, *seed)
+	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
 		os.Exit(2)
 	}

@@ -263,7 +263,7 @@ func CampaignScenarios(n int, seed int64) *Table {
 			"agree folds in the oracle cross-check: both centralized checkers certify the ground truth the network's verdict is judged against.",
 		},
 	}
-	for _, fam := range Families() {
+	for _, fam := range graph.Families() {
 		for _, sc := range Scenarios() {
 			if sc == ScenarioCorrupt {
 				continue // covered by the k-sweep table
@@ -291,10 +291,6 @@ func CampaignScenarios(n int, seed int64) *Table {
 	}
 	return t
 }
-
-// Families re-exports the generator family list so cmd/ sweeps don't import
-// internal/graph just for it.
-func Families() []string { return graph.Families() }
 
 func sc2waves(sc string) int {
 	if sc == ScenarioStorm || sc == ScenarioChurnStorm {

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"ssmst/internal/graph"
 	"ssmst/internal/verify"
 )
 
@@ -17,7 +18,7 @@ func TestCampaignSmoke(t *testing.T) {
 	// Corrupt: the k-sweep, including k=0 (an uncorrupted MST must stay
 	// silent) and the dense k=n/4 point.
 	const nCorrupt = 128
-	for _, fam := range Families() {
+	for _, fam := range graph.Families() {
 		for _, k := range []int{0, 1, 4, 16, nCorrupt / 4} {
 			spec := CampaignSpec{
 				Family: fam, N: nCorrupt, Scenario: ScenarioCorrupt, K: k,
@@ -43,7 +44,7 @@ func TestCampaignSmoke(t *testing.T) {
 	// Correlated scenarios: regional outage, fault storm, churn storm
 	// (preserving-only and full menu).
 	const nScenario = 96
-	for _, fam := range Families() {
+	for _, fam := range graph.Families() {
 		for _, spec := range []CampaignSpec{
 			{Family: fam, N: nScenario, Scenario: ScenarioRegional, Radius: 2,
 				Seed: verify.SubSeed(seed, hashName(ScenarioRegional))},
@@ -71,7 +72,7 @@ func TestCampaignSmoke(t *testing.T) {
 	// Restab: the transformer detects a regional outage and rebuilds an
 	// oracle-certified MST. Smaller n — this simulates full epochs.
 	const nRestab = 48
-	for _, fam := range Families() {
+	for _, fam := range graph.Families() {
 		spec := CampaignSpec{
 			Family: fam, N: nRestab, Scenario: ScenarioRestab, Radius: 2,
 			Seed: verify.SubSeed(seed, hashName(ScenarioRestab)),
@@ -138,7 +139,7 @@ func TestDetectionRoundsGolden(t *testing.T) {
 		"geometric": {5, 4, 13, 2},
 		"highgirth": {487, 4, 2, 2},
 	}
-	for _, fam := range Families() {
+	for _, fam := range graph.Families() {
 		rounds, ok := want[fam]
 		if !ok {
 			t.Errorf("family %q has no golden row", fam)

@@ -653,20 +653,49 @@ func LowerBound(taus []int, seed int64) *Table {
 	return t
 }
 
-// All runs the whole suite at the default sizes.
-func All(seed int64) []*Table {
-	return []*Table{
-		Table2(),
-		Table1([]int{16, 32, 64}, seed),
-		DetectionSync([]int{16, 32, 64, 128}, 3, seed),
-		DetectionAsync([]int{16, 32}, 2, seed),
-		DetectionDistance(64, []int{1, 2, 4}, seed),
-		Construction([]int{16, 32, 64, 128, 256}, seed),
-		Memory([]int{16, 64, 256, 1024}, seed),
-		Partitions([]int{32, 128, 512}, seed),
-		SelfStabilization([]int{16, 32}, seed),
-		LowerBound([]int{1, 2, 3}, seed),
+// experiment is one entry of the menu cmd/experiments offers: the name -exp
+// selects it by, whether the default suite "all" runs it, and the call at
+// its default sizes.
+type experiment struct {
+	name  string
+	inAll bool
+	run   func(seed int64) []*Table
+}
+
+// menu is the one list of experiments and their default sizes; "all" runs
+// the inAll entries in this order.
+var menu = []experiment{
+	{"table2", true, func(int64) []*Table { return []*Table{Table2()} }},
+	{"table1", true, func(seed int64) []*Table { return []*Table{Table1([]int{16, 32, 64}, seed)} }},
+	{"detection", true, func(seed int64) []*Table { return []*Table{DetectionSync([]int{16, 32, 64, 128}, 3, seed)} }},
+	{"detectionasync", true, func(seed int64) []*Table { return []*Table{DetectionAsync([]int{16, 32}, 2, seed)} }},
+	{"distance", true, func(seed int64) []*Table { return []*Table{DetectionDistance(64, []int{1, 2, 4}, seed)} }},
+	{"construction", true, func(seed int64) []*Table { return []*Table{Construction([]int{16, 32, 64, 128, 256}, seed)} }},
+	{"memory", true, func(seed int64) []*Table { return []*Table{Memory([]int{16, 64, 256, 1024}, seed)} }},
+	{"partitions", true, func(seed int64) []*Table { return []*Table{Partitions([]int{32, 128, 512}, seed)} }},
+	{"selfstab", true, func(seed int64) []*Table { return []*Table{SelfStabilization([]int{16, 32}, seed)} }},
+	{"lowerbound", true, func(seed int64) []*Table { return []*Table{LowerBound([]int{1, 2, 3}, seed)} }},
+	// Not in the default suite: E3/E12 past n=10⁴ and detection under live
+	// churn take minutes of wall clock, and the campaign runs on its own.
+	{"detectionscaling", false, func(seed int64) []*Table { return []*Table{DetectionScaling([]int{1024, 4096, 16384}, 1, seed)} }},
+	{"churnscaling", false, func(seed int64) []*Table { return []*Table{ChurnScaling([]int{1024, 4096, 16384}, 1, seed)} }},
+	{"campaign", false, func(seed int64) []*Table {
+		return []*Table{CampaignKSweep(graph.Families(), 256, []int{1, 4, 16, 64}, seed), CampaignScenarios(128, seed)}
+	}},
+}
+
+// Experiment runs the named menu entry at its default sizes, or for "all"
+// the default suite, and reports false for a name the menu lacks.
+func Experiment(name string, seed int64) ([]*Table, bool) {
+	var tables []*Table
+	found := name == "all"
+	for _, e := range menu {
+		if e.name == name || name == "all" && e.inAll {
+			tables = append(tables, e.run(seed)...)
+			found = true
+		}
 	}
+	return tables, found
 }
 
 func median(xs []int) int {

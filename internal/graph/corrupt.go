@@ -48,14 +48,13 @@ func (c *CorruptedMSTGenerator) Generate(k int, seed int64) ([]int, error) {
 	for _, e := range c.mst {
 		inTree[e] = true
 	}
-	t := &Tree{G: g, Parent: make([]int, g.N()), ParentEdge: make([]int, g.N()), depth: make([]int, g.N())}
+	t := newRooting(g, 0)
 	for edit := 0; edit < k; edit++ {
-		t.rootAlong(inTree)
 		if !cycleEdit(t, rng, inTree) {
 			return nil, fmt.Errorf("graph: corrupted-MST generator saturated after %d of %d edits (no strictly lighter tree edge on any non-tree cycle)", edit, k)
 		}
 	}
-	out := make([]int, 0, g.N()-1)
+	out := make([]int, 0, max(g.N()-1, 0))
 	for e := 0; e < g.M(); e++ {
 		if inTree[e] {
 			out = append(out, e)
@@ -64,10 +63,12 @@ func (c *CorruptedMSTGenerator) Generate(k int, seed int64) ([]int, error) {
 	return out, nil
 }
 
-// cycleEdit performs one random cycle edit on the tree t roots: among the
-// non-tree edges (in random order) find one whose tree cycle carries a
-// strictly lighter tree edge, and swap a random such edge out for it.
-// Reports false when no edit is possible anywhere.
+// cycleEdit performs one random cycle edit on the tree inTree marks: it
+// re-roots t along it, then among the non-tree edges (in random order) finds
+// one whose tree cycle carries a strictly lighter tree edge, and swaps a
+// random such edge out for it. Reports false when no edit is possible
+// anywhere — at once, without rooting, when there is no non-tree edge (an
+// empty graph has no node to root at).
 func cycleEdit(t *Tree, rng *rand.Rand, inTree []bool) bool {
 	g := t.G
 	cands := make([]int, 0, g.M())
@@ -76,6 +77,10 @@ func cycleEdit(t *Tree, rng *rand.Rand, inTree []bool) bool {
 			cands = append(cands, e)
 		}
 	}
+	if len(cands) == 0 {
+		return false
+	}
+	t.rootAlong(inTree)
 	var lighter []int
 	for _, i := range rng.Perm(len(cands)) {
 		e := cands[i]

@@ -5,13 +5,13 @@
 // et al. used when edge weights are not guaranteed distinct (footnote 1 of
 // the paper).
 //
-// A spanning tree given as an edge set is rooted by one pass — a BFS from
-// the root over the graph's own port lists that follows tree edges only —
-// and tree paths are walked by one routine, Tree.WalkPath (the deeper
-// endpoint steps first; the walk can stop early). TreeFromEdges, the
-// cycle-property reference IsMST, the corrupted-MST generator and
-// verify.PlanChurn all go through them. IsMST serves the tests only:
-// production MST verdicts come from internal/oracle.
+// NewTree (parent pointers) and TreeFromEdges (an edge set) mark the tree
+// edges and share one builder: one rooting pass — a BFS from the root over
+// the graph's own port lists that follows marked edges only — and one
+// routine that walks tree paths, Tree.WalkPath (the deeper endpoint steps
+// first; the walk can stop early). The cycle-property reference IsMST, the
+// corrupted-MST generator and verify.PlanChurn all go through them. IsMST
+// serves the tests only: production MST verdicts come from internal/oracle.
 //
 // Nodes are referred to by dense indices 0..n-1 inside the simulator; each
 // node additionally carries a unique identity ID(v) of O(log n) bits, which

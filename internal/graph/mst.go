@@ -116,7 +116,7 @@ func Kruskal(g *Graph, less EdgeOrder) ([]int, error) {
 	}
 	sort.Slice(order, func(i, j int) bool { return less(order[i], order[j]) })
 	uf := newUnionFind(g.N())
-	tree := make([]int, 0, g.N()-1)
+	tree := make([]int, 0, max(g.N()-1, 0))
 	for _, e := range order {
 		ed := g.Edge(e)
 		if uf.union(ed.U, ed.V) {

@@ -20,6 +20,15 @@ func TestKruskalPath(t *testing.T) {
 	}
 }
 
+// TestKruskalEmptyGraph: the MST of a 0-node graph is the empty tree.
+func TestKruskalEmptyGraph(t *testing.T) {
+	g := New(0, nil)
+	tree, err := Kruskal(g, ByWeight(g))
+	if err != nil || len(tree) != 0 {
+		t.Fatalf("got (%v, %v), want an empty tree", tree, err)
+	}
+}
+
 func TestKruskalDisconnected(t *testing.T) {
 	g := New(4, nil)
 	g.MustAddEdge(0, 1, 1)

@@ -8,101 +8,142 @@ import (
 
 // Tree is a rooted spanning tree of a graph, represented distributively as
 // the paper's components c(v): each non-root node stores a single parent
-// pointer (§2.1). Tree additionally caches children lists (read off each
-// parent's port list, in port order), depths, subtree sizes and a DFS
-// order, which the marker algorithms consume.
+// pointer (§2.1). Tree additionally keeps what the marker algorithms
+// consume — each node's children, depths, subtree sizes and a DFS preorder
+// — all derived by one builder from one rooting pass, whichever of NewTree
+// and TreeFromEdges made it. Children are in port order at the parent, so
+// the DFS order is reproducible from local information only (as the
+// distributed DFS of §6.3.6 is).
 type Tree struct {
 	G          *Graph
 	Root       int
 	Parent     []int // Parent[v] = parent node index, -1 for root
 	ParentEdge []int // ParentEdge[v] = edge index to parent, -1 for root
 
-	children [][]int
-	depth    []int
+	depth []int
+	// bfs is the rooting pass's queue, every node in BFS order from Root.
+	// The pass appends a node's children one after another in port order,
+	// so v's children are bfs[kids[v][0]:kids[v][1]].
+	bfs      []int
+	kids     [][2]int
 	size     []int
 	dfsOrder []int // preorder: dfsOrder[i] = i-th node visited
 }
 
 // NewTree builds a rooted tree from parent pointers over g. parent[root]
-// must be -1 and every other node must reach root by following pointers.
+// must be -1 and every other node must reach root by following pointers;
+// the nodes of a parent cycle never do, so a cycle is reported as a tree
+// that spans fewer than n nodes.
 func NewTree(g *Graph, root int, parent []int) (*Tree, error) {
 	if len(parent) != g.N() {
 		return nil, errors.New("graph: parent slice length mismatch")
 	}
-	t := &Tree{G: g, Root: root, Parent: append([]int(nil), parent...)}
-	t.ParentEdge = make([]int, g.N())
-	t.children = make([][]int, g.N())
-	for v, p := range t.Parent {
+	inTree := make([]bool, g.M())
+	for v, p := range parent {
 		if v == root {
 			if p != -1 {
 				return nil, fmt.Errorf("graph: root %d has parent %d", root, p)
 			}
-			t.ParentEdge[v] = -1
 			continue
 		}
-		if p < 0 || p >= g.N() {
-			return nil, fmt.Errorf("graph: node %d parent %d out of range", v, p)
-		}
-		e := g.EdgeBetween(v, p)
+		e := g.EdgeBetween(v, p) // -1 for a parent out of range, too
 		if e < 0 {
 			return nil, fmt.Errorf("graph: node %d parent %d not adjacent", v, p)
 		}
-		t.ParentEdge[v] = e
+		inTree[e] = true
 	}
-	// Children in port order at the parent, so DFS order is reproducible
-	// from local information only (as the distributed DFS of §6.3.6 is).
-	for v := range t.children {
-		for _, h := range g.Ports(v) {
-			if t.Parent[h.Peer] == v {
-				t.children[v] = append(t.children[v], h.Peer)
-			}
+	return buildTree(g, root, inTree)
+}
+
+// TreeFromEdges roots the given spanning-tree edge set at root and returns
+// the Tree, or an error if the edges do not form a spanning tree: n−1
+// distinct in-range edge ids that the rooting pass follows to all n nodes.
+func TreeFromEdges(g *Graph, edges []int, root int) (*Tree, error) {
+	if len(edges) != g.N()-1 {
+		return nil, fmt.Errorf("graph: %d edges, but a spanning tree of %d nodes has n−1", len(edges), g.N())
+	}
+	inTree := make([]bool, g.M())
+	for _, e := range edges {
+		if e < 0 || e >= g.M() {
+			return nil, fmt.Errorf("graph: tree edge id %d out of range [0, %d)", e, g.M())
+		}
+		if inTree[e] {
+			return nil, fmt.Errorf("graph: tree edge %d repeated", e)
+		}
+		inTree[e] = true
+	}
+	return buildTree(g, root, inTree)
+}
+
+// buildTree is the one builder behind NewTree and TreeFromEdges, which mark
+// at most n−1 edges: those form a spanning tree exactly when the rooting
+// pass reaches all n nodes. Subtree sizes then come from one reverse sweep
+// of the pass's queue, and the preorder from one stack walk over the
+// children.
+func buildTree(g *Graph, root int, inTree []bool) (*Tree, error) {
+	n := g.N()
+	t := newRooting(g, root)
+	t.rootAlong(inTree)
+	if len(t.bfs) != n {
+		return nil, fmt.Errorf("graph: tree spans %d of %d nodes", len(t.bfs), n)
+	}
+	t.size = make([]int, n)
+	for i := n - 1; i >= 0; i-- {
+		v := t.bfs[i]
+		t.size[v]++
+		if p := t.Parent[v]; p >= 0 {
+			t.size[p] += t.size[v]
 		}
 	}
-	t.depth = make([]int, g.N())
-	t.size = make([]int, g.N())
-	t.dfsOrder = make([]int, 0, g.N())
-	if err := t.computeOrders(); err != nil {
-		return nil, err
+	t.dfsOrder = make([]int, 0, n)
+	for stack := append(make([]int, 0, n), root); len(stack) > 0; {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		t.dfsOrder = append(t.dfsOrder, v)
+		kids := t.Children(v)
+		for i := len(kids) - 1; i >= 0; i-- {
+			stack = append(stack, kids[i])
+		}
 	}
 	return t, nil
 }
 
-func (t *Tree) computeOrders() error {
-	type frame struct{ v, ci int }
-	stack := []frame{{t.Root, 0}}
+// newRooting returns a Tree over g rooted at root holding only the arrays
+// rootAlong fills.
+func newRooting(g *Graph, root int) *Tree {
+	n := g.N()
+	return &Tree{G: g, Root: root, Parent: make([]int, n), ParentEdge: make([]int, n),
+		depth: make([]int, n), bfs: make([]int, 0, n), kids: make([][2]int, n)}
+}
+
+// rootAlong is the one rooting pass over a spanning tree: a BFS from t.Root
+// over t.G's own port lists that follows the edges inTree marks. It fills
+// t.Parent and t.ParentEdge (-1 at the root), t.depth, and the queue t.bfs
+// with each reached node's children range in it. A node the marked edges do
+// not reach keeps parent and depth -1 and is missing from the queue. That
+// is all WalkPath needs, so the corrupted-MST generator re-roots one Tree
+// with it alone, once per edit.
+func (t *Tree) rootAlong(inTree []bool) {
+	for v := range t.Parent {
+		t.Parent[v], t.ParentEdge[v], t.depth[v] = -1, -1, -1
+	}
 	t.depth[t.Root] = 0
-	seen := make([]bool, t.G.N())
-	for len(stack) > 0 {
-		f := &stack[len(stack)-1]
-		if f.ci == 0 {
-			if seen[f.v] {
-				return fmt.Errorf("graph: cycle through node %d", f.v)
+	t.bfs = append(t.bfs[:0], t.Root)
+	for i := 0; i < len(t.bfs); i++ {
+		v := t.bfs[i]
+		t.kids[v][0] = len(t.bfs)
+		for _, h := range t.G.adj[v] {
+			if inTree[h.Edge] && t.depth[h.Peer] < 0 {
+				t.Parent[h.Peer], t.ParentEdge[h.Peer], t.depth[h.Peer] = v, h.Edge, t.depth[v]+1
+				t.bfs = append(t.bfs, h.Peer)
 			}
-			seen[f.v] = true
-			t.dfsOrder = append(t.dfsOrder, f.v)
 		}
-		if f.ci < len(t.children[f.v]) {
-			c := t.children[f.v][f.ci]
-			f.ci++
-			t.depth[c] = t.depth[f.v] + 1
-			stack = append(stack, frame{c, 0})
-			continue
-		}
-		// post-order: subtree size
-		t.size[f.v] = 1
-		for _, c := range t.children[f.v] {
-			t.size[f.v] += t.size[c]
-		}
-		stack = stack[:len(stack)-1]
+		t.kids[v][1] = len(t.bfs)
 	}
-	if len(t.dfsOrder) != t.G.N() {
-		return fmt.Errorf("graph: tree spans %d of %d nodes", len(t.dfsOrder), t.G.N())
-	}
-	return nil
 }
 
 // Children returns v's children in port order; owned by the tree.
-func (t *Tree) Children(v int) []int { return t.children[v] }
+func (t *Tree) Children(v int) []int { return t.bfs[t.kids[v][0]:t.kids[v][1]:t.kids[v][1]] }
 
 // Depth returns the hop distance from the root to v.
 func (t *Tree) Depth(v int) int { return t.depth[v] }
@@ -110,16 +151,9 @@ func (t *Tree) Depth(v int) int { return t.depth[v] }
 // SubtreeSize returns the number of nodes in v's subtree (including v).
 func (t *Tree) SubtreeSize(v int) int { return t.size[v] }
 
-// Height returns the height of the tree (max depth).
-func (t *Tree) Height() int {
-	h := 0
-	for _, d := range t.depth {
-		if d > h {
-			h = d
-		}
-	}
-	return h
-}
+// Height returns the height of the tree (max depth): the depth of the last
+// node the BFS reached.
+func (t *Tree) Height() int { return t.depth[t.bfs[len(t.bfs)-1]] }
 
 // DFSOrder returns the preorder sequence of nodes starting at the root,
 // descending into children in port order; owned by the tree.
@@ -135,44 +169,6 @@ func (t *Tree) EdgeSet() []int {
 	}
 	slices.Sort(es)
 	return es
-}
-
-// TreeFromEdges roots the given spanning-tree edge set at root and returns
-// the Tree, or an error if the edges do not form a spanning tree.
-func TreeFromEdges(g *Graph, edges []int, root int) (*Tree, error) {
-	if !IsSpanningTree(g, edges) {
-		return nil, errors.New("graph: edge set is not a spanning tree")
-	}
-	inTree := make([]bool, g.M())
-	for _, e := range edges {
-		inTree[e] = true
-	}
-	t := &Tree{G: g, Root: root, Parent: make([]int, g.N()), ParentEdge: make([]int, g.N()), depth: make([]int, g.N())}
-	t.rootAlong(inTree)
-	return NewTree(g, root, t.Parent)
-}
-
-// rootAlong is the one rooting pass over a spanning tree: a BFS from t.Root
-// over t.G's own port lists that follows the edges inTree marks and fills
-// t.Parent and t.ParentEdge (-1 at the root) and t.depth. That is all
-// WalkPath needs, so a Tree filled only this far (the corrupted-MST
-// generator re-roots one per edit) walks paths but has no children or
-// orders. A node the marked edges do not reach keeps parent and depth -1.
-func (t *Tree) rootAlong(inTree []bool) {
-	for v := range t.Parent {
-		t.Parent[v], t.ParentEdge[v], t.depth[v] = -1, -1, -1
-	}
-	t.depth[t.Root] = 0
-	queue := append(make([]int, 0, len(t.Parent)), t.Root)
-	for i := 0; i < len(queue); i++ {
-		v := queue[i]
-		for _, h := range t.G.adj[v] {
-			if inTree[h.Edge] && t.depth[h.Peer] < 0 {
-				t.Parent[h.Peer], t.ParentEdge[h.Peer], t.depth[h.Peer] = v, h.Edge, t.depth[v]+1
-				queue = append(queue, h.Peer)
-			}
-		}
-	}
 }
 
 // WalkPath walks the tree path between u and v: while they differ, the

@@ -80,7 +80,7 @@ func (r *Runner) Stabilized() bool {
 // whether it is a spanning tree.
 func (r *Runner) OutputEdges() ([]int, bool) {
 	g := r.Eng.G()
-	edges := make([]int, 0, g.N()-1)
+	edges := make([]int, 0, max(g.N()-1, 0))
 	for v := 0; v < g.N(); v++ {
 		st, ok := r.Eng.State(v).(*SState)
 		if !ok || st.Check == nil {

@@ -470,7 +470,7 @@ func (m *Machine) oracle(epoch int64) *verify.Labeled {
 	var l *verify.Labeled
 	if m.Snapshot != nil {
 		states := m.Snapshot()
-		edges := make([]int, 0, m.G.N()-1)
+		edges := make([]int, 0, max(m.G.N()-1, 0))
 		valid := true
 		for v, st := range states {
 			if st == nil || st.Build == nil {
@@ -485,7 +485,8 @@ func (m *Machine) oracle(epoch int64) *verify.Labeled {
 				edges = append(edges, m.G.Half(v, pp).Edge)
 			}
 		}
-		if valid && graph.IsSpanningTree(m.G, edges) {
+		// MarkTree rejects an edge set that is not a spanning tree.
+		if valid {
 			if marked, err := verify.MarkTree(m.G, edges, false); err == nil {
 				l = marked
 			}

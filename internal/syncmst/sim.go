@@ -10,7 +10,9 @@
 //     fragments with |F| ≤ 2^{i+1}−1; minimum-outgoing-edge selection;
 //     pivot handshakes electing the larger identity). It produces the final
 //     tree, the hierarchy of active fragments, and the simulated round
-//     count. The marker uses it at scale.
+//     count. The marker uses it at scale, and verify.MarkTree uses
+//     SimulateTree: the same phase loop selecting among a given spanning
+//     tree's edges only.
 //
 //   - Machine: the actual distributed register program with exact round
 //     timing, executed on internal/runtime. Tests check that both produce
@@ -20,6 +22,7 @@ package syncmst
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -58,6 +61,34 @@ func Simulate(g *graph.Graph) (*Result, error) {
 	if !g.HasDistinctWeights() {
 		return nil, errors.New("syncmst: weights must be distinct (normalize first)")
 	}
+	return simulate(g, nil)
+}
+
+// SimulateTree runs Simulate's phases on the spanning tree treeEdges of g:
+// every fragment selects its minimum outgoing edge among the tree's edges
+// only. A tree is its own MST, so the result's tree is exactly treeEdges and
+// every candidate is a tree edge, while each fragment's ω(F) is still its
+// minimum outgoing weight in all of g. The tree's weights must be pairwise
+// distinct; g's other weights need not be.
+func SimulateTree(g *graph.Graph, treeEdges []int) (*Result, error) {
+	if !graph.IsSpanningTree(g, treeEdges) {
+		return nil, errors.New("syncmst: edge set is not a spanning tree")
+	}
+	inTree := make([]bool, g.M())
+	ws := make([]graph.Weight, len(treeEdges))
+	for i, e := range treeEdges {
+		inTree[e], ws[i] = true, g.Edge(e).W
+	}
+	slices.Sort(ws)
+	if len(slices.Compact(ws)) != len(treeEdges) {
+		return nil, errors.New("syncmst: tree weights must be distinct (normalize first)")
+	}
+	return simulate(g, inTree)
+}
+
+// simulate is the one phase loop of Simulate and SimulateTree. A nil inTree
+// lets every edge of g be selected; otherwise only the edges it marks are.
+func simulate(g *graph.Graph, inTree []bool) (*Result, error) {
 	n := g.N()
 	comp := make([]*component, n)
 	compOf := make([]int, n)
@@ -108,7 +139,7 @@ func Simulate(g *graph.Graph) (*Result, error) {
 			best, bestIn := -1, -1
 			for _, v := range c.nodes {
 				for _, h := range g.Ports(v) {
-					if compOf[h.Peer] == ci {
+					if compOf[h.Peer] == ci || inTree != nil && !inTree[h.Edge] {
 						continue
 					}
 					if best < 0 || g.Edge(h.Edge).W < g.Edge(best).W {

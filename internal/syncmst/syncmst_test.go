@@ -2,6 +2,7 @@ package syncmst
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"ssmst/internal/graph"
@@ -233,5 +234,68 @@ func TestSimulateRejectsBadInput(t *testing.T) {
 	dup := graph.WithDuplicateWeights(graph.Complete(5, 1), 2)
 	if _, err := Simulate(dup); err == nil {
 		t.Fatal("duplicate weights accepted")
+	}
+}
+
+// TestSimulateTreeOnMSTMatchesSimulate: restricted to the MST's own edges,
+// the phase loop selects exactly the edges it selects on the whole graph (a
+// fragment's minimum outgoing edge is an MST edge), so SimulateTree must
+// return Simulate's result field for field — tree, hierarchy, rounds and
+// phases — on every family.
+func TestSimulateTreeOnMSTMatchesSimulate(t *testing.T) {
+	for _, family := range graph.Families() {
+		for _, n := range []int{8, 17, 256, 1024} {
+			for seed := int64(1); seed <= 3; seed++ {
+				g, err := graph.ByFamily(family, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := Simulate(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := SimulateTree(g, want.Tree.EdgeSet())
+				if err != nil {
+					t.Fatalf("%s n=%d seed %d: %v", family, n, seed, err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s n=%d seed %d: SimulateTree on the MST differs from Simulate", family, n, seed)
+				}
+			}
+		}
+	}
+}
+
+// TestSimulateTreeRejectsBadInput: an edge set that is not a spanning tree,
+// or a tree with repeated weights, is an error. Repeated weights off the
+// tree are not.
+func TestSimulateTreeRejectsBadInput(t *testing.T) {
+	// A triangle 0–1–2 (edges 0, 1, 2) with a pendant edge 2–3 (edge 3);
+	// edges 1 and 2 share a weight.
+	g := graph.New(4, nil)
+	for _, e := range []struct {
+		u, v int
+		w    graph.Weight
+	}{{0, 1, 1}, {1, 2, 5}, {2, 0, 5}, {2, 3, 3}} {
+		g.MustAddEdge(e.u, e.v, e.w)
+	}
+	for _, tc := range []struct {
+		name  string
+		edges []int
+	}{
+		{"not spanning", []int{0, 3}},
+		{"n-1 edges with a cycle", []int{0, 1, 2}},
+		{"repeated tree weights", []int{1, 2, 3}},
+	} {
+		if _, err := SimulateTree(g, tc.edges); err == nil {
+			t.Errorf("%s: SimulateTree accepted %v", tc.name, tc.edges)
+		}
+	}
+	res, err := SimulateTree(g, []int{0, 1, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameEdgeSets(res.Tree.EdgeSet(), []int{0, 1, 3}) {
+		t.Fatalf("tree %v, want the given edges", res.Tree.EdgeSet())
 	}
 }

@@ -135,7 +135,7 @@ func (r *Runner) ApplyChurnStorm(count int, kinds []ChurnKind, seed int64) []Chu
 func (r *Runner) TreeEdges() []int {
 	g := r.Eng.G()
 	parent := r.Labeled.Tree.Parent
-	edges := make([]int, 0, g.N()-1)
+	edges := make([]int, 0, max(g.N()-1, 0))
 	for v := range parent {
 		if parent[v] < 0 {
 			continue

@@ -133,7 +133,9 @@ func treeHash(edges []int) uint64 {
 // highgirth at n=16384. A generator rewrite may not move any of them. On
 // each campaign graph it also pins the trees 16 and 64 cycle edits away
 // from the MST that oracle-campaign measures at --seed 1: cell c = 2·family
-// + sub-seed, edit count j, generator seed SubSeed(1, 1, c, j).
+// + sub-seed, edit count j, generator seed SubSeed(1, 1, c, j) — and
+// MarkTree's fingerprint and partsFingerprint on each of those trees (no ω
+// override), which oracle-campaign marks in every episode.
 func TestBenchInstancePins(t *testing.T) {
 	const campaignN = 4096
 	campaign := [][2]uint64{
@@ -148,6 +150,12 @@ func TestBenchInstancePins(t *testing.T) {
 		{{0x20b81e2d8373bca6, 0xd39d20419a0ea12f}, {0xa354163b42f69053, 0x795184a07a7c54ac}}, // powerlaw
 		{{0x8454d8c8a18e1eb5, 0x3d049f6a89180ab0}, {0x3315f214aaee7ab4, 0x321366e3d1a0009f}}, // geometric
 		{{0x4cabc5a7782766d8, 0x57115cf2887bc883}, {0xa766572a4557246a, 0xccd9b4f5e32dd6ff}}, // highgirth
+	}
+	marked := [][2][2][2]uint64{ // [family][sub-seed][k]{fingerprint, partsFingerprint}
+		{{{0x1a88caf434c269eb, 0x00cefe259b09005d}, {0xca2745bac9749adb, 0x1c169d900ca3a743}}, {{0x1ef997a66dfd309b, 0x5824d21deb859936}, {0x715a6a61231dde75, 0x607185c8fbcb9e34}}}, // random
+		{{{0x71afe7185d9ee875, 0xa10178b1e5e6e961}, {0x74e438d18ebf43c8, 0x927a33496ab9c795}}, {{0x0a71c8150b711560, 0x174983c9bd00406c}, {0x69a2e521f48224e3, 0x404f6520a0d82494}}}, // powerlaw
+		{{{0xfcda6ac38fde07be, 0x23b0588818f662db}, {0x74a57eb940007317, 0xcbafeb18aa51669a}}, {{0x8193ac0ca6903879, 0x35ee54d0a072c325}, {0x462663492ef0517a, 0x5ff7b9ca3fe2db99}}}, // geometric
+		{{{0x4a5086cd81877a3b, 0xf17e1c97587c4c7e}, {0xba1acca394573255, 0xfcc56465f2a55316}}, {{0xe3303186a1eeaf08, 0x310236128f894273}, {0x3190659a3a6eda7c, 0x292018d2f4cb9e0d}}}, // highgirth
 	}
 	for fi, fam := range graph.Families() {
 		for si, want := range campaign[fi] {
@@ -171,6 +179,12 @@ func TestBenchInstancePins(t *testing.T) {
 				if got := treeHash(tree); got != corrupted[fi][si][j] {
 					t.Errorf("%s n=%d sub-seed %d k=%d: corrupted-tree hash %#x, want %#x", fam, campaignN, si, k, got, corrupted[fi][si][j])
 				}
+				l, err := MarkTree(g, tree, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := marked[fi][si][j]
+				checkPins(t, fmt.Sprintf("%s n=%d sub-seed %d k=%d MarkTree", fam, campaignN, si, k), l, want[0], want[1])
 			}
 		}
 	}

@@ -118,13 +118,15 @@ func Mark(g *graph.Graph) (*Labeled, error) {
 }
 
 // MarkTree labels an arbitrary spanning tree of g (not necessarily an MST):
-// the hierarchy is built by merging fragments over their minimum-weight
-// outgoing tree edges, which is what an honest marker constrained to the
-// given tree would produce. Verification of the result must reject unless
+// syncmst.SimulateTree runs SYNC_MST on g with every fragment merging over
+// its minimum-weight outgoing tree edge, which is what an honest marker
+// constrained to the given tree would produce, and roots the tree and
+// builds the hierarchy once. Verification of the result must reject unless
 // the tree is an MST. overrideOmega selects what the pieces claim as ω̂(F):
 // the true minimum outgoing weight in G (false — C1 then catches non-MSTs)
 // or the candidate's own weight (true — C2 then catches them). A graph of
-// fewer than 2 nodes, or a tree edge id outside [0, g.M()), is an error.
+// fewer than 2 nodes, a tree edge id outside [0, g.M()), an edge set that
+// is not a spanning tree, or repeated weights on the tree are errors.
 func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, error) {
 	if err := checkMarkable(g); err != nil {
 		return nil, err
@@ -134,42 +136,11 @@ func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, er
 			return nil, fmt.Errorf("verify: tree edge id %d out of range [0, %d)", e, g.M())
 		}
 	}
-	// Simulate fragment merging on the tree alone: a tree is its own MST,
-	// so SYNC_MST on the tree-only graph yields this exact tree plus a
-	// well-formed hierarchy whose candidates are tree edges.
-	tg := graph.New(g.N(), idsOf(g))
-	for _, e := range treeEdges {
-		ed := g.Edge(e)
-		if _, err := tg.AddEdge(ed.U, ed.V, ed.W); err != nil {
-			return nil, fmt.Errorf("verify: tree graph: %w", err)
-		}
-	}
-	res, err := syncmst.Simulate(tg)
+	res, err := syncmst.SimulateTree(g, treeEdges)
 	if err != nil {
 		return nil, fmt.Errorf("verify: tree construction: %w", err)
 	}
-	// Rebuild the hierarchy over the full graph (edge ids differ).
-	tree, err := graph.TreeFromEdges(g, treeEdges, res.Tree.Root)
-	if err != nil {
-		return nil, err
-	}
-	var raws []hierarchy.RawFragment
-	for i := range res.Hierarchy.Frags {
-		f := &res.Hierarchy.Frags[i]
-		cand := -1
-		if f.Cand >= 0 {
-			ed := tg.Edge(f.Cand)
-			cand = g.EdgeBetween(ed.U, ed.V)
-		}
-		raws = append(raws, hierarchy.RawFragment{
-			Nodes: append([]int(nil), f.Nodes...),
-			Cand:  cand,
-		})
-	}
-	h, err := hierarchy.Build(tree, raws)
-	if err != nil {
-		return nil, fmt.Errorf("verify: tree hierarchy: %w", err)
-	}
+	h := res.Hierarchy
 	if overrideOmega {
 		for i := range h.Frags {
 			if h.Frags[i].Cand >= 0 {
@@ -177,7 +148,7 @@ func MarkTree(g *graph.Graph, treeEdges []int, overrideOmega bool) (*Labeled, er
 			}
 		}
 	}
-	return markHierarchy(g, tree, h, res.Rounds)
+	return markHierarchy(g, res.Tree, h, res.Rounds)
 }
 
 // checkMarkable rejects graphs the scheme cannot label: the partition of §6
@@ -188,14 +159,6 @@ func checkMarkable(g *graph.Graph) error {
 		return fmt.Errorf("verify: marking needs at least 2 nodes (n=%d)", g.N())
 	}
 	return nil
-}
-
-func idsOf(g *graph.Graph) []graph.NodeID {
-	ids := make([]graph.NodeID, g.N())
-	for v := range ids {
-		ids[v] = g.ID(v)
-	}
-	return ids
 }
 
 func markHierarchy(g *graph.Graph, tree *graph.Tree, h *hierarchy.Hierarchy, rounds int) (*Labeled, error) {

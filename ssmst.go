@@ -121,11 +121,20 @@ func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 // NewSelfStabilizing builds a self-stabilizing MST run; bound is the
 // polynomial upper bound on n assumed by the reset substrate. Rounds
 // recycle each node's two-rounds-old state and allocate nothing within a
-// phase. A disconnected graph has no spanning tree to stabilize to, and a
-// bound below g.N() breaks the substrate's timing: both are errors.
+// phase. The transformer never stabilizes on a graph of fewer than 2 nodes
+// (the label phase cannot mark it), on a disconnected graph (it has no
+// spanning tree) or on repeated weights (its MST is not unique; normalize
+// first), and a bound below g.N() breaks the substrate's timing: all are
+// errors.
 func NewSelfStabilizing(g *Graph, bound int, mode Mode, seed int64) (*SelfStabilizing, error) {
+	if g.N() < 2 {
+		return nil, fmt.Errorf("ssmst: NewSelfStabilizing: the transformer needs at least 2 nodes (n=%d)", g.N())
+	}
 	if !g.Connected() {
 		return nil, errors.New("ssmst: NewSelfStabilizing: graph is disconnected; it has no spanning tree")
+	}
+	if !g.HasDistinctWeights() {
+		return nil, errors.New("ssmst: NewSelfStabilizing: weights must be distinct (normalize first)")
 	}
 	if bound < g.N() {
 		return nil, fmt.Errorf("ssmst: NewSelfStabilizing: bound %d is below n=%d", bound, g.N())

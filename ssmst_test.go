@@ -61,6 +61,23 @@ func TestFacadeMarkTreeRejectsBadEdgeIDs(t *testing.T) {
 	}
 }
 
+// TestFacadeCorruptEmptyGraph: the MST of a 0-node graph is the empty tree,
+// so corruption density 0 returns it and any edit saturates at once — an
+// error, not a makeslice panic.
+func TestFacadeCorruptEmptyGraph(t *testing.T) {
+	g := graph.New(0, nil)
+	tree, err := CorruptSpanningTree(g, 0, 1)
+	if err != nil || len(tree) != 0 {
+		t.Fatalf("k=0: got (%v, %v), want an empty tree", tree, err)
+	}
+	for _, k := range []int{1, 4} {
+		tree, err := CorruptSpanningTree(g, k, 1)
+		if err == nil || tree != nil || !strings.Contains(err.Error(), "saturated") {
+			t.Fatalf("k=%d: got (%v, %v), want the saturated error", k, tree, err)
+		}
+	}
+}
+
 func TestFacadeSelfStabilizing(t *testing.T) {
 	g := RandomGraph(12, 30, 7)
 	r, err := NewSelfStabilizing(g, g.N(), Sync, 2)
@@ -75,15 +92,32 @@ func TestFacadeSelfStabilizing(t *testing.T) {
 	}
 }
 
-// TestFacadeSelfStabilizingRejectsBadInput: a disconnected graph never
-// stabilizes and a bound below n breaks the reset substrate's timing, so
-// both are errors instead of a run that silently never converges.
+// TestFacadeSelfStabilizingRejectsBadInput: the transformer never
+// stabilizes on fewer than 2 nodes (the label phase cannot mark them), on a
+// disconnected graph or on repeated weights, and a bound below n breaks the
+// reset substrate's timing, so all are errors instead of a run that
+// silently never converges (or, at n=0, panics).
 func TestFacadeSelfStabilizingRejectsBadInput(t *testing.T) {
 	split := graph.New(4, nil) // two components: 0–1 and 2–3
 	split.MustAddEdge(0, 1, 1)
 	split.MustAddEdge(2, 3, 2)
-	if r, err := NewSelfStabilizing(split, split.N(), Sync, 1); err == nil || r != nil {
-		t.Fatalf("disconnected graph: got (%v, %v), want an error", r, err)
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		hint string
+	}{
+		{"n=0", graph.New(0, nil), "n=0"},
+		{"n=1", graph.New(1, nil), "n=1"},
+		{"disconnected graph", split, "disconnected"},
+		{"duplicate weights", graph.WithDuplicateWeights(RandomGraph(24, 48, 3), 3), "normalize first"},
+	} {
+		r, err := NewSelfStabilizing(tc.g, max(tc.g.N(), 2), Sync, 1)
+		if err == nil || r != nil {
+			t.Fatalf("%s: got (%v, %v), want an error", tc.name, r, err)
+		}
+		if !strings.Contains(err.Error(), tc.hint) {
+			t.Fatalf("%s: error %q does not say %q", tc.name, err, tc.hint)
+		}
 	}
 	g := RandomGraph(12, 30, 7)
 	r, err := NewSelfStabilizing(g, g.N()-1, Sync, 1)
