@@ -10,13 +10,20 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
+	"unicode/utf8"
 
 	"ssmst/internal/core"
 )
 
+// usage prints the help text; the experiment list comes from core.Menu, so
+// a menu entry shows up here with its description and nowhere else needs
+// editing.
 func usage() {
-	fmt.Fprintf(flag.CommandLine.Output(), `experiments — regenerate the paper's measured tables.
+	w := flag.CommandLine.Output()
+	fmt.Fprint(w, `experiments — regenerate the paper's measured tables.
 
 Each experiment maps to one table/figure of Korman–Kutten–Masuzawa (the
 E-numbers below); tables print as Markdown on stdout. The engine's own
@@ -34,37 +41,52 @@ Flags:
               (default 1)
   -exp name   which experiment to run (default "all"):
 
-    all               the default suite (every row below except
-                      detectionscaling, churnscaling and campaign)
-    table1            Table 1 — space/time of the self-stabilizing MST vs
-                      the baseline classes (measured bits/node and rounds)
-    table2            Table 2 — Roots/EndP/Parents/Or_EndP strings on the
-                      Figure 1 example, checked against the paper
-    detection         E3 — synchronous detection time (O(log² n))
-    detectionasync    E4 — asynchronous detection time (O(Δ·log³ n))
-    detectionscaling  E3/E12 past n=10⁴ on the incremental in-place engine
-                      (minutes of wall clock; not part of "all")
-    churnscaling      E3-churn — detection latency under live topology churn
-                      (weight flips, link cut/add through MutateTopology) at
-                      n∈{1024,4096,16384}; minutes of wall clock, not part
-                      of "all"
-    distance          E5 — fault-to-alarm distance (O(f·log n))
-    construction      E6 — SYNC_MST vs GHS construction rounds and memory
-    memory            E7 — label bits: this scheme (O(log n)) vs KK (log² n)
-    partitions        E9 — partition shape (Lemmas 6.4/6.5)
-    selfstab          E12/E13 — stabilization and fault recovery (O(n))
-    lowerbound        E8 — §9 stretched instances: time × memory tradeoff
-    campaign          adversarial fault campaign: corrupted-MST detection
-                      latency vs corruption density k per graph family, plus
-                      the correlated-scenario matrix (regional outage, fault
-                      storm, churn storm, transformer re-stabilization) —
-                      every cell cross-checked against the centralized
-                      T-lightness and cycle-property oracles
 `)
+	var skipped []string
+	core.Menu(func(name, _ string, inAll bool) {
+		if !inAll {
+			skipped = append(skipped, name)
+		}
+	})
+	printEntry(w, "all", "the default suite (every row below except "+andList(skipped)+")")
+	core.Menu(func(name, doc string, _ bool) { printEntry(w, name, doc) })
+}
+
+// printEntry prints one menu row: the name in an 18-column field, then the
+// description wrapped at 76 columns under its first line.
+func printEntry(w io.Writer, name, doc string) {
+	const indent, width = 22, 76
+	line := fmt.Sprintf("    %-17s ", name)
+	col := utf8.RuneCountInString(line)
+	for i, word := range strings.Fields(doc) {
+		n := utf8.RuneCountInString(word)
+		if i > 0 && col+1+n > width {
+			fmt.Fprintln(w, line)
+			line, col = strings.Repeat(" ", indent)+word, indent+n
+			continue
+		}
+		if i > 0 {
+			line += " "
+			col++
+		}
+		line += word
+		col += n
+	}
+	fmt.Fprintln(w, line)
+}
+
+// andList joins names as "a, b and c".
+func andList(names []string) string {
+	if len(names) < 2 {
+		return strings.Join(names, "")
+	}
+	return strings.Join(names[:len(names)-1], ", ") + " and " + names[len(names)-1]
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all|table1|table2|detection|detectionasync|detectionscaling|churnscaling|distance|construction|memory|partitions|selfstab|lowerbound|campaign")
+	names := []string{"all"}
+	core.Menu(func(name, _ string, _ bool) { names = append(names, name) })
+	exp := flag.String("exp", "all", "experiment: "+strings.Join(names, "|"))
 	seed := flag.Int64("seed", 1, "random seed")
 	flag.Usage = usage
 	flag.Parse()

@@ -654,10 +654,12 @@ func LowerBound(taus []int, seed int64) *Table {
 }
 
 // experiment is one entry of the menu cmd/experiments offers: the name -exp
-// selects it by, whether the default suite "all" runs it, and the call at
+// selects it by, its one-line description (the paper's table or experiment
+// number first), whether the default suite "all" runs it, and the call at
 // its default sizes.
 type experiment struct {
 	name  string
+	doc   string
 	inAll bool
 	run   func(seed int64) []*Table
 }
@@ -665,23 +667,45 @@ type experiment struct {
 // menu is the one list of experiments and their default sizes; "all" runs
 // the inAll entries in this order.
 var menu = []experiment{
-	{"table2", true, func(int64) []*Table { return []*Table{Table2()} }},
-	{"table1", true, func(seed int64) []*Table { return []*Table{Table1([]int{16, 32, 64}, seed)} }},
-	{"detection", true, func(seed int64) []*Table { return []*Table{DetectionSync([]int{16, 32, 64, 128}, 3, seed)} }},
-	{"detectionasync", true, func(seed int64) []*Table { return []*Table{DetectionAsync([]int{16, 32}, 2, seed)} }},
-	{"distance", true, func(seed int64) []*Table { return []*Table{DetectionDistance(64, []int{1, 2, 4}, seed)} }},
-	{"construction", true, func(seed int64) []*Table { return []*Table{Construction([]int{16, 32, 64, 128, 256}, seed)} }},
-	{"memory", true, func(seed int64) []*Table { return []*Table{Memory([]int{16, 64, 256, 1024}, seed)} }},
-	{"partitions", true, func(seed int64) []*Table { return []*Table{Partitions([]int{32, 128, 512}, seed)} }},
-	{"selfstab", true, func(seed int64) []*Table { return []*Table{SelfStabilization([]int{16, 32}, seed)} }},
-	{"lowerbound", true, func(seed int64) []*Table { return []*Table{LowerBound([]int{1, 2, 3}, seed)} }},
+	{"table2", "Table 2 — Roots/EndP/Parents/Or_EndP strings on the Figure 1 example, checked against the paper", true,
+		func(int64) []*Table { return []*Table{Table2()} }},
+	{"table1", "Table 1 — space/time of the self-stabilizing MST vs the baseline classes (measured bits/node and rounds)", true,
+		func(seed int64) []*Table { return []*Table{Table1([]int{16, 32, 64}, seed)} }},
+	{"detection", "E3 — synchronous detection time (O(log² n))", true,
+		func(seed int64) []*Table { return []*Table{DetectionSync([]int{16, 32, 64, 128}, 3, seed)} }},
+	{"detectionasync", "E4 — asynchronous detection time (O(Δ·log³ n))", true,
+		func(seed int64) []*Table { return []*Table{DetectionAsync([]int{16, 32}, 2, seed)} }},
+	{"distance", "E5 — fault-to-alarm distance (O(f·log n))", true,
+		func(seed int64) []*Table { return []*Table{DetectionDistance(64, []int{1, 2, 4}, seed)} }},
+	{"construction", "E6 — SYNC_MST vs GHS construction rounds and memory", true,
+		func(seed int64) []*Table { return []*Table{Construction([]int{16, 32, 64, 128, 256}, seed)} }},
+	{"memory", "E7 — label bits: this scheme (O(log n)) vs KK (log² n)", true,
+		func(seed int64) []*Table { return []*Table{Memory([]int{16, 64, 256, 1024}, seed)} }},
+	{"partitions", "E9 — partition shape (Lemmas 6.4/6.5)", true,
+		func(seed int64) []*Table { return []*Table{Partitions([]int{32, 128, 512}, seed)} }},
+	{"selfstab", "E12/E13 — stabilization and fault recovery (O(n))", true,
+		func(seed int64) []*Table { return []*Table{SelfStabilization([]int{16, 32}, seed)} }},
+	{"lowerbound", "E8 — §9 stretched instances: time × memory tradeoff", true,
+		func(seed int64) []*Table { return []*Table{LowerBound([]int{1, 2, 3}, seed)} }},
 	// Not in the default suite: E3/E12 past n=10⁴ and detection under live
 	// churn take minutes of wall clock, and the campaign runs on its own.
-	{"detectionscaling", false, func(seed int64) []*Table { return []*Table{DetectionScaling([]int{1024, 4096, 16384}, 1, seed)} }},
-	{"churnscaling", false, func(seed int64) []*Table { return []*Table{ChurnScaling([]int{1024, 4096, 16384}, 1, seed)} }},
-	{"campaign", false, func(seed int64) []*Table {
-		return []*Table{CampaignKSweep(graph.Families(), 256, []int{1, 4, 16, 64}, seed), CampaignScenarios(128, seed)}
-	}},
+	{"detectionscaling", "E3/E12 past n=10⁴ on the incremental in-place engine (minutes of wall clock)", false,
+		func(seed int64) []*Table { return []*Table{DetectionScaling([]int{1024, 4096, 16384}, 1, seed)} }},
+	{"churnscaling", "E3-churn — detection latency under live topology churn (weight flips, link cut/add through MutateTopology) at n∈{1024,4096,16384}; minutes of wall clock", false,
+		func(seed int64) []*Table { return []*Table{ChurnScaling([]int{1024, 4096, 16384}, 1, seed)} }},
+	{"campaign", "adversarial fault campaign: corrupted-MST detection latency vs corruption density k per graph family, plus the correlated-scenario matrix (regional outage, fault storm, churn storm, transformer re-stabilization) — every cell cross-checked against the centralized T-lightness and cycle-property oracles", false,
+		func(seed int64) []*Table {
+			return []*Table{CampaignKSweep(graph.Families(), 256, []int{1, 4, 16, 64}, seed), CampaignScenarios(128, seed)}
+		}},
+}
+
+// Menu calls f on every experiment in menu order with its name, its
+// one-line description and whether "all" runs it: the source of
+// cmd/experiments' flag help and usage text.
+func Menu(f func(name, doc string, inAll bool)) {
+	for _, e := range menu {
+		f(e.name, e.doc, e.inAll)
+	}
 }
 
 // Experiment runs the named menu entry at its default sizes, or for "all"

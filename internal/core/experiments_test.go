@@ -112,3 +112,26 @@ func TestRecoveryCellOutcomes(t *testing.T) {
 		t.Errorf("never stabilized: recovery cell %q, want %q", got, "not applied")
 	}
 }
+
+// TestMenuDescribesEveryEntry: cmd/experiments builds its flag help and
+// usage text from Menu alone, so every entry needs a unique name that is
+// not "all" and a non-empty one-line description, and Experiment must know
+// no name the menu lacks.
+func TestMenuDescribesEveryEntry(t *testing.T) {
+	seen := map[string]bool{"all": true}
+	Menu(func(name, doc string, _ bool) {
+		if seen[name] {
+			t.Errorf("menu name %q repeated or reserved", name)
+		}
+		seen[name] = true
+		if doc == "" || strings.Contains(doc, "\n") {
+			t.Errorf("menu entry %q: description %q is not one line", name, doc)
+		}
+	})
+	if len(seen) != len(menu)+1 {
+		t.Fatalf("Menu listed %d names for %d entries", len(seen)-1, len(menu))
+	}
+	if _, ok := Experiment("no-such-experiment", 1); ok {
+		t.Fatal("Experiment accepted a name the menu lacks")
+	}
+}

@@ -85,6 +85,44 @@ func TestApplyChurnRequiresCoherentOutput(t *testing.T) {
 	}
 }
 
+// TestApplyChurnRejectsNonSpanningOutput: every node checks quietly, but one
+// parent pointer is turned toward a child, so the output holds n−1 edge ids
+// with one repeated and does not span. graph.TreeFromEdges rejects that set,
+// and its error alone makes ApplyChurn refuse, leaving the graph untouched.
+func TestApplyChurnRejectsNonSpanningOutput(t *testing.T) {
+	g := graph.RandomConnected(16, 40, 7)
+	l, err := verify.Mark(g.Clone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(g, g.N(), verify.Sync, 1)
+	r.SeedStable(l)
+	v := l.Tree.Root
+	c := l.Tree.Children(v)[0]
+	if !r.InjectCheckFault(v, func(s *verify.VState) bool {
+		s.ParentPort = g.PortTo(v, c)
+		return true
+	}) {
+		t.Fatal("the parent-pointer fault did not apply")
+	}
+	if !r.Eng.AllDone() {
+		t.Fatal("the fault knocked a node out of the quiet check phase")
+	}
+	if _, ok := r.OutputEdges(); ok {
+		t.Fatal("OutputEdges reports a spanning tree")
+	}
+	m, version := g.M(), g.Version()
+	rng := rand.New(rand.NewSource(2))
+	for kind := verify.ChurnKind(0); int(kind) < verify.NumChurnKinds; kind++ {
+		if _, ok := r.ApplyChurn(kind, rng); ok {
+			t.Fatalf("%v planned against a non-spanning output", kind)
+		}
+	}
+	if g.M() != m || g.Version() != version {
+		t.Fatal("refused churn still mutated the graph")
+	}
+}
+
 // TestChurnLinkCutOfTreeEdge: cutting an edge of the *output tree* severs a
 // component pointer — the engine remaps the lost parent port to a root
 // claim, the SP layer rejects, and the transformer rebuilds a spanning MST

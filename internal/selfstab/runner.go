@@ -79,6 +79,14 @@ func (r *Runner) Stabilized() bool {
 // OutputEdges returns the edge set of the currently output structure, and
 // whether it is a spanning tree.
 func (r *Runner) OutputEdges() ([]int, bool) {
+	edges, ok := r.outputEdges()
+	return edges, ok && graph.IsSpanningTree(r.Eng.G(), edges)
+}
+
+// outputEdges collects the edge each node's check-phase parent port names.
+// ok is false when some node is not in the check phase or names a port it
+// does not have; whether the edges span is left to the caller.
+func (r *Runner) outputEdges() ([]int, bool) {
 	g := r.Eng.G()
 	edges := make([]int, 0, max(g.N()-1, 0))
 	for v := 0; v < g.N(); v++ {
@@ -93,7 +101,7 @@ func (r *Runner) OutputEdges() ([]int, bool) {
 			edges = append(edges, g.Half(v, pp).Edge)
 		}
 	}
-	return edges, graph.IsSpanningTree(g, edges)
+	return edges, true
 }
 
 // OutputIsMST reports whether the current output is the minimum spanning
@@ -213,20 +221,24 @@ func (r *Runner) InjectCheckFault(v int, f func(*verify.VState) bool) bool {
 // It reports the planned event and whether one was applied. Planning roots
 // the output edges (graph.TreeFromEdges) and requires a coherent output to
 // classify edges against: every node in the quiet check phase
-// (Engine.AllDone) and the output forming a spanning tree — otherwise ok is
-// false and nothing is mutated (planning against a half-built parent forest
-// could misclassify a bridge as a removable non-tree edge). Mid-rebuild
-// mutations remain available through Eng.MutateTopology directly, as
-// arbitrary adversarial events.
+// (Engine.AllDone) and the output forming a spanning tree, which
+// TreeFromEdges itself decides by failing on any other edge set —
+// otherwise ok is false and nothing is mutated (planning against a
+// half-built parent forest could misclassify a bridge as a removable
+// non-tree edge). Mid-rebuild mutations remain available through
+// Eng.MutateTopology directly, as arbitrary adversarial events.
 func (r *Runner) ApplyChurn(kind verify.ChurnKind, rng *rand.Rand) (verify.ChurnEvent, bool) {
 	ev := verify.ChurnEvent{Kind: kind, U: -1, V: -1}
 	if !r.Eng.AllDone() {
 		return ev, false
 	}
 	g := r.Eng.G()
-	edges, spanning := r.OutputEdges()
+	edges, ok := r.outputEdges()
+	if !ok {
+		return ev, false
+	}
 	t, err := graph.TreeFromEdges(g, edges, 0)
-	if !spanning || err != nil {
+	if err != nil {
 		return ev, false
 	}
 	planned, apply, ok := verify.PlanChurn(g, t, kind, rng)

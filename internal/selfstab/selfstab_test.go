@@ -1,10 +1,12 @@
 package selfstab
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/syncmst"
 	"ssmst/internal/verify"
 )
 
@@ -110,4 +112,39 @@ func TestPhaseString(t *testing.T) {
 	if got := Phase(7).String(); got != "Phase(7)" {
 		t.Errorf("out-of-range Phase(7).String() = %q, want %q", got, "Phase(7)")
 	}
+}
+
+// TestLabelPhaseChargeCoversMarker is the theorem gate for the label phase:
+// the transformer charges labelDur pulses for the marker's multi-wave label
+// assignment (Corollary 6.11, O(n)), so the marker's simulated time past
+// its SYNC_MST run must fit in that charge on every family.
+func TestLabelPhaseChargeCoversMarker(t *testing.T) {
+	worst, worstTag := 0.0, ""
+	for _, fam := range graph.Families() {
+		for _, n := range []int{256, 1024, 4096} {
+			for _, seed := range []int64{1, 2} {
+				tag := fmt.Sprintf("%s n=%d seed=%d", fam, n, seed)
+				g, err := graph.ByFamily(fam, n, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l, err := verify.Mark(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := syncmst.Simulate(g)
+				if err != nil {
+					t.Fatal(err)
+				}
+				used, charge := l.ConstructionTime-res.Rounds, NewMachine(g, n, verify.Sync).labelDur()
+				if used > charge {
+					t.Fatalf("%s: the marker takes %d rounds past SYNC_MST, over the label phase's %d", tag, used, charge)
+				}
+				if f := float64(used) / float64(charge); f > worst {
+					worst, worstTag = f, fmt.Sprintf("%s (%d of %d)", tag, used, charge)
+				}
+			}
+		}
+	}
+	t.Logf("highest share of the label-phase charge: %.0f%% at %s", 100*worst, worstTag)
 }

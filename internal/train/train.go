@@ -291,6 +291,22 @@ func AtRest(s *State, l *Labels) bool {
 	return !s.Up.Valid && s.UpNext == l.PosStart+l.SubCnt && !s.Reset && !s.ResetAck
 }
 
+// Drained returns the drained fixed point of a train with labels l: no car
+// in flight, the cursor at the window end, no reset and no ack, an empty
+// Show buffer, the cycle-set registers cleared as at a clean start, and the
+// root watchdog at 0. It is AtRest; with RestOK and drained peers a step
+// leaves it unchanged except for the part root's watchdog tick. Nothing is
+// shown, so every sampler capture from it starves; once RestOK drops the
+// root launches a reset at once, and the first window after that restart
+// goes unjudged (CovValid is false). An empty train's drained state is the
+// zero state its step pins it to.
+func Drained(l *Labels) State {
+	if l.K == 0 {
+		return State{}
+	}
+	return State{UpNext: l.PosStart + l.SubCnt}
+}
+
 // flush clears the convergecast machinery during a reset.
 func (s *State) flush(winLo int) {
 	s.Up = Car{}

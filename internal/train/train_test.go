@@ -479,3 +479,54 @@ func TestTrainDeliveryProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestDrainedIsRestFixedPoint: on marked labels the drained state is at
+// rest, and with RestOK and every tree neighbour drained a step leaves it
+// unchanged — except the part root's watchdog, which ticks — on both
+// trains of every node. Without RestOK the part root launches a reset at
+// once.
+func TestDrainedIsRestFixedPoint(t *testing.T) {
+	for _, g := range []*graph.Graph{
+		hierarchy.ExampleGraph(),
+		graph.Path(40, 1),
+		graph.RandomConnected(60, 150, 2),
+		graph.Star(25, 4),
+	} {
+		f := makeFixture(t, g)
+		for v := 0; v < g.N(); v++ {
+			for _, top := range []bool{true, false} {
+				l := pick(&f.labels[v], top)
+				d := Drained(l)
+				if !AtRest(&d, l) {
+					t.Fatalf("n=%d node %d top=%v: drained state %+v not at rest", g.N(), v, top, d)
+				}
+				ctx := &Ctx{OwnID: g.ID(v), Lab: l, Strings: &f.strings[v], N: g.N(), Top: top, RestOK: true}
+				if p := f.tree.Parent[v]; p >= 0 {
+					pl := pick(&f.labels[p], top)
+					pd := Drained(pl)
+					ctx.Parent = &PeerTrain{S: &pd, L: pl}
+				}
+				for _, c := range f.tree.Children(v) {
+					cl := pick(&f.labels[c], top)
+					cd := Drained(cl)
+					ctx.Children = append(ctx.Children, PeerTrain{S: &cd, L: cl})
+				}
+				want := d
+				root := l.K != 0 && l.PartRootID == g.ID(v)
+				if root {
+					want.Timer = IdleTimerTick(d.Timer, l.CycleBudget())
+				}
+				var got State
+				StepInto(&got, &d, ctx)
+				if got != want {
+					t.Fatalf("n=%d node %d top=%v: step from drained\n got %+v\nwant %+v", g.N(), v, top, got, want)
+				}
+				ctx.RestOK = false
+				StepInto(&got, &d, ctx)
+				if root && !got.Reset {
+					t.Fatalf("n=%d node %d top=%v: part root without RestOK did not reset", g.N(), v, top)
+				}
+			}
+		}
+	}
+}

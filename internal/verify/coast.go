@@ -4,6 +4,7 @@ import (
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
+	"ssmst/internal/oracle"
 	"ssmst/internal/runtime"
 	"ssmst/internal/train"
 )
@@ -16,6 +17,26 @@ import (
 // naive skip-unchanged worklist would be unsound. The coast regime makes
 // quiescence a certified, opt-in protocol state instead:
 //
+//  0. Seed. A fresh, correct instance skips steps 1 and 2:
+//     NewWorklistRunner installs, before the first round, the
+//     configuration a quiet network settles into (seedQuiescence) — the
+//     trains drained (train.Drained), the sampler at the start of its
+//     capture-starvation orbit, the static memo, and Coasting with its
+//     footprint — at every node or at none. Each node passes the same
+//     static layer (checkStatic) and the same certificate (certifies) as
+//     in step 2, visited root to leaf so the lineage cascade holds. What
+//     the seed skips is step 1's quiet horizon, whose job is to rule out a
+//     latent violation before a node freezes. A gate replaces it: the seed
+//     runs only where there is nothing to find — oracle.TLightness accepts
+//     the labelled tree as the graph's MST, and the graph is unchanged
+//     since marking (freshMST). The oracle alone is not enough: lowering a
+//     tree edge's weight after marking leaves the tree an MST but its
+//     labels wrong, which an awake verifier flags within rounds and a
+//     frozen one never would. A correct instance never alarms, and a later
+//     fault is detected from any configuration within the Theorem 8.5
+//     budget, so starting frozen costs no soundness. Every other instance
+//     (MarkTree on a non-MST, a graph changed after marking) starts awake
+//     at step 1.
 //  1. Rest the trains. Once a node's tracked neighbourhood has been quiet
 //     for the horizon (coastHorizon), its train contexts carry
 //     RestOK and the part roots park at the end of a completed cycle
@@ -309,6 +330,107 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, levels 
 	s.AskPiece, s.CandPort = saveP, saveC
 	return clean
 }
+
+// certifies is the coast certificate (step 2) of a node whose round raised
+// no alarm: memos settled and clean, its own and every neighbour's trains
+// at rest, its lineage frozen, and its whole sampler orbit clean against
+// the frozen neighbourhood. parent is the tree parent's state (treeParent)
+// and n the node count the labels claim.
+func (m *Machine) certifies(v NodeView, s *VState, nbs []nbList, parent *VState, n int) bool {
+	return !s.coasting && s.staticValid && !s.staticAlarm && s.samplerMemoOK &&
+		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
+		lineageFrozen(s, parent) &&
+		neighboursAtRest(nbs) &&
+		m.samplerOrbitClean(v, s, nbs, s.samplerLevels, n)
+}
+
+// freeze enters the coast regime at epoch, memoizing the orbit footprint
+// BitSize reports while coasting.
+func (m *Machine) freeze(s *VState, epoch int64) {
+	s.coasting = true
+	s.coastEpoch = epoch
+	s.coastBits = m.coastFootprint(s)
+}
+
+// coastOn reports whether the coast regime runs: opted in, memoized, and
+// synchronous.
+func (m *Machine) coastOn() bool { return m.Coast && !m.FullRecheck && m.Mode == Sync }
+
+// freshMST is the seed's gate: l.G is unchanged since marking and
+// oracle.TLightness accepts the labelled tree as its MST.
+func (l *Labeled) freshMST() bool {
+	return l.G.Version() == l.version &&
+		oracle.TLightness(l.G, l.Tree.EdgeSet(), graph.ByWeight(l.G)).IsMST
+}
+
+// seedQuiescence is step 0. On a fresh, correct instance (freshMST) it
+// installs the frozen configuration at every node and reports true. On any
+// other instance, or if some node fails certification, it leaves every
+// state as Init built it and reports false. The states are written in
+// place before the first round, as Init's are: SetState would drop the
+// coast certificate and mark the node dirty, melting every node at round
+// 1. Memos and certificates are stamped at the engine's current round.
+func (r *Runner) seedQuiescence() bool {
+	l, m, eng := r.Labeled, r.Machine, r.Eng
+	if !m.coastOn() || !l.freshMST() {
+		return false
+	}
+	g := l.G
+	epoch := int64(eng.Round())
+	sv := &seedView{eng: eng, adj: g.Adjacency()}
+	// Certification reads the neighbours' trains, so drain them all first.
+	for v := 0; v < g.N(); v++ {
+		s := sv.state(v)
+		s.TopS = train.Drained(&s.L.Train.Top)
+		s.BotS = train.Drained(&s.L.Train.Bottom)
+	}
+	// Root to leaf: a member freezes only under a frozen tree parent.
+	sc := new(Scratch)
+	ok := true
+	for _, v := range l.Tree.DFSOrder() {
+		sv.node = v
+		s := sv.Self()
+		n := s.L.Size.N
+		missing := sc.loadNeighbours(sv, sv.Degree())
+		parent := m.checkStatic(sv, s, sc, missing, epoch)
+		s.startLevel(0)
+		s.samplerLevels, s.samplerMemoOK = appendClaimedLevels(nil, &s.L.HS), true
+		if sv.repaired || coverageAlarm(s, sc, n) || !m.certifies(sv, s, sc.nbs, parent, n) {
+			ok = false
+			break
+		}
+		m.freeze(s, epoch)
+	}
+	if !ok {
+		for v := 0; v < g.N(); v++ {
+			*sv.state(v) = *l.NodeState(v)
+		}
+	}
+	return ok
+}
+
+// seedView is the NodeView of one node before the first round: the
+// engine's installed states over the graph's adjacency, with nothing
+// changed since the instance was installed. MarkLabelsChanged only records
+// a parent-port repair, which a marked instance never needs and the seed
+// rejects.
+type seedView struct {
+	eng      *runtime.Engine
+	adj      *graph.Adj
+	node     int
+	repaired bool
+}
+
+func (a *seedView) state(v int) *VState           { return a.eng.State(v).(*VState) }
+func (a *seedView) Degree() int                   { return a.adj.Degree(a.node) }
+func (a *seedView) slot(q int) int                { return int(a.adj.Off[a.node]) + q }
+func (a *seedView) Weight(q int) graph.Weight     { return a.adj.Weight[a.slot(q)] }
+func (a *seedView) PeerPort(q int) int            { return int(a.adj.PeerPort[a.slot(q)]) }
+func (a *seedView) Self() *VState                 { return a.state(a.node) }
+func (a *seedView) Neighbour(q int) *VState       { return a.state(int(a.adj.Peer[a.slot(q)])) }
+func (a *seedView) StepEpoch() int64              { return int64(a.eng.Round()) }
+func (a *seedView) LabelsChangedSince(int64) bool { return false }
+func (a *seedView) MarkLabelsChanged()            { a.repaired = true }
 
 // coastFootprint returns the maximum BitSize the state attains anywhere on
 // its coast orbit: frozen fields at their current width, orbiting clocks at

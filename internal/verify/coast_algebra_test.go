@@ -78,7 +78,7 @@ func TestCoastAdvanceMatchesTicks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewWorklistRunner(l, 5)
+	r := newColdWorklistRunner(l, 5)
 	budget := DetectionBudget(g.N())
 	frozen := false
 	for i := 0; i < budget; i++ {

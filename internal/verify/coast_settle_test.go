@@ -25,7 +25,7 @@ func TestWorklistQuietReachesCoast(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := NewWorklistRunner(l, 7)
+		r := newColdWorklistRunner(l, 7)
 		budget := settleBudget(r)
 		settled := -1
 		for i := 0; i < budget; i++ {
@@ -75,7 +75,7 @@ func TestCoastMeltRedetects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewWorklistRunner(l, 3)
+	r := newColdWorklistRunner(l, 3)
 	budget := settleBudget(r)
 	frozen := false
 	for i := 0; i < budget; i++ {

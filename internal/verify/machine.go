@@ -459,7 +459,7 @@ func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	old := v.Self()
 	epoch := v.StepEpoch()
-	coastOn := m.Coast && !m.FullRecheck && m.Mode == Sync
+	coastOn := m.coastOn()
 	dst.CopyFrom(old)
 	if coastOn && old.coasting && !v.LabelsChangedSince(old.coastEpoch) {
 		// Coast branch: the node is certified quiescent and nothing tracked
@@ -499,20 +499,9 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	deg := v.Degree()
 
 	// ---- Derive tree relations from the components (both layers read
-	// nbs; the dynamic layer needs parent/isRoot too). ----
-	sc.nbs = sc.nbs[:0]
-	missing := false
-	for q := 0; q < deg; q++ {
-		st := v.Neighbour(q)
-		if st == nil || st.L == nil {
-			sc.nbs = append(sc.nbs, nbList{})
-			missing = true // a neighbour is not running the verifier
-			continue
-		}
-		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: st.ParentPort == v.PeerPort(q)})
-	}
+	// nbs; the dynamic layer needs the parent too). ----
+	missing := sc.loadNeighbours(v, deg)
 	nbs := sc.nbs
-	var isRoot bool
 	var parent *VState
 
 	// The memo is trusted only when it was stamped by this engine's own
@@ -524,13 +513,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		// Memo hit: replay the static verdict. ParentPort is settled (< deg:
 		// the corrupted-port repair marks the node dirty, so a repaired or
 		// re-corrupted port always forces the miss path first).
-		if s.staticAlarm {
-			alarm, code = true, s.staticCode
-		}
-		isRoot = s.ParentPort < 0
-		if !isRoot && nbs[s.ParentPort].ok {
-			parent = nbs[s.ParentPort].st
-		}
+		parent = treeParent(s, nbs)
 		// Advance the stamp to this round: the hit itself re-established
 		// "unchanged through epoch". Without the refresh, stamps would stay
 		// pinned at their first computation and one fault anywhere would
@@ -538,99 +521,15 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		// (maxDirty ≤ epoch) for the rest of the run.
 		s.staticEpoch = epoch
 	} else {
-		m.staticRecomputes.Add(1)
-		if missing {
-			setAlarm(AlarmNeighbour)
-		}
-		isRoot = s.ParentPort < 0
-		if !isRoot {
-			if s.ParentPort >= deg {
-				s.ParentPort = -1 // corrupted port: claim root; SP checks will object
-				isRoot = true
-				v.MarkLabelsChanged() // the repair is itself a label change
-			} else if nbs[s.ParentPort].ok {
-				parent = nbs[s.ParentPort].st
-			}
-		}
-
-		// ---- Layer 1: SP + NumK. ----
-		var parentSP *labeling.SPLabel
-		sc.allSP, sc.allSize, sc.childSize = sc.allSP[:0], sc.allSize[:0], sc.childSize[:0]
-		for q := 0; q < deg; q++ {
-			if !nbs[q].ok {
-				continue
-			}
-			sc.allSP = append(sc.allSP, &nbs[q].st.L.SP)
-			sc.allSize = append(sc.allSize, &nbs[q].st.L.Size)
-			if nbs[q].isChild {
-				sc.childSize = append(sc.childSize, &nbs[q].st.L.Size)
-			}
-		}
-		if parent != nil {
-			parentSP = &parent.L.SP
-		}
-		if err := labeling.CheckSP(&s.L.SP, s.MyID, parentSP, sc.allSP); err != nil {
-			setAlarm(AlarmSP)
-		}
-		if err := labeling.CheckSize(&s.L.Size, isRoot, sc.childSize, sc.allSize); err != nil {
-			setAlarm(AlarmSize)
-		}
-
-		// ---- Layer 2: hierarchy strings (RS/EPS/Or_EndP). ----
-		sc.lv.Ell = hierarchy.Ell(n)
-		sc.lv.IsTreeRoot = isRoot
-		sc.lv.Own = &s.L.HS
-		sc.lv.Parent = nil
-		sc.lv.Children = sc.lv.Children[:0]
-		if parent != nil {
-			sc.lv.Parent = &parent.L.HS
-		}
-		for q := 0; q < deg; q++ {
-			if nbs[q].ok && nbs[q].isChild {
-				sc.lv.Children = append(sc.lv.Children, &nbs[q].st.L.HS)
-			}
-		}
-		if len(hierarchy.CheckLocal(&sc.lv)) > 0 {
-			setAlarm(AlarmStrings)
-		}
-
-		// ---- Layer 3: train position labels. ----
-		sc.tnbs = sc.tnbs[:0]
-		for q := 0; q < deg; q++ {
-			if !nbs[q].ok {
-				continue
-			}
-			sc.tnbs = append(sc.tnbs, train.NeighbourLabels{
-				IsParent: parent != nil && q == s.ParentPort,
-				IsChild:  nbs[q].isChild,
-				Port:     q,
-				L:        &nbs[q].st.L.Train,
-			})
-		}
-		if err := train.CheckLabels(&s.L.Train, s.MyID, isRoot, n, sc.tnbs); err != nil {
-			setAlarm(AlarmTrainLabels)
-		}
-
-		// Memoize the static verdict and the label-derived dwell window.
-		s.staticValid = true
-		s.staticAlarm = alarm
-		s.staticCode = code
-		s.staticWindow = dwellWindow(s, nbs)
-		s.staticEpoch = epoch
+		parent = m.checkStatic(v, s, sc, missing, epoch)
+	}
+	if s.staticAlarm {
+		alarm, code = true, s.staticCode
 	}
 
-	// ---- Layer 4: the trains (dynamic; every round). The coverage checks
-	// are non-trivial only for degenerate train sizes K ≤ 1 (the wrap-based
-	// cycle-set check covers K ≥ 2), so the needed-level lists are built
-	// only then. ----
-	if s.L.Train.Top.K <= 1 || s.L.Train.Bottom.K <= 1 {
-		sc.needTop, sc.needBot = train.AppendNeededLevels(sc.needTop[:0], sc.needBot[:0], &s.L.HS, n)
-		if staticCoverageAlarm(&s.L.Train.Top, &s.TopS, sc.needTop, &s.L.HS, true, n) {
-			setAlarm(AlarmCoverageStatic)
-		}
-		if staticCoverageAlarm(&s.L.Train.Bottom, &s.BotS, sc.needBot, &s.L.HS, false, n) {
-			setAlarm(AlarmCoverageStatic)
-		}
+	// ---- Layer 4: the trains (dynamic; every round). ----
+	if coverageAlarm(s, sc, n) {
+		setAlarm(AlarmCoverageStatic)
 	}
 	ctT, ctB := m.trainCtxs(sc, s, nbs, parent)
 	restOK := coastOn && m.restsAt(v, s, epoch)
@@ -652,8 +551,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 		s.samplerLevels = appendClaimedLevels(nil, &s.L.HS)
 		s.samplerMemoOK = true
 	}
-	levels := s.samplerLevels
-	m.sampler(v, s, nbs, levels, n, &samplerAlarm)
+	m.sampler(v, s, nbs, s.samplerLevels, n, &samplerAlarm)
 	if samplerAlarm {
 		setAlarm(AlarmSampler)
 	}
@@ -662,20 +560,150 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	s.AlarmCode = code
 
 	// Coast certification (coast.go): an alarm-free node whose horizon is
-	// quiet, whose memos are settled, whose own and neighbours' trains are
-	// parked, and whose whole sampler orbit is provably clean against the
-	// frozen neighbourhood freezes into clockwork.
-	if restOK && !alarm && !s.coasting && s.staticValid && !s.staticAlarm &&
-		s.samplerMemoOK &&
-		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
-		lineageFrozen(s, parent) &&
-		neighboursAtRest(nbs) &&
-		m.samplerOrbitClean(v, s, nbs, levels, n) {
-		s.coasting = true
-		s.coastEpoch = epoch
-		s.coastBits = m.coastFootprint(s)
+	// quiet and whose certificate holds freezes into clockwork.
+	if restOK && !alarm && m.certifies(v, s, nbs, parent, n) {
+		m.freeze(s, epoch)
 	}
 	return s
+}
+
+// loadNeighbours fills sc.nbs with one record per port of v's deg ports —
+// the neighbour's state and whether it is a tree child — and reports
+// whether some neighbour is not running the verifier.
+//
+//ssmst:hotpath
+func (sc *Scratch) loadNeighbours(v NodeView, deg int) (missing bool) {
+	sc.nbs = sc.nbs[:0]
+	for q := 0; q < deg; q++ {
+		st := v.Neighbour(q)
+		if st == nil || st.L == nil {
+			sc.nbs = append(sc.nbs, nbList{})
+			missing = true
+			continue
+		}
+		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: st.ParentPort == v.PeerPort(q)})
+	}
+	return missing
+}
+
+// treeParent returns the state of s's tree parent: nil at a root, for an
+// out-of-range port, or when the parent is not running the verifier.
+func treeParent(s *VState, nbs []nbList) *VState {
+	if pp := s.ParentPort; pp >= 0 && pp < len(nbs) && nbs[pp].ok {
+		return nbs[pp].st
+	}
+	return nil
+}
+
+// checkStatic is the static layer's memo-miss path: it re-checks neighbour
+// presence (missing: some neighbour is not running the verifier), SP +
+// NumK, the hierarchy strings and the train position labels over sc.nbs,
+// repairs an out-of-range parent port, and memoizes the verdict and the
+// label-derived dwell window in s, stamped at epoch. It returns the tree
+// parent's state (treeParent). StepInto runs it on every memo miss, the
+// quiescence seed once per node.
+func (m *Machine) checkStatic(v NodeView, s *VState, sc *Scratch, missing bool, epoch int64) *VState {
+	m.staticRecomputes.Add(1)
+	alarm := false
+	code := AlarmNone
+	setAlarm := func(c AlarmCode) {
+		alarm = true
+		if code == AlarmNone {
+			code = c
+		}
+	}
+	if missing {
+		setAlarm(AlarmNeighbour)
+	}
+	nbs := sc.nbs
+	deg := v.Degree()
+	n := s.L.Size.N
+	if s.ParentPort >= deg {
+		s.ParentPort = -1     // corrupted port: claim root; SP checks will object
+		v.MarkLabelsChanged() // the repair is itself a label change
+	}
+	isRoot := s.ParentPort < 0
+	parent := treeParent(s, nbs)
+
+	// ---- Layer 1: SP + NumK. ----
+	var parentSP *labeling.SPLabel
+	sc.allSP, sc.allSize, sc.childSize = sc.allSP[:0], sc.allSize[:0], sc.childSize[:0]
+	for q := 0; q < deg; q++ {
+		if !nbs[q].ok {
+			continue
+		}
+		sc.allSP = append(sc.allSP, &nbs[q].st.L.SP)
+		sc.allSize = append(sc.allSize, &nbs[q].st.L.Size)
+		if nbs[q].isChild {
+			sc.childSize = append(sc.childSize, &nbs[q].st.L.Size)
+		}
+	}
+	if parent != nil {
+		parentSP = &parent.L.SP
+	}
+	if err := labeling.CheckSP(&s.L.SP, s.MyID, parentSP, sc.allSP); err != nil {
+		setAlarm(AlarmSP)
+	}
+	if err := labeling.CheckSize(&s.L.Size, isRoot, sc.childSize, sc.allSize); err != nil {
+		setAlarm(AlarmSize)
+	}
+
+	// ---- Layer 2: hierarchy strings (RS/EPS/Or_EndP). ----
+	sc.lv.Ell = hierarchy.Ell(n)
+	sc.lv.IsTreeRoot = isRoot
+	sc.lv.Own = &s.L.HS
+	sc.lv.Parent = nil
+	sc.lv.Children = sc.lv.Children[:0]
+	if parent != nil {
+		sc.lv.Parent = &parent.L.HS
+	}
+	for q := 0; q < deg; q++ {
+		if nbs[q].ok && nbs[q].isChild {
+			sc.lv.Children = append(sc.lv.Children, &nbs[q].st.L.HS)
+		}
+	}
+	if len(hierarchy.CheckLocal(&sc.lv)) > 0 {
+		setAlarm(AlarmStrings)
+	}
+
+	// ---- Layer 3: train position labels. ----
+	sc.tnbs = sc.tnbs[:0]
+	for q := 0; q < deg; q++ {
+		if !nbs[q].ok {
+			continue
+		}
+		sc.tnbs = append(sc.tnbs, train.NeighbourLabels{
+			IsParent: parent != nil && q == s.ParentPort,
+			IsChild:  nbs[q].isChild,
+			Port:     q,
+			L:        &nbs[q].st.L.Train,
+		})
+	}
+	if err := train.CheckLabels(&s.L.Train, s.MyID, isRoot, n, sc.tnbs); err != nil {
+		setAlarm(AlarmTrainLabels)
+	}
+
+	// Memoize the static verdict and the label-derived dwell window.
+	s.staticValid = true
+	s.staticAlarm = alarm
+	s.staticCode = code
+	s.staticWindow = dwellWindow(s, nbs)
+	s.staticEpoch = epoch
+	return parent
+}
+
+// coverageAlarm runs the trains' static coverage checks. They are
+// non-trivial only for degenerate train sizes K ≤ 1 (the wrap-based
+// cycle-set check covers K ≥ 2), so the guard inlines into the step and
+// the needed-level lists are built only past it.
+func coverageAlarm(s *VState, sc *Scratch, n int) bool {
+	return (s.L.Train.Top.K <= 1 || s.L.Train.Bottom.K <= 1) && degenerateCoverageAlarm(s, sc, n)
+}
+
+func degenerateCoverageAlarm(s *VState, sc *Scratch, n int) bool {
+	sc.needTop, sc.needBot = train.AppendNeededLevels(sc.needTop[:0], sc.needBot[:0], &s.L.HS, n)
+	return staticCoverageAlarm(&s.L.Train.Top, &s.TopS, sc.needTop, &s.L.HS, true, n) ||
+		staticCoverageAlarm(&s.L.Train.Bottom, &s.BotS, sc.needBot, &s.L.HS, false, n)
 }
 
 // staticCoverageAlarm handles the degenerate train sizes the wrap-based

@@ -101,6 +101,10 @@ type Labeled struct {
 	// marker: the SYNC_MST run plus the multi-wave label assignment
 	// (Corollary 6.11; O(n)).
 	ConstructionTime int
+
+	// version is G.Version() at marking: a graph mutated since then may
+	// no longer match the labels (freshMST).
+	version int64
 }
 
 // Mark runs the full marker on a graph: construct the MST with SYNC_MST,
@@ -181,6 +185,7 @@ func markHierarchy(g *graph.Graph, tree *graph.Tree, h *hierarchy.Hierarchy, rou
 		Parts:            parts,
 		Labels:           labels,
 		ConstructionTime: partition.MarkerTime(h, rounds, parts),
+		version:          g.Version(),
 	}, nil
 }
 

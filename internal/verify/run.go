@@ -54,13 +54,20 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 // (Machine.Coast) and sparse active-set stepping (runtime.Engine.Worklist):
 // quiet rounds step only the frontier, skipped coasting nodes are replayed
 // in closed form, making round cost O(active + Δ) instead of O(n).
-// Verdicts, detection rounds, alarm traces and MaxStateBits are
-// bit-identical to dense coast stepping by construction
-// (worklist_parity_test.go, FuzzWorklistParity).
+//
+// A fresh, correct instance — l.G unchanged since marking, and its tree
+// the MST by oracle.TLightness — starts frozen: every node is installed in
+// the coast configuration a quiet network would settle into, and the
+// frontier drains within 2 rounds instead of a settle of Θ(horizon)
+// rounds (coast.go, step 0). Every other instance starts awake, as
+// NewRunner does. Verdicts, detection rounds, alarm traces and
+// MaxStateBits are bit-identical to dense coast stepping from the same
+// start by construction (worklist_parity_test.go, FuzzWorklistParity).
 func NewWorklistRunner(l *Labeled, seed int64) *Runner {
 	r := newRunner(l, Sync, seed, false)
 	r.Machine.Coast = true
 	r.Eng.Worklist = true
+	r.seedQuiescence()
 	return r
 }
 

@@ -141,9 +141,14 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 // (0 ≤ AskIdx < numLevels); all sites — dwell expiry, capture timeout, the
 // asynchronous server sweep — go through it, so the invariant cannot
 // silently diverge between paths.
-func (s *VState) advanceLevel(numLevels int) {
+func (s *VState) advanceLevel(numLevels int) { s.startLevel((s.AskIdx + 1) % numLevels) }
+
+// startLevel points the Ask cursor at index i of J(v) with every per-level
+// sampler register reset: nothing asked, capture timer at 0, the
+// asynchronous server sweep restarted, no candidate port.
+func (s *VState) startLevel(i int) {
 	s.AskValid = false
-	s.AskIdx = (s.AskIdx + 1) % numLevels
+	s.AskIdx = i
 	s.CapTimer = 0
 	s.ServerCur = 0
 	s.ServerTmr = 0

@@ -79,7 +79,7 @@ func TestSharedLabelsStayPristine(t *testing.T) {
 			}
 		}},
 		{"worklist", func(t *testing.T, l *Labeled, rng *rand.Rand) {
-			r := poolRunner(NewWorklistRunner(l, 3))
+			r := poolRunner(newColdWorklistRunner(l, 3))
 			faultWave(t, r, 6, rng)
 			applied := 0
 			for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy, ChurnCut} {

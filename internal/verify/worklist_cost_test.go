@@ -18,7 +18,7 @@ func TestWorklistQuietRoundCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewWorklistRunner(l, 9)
+	r := newColdWorklistRunner(l, 9)
 	r.Eng.Parallel = false
 	budget := DetectionBudget(g.N())
 	settled := false
@@ -123,7 +123,7 @@ func TestWorklistChurnSettles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewWorklistRunner(l, 9)
+	r := newColdWorklistRunner(l, 9)
 	r.Eng.Parallel = false
 	budget := DetectionBudget(g.N())
 	froze := false

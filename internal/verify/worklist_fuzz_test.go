@@ -15,18 +15,28 @@ import (
 // per-round alarm parity, full-state parity at every stretch end, and —
 // when the schedule leaves the verified tree a non-MST — that both engines
 // detect it within the Theorem 8.5 budget, with the centralized oracles
-// (internal/oracle.CrossCheck) supplying the ground truth. The seed corpus
-// mirrors the PR 6 campaign scenarios: quiet/restabilization, single
-// faults, storm waves, churn storms, and mixed bursts.
+// (internal/oracle.CrossCheck) supplying the ground truth. Both engines
+// start awake, or both from the quiescence seed when the first byte's top
+// bit is set; the op decoding reads that byte mod 4, so the bit changes
+// nothing else, and every input without it keeps the awake start. The
+// seed corpus mirrors the campaign scenarios: quiet/restabilization,
+// single faults, storm waves, churn storms, and mixed bursts, each from
+// the awake start and then, top bit set, from the seed.
 func FuzzWorklistParity(f *testing.F) {
-	f.Add([]byte{0, 40})                                           // restab: quiet coasting only
-	f.Add([]byte{1, 5, 2, 0, 30})                                  // corrupt: one fault, quiet tail
-	f.Add([]byte{3, 2, 9, 0, 40, 3, 1, 17})                        // storm: two fault waves
-	f.Add([]byte{2, 0, 0, 24, 2, 3, 0, 24})                        // churnstorm: cut + weight churn
-	f.Add([]byte{1, 7, 4, 0, 48, 2, 4, 0, 48, 3, 3, 5})            // mixed campaign burst
-	f.Add([]byte{2, 3, 0, 8, 2, 4, 0, 8, 1, 11, 0, 3, 2, 6, 0, 8}) // MST-breaking churn mix
+	for _, start := range []byte{0, fuzzSeededStart} {
+		f.Add([]byte{start, 40})                                               // restab: quiet coasting only
+		f.Add([]byte{start | 1, 5, 2, 0, 30})                                  // corrupt: one fault, quiet tail
+		f.Add([]byte{start | 3, 2, 9, 0, 40, 3, 1, 17})                        // storm: two fault waves
+		f.Add([]byte{start | 2, 0, 0, 24, 2, 3, 0, 24})                        // churnstorm: cut + weight churn
+		f.Add([]byte{start | 1, 7, 4, 0, 48, 2, 4, 0, 48, 3, 3, 5})            // mixed campaign burst
+		f.Add([]byte{start | 2, 3, 0, 8, 2, 4, 0, 8, 1, 11, 0, 3, 2, 6, 0, 8}) // MST-breaking churn mix
+	}
 	f.Fuzz(fuzzWorklistParity)
 }
+
+// fuzzSeededStart is the first-byte bit that starts both engines from the
+// quiescence seed.
+const fuzzSeededStart = 0x80
 
 func fuzzWorklistParity(t *testing.T, data []byte) {
 	if len(data) > 48 {
@@ -35,7 +45,8 @@ func fuzzWorklistParity(t *testing.T, data []byte) {
 	// The default (full-sweep) horizon is used deliberately: the oracle
 	// assertion below depends on it — a short override can re-freeze a
 	// melted region before its sweep reaches a latent violation.
-	dense, wl := parityRunners(t, graph.RandomConnected(32, 72, 99), 17, false)
+	seeded := len(data) > 0 && data[0]&fuzzSeededStart != 0
+	dense, wl := parityRunners(t, graph.RandomConnected(32, 72, 99), 17, false, seeded)
 	g := dense.Eng.G()
 	d := &parityDriver{t: t, g: g, l: dense.Labeled, dense: dense, wl: wl}
 

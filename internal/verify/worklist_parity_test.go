@@ -30,14 +30,32 @@ func newCoastRunner(l *Labeled, seed int64) *Runner {
 	return r
 }
 
+// newColdWorklistRunner is NewWorklistRunner without the quiescence seed:
+// every node starts awake and the network freezes only through the natural
+// settle, whose horizon and certification cascade the settle tests
+// exercise.
+func newColdWorklistRunner(l *Labeled, seed int64) *Runner {
+	r := newCoastRunner(l, seed)
+	r.Eng.Worklist = true
+	return r
+}
+
 // parityRunners builds the pair, each on its own marked copy of g0: the
 // dense full-sweep coast reference (serial — the semantics oracle) and the
-// sparse worklist engine, serial or pool-forced.
-func parityRunners(t *testing.T, g0 *graph.Graph, seed int64, parallel bool) (*Runner, *Runner) {
+// sparse worklist engine, serial or pool-forced. seeded starts both from
+// the quiescence seed (the dense one through the same seedQuiescence that
+// NewWorklistRunner runs); otherwise both start awake.
+func parityRunners(t *testing.T, g0 *graph.Graph, seed int64, parallel, seeded bool) (*Runner, *Runner) {
 	t.Helper()
 	dense := newCoastRunner(markCopy(t, g0), seed)
 	dense.Eng.Parallel = false
-	wl := NewWorklistRunner(markCopy(t, g0), seed)
+	wl := newColdWorklistRunner(markCopy(t, g0), seed)
+	if seeded {
+		if !dense.seedQuiescence() {
+			t.Fatal("a fresh Mark instance failed the quiescence seed")
+		}
+		wl = NewWorklistRunner(markCopy(t, g0), seed)
+	}
 	if parallel {
 		wl.Eng.Workers = runtime.PoolWorkers()
 	} else {
@@ -170,8 +188,8 @@ func (d *parityDriver) churn(kind ChurnKind, rng *rand.Rand) bool {
 	return true
 }
 
-func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
-	dense, wl := parityRunners(t, graph.RandomConnected(72, 180, seed), SubSeed(seed, 0), parallel)
+func runWorklistParitySchedule(t *testing.T, seed int64, parallel, seeded bool) {
+	dense, wl := parityRunners(t, graph.RandomConnected(72, 180, seed), SubSeed(seed, 0), parallel, seeded)
 	g, l := dense.Eng.G(), dense.Labeled
 	d := &parityDriver{t: t, g: g, l: l, dense: dense, wl: wl}
 	budget := DetectionBudget(g.N())
@@ -237,5 +255,11 @@ func runWorklistParitySchedule(t *testing.T, seed int64, parallel bool) {
 		settleRound, d.round, len(d.alarmRec), wl.Eng.StepsTaken())
 }
 
-func TestWorklistParitySerial(t *testing.T)   { runWorklistParitySchedule(t, 41, false) }
-func TestWorklistParityParallel(t *testing.T) { runWorklistParitySchedule(t, 43, true) }
+func TestWorklistParitySerial(t *testing.T)   { runWorklistParitySchedule(t, 41, false, false) }
+func TestWorklistParityParallel(t *testing.T) { runWorklistParitySchedule(t, 43, true, false) }
+
+// The same schedule from the quiescence seed: phase 1's settle ends after
+// the first round, and every later phase melts a network that never
+// settled naturally.
+func TestWorklistParitySeededSerial(t *testing.T)   { runWorklistParitySchedule(t, 41, false, true) }
+func TestWorklistParitySeededParallel(t *testing.T) { runWorklistParitySchedule(t, 43, true, true) }

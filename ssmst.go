@@ -112,8 +112,12 @@ func NewVerifier(l *Labeled, mode Mode, seed int64) *Verifier {
 // neighbourhood changed — and replays every skipped node's clocks
 // algebraically on demand, so a quiet certified network costs
 // O(active + Δ) per round instead of Θ(n) (measured flat in n: ~5 ns/round
-// at n=65536). Verdicts, detection rounds, alarm traces and MaxStateBits
-// are bit-identical to the dense path.
+// at n=65536). A freshly marked MST instance whose graph has not changed
+// since marking starts frozen — the configuration a quiet network settles
+// into is installed at construction, so there is no settle — and every
+// other instance starts awake. Verdicts, detection rounds, alarm traces
+// and MaxStateBits are bit-identical to dense coast stepping from the same
+// start.
 func NewVerifierWorklist(l *Labeled, seed int64) *Verifier {
 	return verify.NewWorklistRunner(l, seed)
 }
