@@ -18,21 +18,20 @@ type Sized interface {
 }
 
 // ForUint returns the number of bits required to represent v, with a minimum
-// of 1 (a zero value still occupies one bit of an encoded field).
-func ForUint(v uint64) int {
-	if v == 0 {
-		return 1
-	}
-	return bits.Len64(v)
-}
+// of 1 (a zero value still occupies one bit of an encoded field). Setting
+// the low bit leaves every other width unchanged and lifts 0 to 1, so the
+// width needs no branch: the engine re-measures every stepped state every
+// round, which puts these helpers on the per-round path.
+func ForUint(v uint64) int { return bits.Len64(v | 1) }
 
 // ForInt returns the number of bits required to represent v in sign-magnitude
-// form: one sign bit plus the magnitude width.
+// form: one sign bit plus the magnitude width. The magnitude is taken
+// without a branch: s is 0 for v ≥ 0 and all ones for v < 0, and
+// (v^s)-s is |v| — for MinInt64 it wraps to MinInt64 itself, whose unsigned
+// reading 2^63 is the true magnitude.
 func ForInt(v int64) int {
-	if v < 0 {
-		return 1 + ForUint(uint64(-v))
-	}
-	return 1 + ForUint(uint64(v))
+	s := v >> 63
+	return 1 + ForUint(uint64((v^s)-s))
 }
 
 // ForEnum returns the width of a field holding one of k distinct symbols.

@@ -1,6 +1,8 @@
 package bits
 
 import (
+	"math"
+	"math/bits"
 	"testing"
 	"testing/quick"
 )
@@ -31,6 +33,56 @@ func TestForInt(t *testing.T) {
 		if got := ForInt(c.v); got != c.want {
 			t.Errorf("ForInt(%d) = %d, want %d", c.v, got, c.want)
 		}
+	}
+}
+
+// refForUint and refForInt are the branching definitions of the two widths:
+// the reference the branch-free ForUint and ForInt must match.
+func refForUint(v uint64) int {
+	if v == 0 {
+		return 1
+	}
+	return bits.Len64(v)
+}
+
+func refForInt(v int64) int {
+	if v < 0 {
+		return 1 + refForUint(uint64(-v))
+	}
+	return 1 + refForUint(uint64(v))
+}
+
+// TestWidthsMatchReference checks the branch-free widths against the
+// reference at every power-of-two boundary: 0, ±1, ±2^k and ±(2^k−1) for
+// every k, MaxInt64 and MinInt64 (whose magnitude overflows int64).
+func TestWidthsMatchReference(t *testing.T) {
+	// k = 63: -2^63 is MinInt64, ±(2^63−1) are MaxInt64 and MinInt64+1,
+	// and +2^63 is out of range.
+	ints := []int64{0, 1, -1, math.MaxInt64, math.MinInt64, math.MinInt64 + 1}
+	for k := 1; k < 63; k++ {
+		p := int64(1) << k
+		ints = append(ints, p, -p, p-1, -(p - 1))
+	}
+	for _, v := range ints {
+		if got, want := ForInt(v), refForInt(v); got != want {
+			t.Errorf("ForInt(%d) = %d, reference %d", v, got, want)
+		}
+	}
+	uints := []uint64{0, 1, math.MaxUint64}
+	for k := 1; k < 64; k++ {
+		p := uint64(1) << k
+		uints = append(uints, p, p-1, p+1)
+	}
+	for _, v := range uints {
+		if got, want := ForUint(v), refForUint(v); got != want {
+			t.Errorf("ForUint(%d) = %d, reference %d", v, got, want)
+		}
+	}
+	if err := quick.CheckEqual(ForInt, refForInt, nil); err != nil {
+		t.Error(err)
+	}
+	if err := quick.CheckEqual(ForUint, refForUint, nil); err != nil {
+		t.Error(err)
 	}
 }
 

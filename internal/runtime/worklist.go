@@ -86,9 +86,11 @@ func (e *Engine) LastActive() int { return e.lastActive }
 func (e *Engine) worklistReady() bool { return e.inFrontier != nil }
 
 // ensureWorklist allocates the sparse structures and seeds the frontier
-// with every node (everything is initially awake; nodes drop out as the
-// machine certifies them quiescent). One-time cost; the round loop itself
-// allocates nothing afterwards.
+// with every node: the frontier starts full, so the first armed round steps
+// every node, and the machine decides whether a node starts awake (a state
+// installed already quiescent takes its coast step there; an awake node
+// stays on the frontier until the machine certifies it quiescent). One-time
+// cost; the round loop itself allocates nothing afterwards.
 func (e *Engine) ensureWorklist() {
 	if e.worklistReady() {
 		return

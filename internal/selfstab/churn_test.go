@@ -100,7 +100,7 @@ func TestApplyChurnRejectsNonSpanningOutput(t *testing.T) {
 	v := l.Tree.Root
 	c := l.Tree.Children(v)[0]
 	if !r.InjectCheckFault(v, func(s *verify.VState) bool {
-		s.ParentPort = g.PortTo(v, c)
+		s.ParentPort = int32(g.PortTo(v, c))
 		return true
 	}) {
 		t.Fatal("the parent-pointer fault did not apply")

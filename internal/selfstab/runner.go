@@ -94,7 +94,7 @@ func (r *Runner) outputEdges() ([]int, bool) {
 		if !ok || st.Check == nil {
 			return nil, false
 		}
-		if pp := st.Check.ParentPort; pp >= 0 {
+		if pp := int(st.Check.ParentPort); pp >= 0 {
 			if pp >= g.Degree(v) {
 				return nil, false
 			}
@@ -186,7 +186,7 @@ func (r *Runner) Scramble(rng *rand.Rand) {
 			// Garbage verifier state: empty labels at some nodes, shuffled
 			// parent ports at others.
 			c := poisonState(g.ID(v))
-			c.ParentPort = rng.Intn(g.Degree(v)+1) - 1
+			c.ParentPort = int32(rng.Intn(g.Degree(v)+1) - 1)
 			st.Check = c
 		}
 		r.Eng.SetState(v, st)

@@ -129,7 +129,7 @@ func (s *SState) BitSize() int {
 // InvalidateMemo implements runtime.MemoInvalidator by forwarding to the
 // embedded verifier state: injection through SetState/Corrupt (including
 // Runner.InjectCheckFault) may rewrite the very labels the verifier's
-// simulator-side caches (static verdict, label BitSize, claimed-level list)
+// simulator-side caches (static verdict, label BitSize, claimed-level mask)
 // were computed over. The transformer bookkeeping itself carries no memo.
 func (s *SState) InvalidateMemo() {
 	if s.Check != nil {

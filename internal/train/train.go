@@ -7,9 +7,11 @@ import (
 )
 
 // Car is a convergecast buffer: one piece travelling toward the part root.
+// Pos is a position inside the part's window [0, K), so it is stored in 32
+// bits (see State).
 type Car struct {
 	Valid bool
-	Pos   int
+	Pos   int32
 	P     hierarchy.Piece
 }
 
@@ -17,9 +19,9 @@ type Car struct {
 // with the §7.1 membership flag.
 type Down struct {
 	Valid bool
-	Pos   int
-	P     hierarchy.Piece
 	Flag  bool
+	Pos   int32
+	P     hierarchy.Piece
 }
 
 // samePayload compares two broadcast buffers ignoring the flag (each node
@@ -28,21 +30,29 @@ func samePayload(a, b Down) bool {
 	return a.Valid == b.Valid && a.Pos == b.Pos && a.P == b.P
 }
 
-// State is the dynamic per-train state of one node.
+// State is the dynamic per-train state of one node. Every integer register
+// is a position inside the part's window, a count of positions, or a
+// watchdog bounded by the cycle budget, so each is stored in 32 bits; the
+// step widens them to int wherever they meet a label or the budget, and
+// stores only results inside those bounds. The fields are ordered so that
+// the struct packs into 96 bytes (verify's footprint test pins it): each
+// node holds two trains in each of its two engine buffers.
 type State struct {
-	Up     Car
-	UpNext int
-	Down   Down
+	Up   Car
+	Down Down
+
+	// §8 cycle-set check state.
+	CovMask uint64
+	LastPos int32
+	SeenCnt int32 // positions observed in the current window
+
+	UpNext int32
+	Timer  int32 // at the part root: rounds since the cycle started
 
 	// Reset wave (cycle restart / self-stabilization flush).
 	Reset    bool
 	ResetAck bool
-	Timer    int // at the part root: rounds since the cycle started
 
-	// §8 cycle-set check state.
-	LastPos  int
-	SeenCnt  int // positions observed in the current window
-	CovMask  uint64
 	CovValid bool
 	Alarm    bool
 }
@@ -77,11 +87,12 @@ type PeerTrain struct {
 }
 
 // Want is a sampler request (§7.2.2): the client asks server ServerID to
-// hold the piece of level Level in its Show register.
+// hold the piece of level Level in its Show register. Level is a level of
+// the hierarchy, at most ℓ ≤ 62, so it is stored in 32 bits.
 type Want struct {
-	Valid    bool
 	ServerID graph.NodeID
-	Level    int
+	Level    int32
+	Valid    bool
 }
 
 // Ctx is everything one train step may read, supplied by the embedding
@@ -123,12 +134,16 @@ func inPart(c *Ctx, p *PeerTrain) bool {
 }
 
 // StepInto computes the next train state into dst (State has no reference
-// fields, so recycling is a plain overwrite). dst must not alias old or any
-// peer state reachable from c. Inputs are never mutated.
+// fields, so recycling is a plain overwrite). dst may be old itself — the
+// step then runs in place, which is how the verifier steps the trains its
+// header copy already holds — but must not alias any peer state reachable
+// from c. Peer states are never mutated.
 //
 //ssmst:hotpath
 func StepInto(dst *State, old *State, c *Ctx) {
-	*dst = *old
+	if dst != old {
+		*dst = *old
+	}
 	s := dst
 	l := c.Lab
 	if l.K == 0 {
@@ -140,31 +155,34 @@ func StepInto(dst *State, old *State, c *Ctx) {
 	parentIn := !isRoot && inPart(c, c.Parent)
 
 	// ---- Sanitize cursor and car against the verified window. ----
+	// The window comes from the labels, so the registers are widened to int
+	// for every comparison with it; past this point UpNext lies inside it.
 	winLo, winHi := l.PosStart, l.PosStart+l.SubCnt
-	if s.UpNext < winLo || s.UpNext > winHi {
-		s.UpNext = winLo
+	if up := int(s.UpNext); up < winLo || up > winHi {
+		s.UpNext = int32(winLo)
 	}
-	if s.Up.Valid && (s.Up.Pos < winLo || s.Up.Pos >= winHi) {
+	if s.Up.Valid && (int(s.Up.Pos) < winLo || int(s.Up.Pos) >= winHi) {
 		s.Up.Valid = false
 	}
 
 	// ---- Reset wave. ----
 	if isRoot {
 		if s.Reset {
-			if childrenAcked(c) && !s.Up.Valid && s.UpNext == winLo {
+			if childrenAcked(c) && !s.Up.Valid && int(s.UpNext) == winLo {
 				s.Reset = false
 				s.Timer = 0
 			} else {
 				s.flush(winLo)
 			}
 		} else {
-			cycleDone := s.UpNext == winHi && !s.Up.Valid
+			cycleDone := int(s.UpNext) == winHi && !s.Up.Valid
 			if c.RestOK && cycleDone {
 				// Rest: park at the cycle end; the watchdog ticks in place.
-				s.Timer = IdleTimerTick(s.Timer, c.Budget())
+				s.Timer = int32(IdleTimerTick(int(s.Timer), c.Budget()))
 			} else {
-				s.Timer++
-				if cycleDone || s.Timer > c.Budget() {
+				t := int(s.Timer) + 1
+				s.Timer = int32(t)
+				if cycleDone || t > c.Budget() {
 					s.Reset = true
 					s.flush(winLo)
 				}
@@ -192,10 +210,10 @@ func StepInto(dst *State, old *State, c *Ctx) {
 			s.Up.Valid = false
 		}
 		// Offer the next position.
-		if !s.Up.Valid && s.UpNext < winHi {
+		if up := int(s.UpNext); !s.Up.Valid && up < winHi {
 			switch {
-			case s.UpNext < l.PosStart+l.Cnt:
-				s.Up = Car{Valid: true, Pos: s.UpNext, P: l.Stored[s.UpNext-l.PosStart]}
+			case up < l.PosStart+l.Cnt:
+				s.Up = Car{Valid: true, Pos: s.UpNext, P: l.Stored[up-l.PosStart]}
 				s.UpNext++
 			default:
 				for i := range c.Children {
@@ -204,7 +222,7 @@ func StepInto(dst *State, old *State, c *Ctx) {
 						continue
 					}
 					cl := ch.L
-					if cl.PosStart <= s.UpNext && s.UpNext < cl.PosStart+cl.SubCnt {
+					if cl.PosStart <= up && up < cl.PosStart+cl.SubCnt {
 						if ch.S.Up.Valid && ch.S.Up.Pos == s.UpNext {
 							s.Up = Car{Valid: true, Pos: s.UpNext, P: ch.S.Up.P}
 							s.UpNext++
@@ -288,7 +306,7 @@ func AtRest(s *State, l *Labels) bool {
 	if l.K == 0 {
 		return *s == State{}
 	}
-	return !s.Up.Valid && s.UpNext == l.PosStart+l.SubCnt && !s.Reset && !s.ResetAck
+	return !s.Up.Valid && int(s.UpNext) == l.PosStart+l.SubCnt && !s.Reset && !s.ResetAck
 }
 
 // Drained returns the drained fixed point of a train with labels l: no car
@@ -304,13 +322,13 @@ func Drained(l *Labels) State {
 	if l.K == 0 {
 		return State{}
 	}
-	return State{UpNext: l.PosStart + l.SubCnt}
+	return State{UpNext: int32(l.PosStart + l.SubCnt)}
 }
 
 // flush clears the convergecast machinery during a reset.
 func (s *State) flush(winLo int) {
 	s.Up = Car{}
-	s.UpNext = winLo
+	s.UpNext = int32(winLo)
 	s.Timer = 0
 }
 
@@ -397,7 +415,7 @@ func (s *State) observe(c *Ctx, nd Down) {
 		// after transient faults wash out of a correct instance). Partial
 		// windows (mid-cycle restarts after resets or holds) are skipped:
 		// only windows that showed all K positions are judged.
-		if s.CovValid && c.Strings != nil && s.SeenCnt >= c.Lab.K {
+		if s.CovValid && c.Strings != nil && int(s.SeenCnt) >= c.Lab.K {
 			failed := false
 			split := LevelSplit(c.N)
 			for j := 0; j < c.Strings.Levels(); j++ {

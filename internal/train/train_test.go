@@ -322,14 +322,14 @@ func TestTrainsSelfStabilizeFromGarbage(t *testing.T) {
 		eng.Corrupt(v, func(s runtime.State) runtime.State {
 			st := s.(*tmState)
 			for _, tr := range []*State{&st.TopS, &st.BotS} {
-				tr.UpNext = rng.Intn(20)
-				tr.Up = Car{Valid: rng.Intn(2) == 0, Pos: rng.Intn(20),
+				tr.UpNext = int32(rng.Intn(20))
+				tr.Up = Car{Valid: rng.Intn(2) == 0, Pos: int32(rng.Intn(20)),
 					P: hierarchy.Piece{ID: hierarchy.FragmentID{RootID: graph.NodeID(rng.Intn(50)), Level: rng.Intn(6)}, W: graph.Weight(rng.Intn(100))}}
-				tr.Down = Down{Valid: rng.Intn(2) == 0, Pos: rng.Intn(20),
+				tr.Down = Down{Valid: rng.Intn(2) == 0, Pos: int32(rng.Intn(20)),
 					P: hierarchy.Piece{ID: hierarchy.FragmentID{RootID: graph.NodeID(rng.Intn(50)), Level: rng.Intn(6)}, W: graph.Weight(rng.Intn(100))}}
-				tr.LastPos = rng.Intn(20)
+				tr.LastPos = int32(rng.Intn(20))
 				tr.CovMask = rng.Uint64()
-				tr.Timer = rng.Intn(1000)
+				tr.Timer = int32(rng.Intn(1000))
 				tr.Reset = rng.Intn(2) == 0
 			}
 			return st
@@ -360,7 +360,7 @@ func TestCycleTimeScalesWithPartSize(t *testing.T) {
 	eng.RunSyncRounds(500) // warm up
 	lastWrap := make([]int, n)
 	worst := 0
-	prevPos := make([]int, n)
+	prevPos := make([]int32, n)
 	for v := range prevPos {
 		prevPos[v] = -1
 	}
@@ -514,7 +514,7 @@ func TestDrainedIsRestFixedPoint(t *testing.T) {
 				want := d
 				root := l.K != 0 && l.PartRootID == g.ID(v)
 				if root {
-					want.Timer = IdleTimerTick(d.Timer, l.CycleBudget())
+					want.Timer = int32(IdleTimerTick(int(d.Timer), l.CycleBudget()))
 				}
 				var got State
 				StepInto(&got, &d, ctx)

@@ -1,6 +1,8 @@
 package verify
 
 import (
+	mbits "math/bits"
+
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -105,15 +107,15 @@ func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
 func (m *Machine) coastTick(s *VState) {
 	coastTrainTick(&s.TopS, &s.L.Train.Top, s.MyID)
 	coastTrainTick(&s.BotS, &s.L.Train.Bottom, s.MyID)
-	L := len(s.samplerLevels)
+	L := mbits.OnesCount64(s.claims)
 	if L == 0 {
 		s.AskValid = false
 		return
 	}
-	if s.AskIdx < 0 || s.AskIdx >= L {
+	if s.AskIdx < 0 || int(s.AskIdx) >= L {
 		s.AskIdx = 0
 	}
-	w := s.staticWindow
+	w := int(s.staticWindow)
 	if s.AskValid {
 		s.AskTimer--
 		if s.AskTimer <= 0 {
@@ -121,8 +123,9 @@ func (m *Machine) coastTick(s *VState) {
 		}
 		return
 	}
-	s.CapTimer++
-	if s.CapTimer > w {
+	c := int(s.CapTimer) + 1
+	s.CapTimer = int32(c)
+	if c > w {
 		s.advanceLevel(L)
 	}
 }
@@ -130,7 +133,9 @@ func (m *Machine) coastTick(s *VState) {
 // coastAdvance is the k-round closed form of coastTick. The orbit after the
 // (at most one) in-flight dwell window expires is uniform: every level
 // costs StaticWindow+1 capture-starvation rounds, so wraps are replayed
-// with modular arithmetic instead of iterated.
+// with modular arithmetic instead of iterated. The lag k is unbounded, so
+// the arithmetic runs in int and only its results, each bounded by the
+// dwell window or |J(v)|, are stored.
 //
 //ssmst:hotpath
 //ssmst:coastpure
@@ -140,30 +145,30 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	}
 	coastTrainAdvance(&s.TopS, &s.L.Train.Top, s.MyID, k)
 	coastTrainAdvance(&s.BotS, &s.L.Train.Bottom, s.MyID, k)
-	L := len(s.samplerLevels)
+	L := mbits.OnesCount64(s.claims)
 	if L == 0 {
 		s.AskValid = false
 		return
 	}
-	if s.AskIdx < 0 || s.AskIdx >= L {
+	if s.AskIdx < 0 || int(s.AskIdx) >= L {
 		s.AskIdx = 0
 	}
-	w := s.staticWindow
+	w := int(s.staticWindow)
 	if s.AskValid {
 		// Finish the in-flight dwell window. A certified state carries
 		// AskTimer ≥ 1 (the awake step's post-invariant); the t < 1 arm
 		// keeps the closed form equal to iterated ticks even from
 		// degenerate values (one tick exits such a dwell, leaving t-1 —
 		// exactly what the decrement-then-advance tick does).
-		if t := s.AskTimer; t >= 1 {
+		if t := int(s.AskTimer); t >= 1 {
 			if k < t {
-				s.AskTimer = t - k
+				s.AskTimer = int32(t - k)
 				return
 			}
 			k -= t
 			s.AskTimer = 0
 		} else {
-			s.AskTimer = t - 1
+			s.AskTimer--
 			k--
 		}
 		s.advanceLevel(L)
@@ -176,18 +181,18 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	// matches the tick from out-of-range CapTimer values (one increment
 	// past the window advances immediately).
 	p := w + 1
-	r := p - s.CapTimer
+	r := p - int(s.CapTimer)
 	if r < 1 {
 		r = 1
 	}
 	if k < r {
-		s.CapTimer += k
+		s.CapTimer = int32(int(s.CapTimer) + k)
 		return
 	}
 	k -= r
 	s.advanceLevel(L)
-	s.AskIdx = (s.AskIdx + k/p) % L
-	s.CapTimer = k % p
+	s.AskIdx = int32((int(s.AskIdx) + k/p) % L)
+	s.CapTimer = int32(k % p)
 }
 
 // coastTrainTick advances the train half of the coast clockwork by one
@@ -201,7 +206,7 @@ func coastTrainTick(st *train.State, l *train.Labels, own graph.NodeID) {
 	if l.K == 0 || l.PartRootID != own {
 		return
 	}
-	st.Timer = train.IdleTimerTick(st.Timer, l.CycleBudget())
+	st.Timer = int32(train.IdleTimerTick(int(st.Timer), l.CycleBudget()))
 }
 
 // coastTrainAdvance is the k-round closed form of coastTrainTick.
@@ -212,7 +217,7 @@ func coastTrainAdvance(st *train.State, l *train.Labels, own graph.NodeID, k int
 	if l.K == 0 || l.PartRootID != own {
 		return
 	}
-	st.Timer = train.IdleTimerAdvance(st.Timer, l.CycleBudget(), k)
+	st.Timer = int32(train.IdleTimerAdvance(int(st.Timer), l.CycleBudget(), k))
 }
 
 // coastHorizon returns the quiet-horizon length for a node: one complete
@@ -228,11 +233,11 @@ func coastTrainAdvance(st *train.State, l *train.Labels, own graph.NodeID, k int
 // ChurnWeightBreak against a frozen network went undetected under the old
 // 2×window default).
 func coastHorizon(s *VState) int64 {
-	L := len(s.samplerLevels)
+	L := mbits.OnesCount64(s.claims)
 	if L < 2 {
 		L = 2
 	}
-	return int64(L+2) * int64(s.staticWindow+1)
+	return int64(L+2) * (int64(s.staticWindow) + 1)
 }
 
 // restsAt reports the horizon-quiet predicate at the given epoch: the
@@ -300,11 +305,12 @@ func neighboursAtRest(nbs []nbList) bool {
 // at certification is what makes that skip detection-preserving: a latent
 // violation that only some level's dwell comparisons would flag blocks the
 // node from ever freezing.
-func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, levels []int, n int) bool {
+func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, claims uint64, n int) bool {
 	split := train.LevelSplit(n)
-	saveP, saveC := s.AskPiece, s.CandPort
+	saveP := s.AskPiece
 	clean := true
-	for _, j := range levels {
+	for ; claims != 0; claims &= claims - 1 {
+		j := mbits.TrailingZeros64(claims) // J(v) in ascending order
 		side := j >= split
 		d := &trainSide(s, side).Down
 		if !train.MemberAt(d, &s.L.HS, side, split) || d.P.ID.Level != j {
@@ -315,11 +321,11 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, levels 
 			break
 		}
 		s.AskPiece = d.P
-		s.CandPort = candidatePort(s, nbs, j)
+		cand := candidatePort(s, nbs, j)
 		alarm := false
 		for q := range nbs {
 			if nbs[q].ok {
-				m.compare(v, s, nbs, q, s.CandPort, split, &alarm)
+				m.compare(v, s, nbs, q, cand, split, &alarm)
 			}
 		}
 		if alarm {
@@ -327,7 +333,7 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, levels 
 			break
 		}
 	}
-	s.AskPiece, s.CandPort = saveP, saveC
+	s.AskPiece = saveP
 	return clean
 }
 
@@ -341,7 +347,7 @@ func (m *Machine) certifies(v NodeView, s *VState, nbs []nbList, parent *VState,
 		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
 		lineageFrozen(s, parent) &&
 		neighboursAtRest(nbs) &&
-		m.samplerOrbitClean(v, s, nbs, s.samplerLevels, n)
+		m.samplerOrbitClean(v, s, nbs, s.claims, n)
 }
 
 // freeze enters the coast regime at epoch, memoizing the orbit footprint
@@ -349,7 +355,7 @@ func (m *Machine) certifies(v NodeView, s *VState, nbs []nbList, parent *VState,
 func (m *Machine) freeze(s *VState, epoch int64) {
 	s.coasting = true
 	s.coastEpoch = epoch
-	s.coastBits = m.coastFootprint(s)
+	s.coastBits = int32(m.coastFootprint(s))
 }
 
 // coastOn reports whether the coast regime runs: opted in, memoized, and
@@ -394,7 +400,7 @@ func (r *Runner) seedQuiescence() bool {
 		missing := sc.loadNeighbours(sv, sv.Degree())
 		parent := m.checkStatic(sv, s, sc, missing, epoch)
 		s.startLevel(0)
-		s.samplerLevels, s.samplerMemoOK = appendClaimedLevels(nil, &s.L.HS), true
+		s.claims, s.samplerMemoOK = claimMask(&s.L.HS), true
 		if sv.repaired || coverageAlarm(s, sc, n) || !m.certifies(sv, s, sc.nbs, parent, n) {
 			ok = false
 			break
@@ -434,24 +440,20 @@ func (a *seedView) MarkLabelsChanged()            { a.repaired = true }
 
 // coastFootprint returns the maximum BitSize the state attains anywhere on
 // its coast orbit: frozen fields at their current width, orbiting clocks at
-// their orbit maximum (CapTimer ≤ dwell window, AskIdx < len(levels), root
+// their orbit maximum (CapTimer ≤ dwell window, AskIdx < |J(v)|, root
 // watchdogs ≤ cycle budget, CandPort down to -1 after the first
 // advanceLevel). Measured once at certification and returned by BitSize
 // while Coasting, so dense per-round re-measurement and worklist
 // endpoint-only measurement report the identical high-water mark.
 func (m *Machine) coastFootprint(s *VState) int {
-	if !s.labelBitsOK {
-		s.labelBits = s.L.BitSize()
-		s.labelBitsOK = true
-	}
 	w := s.staticWindow
-	L := len(s.samplerLevels)
+	L := mbits.OnesCount64(s.claims)
 	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
 		bits.Flag(s.coasting) +
 		s.AlarmCode.BitSize() +
 		bits.ForInt(int64(s.MyID)) +
 		bits.ForInt(int64(s.ParentPort)) +
-		s.labelBits +
+		s.labelWidth() +
 		coastTrainBits(&s.TopS, &s.L.Train.Top, s.MyID) +
 		coastTrainBits(&s.BotS, &s.L.Train.Bottom, s.MyID) +
 		maxBitsInt(int64(s.AskIdx), int64(L-1)) +

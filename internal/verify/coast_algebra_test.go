@@ -2,6 +2,7 @@ package verify
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -17,8 +18,8 @@ import (
 
 // tickOrbit returns the state after k iterated coastTicks from s. States
 // are value copies sharing the label pointers (tick and advance mutate
-// scalars only), so the memoized samplerLevels list stays attached —
-// Clone would drop it and degenerate the orbit to the L == 0 path.
+// scalars only), so the memoized claims mask stays attached — Clone
+// would drop it and degenerate the orbit to the L == 0 path.
 func tickOrbit(m *Machine, s *VState, k int) *VState {
 	c := *s
 	for i := 0; i < k; i++ {
@@ -36,11 +37,11 @@ func advanceOrbit(m *Machine, s *VState, k int) *VState {
 // orbitSpan returns a k horizon covering several full orbits of s: dwell +
 // all levels' capture-starvation periods + watchdog wraps, doubled.
 func orbitSpan(s *VState) int {
-	L := len(s.samplerLevels)
+	L := bits.OnesCount64(s.claims)
 	if L == 0 {
 		L = 1
 	}
-	return 2*L*(s.staticWindow+1) + 2*s.AskTimer + 64
+	return 2*L*(int(s.staticWindow)+1) + 2*int(s.AskTimer) + 64
 }
 
 func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
@@ -55,7 +56,7 @@ func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
 	}
 	// Compositionality at a few split points: advance(a);advance(b) ==
 	// advance(a+b) — the worklist engine materializes in arbitrary chunks.
-	for _, a := range []int{1, 7, s.staticWindow, s.staticWindow + 1, span / 2} {
+	for _, a := range []int{1, 7, int(s.staticWindow), int(s.staticWindow) + 1, span / 2} {
 		b := span - a
 		if b < 0 {
 			continue
@@ -109,20 +110,17 @@ func TestCoastAdvanceMatchesTicksSynthetic(t *testing.T) {
 	base := &VState{MyID: 9, L: &NodeLabels{}}
 	base.staticWindow = 5
 	for _, L := range []int{0, 1, 3} {
-		levels := make([]int, L)
-		for i := range levels {
-			levels[i] = i
-		}
+		claims := uint64(1)<<uint(L) - 1 // levels 0..L-1
 		for _, askValid := range []bool{false, true} {
 			for _, askTimer := range []int{-3, 0, 1, 2, 6} {
 				for _, capTimer := range []int{-2, 0, 3, 5, 9} {
 					for _, askIdx := range []int{-1, 0, L - 1, L + 3} {
 						s := *base
-						s.samplerLevels = levels
+						s.claims = claims
 						s.AskValid = askValid
-						s.AskTimer = askTimer
-						s.CapTimer = capTimer
-						s.AskIdx = askIdx
+						s.AskTimer = int32(askTimer)
+						s.CapTimer = int32(capTimer)
+						s.AskIdx = int32(askIdx)
 						tag := fmt.Sprintf("L=%d valid=%v ask=%d cap=%d idx=%d",
 							L, askValid, askTimer, capTimer, askIdx)
 						checkOrbit(t, m, tag, &s)

@@ -42,7 +42,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		t.Helper()
 		for v := 0; v < g.N(); v++ {
 			// Clone normalizes the simulator-side memo caches on both sides
-			// (recycled states persist the claimed-level list, fresh Step
+			// (recycled states persist the claimed-level mask, fresh Step
 			// states do not); every protocol-visible field is compared
 			// bit-for-bit.
 			want := fresh.State(v).Clone()

@@ -25,17 +25,25 @@ const (
 // VState is the register content of one verifier node: the component
 // (parent pointer — the structure under verification), the label block,
 // the two train states, and the sampler.
+//
+// Ports, the sampler's index and timers and the memoized widths are stored
+// in 32 bits: each holds a port, an index into J(v), a level, or a timer
+// bounded by a label-derived window or budget. The step widens them to int
+// wherever they meet a label, the budget, the dwell window or a round lag,
+// and stores only results inside those bounds, so no comparison or closed
+// form is evaluated in 32 bits; BitSize charges the stored values' widths.
+// The fields are ordered so that the struct packs into 328 bytes, inside
+// Go's 352-byte size class (TestStateFootprint): every node holds one
+// VState in each engine buffer.
 type VState struct {
 	MyID graph.NodeID
-	//ssmst:tracked -- the component claim: the memoized static verdict derives from it
-	ParentPort int // the component c(v): -1 claims root
 	// L is the node's proof-label block. It is immutable once marked and
 	// shared by reference: the marker's Labeled.Labels entry, both engine
 	// buffers and every header copy (CopyFrom) point at the same block. To
 	// change a label, mutate a Clone (which copies the block) and commit it
 	// with SetState.
 	//
-	//ssmst:tracked -- the label block: static verdict, labelBits and samplerLevels memos all derive from it
+	//ssmst:tracked -- the label block: static verdict, labelBits and claims memos all derive from it
 	//ssmst:shared -- immutable, shared by every copy of the state: hot paths never write through it
 	L *NodeLabels
 
@@ -43,26 +51,40 @@ type VState struct {
 	BotS train.State
 
 	// Ask/Show sampler (§7.2). Show is the trains' Down buffers.
-	AskIdx    int // index into the node's level list J(v)
-	AskValid  bool
-	AskPiece  hierarchy.Piece
-	AskTimer  int
-	CapTimer  int
-	ServerCur int // asynchronous mode: round-robin server cursor
-	ServerTmr int
-	Want      train.Want
+	AskPiece hierarchy.Piece
+	Want     train.Want
+
+	//ssmst:tracked -- the component claim: the memoized static verdict derives from it
+	ParentPort int32 // the component c(v): -1 claims root
+
+	AskIdx    int32 // index into the node's level list J(v)
+	AskTimer  int32
+	CapTimer  int32
+	ServerCur int32 // asynchronous mode: round-robin server cursor
+	ServerTmr int32
 	// CandPort is the port of the candidate edge of the fragment currently
 	// being asked about, captured together with AskPiece (-1 when v is not
 	// the candidate's inside endpoint). The candidate function is a pure
 	// function of (labels, level), so it is evaluated once per dwell window
 	// instead of once per round; like every sampler register it stabilizes
 	// within one Ask sweep after arbitrary corruption.
-	CandPort int
+	CandPort int32
+	AskValid bool
 
 	AlarmFlag bool // recomputed every round: the verifier's "no" output
 	// AlarmCode records which layer raised the current alarm (AlarmNone when
 	// quiet); exposed for experiments and diagnostics.
 	AlarmCode AlarmCode
+
+	// The coast block (see coast.go): coasting marks the certified-quiescent
+	// regime — the node's step is pure clockwork until a tracked
+	// neighbourhood change melts it. It is a protocol mode flag and is
+	// counted in BitSize. coastEpoch is the epoch the certification was
+	// stamped at (an engine-clock memo, like staticEpoch); coastBits is the
+	// memoized orbit-maximum BitSize reported while coasting.
+	coasting   bool
+	coastEpoch int64 //ssmst:nobits
+	coastBits  int32 //ssmst:nobits
 
 	// The static-verdict memo (incremental verification; see the package
 	// doc): the static label checks — neighbour presence, SP, size,
@@ -77,36 +99,27 @@ type VState struct {
 	// predicate, not protocol memory — the verifier's outputs are
 	// bit-identical with memoization disabled (Machine.FullRecheck;
 	// TestIncrementalMatchesFullRecheck) — so BitSize excludes it.
+	staticWindow int32     //ssmst:nobits
+	staticEpoch  int64     //ssmst:nobits
 	staticValid  bool      //ssmst:nobits
 	staticAlarm  bool      //ssmst:nobits
 	staticCode   AlarmCode //ssmst:nobits
-	staticWindow int       //ssmst:nobits
-	staticEpoch  int64     //ssmst:nobits
 
 	// labelBits caches NodeLabels.BitSize — re-measured by the engine's
 	// instrumentation every round at every node, yet constant between label
 	// changes. Same lifetime and exclusion as the static memo.
-	labelBits   int  //ssmst:nobits
-	labelBitsOK bool //ssmst:nobits
+	labelBitsOK bool  //ssmst:nobits
+	labelBits   int32 //ssmst:nobits
 
-	// The coast block (see coast.go): coasting marks the certified-quiescent
-	// regime — the node's step is pure clockwork until a tracked
-	// neighbourhood change melts it. It is a protocol mode flag and is
-	// counted in BitSize. coastEpoch is the epoch the certification was
-	// stamped at (an engine-clock memo, like staticEpoch); coastBits is the
-	// memoized orbit-maximum BitSize reported while coasting.
-	coasting   bool
-	coastEpoch int64 //ssmst:nobits
-	coastBits  int   //ssmst:nobits
-
-	// samplerLevels caches J(v), the claimed-level list the sampler sweeps
-	// (label-derived, same lifetime as the labelBits memo). Like L it is
-	// shared by header copies and never written in place: InvalidateMemo
-	// (which Clone, the engine's SetState/Corrupt and ApplyFault all reach)
-	// drops it, and the next step rebuilds it into a fresh slice. A
-	// recomputable cache, not protocol memory, so BitSize excludes it.
-	samplerLevels []int //ssmst:nobits -- recomputable claimed-level memo
-	samplerMemoOK bool  //ssmst:nobits
+	// claims caches J(v), the claimed levels the sampler sweeps, as a mask:
+	// bit j is set iff the strings claim a level-j fragment containing the
+	// node (claimMask). It is label-derived, has the labelBits memo's
+	// lifetime, and is valid while samplerMemoOK is set. A value, so header
+	// copies carry it like any register and rebuilding it allocates
+	// nothing. A recomputable cache, not protocol memory, so BitSize
+	// excludes it.
+	claims        uint64 //ssmst:nobits -- recomputable claimed-level memo
+	samplerMemoOK bool   //ssmst:nobits
 }
 
 // AlarmCode identifies the verifier layer that raised an alarm.
@@ -159,7 +172,7 @@ func (s *VState) Clone() runtime.State {
 
 // InvalidateMemo implements runtime.MemoInvalidator: it drops every
 // simulator-side memo the state carries — the static verdict, the cached
-// label BitSize, and the claimed-level list — so content installed or
+// label BitSize, and the claimed-level mask — so content installed or
 // mutated behind the step function is re-measured and re-checked from
 // scratch. Protocol-visible fields are untouched.
 func (s *VState) InvalidateMemo() {
@@ -173,7 +186,7 @@ func (s *VState) InvalidateMemo() {
 	s.coasting = false
 	s.coastEpoch = 0
 	s.coastBits = 0
-	s.samplerLevels = nil
+	s.claims = 0
 	s.samplerMemoOK = false
 }
 
@@ -190,11 +203,11 @@ func (s *VState) InvalidateMemo() {
 // along with it: the static verdict was computed over the old
 // neighbourhood.
 func (s *VState) RemapPorts(oldToNew []int) {
-	if s.ParentPort >= 0 && s.ParentPort < len(oldToNew) {
-		s.ParentPort = oldToNew[s.ParentPort]
+	if pp := int(s.ParentPort); pp >= 0 && pp < len(oldToNew) {
+		s.ParentPort = int32(oldToNew[pp])
 	}
-	if s.CandPort >= 0 && s.CandPort < len(oldToNew) {
-		s.CandPort = oldToNew[s.CandPort]
+	if cp := int(s.CandPort); cp >= 0 && cp < len(oldToNew) {
+		s.CandPort = int32(oldToNew[cp])
 	}
 	s.ServerCur = 0
 	s.ServerTmr = 0
@@ -203,9 +216,9 @@ func (s *VState) RemapPorts(oldToNew []int) {
 }
 
 // CopyFrom makes s a header copy of src — the in-place counterpart of
-// Clone. The label block and the memos derived from it (labelBits, the
-// claimed-level list) are shared, not copied: labels are immutable, and the
-// claimed-level list is rebuilt into a fresh slice, never in place.
+// Clone. The label block is shared, not copied: labels are immutable. The
+// memos derived from it (labelBits, the claimed-level mask) are values and
+// travel with the header.
 //
 //ssmst:hotpath
 func (s *VState) CopyFrom(src *VState) { *s = *src }
@@ -229,18 +242,14 @@ func (s *VState) BitSize() int {
 		// Constant while coasting, so a worklist engine that measures only
 		// at certification and wake sees the same high-water mark as the
 		// dense engine re-measuring every round.
-		return s.coastBits
-	}
-	if !s.labelBitsOK {
-		s.labelBits = s.L.BitSize()
-		s.labelBitsOK = true
+		return int(s.coastBits)
 	}
 	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
 		bits.Flag(s.coasting) +
 		s.AlarmCode.BitSize() +
 		bits.ForInt(int64(s.MyID)) +
 		bits.ForInt(int64(s.ParentPort)) +
-		s.labelBits +
+		s.labelWidth() +
 		s.TopS.BitSize() +
 		s.BotS.BitSize() +
 		bits.ForInt(int64(s.AskIdx)) +
@@ -251,6 +260,15 @@ func (s *VState) BitSize() int {
 		bits.ForInt(int64(s.ServerTmr)) +
 		bits.ForInt(int64(s.Want.ServerID)) + bits.ForInt(int64(s.Want.Level)) +
 		bits.ForInt(int64(s.CandPort))
+}
+
+// labelWidth returns NodeLabels.BitSize through the labelBits memo.
+func (s *VState) labelWidth() int {
+	if !s.labelBitsOK {
+		s.labelBits = int32(s.L.BitSize())
+		s.labelBitsOK = true
+	}
+	return int(s.labelBits)
 }
 
 var (
@@ -347,7 +365,7 @@ func (m *Machine) Init(v *runtime.View) runtime.State {
 
 // Scratch holds the reusable per-worker temporaries of one verifier step:
 // neighbour lists, per-layer label views and the train contexts (the
-// claimed-level list lives in VState's label memo instead: it is per-node,
+// claimed-level mask lives in VState's label memo instead: it is per-node,
 // label-derived data that survives across rounds). A Scratch may be reused
 // across nodes and rounds — its contents are rebuilt from the View every
 // step and carry memory, never data — but must not be shared concurrently;
@@ -383,7 +401,7 @@ func (sc *Scratch) wantedFn() func(level int) bool {
 			for q := range sc.nbs {
 				if sc.nbs[q].ok {
 					w := sc.nbs[q].st.Want
-					if w.Valid && w.ServerID == sc.self.MyID && w.Level == level {
+					if w.Valid && w.ServerID == sc.self.MyID && int(w.Level) == level {
 						return true
 					}
 				}
@@ -508,7 +526,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// history (StaticEpoch ≤ epoch — a state transplanted from a foreign
 	// run via SetState may carry any stamp) and nothing in the closed
 	// neighbourhood changed since the stamp.
-	if !m.FullRecheck && s.staticValid && s.ParentPort < deg &&
+	if !m.FullRecheck && s.staticValid && int(s.ParentPort) < deg &&
 		s.staticEpoch <= epoch && !v.LabelsChangedSince(s.staticEpoch) {
 		// Memo hit: replay the static verdict. ParentPort is settled (< deg:
 		// the corrupted-port repair marks the node dirty, so a repaired or
@@ -531,27 +549,28 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	if coverageAlarm(s, sc, n) {
 		setAlarm(AlarmCoverageStatic)
 	}
+	// The header copy above already holds old's trains, so both step in
+	// place.
 	ctT, ctB := m.trainCtxs(sc, s, nbs, parent)
 	restOK := coastOn && m.restsAt(v, s, epoch)
 	ctT.RestOK, ctB.RestOK = restOK, restOK
-	train.StepInto(&s.TopS, &old.TopS, ctT)
-	train.StepInto(&s.BotS, &old.BotS, ctB)
+	train.StepInto(&s.TopS, &s.TopS, ctT)
+	train.StepInto(&s.BotS, &s.BotS, ctB)
 	if s.TopS.Alarm || s.BotS.Alarm {
 		setAlarm(AlarmTrainCycle)
 	}
 
 	// ---- Layer 5: the Ask/Show sampler with C1/C2 and piece equality. ----
-	// J(v), the claimed-level list the sampler sweeps, is a pure function of
+	// J(v), the claimed-level mask the sampler sweeps, is a pure function of
 	// the strings, so it is rebuilt only when the label memo was dropped
 	// (Clone, InvalidateMemo) and otherwise rides along with the labels it
-	// derives from. The rebuild goes into a fresh slice: the old array may
-	// still be shared with this node's other buffer.
+	// derives from.
 	samplerAlarm := false
 	if !s.samplerMemoOK {
-		s.samplerLevels = appendClaimedLevels(nil, &s.L.HS)
+		s.claims = claimMask(&s.L.HS)
 		s.samplerMemoOK = true
 	}
-	m.sampler(v, s, nbs, s.samplerLevels, n, &samplerAlarm)
+	m.sampler(v, s, nbs, s.claims, n, &samplerAlarm)
 	if samplerAlarm {
 		setAlarm(AlarmSampler)
 	}
@@ -581,7 +600,7 @@ func (sc *Scratch) loadNeighbours(v NodeView, deg int) (missing bool) {
 			missing = true
 			continue
 		}
-		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: st.ParentPort == v.PeerPort(q)})
+		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: int(st.ParentPort) == v.PeerPort(q)})
 	}
 	return missing
 }
@@ -589,7 +608,7 @@ func (sc *Scratch) loadNeighbours(v NodeView, deg int) (missing bool) {
 // treeParent returns the state of s's tree parent: nil at a root, for an
 // out-of-range port, or when the parent is not running the verifier.
 func treeParent(s *VState, nbs []nbList) *VState {
-	if pp := s.ParentPort; pp >= 0 && pp < len(nbs) && nbs[pp].ok {
+	if pp := int(s.ParentPort); pp >= 0 && pp < len(nbs) && nbs[pp].ok {
 		return nbs[pp].st
 	}
 	return nil
@@ -618,7 +637,7 @@ func (m *Machine) checkStatic(v NodeView, s *VState, sc *Scratch, missing bool, 
 	nbs := sc.nbs
 	deg := v.Degree()
 	n := s.L.Size.N
-	if s.ParentPort >= deg {
+	if int(s.ParentPort) >= deg {
 		s.ParentPort = -1     // corrupted port: claim root; SP checks will object
 		v.MarkLabelsChanged() // the repair is itself a label change
 	}
@@ -673,7 +692,7 @@ func (m *Machine) checkStatic(v NodeView, s *VState, sc *Scratch, missing bool, 
 			continue
 		}
 		sc.tnbs = append(sc.tnbs, train.NeighbourLabels{
-			IsParent: parent != nil && q == s.ParentPort,
+			IsParent: parent != nil && q == int(s.ParentPort),
 			IsChild:  nbs[q].isChild,
 			Port:     q,
 			L:        &nbs[q].st.L.Train,
@@ -687,7 +706,7 @@ func (m *Machine) checkStatic(v NodeView, s *VState, sc *Scratch, missing bool, 
 	s.staticValid = true
 	s.staticAlarm = alarm
 	s.staticCode = code
-	s.staticWindow = dwellWindow(s, nbs)
+	s.staticWindow = int32(dwellWindow(s, nbs))
 	s.staticEpoch = epoch
 	return parent
 }

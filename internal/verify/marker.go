@@ -38,7 +38,7 @@
 // verdict, VState memoizes every label-derived quantity the per-round path
 // would otherwise re-derive: the label portion of BitSize (re-measured by
 // the engine's instrumentation at every node every round), the claimed-level
-// list J(v) the sampler sweeps, and the candidate port of the level being
+// mask J(v) the sampler sweeps, and the candidate port of the level being
 // asked about (captured with AskPiece once per dwell window, as protocol
 // state). Labels are never copied by a step at all: each node's label block
 // is immutable once marked and shared by reference between the marker's
@@ -197,7 +197,7 @@ func (l *Labeled) NodeState(v int) *VState {
 	if p := l.Tree.Parent[v]; p >= 0 {
 		pp = l.G.PortTo(v, p)
 	}
-	return &VState{MyID: l.G.ID(v), ParentPort: pp, L: &l.Labels[v]}
+	return &VState{MyID: l.G.ID(v), ParentPort: int32(pp), L: &l.Labels[v]}
 }
 
 // MaxLabelBits returns the largest label block over all nodes.

@@ -181,7 +181,7 @@ func (r *Runner) InjectKind(v int, kind FaultKind, rng *rand.Rand) bool {
 // engine or a Labeled still shares.
 //
 // On a change, every simulator-side memo the state carries (static verdict,
-// cached label BitSize, claimed-level list) is dropped: most fault kinds
+// cached label BitSize, claimed-level mask) is dropped: most fault kinds
 // rewrite the very labels those caches measure, and a stale cache would let
 // e.g. MaxStateBits keep reporting bits the corruption removed. A no-op
 // kind leaves the memos — and everything else — untouched, so callers can
@@ -251,19 +251,19 @@ func applyFaultKind(s *VState, kind FaultKind, rng *rand.Rand, degree int) bool 
 	case FaultComponent:
 		if degree > 0 {
 			old := s.ParentPort
-			s.ParentPort = (old + 1 + rng.Intn(degree)) % degree
+			s.ParentPort = int32((int(old) + 1 + rng.Intn(degree)) % degree)
 			return s.ParentPort != old
 		}
 	case FaultTrainDyn:
 		for _, ts := range []*train.State{&s.TopS, &s.BotS} {
-			ts.UpNext = rng.Intn(16)
+			ts.UpNext = int32(rng.Intn(16))
 			ts.Up.Valid = rng.Intn(2) == 0
-			ts.Up.Pos = rng.Intn(16)
+			ts.Up.Pos = int32(rng.Intn(16))
 			ts.Down.Valid = rng.Intn(2) == 0
-			ts.Down.Pos = rng.Intn(16)
+			ts.Down.Pos = int32(rng.Intn(16))
 			ts.Down.P.ID.Level = rng.Intn(8)
 			ts.CovMask = rng.Uint64()
-			ts.LastPos = rng.Intn(16)
+			ts.LastPos = int32(rng.Intn(16))
 		}
 		return true
 	}

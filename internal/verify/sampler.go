@@ -1,6 +1,8 @@
 package verify
 
 import (
+	mbits "math/bits"
+
 	"ssmst/internal/hierarchy"
 	"ssmst/internal/train"
 )
@@ -26,19 +28,21 @@ import (
 // between activations (§7.2.2).
 
 // sampler advances the Ask/Show machinery by one step and feeds the alarm.
-// levels is J(v) as maintained by the claimed-level memo in StepInto.
+// claims is J(v) as maintained by the claimed-level memo in StepInto; the
+// level asked about is its AskIdx-th claimed level (claimAt).
 //
 // The sweep is batched per (node, active level): the delimiter split, the
 // candidate port and J(v) itself are all pure functions of the (verified)
 // labels, so they are evaluated once per step, once per dwell window, and
 // once per label change respectively — the per-neighbour loop touches only
 // the neighbour's Show buffer, which genuinely changes every round.
-func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n int, alarm *bool) {
-	if len(levels) == 0 {
+func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, claims uint64, n int, alarm *bool) {
+	if claims == 0 {
 		s.AskValid = false
 		return
 	}
-	if s.AskIdx < 0 || s.AskIdx >= len(levels) {
+	numLevels := mbits.OnesCount64(claims)
+	if s.AskIdx < 0 || int(s.AskIdx) >= numLevels {
 		s.AskIdx = 0
 	}
 	// The dwell window covers two worst-case train cycles of this node and
@@ -46,8 +50,8 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 	// (corrupted labels are caught by the label checks regardless). It is
 	// label-derived, so it is computed by the static layer and memoized in
 	// StaticWindow alongside the static verdict.
-	window := s.staticWindow
-	j := levels[s.AskIdx]
+	window := int(s.staticWindow)
+	j := claimAt(claims, int(s.AskIdx))
 	split := train.LevelSplit(n)
 
 	if !s.AskValid {
@@ -62,27 +66,28 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 				*alarm = true
 			}
 			s.AskPiece = d.P
-			s.CandPort = candidatePort(s, nbs, j)
+			s.CandPort = int32(candidatePort(s, nbs, j))
 			s.AskValid = true
-			s.AskTimer = window
+			s.AskTimer = int32(window)
 			s.CapTimer = 0
 			s.ServerCur = 0
 			s.ServerTmr = 0
 			s.Want = train.Want{}
 		} else {
-			s.CapTimer++
-			if s.CapTimer > window {
+			c := int(s.CapTimer) + 1
+			s.CapTimer = int32(c)
+			if c > window {
 				// The train never delivered the piece: its own cycle-set
 				// check raises the alarm; move on so other levels are
 				// still exercised. advanceLevel owns the wrap invariant
-				// (AskIdx stays in [0, len(levels))) for every site.
-				s.advanceLevel(len(levels))
+				// (AskIdx stays in [0, |J(v)|)) for every site.
+				s.advanceLevel(numLevels)
 			}
 			return
 		}
 	}
 
-	cand := s.CandPort
+	cand := int(s.CandPort)
 
 	if m.Mode == Sync {
 		for q := range nbs {
@@ -92,7 +97,7 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 		}
 		s.AskTimer--
 		if s.AskTimer <= 0 {
-			s.advanceLevel(len(levels))
+			s.advanceLevel(numLevels)
 		}
 		return
 	}
@@ -100,14 +105,14 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 	// Asynchronous mode: serve one neighbour at a time.
 	deg := len(nbs)
 	if deg == 0 {
-		s.advanceLevel(len(levels))
+		s.advanceLevel(numLevels)
 		return
 	}
-	if s.ServerCur >= deg {
-		s.advanceLevel(len(levels))
+	q := int(s.ServerCur)
+	if q >= deg {
+		s.advanceLevel(numLevels)
 		return
 	}
-	q := s.ServerCur
 	served := true
 	if nbs[q].ok {
 		served = m.compare(v, s, nbs, q, cand, split, alarm)
@@ -116,22 +121,23 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 		s.ServerCur++
 		s.ServerTmr = 0
 		s.Want = train.Want{}
-		if s.ServerCur >= deg {
-			s.advanceLevel(len(levels))
+		if int(s.ServerCur) >= deg {
+			s.advanceLevel(numLevels)
 		}
 		return
 	}
 	// File a request at the server (§7.2.2) and wait, bounded.
-	s.Want = train.Want{Valid: true, ServerID: nbs[q].st.MyID, Level: s.AskPiece.ID.Level}
-	s.ServerTmr++
-	if s.ServerTmr > 2*window {
+	s.Want = train.Want{Valid: true, ServerID: nbs[q].st.MyID, Level: int32(s.AskPiece.ID.Level)}
+	t := int(s.ServerTmr) + 1
+	s.ServerTmr = int32(t)
+	if t > 2*window {
 		// The server's train never showed the piece; the server's own part
 		// raises the alarm. Move on.
 		s.ServerCur++
 		s.ServerTmr = 0
 		s.Want = train.Want{}
-		if s.ServerCur >= deg {
-			s.advanceLevel(len(levels))
+		if int(s.ServerCur) >= deg {
+			s.advanceLevel(numLevels)
 		}
 	}
 }
@@ -141,14 +147,14 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, levels []int, n i
 // (0 ≤ AskIdx < numLevels); all sites — dwell expiry, capture timeout, the
 // asynchronous server sweep — go through it, so the invariant cannot
 // silently diverge between paths.
-func (s *VState) advanceLevel(numLevels int) { s.startLevel((s.AskIdx + 1) % numLevels) }
+func (s *VState) advanceLevel(numLevels int) { s.startLevel((int(s.AskIdx) + 1) % numLevels) }
 
 // startLevel points the Ask cursor at index i of J(v) with every per-level
 // sampler register reset: nothing asked, capture timer at 0, the
 // asynchronous server sweep restarted, no candidate port.
 func (s *VState) startLevel(i int) {
 	s.AskValid = false
-	s.AskIdx = i
+	s.AskIdx = int32(i)
 	s.CapTimer = 0
 	s.ServerCur = 0
 	s.ServerTmr = 0
@@ -216,7 +222,7 @@ func candidatePort(s *VState, nbs []nbList, j int) int {
 	}
 	switch s.L.HS.EndP[j] {
 	case hierarchy.EndPUp:
-		return s.ParentPort
+		return int(s.ParentPort)
 	case hierarchy.EndPDown:
 		for q := range nbs {
 			if nbs[q].ok && nbs[q].isChild {
@@ -253,13 +259,27 @@ func trainBudget(nl *train.NodeLabels) int {
 	return bot
 }
 
-// appendClaimedLevels appends J(v) — the levels at which the strings claim
-// a fragment containing the node — to dst (pass x[:0] to reuse capacity).
-func appendClaimedLevels(dst []int, hs *hierarchy.Strings) []int {
-	for j := 0; j < hs.Levels(); j++ {
+// claimMask returns J(v) — the levels at which the strings claim a fragment
+// containing the node — as a mask: bit j is set iff level j is claimed. A
+// marked block has ℓ+1 levels, and ℓ = ⌊log₂ n⌋ ≤ 62 for any int n, so
+// every level of a block the static layer accepts fits in 63 bits. A longer
+// string fails the hierarchy check (RS1) and alarms; its levels past 63 are
+// not swept.
+func claimMask(hs *hierarchy.Strings) uint64 {
+	var m uint64
+	for j := 0; j < hs.Levels() && j < 64; j++ {
 		if hs.Roots[j] != hierarchy.RootsNone {
-			dst = append(dst, j)
+			m |= 1 << uint(j)
 		}
 	}
-	return dst
+	return m
+}
+
+// claimAt returns the i-th claimed level of J(v) in ascending order, for
+// 0 ≤ i < |J(v)|: the position of claims' i-th set bit.
+func claimAt(claims uint64, i int) int {
+	for ; i > 0; i-- {
+		claims &= claims - 1
+	}
+	return mbits.TrailingZeros64(claims)
 }

@@ -1,12 +1,73 @@
 package verify
 
 import (
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
 	"ssmst/internal/train"
 )
+
+// appendClaimedLevels appends J(v) — the levels at which the strings claim
+// a fragment containing the node — to dst in ascending order: the list
+// reference claimMask and claimAt are checked against.
+func appendClaimedLevels(dst []int, hs *hierarchy.Strings) []int {
+	for j := 0; j < hs.Levels(); j++ {
+		if hs.Roots[j] != hierarchy.RootsNone {
+			dst = append(dst, j)
+		}
+	}
+	return dst
+}
+
+// checkClaimMask fails unless claimMask(hs) holds exactly the reference
+// list: one set bit per claimed level, and claimAt(·, i) returning the i-th
+// level in ascending order.
+func checkClaimMask(t *testing.T, tag string, hs *hierarchy.Strings) {
+	t.Helper()
+	levels := appendClaimedLevels(nil, hs)
+	m := claimMask(hs)
+	if got := bits.OnesCount64(m); got != len(levels) {
+		t.Fatalf("%s: |claimMask| = %d, want %d (levels %v)", tag, got, len(levels), levels)
+	}
+	for i, j := range levels {
+		if got := claimAt(m, i); got != j {
+			t.Fatalf("%s: claimAt(%#x, %d) = %d, want %d (levels %v)", tag, m, i, got, j, levels)
+		}
+	}
+}
+
+// TestClaimMaskMatchesLevelList pins the J(v) mask against the ascending
+// list: on every node of every family's marked instance, and on random
+// Roots strings of every length a marked block can have (ℓ+1 ≤ 63).
+func TestClaimMaskMatchesLevelList(t *testing.T) {
+	for _, fam := range graph.Families() {
+		g, err := graph.ByFamily(fam, 256, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := Mark(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range l.Labels {
+			checkClaimMask(t, fam, &l.Labels[v].HS)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	symbols := []byte{hierarchy.RootsYes, hierarchy.RootsNo, hierarchy.RootsNone}
+	for levels := 0; levels <= 63; levels++ {
+		for trial := 0; trial < 8; trial++ {
+			hs := &hierarchy.Strings{Roots: make([]byte, levels)}
+			for j := range hs.Roots {
+				hs.Roots[j] = symbols[rng.Intn(len(symbols))]
+			}
+			checkClaimMask(t, "random", hs)
+		}
+	}
+}
 
 // TestAdvanceLevelResetsPerLevelRegisters locks the single-owner wrap
 // invariant: every site that moves the Ask cursor goes through advanceLevel,
@@ -84,7 +145,7 @@ func TestSamplerAskIdxInRangeAfterLevelShrink(t *testing.T) {
 				}
 				continue
 			}
-			if st.AskIdx < 0 || st.AskIdx >= len(levels) {
+			if st.AskIdx < 0 || int(st.AskIdx) >= len(levels) {
 				t.Fatalf("round %d node %d: AskIdx %d outside [0,%d)", i, v, st.AskIdx, len(levels))
 			}
 		}

@@ -52,7 +52,7 @@ func TestFigures4to9Walkthrough(t *testing.T) {
 			if st.Want.Valid && !prevWant[v].Valid {
 				wantsFiled++
 			}
-			if prevWant[v].Valid && !st.Want.Valid && st.ServerCur != prevCur[v] {
+			if prevWant[v].Valid && !st.Want.Valid && int(st.ServerCur) != prevCur[v] {
 				wantsResolved++
 			}
 			// A server holding: some neighbour wants exactly what this node
@@ -61,14 +61,14 @@ func TestFigures4to9Walkthrough(t *testing.T) {
 				if server, ok := indexOf[prevWant[v].ServerID]; ok {
 					ss := r.Eng.State(server).(*VState)
 					for _, d := range []train.Down{ss.TopS.Down, ss.BotS.Down} {
-						if d.Valid && d.P.ID.Level == prevWant[v].Level {
+						if d.Valid && d.P.ID.Level == int(prevWant[v].Level) {
 							holdsObserved++
 						}
 					}
 				}
 			}
 			prevWant[v] = st.Want
-			prevCur[v] = st.ServerCur
+			prevCur[v] = int(st.ServerCur)
 			prevAskValid[v] = st.AskValid
 		}
 		if asks > 50 && wantsFiled > 5 && wantsResolved > 5 && holdsObserved > 5 {
