@@ -18,7 +18,7 @@ func TestChecksCatchSingleEntryCorruptions(t *testing.T) {
 	clone := func() []Strings {
 		out := make([]Strings, n)
 		for v := range base {
-			out[v] = *base[v].Clone()
+			out[v] = base[v]
 		}
 		return out
 	}
@@ -57,30 +57,30 @@ func TestChecksCatchSingleEntryCorruptions(t *testing.T) {
 			for _, sym := range rootsSymbols {
 				v, j, sym := v, j, sym
 				tryCorruption("roots", func(ss []Strings) bool {
-					if ss[v].Roots[j] == sym {
+					if ss[v].RootsAt(j) == sym {
 						return false
 					}
-					ss[v].Roots[j] = sym
+					ss[v].SetRootsAt(j, sym)
 					return true
 				})
 			}
 			for _, sym := range endPSymbols {
 				v, j, sym := v, j, sym
 				tryCorruption("endp", func(ss []Strings) bool {
-					if ss[v].EndP[j] == sym {
+					if ss[v].EndPAt(j) == sym {
 						return false
 					}
-					ss[v].EndP[j] = sym
+					ss[v].SetEndPAt(j, sym)
 					return true
 				})
 			}
 			v, j := v, j
 			tryCorruption("parents", func(ss []Strings) bool {
-				ss[v].Parents[j] = !ss[v].Parents[j]
+				ss[v].SetParentsAt(j, !ss[v].ParentsAt(j))
 				return true
 			})
 			tryCorruption("orendp", func(ss []Strings) bool {
-				ss[v].OrEndP[j] = !ss[v].OrEndP[j]
+				ss[v].SetOrEndPAt(j, !ss[v].OrEndPAt(j))
 				return true
 			})
 		}
@@ -94,7 +94,7 @@ func TestChecksCatchSingleEntryCorruptions(t *testing.T) {
 func TestChecksCatchTruncatedStrings(t *testing.T) {
 	h := mustExample(t)
 	ss := MarkStrings(h)
-	ss[3].Roots = ss[3].Roots[:2]
+	ss[3].SetLevels(2)
 	if vs := CheckAll(h.Tree, h.Ell(), ss); len(vs) == 0 {
 		t.Fatal("truncated string accepted")
 	}
@@ -122,20 +122,20 @@ func TestChecksCatchRandomMultiCorruptions(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		ss := make([]Strings, n)
 		for v := range base {
-			ss[v] = *base[v].Clone()
+			ss[v] = base[v]
 		}
 		k := 1 + rng.Intn(5)
 		for i := 0; i < k; i++ {
 			v, j := rng.Intn(n), rng.Intn(ell+1)
 			switch rng.Intn(4) {
 			case 0:
-				ss[v].Roots[j] = rootsSymbols[rng.Intn(3)]
+				ss[v].SetRootsAt(j, rootsSymbols[rng.Intn(3)])
 			case 1:
-				ss[v].EndP[j] = endPSymbols[rng.Intn(4)]
+				ss[v].SetEndPAt(j, endPSymbols[rng.Intn(4)])
 			case 2:
-				ss[v].Parents[j] = !ss[v].Parents[j]
+				ss[v].SetParentsAt(j, !ss[v].ParentsAt(j))
 			case 3:
-				ss[v].OrEndP[j] = !ss[v].OrEndP[j]
+				ss[v].SetOrEndPAt(j, !ss[v].OrEndPAt(j))
 			}
 		}
 		if len(CheckAll(h.Tree, ell, ss)) > 0 {
@@ -149,5 +149,28 @@ func TestChecksCatchRandomMultiCorruptions(t *testing.T) {
 		// (that is the soundness guarantee of §5 — minimality is checked by
 		// the separate §6–8 machinery).
 		_ = h2
+	}
+}
+
+// TestSetLevelsDropsEntries: shrinking the strings drops the entries past
+// the new length, so growing them back reads '*', '*', false, false there
+// and the value equals a fresh one with the kept prefix.
+func TestSetLevelsDropsEntries(t *testing.T) {
+	h := mustExample(t)
+	ss := MarkStrings(h)
+	for v := range ss {
+		s := ss[v]
+		k := s.Levels()
+		s.SetLevels(1)
+		s.SetLevels(k)
+		var want Strings
+		want.SetLevels(k)
+		want.SetRootsAt(0, ss[v].RootsAt(0))
+		want.SetEndPAt(0, ss[v].EndPAt(0))
+		want.SetParentsAt(0, ss[v].ParentsAt(0))
+		want.SetOrEndPAt(0, ss[v].OrEndPAt(0))
+		if s != want {
+			t.Fatalf("node %d: shrunk and regrown strings differ from the kept prefix", v)
+		}
 	}
 }

@@ -176,35 +176,19 @@ func ExampleTable2() []Table2Row {
 	}
 }
 
-// FormatStrings renders marker output in Table 2 notation for comparison.
+// FormatStrings renders marker output in Table 2 notation for comparison:
+// the strings' canonical byte form, one symbol per level.
 func FormatStrings(s *Strings) (roots, endP, parents, orEndP string) {
-	rb := make([]byte, len(s.Roots))
-	copy(rb, s.Roots)
-	eb := make([]byte, len(s.EndP))
-	for i, c := range s.EndP {
-		switch c {
-		case EndPUp:
-			eb[i] = 'u'
-		case EndPDown:
-			eb[i] = 'd'
-		case EndPNone:
-			eb[i] = 'n'
-		default:
-			eb[i] = '*'
+	k := s.Levels()
+	rb, eb, pb, ob := make([]byte, k), make([]byte, k), make([]byte, k), make([]byte, k)
+	for j := 0; j < k; j++ {
+		rb[j], eb[j] = s.RootsAt(j), s.EndPAt(j)
+		pb[j], ob[j] = '0', '0'
+		if s.ParentsAt(j) {
+			pb[j] = '1'
 		}
-	}
-	pb := make([]byte, len(s.Parents))
-	ob := make([]byte, len(s.OrEndP))
-	for i := range s.Parents {
-		pb[i] = '0'
-		if s.Parents[i] {
-			pb[i] = '1'
-		}
-	}
-	for i := range s.OrEndP {
-		ob[i] = '0'
-		if s.OrEndP[i] {
-			ob[i] = '1'
+		if s.OrEndPAt(j) {
+			ob[j] = '1'
 		}
 	}
 	return string(rb), string(eb), string(pb), string(ob)

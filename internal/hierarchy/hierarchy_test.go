@@ -312,7 +312,7 @@ func fromStrings(t *graph.Tree, ss []Strings) (*Hierarchy, error) {
 	for j := 0; j < levels; j++ {
 		assigned := make([]bool, n)
 		for v := 0; v < n; v++ {
-			if ss[v].Roots[j] != RootsYes {
+			if ss[v].RootsAt(j) != RootsYes {
 				continue
 			}
 			var nodes []int
@@ -323,7 +323,7 @@ func fromStrings(t *graph.Tree, ss []Strings) (*Hierarchy, error) {
 				nodes = append(nodes, x)
 				assigned[x] = true
 				for _, c := range t.Children(x) {
-					if ss[c].Roots[j] == RootsNo {
+					if ss[c].RootsAt(j) == RootsNo {
 						stack = append(stack, c)
 					}
 				}
@@ -335,7 +335,7 @@ func fromStrings(t *graph.Tree, ss []Strings) (*Hierarchy, error) {
 			raws = append(raws, RawFragment{Nodes: nodes, Cand: cand})
 		}
 		for v := 0; v < n; v++ {
-			if ss[v].Roots[j] == RootsNo && !assigned[v] {
+			if ss[v].RootsAt(j) == RootsNo && !assigned[v] {
 				return nil, fmt.Errorf("hierarchy: node %d marked member at level %d but unreachable from a root", v, j)
 			}
 		}
@@ -349,7 +349,7 @@ func findCandidate(t *graph.Tree, ss []Strings, nodes []int, j int) (int, error)
 	cand := -1
 	wholeTree := len(nodes) == t.G.N()
 	for _, v := range nodes {
-		switch ss[v].EndP[j] {
+		switch ss[v].EndPAt(j) {
 		case EndPUp:
 			if cand >= 0 {
 				return -1, fmt.Errorf("hierarchy: two candidate endpoints at level %d", j)
@@ -364,7 +364,7 @@ func findCandidate(t *graph.Tree, ss []Strings, nodes []int, j int) (int, error)
 			}
 			marked := -1
 			for _, c := range t.Children(v) {
-				if j < ss[c].Levels() && ss[c].Parents[j] {
+				if j < ss[c].Levels() && ss[c].ParentsAt(j) {
 					if marked >= 0 {
 						return -1, fmt.Errorf("hierarchy: two Parents marks under node %d level %d", v, j)
 					}
@@ -379,7 +379,7 @@ func findCandidate(t *graph.Tree, ss []Strings, nodes []int, j int) (int, error)
 		case EndPStar:
 			return -1, fmt.Errorf("hierarchy: EndP '*' inside a level-%d fragment", j)
 		default:
-			return -1, fmt.Errorf("hierarchy: invalid EndP symbol %q", ss[v].EndP[j])
+			return -1, fmt.Errorf("hierarchy: invalid EndP symbol %q", ss[v].EndPAt(j))
 		}
 	}
 	if cand < 0 && !wholeTree {

@@ -178,7 +178,7 @@ func checkKK(own *KKLabel, ownID graph.NodeID, isRoot bool, nbs []kkNeighbour) e
 		}
 		// The fragment root's identity must be its own (uniqueness of IDs):
 		// if this node is marked root of Fj, the piece must carry its ID.
-		if own.Present[j] && own.Strings.Roots[j] == hierarchy.RootsYes &&
+		if own.Present[j] && own.Strings.RootsAt(j) == hierarchy.RootsYes &&
 			own.Pieces[j].ID.RootID != ownID {
 			return fmt.Errorf("kk: level-%d root piece carries foreign id %d", j, own.Pieces[j].ID.RootID)
 		}
@@ -191,7 +191,7 @@ func checkKK(own *KKLabel, ownID graph.NodeID, isRoot bool, nbs []kkNeighbour) e
 			continue
 		}
 		for j := 0; j < levels; j++ {
-			if j < nb.Label.Strings.Levels() && nb.Label.Strings.Roots[j] == hierarchy.RootsNo {
+			if j < nb.Label.Strings.Levels() && nb.Label.Strings.RootsAt(j) == hierarchy.RootsNo {
 				// Child is a member of my level-j fragment.
 				if !own.Present[j] || !nb.Label.Present[j] {
 					return fmt.Errorf("kk: missing piece on shared level-%d fragment", j)
@@ -209,7 +209,7 @@ func checkKK(own *KKLabel, ownID graph.NodeID, isRoot bool, nbs []kkNeighbour) e
 			continue
 		}
 		mine := own.Pieces[j]
-		endpoint := own.Strings.EndP[j] == hierarchy.EndPUp || own.Strings.EndP[j] == hierarchy.EndPDown
+		endpoint := own.Strings.EndPAt(j) == hierarchy.EndPUp || own.Strings.EndPAt(j) == hierarchy.EndPDown
 		for i := range nbs {
 			nb := &nbs[i]
 			theirs, present := hierarchy.Piece{}, false
@@ -239,11 +239,11 @@ func checkKK(own *KKLabel, ownID graph.NodeID, isRoot bool, nbs []kkNeighbour) e
 // candidateEdgeIs reports whether the neighbour nb is the far endpoint of
 // l's level-j candidate edge, per the EndP/Parents conventions.
 func candidateEdgeIs(l *KKLabel, nb *kkNeighbour, j int) bool {
-	switch l.Strings.EndP[j] {
+	switch l.Strings.EndPAt(j) {
 	case hierarchy.EndPUp:
 		return nb.IsParent
 	case hierarchy.EndPDown:
-		return nb.IsChild && j < len(nb.Label.Strings.Parents) && nb.Label.Strings.Parents[j]
+		return nb.IsChild && j < nb.Label.Strings.Levels() && nb.Label.Strings.ParentsAt(j)
 	}
 	return false
 }

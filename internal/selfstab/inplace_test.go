@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/hierarchy"
 	"ssmst/internal/runtime"
 	"ssmst/internal/syncmst"
 	"ssmst/internal/verify"
@@ -151,11 +152,15 @@ func TestSStateCloneIndependence(t *testing.T) {
 	c.BuildPrev.ParentPort = 999
 	c.Check.ParentPort = 999
 	c.Check.L.SP.Dist = 999
-	if len(c.Check.L.HS.Roots) > 0 {
-		c.Check.L.HS.Roots[0] = 'Z'
+	if hs := &c.Check.L.HS; hs.Levels() > 0 {
+		if hs.RootsAt(0) == hierarchy.RootsYes {
+			hs.SetRootsAt(0, hierarchy.RootsNone)
+		} else {
+			hs.SetRootsAt(0, hierarchy.RootsYes)
+		}
 	}
-	if len(c.Check.L.Train.Top.Stored) > 0 {
-		c.Check.L.Train.Top.Stored[0].W = 999
+	if stored := c.Check.L.Train.Top.Stored(); len(stored) > 0 {
+		stored[0].W = 999
 	}
 	c.Check.TopS.UpNext = 999
 

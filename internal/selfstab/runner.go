@@ -4,6 +4,7 @@ import (
 	"math/rand"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/hierarchy"
 	"ssmst/internal/oracle"
 	"ssmst/internal/runtime"
 	"ssmst/internal/syncmst"
@@ -269,14 +270,15 @@ func (r *Runner) ApplyRegionalOutage(radius int, seed int64) (center int, victim
 func (r *Runner) InjectLabelFault(v int, rng *rand.Rand) bool {
 	return r.InjectCheckFault(v, func(c *verify.VState) bool {
 		// Flip a Roots entry — a §5 structural fault.
-		if len(c.L.HS.Roots) == 0 {
+		k := c.L.HS.Levels()
+		if k == 0 {
 			return false
 		}
-		j := rng.Intn(len(c.L.HS.Roots))
-		if c.L.HS.Roots[j] == '1' {
-			c.L.HS.Roots[j] = '*'
+		j := rng.Intn(k)
+		if c.L.HS.RootsAt(j) == hierarchy.RootsYes {
+			c.L.HS.SetRootsAt(j, hierarchy.RootsNone)
 		} else {
-			c.L.HS.Roots[j] = '1'
+			c.L.HS.SetRootsAt(j, hierarchy.RootsYes)
 		}
 		return true
 	})

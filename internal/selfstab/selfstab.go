@@ -488,7 +488,7 @@ func (m *Machine) oracle(epoch int64) *verify.Labeled {
 		// MarkTree rejects an edge set that is not a spanning tree.
 		if valid {
 			if marked, err := verify.MarkTree(m.G, edges, false); err == nil {
-				l = marked
+				l = marked.WithoutScaffolding()
 			}
 		}
 	}

@@ -43,3 +43,27 @@ func TestSharedLabelsStayPristine(t *testing.T) {
 		}
 	}
 }
+
+// TestOracleDropsMarkerScaffolding: the label oracle memoizes each epoch's
+// marked instance without the marking by-products, so a stabilized
+// transformer holds no hierarchy or partitions.
+func TestOracleDropsMarkerScaffolding(t *testing.T) {
+	g := graph.RandomConnected(32, 80, 5)
+	r := NewRunner(g, g.N(), verify.Sync, 3)
+	if _, ok := r.RunUntilStable(r.StabilizationBudget()); !ok {
+		t.Fatal("did not stabilize")
+	}
+	marked := 0
+	for epoch, l := range r.M.marked {
+		if l == nil {
+			continue
+		}
+		marked++
+		if l.H != nil || l.Parts != nil {
+			t.Errorf("epoch %d: the memoized instance holds the marking by-products", epoch)
+		}
+	}
+	if marked == 0 {
+		t.Fatal("the oracle memoized no marked instance")
+	}
+}

@@ -40,17 +40,23 @@ import (
 	"ssmst/internal/partition"
 )
 
-// Labels is the per-node, per-train verified label block.
+// Labels is the per-node, per-train verified label block. The position
+// labels are bounded by the part (K ≤ 4λ pieces, depth ≤ 6λ), so they are
+// stored in 32 bits and widened to int wherever they are compared or
+// summed. The ≤ 2 stored pieces are held inline with their count, so a
+// block is one fixed-size value with no reference to share or copy.
 type Labels struct {
 	PartRootID graph.NodeID
-	PosStart   int
-	Cnt        int
-	SubCnt     int
-	K          int // total pieces in the part (equal at all part members)
-	Depth      int // distance from the part root within the part
-	DiamBound  int // claimed bound on part depth (equal across the part)
-	// Stored are the pieces kept permanently at this node (≤ 2).
-	Stored []hierarchy.Piece
+	PosStart   int32
+	Cnt        int32
+	SubCnt     int32
+	K          int32 // total pieces in the part (equal at all part members)
+	Depth      int32 // distance from the part root within the part
+	DiamBound  int32 // claimed bound on part depth (equal across the part)
+	// The pieces kept permanently at this node are stored[:nStored];
+	// entries past nStored are zero (Stored, SetStored).
+	nStored uint8
+	stored  [2]hierarchy.Piece
 }
 
 // BitSize measures the label block.
@@ -64,23 +70,32 @@ func (l *Labels) BitSize() int {
 		bits.ForInt(int64(l.Depth)),
 		bits.ForInt(int64(l.DiamBound)),
 	)
-	for _, p := range l.Stored {
+	for _, p := range l.stored[:l.nStored] {
 		total += p.BitSize()
 	}
 	return total
 }
 
-// Clone returns a deep copy.
-func (l *Labels) Clone() *Labels {
-	c := *l
-	c.Stored = append([]hierarchy.Piece(nil), l.Stored...)
-	return &c
+// Stored returns the pieces kept permanently at this node (≤ 2) in level
+// order. The slice is a view of the block: writing an element writes the
+// label.
+func (l *Labels) Stored() []hierarchy.Piece { return l.stored[:l.nStored] }
+
+// SetStored replaces the stored pieces with a copy of ps. It panics on more
+// pieces than a block holds.
+func (l *Labels) SetStored(ps []hierarchy.Piece) {
+	if len(ps) > len(l.stored) {
+		panic(fmt.Sprintf("train: %d stored pieces, a label holds at most %d", len(ps), len(l.stored)))
+	}
+	var st [2]hierarchy.Piece // ps may be a view of l.stored
+	k := copy(st[:], ps)
+	l.stored, l.nStored = st, uint8(k)
 }
 
 // CycleBudget returns the label-bounded train cycle budget: the single
 // source of the 8·(K+diam)+24 formula shared by the train's reset logic,
 // the sampler's dwell window, and the scaling experiments' warm-up.
-func (l *Labels) CycleBudget() int { return 8*(l.K+l.DiamBound) + 24 }
+func (l *Labels) CycleBudget() int { return 8*(int(l.K)+int(l.DiamBound)) + 24 }
 
 // NodeLabels bundles the two trains' labels of one node.
 type NodeLabels struct {
@@ -90,11 +105,6 @@ type NodeLabels struct {
 
 // BitSize measures both label blocks.
 func (nl *NodeLabels) BitSize() int { return nl.Top.BitSize() + nl.Bottom.BitSize() }
-
-// Clone returns a deep copy.
-func (nl *NodeLabels) Clone() *NodeLabels {
-	return &NodeLabels{Top: *nl.Top.Clone(), Bottom: *nl.Bottom.Clone()}
-}
 
 // Mark computes the train labels of every node from the partitions.
 func Mark(p *partition.Partitions) []NodeLabels {
@@ -144,14 +154,14 @@ func Mark(p *partition.Partitions) []NodeLabels {
 			}
 			lab := Labels{
 				PartRootID: t.G.ID(part.Root),
-				PosStart:   pos[v],
-				Cnt:        cnt[v],
-				SubCnt:     sub[v],
-				K:          k,
-				Depth:      t.Depth(v) - t.Depth(part.Root),
-				DiamBound:  part.Depth,
-				Stored:     append([]hierarchy.Piece(nil), stored...),
+				PosStart:   int32(pos[v]),
+				Cnt:        int32(cnt[v]),
+				SubCnt:     int32(sub[v]),
+				K:          int32(k),
+				Depth:      int32(t.Depth(v) - t.Depth(part.Root)),
+				DiamBound:  int32(part.Depth),
 			}
+			lab.SetStored(stored)
 			if part.Kind == partition.Top {
 				out[v].Top = lab
 			} else {
@@ -201,7 +211,7 @@ func LevelSplit(n int) int {
 func AppendNeededLevels(topDst, bottomDst []int, s *hierarchy.Strings, n int) (topLevels, bottomLevels []int) {
 	split := LevelSplit(n)
 	for j := 0; j < s.Levels(); j++ {
-		if s.Roots[j] == hierarchy.RootsNone {
+		if !s.InFragmentAt(j) {
 			continue
 		}
 		if j >= split {
@@ -217,27 +227,30 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 	lam := LambdaThreshold(n)
 	split := LevelSplit(n)
 	maxK := 4 * lam
-	if l.K < 0 || l.K > maxK {
-		return fmt.Errorf("K=%d outside [0,%d]", l.K, maxK)
+	posStart, cnt, subCnt, k := int(l.PosStart), int(l.Cnt), int(l.SubCnt), int(l.K)
+	depth, diam := int(l.Depth), int(l.DiamBound)
+	stored := l.Stored()
+	if k < 0 || k > maxK {
+		return fmt.Errorf("K=%d outside [0,%d]", k, maxK)
 	}
-	if l.Cnt != len(l.Stored) || l.Cnt > 2 {
-		return fmt.Errorf("Cnt=%d vs %d stored pieces", l.Cnt, len(l.Stored))
+	if cnt != len(stored) { // a block stores at most 2
+		return fmt.Errorf("Cnt=%d vs %d stored pieces", cnt, len(stored))
 	}
-	if l.SubCnt < l.Cnt || l.SubCnt > l.K {
-		return fmt.Errorf("SubCnt=%d outside [Cnt=%d, K=%d]", l.SubCnt, l.Cnt, l.K)
+	if subCnt < cnt || subCnt > k {
+		return fmt.Errorf("SubCnt=%d outside [Cnt=%d, K=%d]", subCnt, cnt, k)
 	}
-	if l.PosStart < 0 || l.PosStart+l.SubCnt > l.K {
-		return fmt.Errorf("window [%d,%d) outside [0,%d)", l.PosStart, l.PosStart+l.SubCnt, l.K)
+	if posStart < 0 || posStart+subCnt > k {
+		return fmt.Errorf("window [%d,%d) outside [0,%d)", posStart, posStart+subCnt, k)
 	}
-	if l.DiamBound < 0 || l.DiamBound > 6*lam {
-		return fmt.Errorf("diam bound %d outside [0,%d]", l.DiamBound, 6*lam)
+	if diam < 0 || diam > 6*lam {
+		return fmt.Errorf("diam bound %d outside [0,%d]", diam, 6*lam)
 	}
-	if l.Depth < 0 || l.Depth > l.DiamBound {
-		return fmt.Errorf("depth %d exceeds bound %d", l.Depth, l.DiamBound)
+	if depth < 0 || depth > diam {
+		return fmt.Errorf("depth %d exceeds bound %d", depth, diam)
 	}
 	// Stored pieces: level-sorted, on the correct side of the delimiter.
 	ell := hierarchy.Ell(n)
-	for i, p := range l.Stored {
+	for i, p := range stored {
 		if p.ID.Level < 0 || p.ID.Level > ell {
 			return fmt.Errorf("stored piece level %d out of range", p.ID.Level)
 		}
@@ -247,7 +260,7 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 		if !top && p.ID.Level >= split {
 			return fmt.Errorf("top-level piece %d in bottom train", p.ID.Level)
 		}
-		if i > 0 && l.Stored[i].ID.Level < l.Stored[i-1].ID.Level {
+		if i > 0 && stored[i].ID.Level < stored[i-1].ID.Level {
 			return fmt.Errorf("stored pieces not level-sorted")
 		}
 	}
@@ -272,8 +285,8 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 			return fmt.Errorf("non-root with a foreign parent part")
 		}
 		if sameAsParent {
-			if l.Depth != parent.Depth+1 {
-				return fmt.Errorf("depth %d, parent depth %d", l.Depth, parent.Depth)
+			if depth != int(parent.Depth)+1 {
+				return fmt.Errorf("depth %d, parent depth %d", depth, parent.Depth)
 			}
 			if l.DiamBound != parent.DiamBound {
 				return fmt.Errorf("diam bound mismatch with parent")
@@ -284,20 +297,20 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 		}
 	}
 	if isPartRoot {
-		if l.Depth != 0 {
-			return fmt.Errorf("part root depth %d", l.Depth)
+		if depth != 0 {
+			return fmt.Errorf("part root depth %d", depth)
 		}
-		if l.PosStart != 0 {
-			return fmt.Errorf("part root PosStart %d", l.PosStart)
+		if posStart != 0 {
+			return fmt.Errorf("part root PosStart %d", posStart)
 		}
-		if l.SubCnt != l.K {
-			return fmt.Errorf("part root SubCnt %d ≠ K %d", l.SubCnt, l.K)
+		if subCnt != k {
+			return fmt.Errorf("part root SubCnt %d ≠ K %d", subCnt, k)
 		}
 	}
 	// Children windows partition my window after my own pieces, in port
 	// order (the DFS placement).
-	running := l.PosStart + l.Cnt
-	sum := l.Cnt
+	running := posStart + cnt
+	sum := cnt
 	for i := range nbs {
 		if !nbs[i].IsChild {
 			continue
@@ -306,14 +319,14 @@ func checkOne(l *Labels, ownID graph.NodeID, isTreeRoot bool, n int, nbs []Neigh
 		if cl == nil || cl.PartRootID != l.PartRootID {
 			continue // child in a different part
 		}
-		if cl.PosStart != running {
+		if int(cl.PosStart) != running {
 			return fmt.Errorf("child window starts at %d, want %d", cl.PosStart, running)
 		}
-		running += cl.SubCnt
-		sum += cl.SubCnt
+		running += int(cl.SubCnt)
+		sum += int(cl.SubCnt)
 	}
-	if sum != l.SubCnt {
-		return fmt.Errorf("SubCnt %d ≠ own+children %d", l.SubCnt, sum)
+	if sum != subCnt {
+		return fmt.Errorf("SubCnt %d ≠ own+children %d", subCnt, sum)
 	}
 	return nil
 }

@@ -157,7 +157,7 @@ func StepInto(dst *State, old *State, c *Ctx) {
 	// ---- Sanitize cursor and car against the verified window. ----
 	// The window comes from the labels, so the registers are widened to int
 	// for every comparison with it; past this point UpNext lies inside it.
-	winLo, winHi := l.PosStart, l.PosStart+l.SubCnt
+	winLo, winHi := int(l.PosStart), int(l.PosStart)+int(l.SubCnt)
 	if up := int(s.UpNext); up < winLo || up > winHi {
 		s.UpNext = int32(winLo)
 	}
@@ -212,8 +212,8 @@ func StepInto(dst *State, old *State, c *Ctx) {
 		// Offer the next position.
 		if up := int(s.UpNext); !s.Up.Valid && up < winHi {
 			switch {
-			case up < l.PosStart+l.Cnt:
-				s.Up = Car{Valid: true, Pos: s.UpNext, P: l.Stored[up-l.PosStart]}
+			case up < winLo+int(l.Cnt):
+				s.Up = Car{Valid: true, Pos: s.UpNext, P: l.Stored()[up-winLo]}
 				s.UpNext++
 			default:
 				for i := range c.Children {
@@ -222,7 +222,7 @@ func StepInto(dst *State, old *State, c *Ctx) {
 						continue
 					}
 					cl := ch.L
-					if cl.PosStart <= up && up < cl.PosStart+cl.SubCnt {
+					if lo := int(cl.PosStart); lo <= up && up < lo+int(cl.SubCnt) {
 						if ch.S.Up.Valid && ch.S.Up.Pos == s.UpNext {
 							s.Up = Car{Valid: true, Pos: s.UpNext, P: ch.S.Up.P}
 							s.UpNext++
@@ -306,7 +306,7 @@ func AtRest(s *State, l *Labels) bool {
 	if l.K == 0 {
 		return *s == State{}
 	}
-	return !s.Up.Valid && int(s.UpNext) == l.PosStart+l.SubCnt && !s.Reset && !s.ResetAck
+	return !s.Up.Valid && int(s.UpNext) == int(l.PosStart)+int(l.SubCnt) && !s.Reset && !s.ResetAck
 }
 
 // Drained returns the drained fixed point of a train with labels l: no car
@@ -322,7 +322,7 @@ func Drained(l *Labels) State {
 	if l.K == 0 {
 		return State{}
 	}
-	return State{UpNext: int32(l.PosStart + l.SubCnt)}
+	return State{UpNext: int32(int(l.PosStart) + int(l.SubCnt))}
 }
 
 // flush clears the convergecast machinery during a reset.
@@ -371,9 +371,9 @@ func (c *Ctx) flagFor(p hierarchy.Piece, parentFlag bool) bool {
 		return false
 	}
 	if c.Top {
-		return c.Strings.Roots[j] != hierarchy.RootsNone
+		return c.Strings.InFragmentAt(j)
 	}
-	return parentFlag && c.Strings.Roots[j] == hierarchy.RootsNo
+	return parentFlag && c.Strings.RootsAt(j) == hierarchy.RootsNo
 }
 
 // Member reports whether the shown piece belongs to a fragment containing
@@ -399,7 +399,7 @@ func MemberAt(d *Down, strings *hierarchy.Strings, top bool, split int) bool {
 		return false
 	}
 	if top {
-		return strings.Roots[j] != hierarchy.RootsNone
+		return strings.InFragmentAt(j)
 	}
 	return d.Flag
 }
@@ -415,11 +415,11 @@ func (s *State) observe(c *Ctx, nd Down) {
 		// after transient faults wash out of a correct instance). Partial
 		// windows (mid-cycle restarts after resets or holds) are skipped:
 		// only windows that showed all K positions are judged.
-		if s.CovValid && c.Strings != nil && int(s.SeenCnt) >= c.Lab.K {
+		if s.CovValid && c.Strings != nil && int(s.SeenCnt) >= int(c.Lab.K) {
 			failed := false
 			split := LevelSplit(c.N)
 			for j := 0; j < c.Strings.Levels(); j++ {
-				if c.Strings.Roots[j] == hierarchy.RootsNone {
+				if !c.Strings.InFragmentAt(j) {
 					continue
 				}
 				if c.Top != (j >= split) {

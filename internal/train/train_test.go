@@ -170,7 +170,7 @@ func TestLabelChecksCatchCorruptions(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		labels := make([]NodeLabels, len(f.labels))
 		for i := range f.labels {
-			labels[i] = *f.labels[i].Clone()
+			labels[i] = f.labels[i]
 		}
 		v := rng.Intn(g.N())
 		l := &labels[v].Top
@@ -179,18 +179,18 @@ func TestLabelChecksCatchCorruptions(t *testing.T) {
 		}
 		switch rng.Intn(6) {
 		case 0:
-			l.PosStart += 1 + rng.Intn(3)
+			l.PosStart += int32(1 + rng.Intn(3))
 		case 1:
 			l.SubCnt += 1
 		case 2:
-			l.K += 1 + rng.Intn(3)
+			l.K += int32(1 + rng.Intn(3))
 		case 3:
 			l.Depth += 1
 		case 4:
 			l.PartRootID += 999
 		case 5:
-			if len(l.Stored) > 0 {
-				l.Stored = l.Stored[:len(l.Stored)-1]
+			if st := l.Stored(); len(st) > 0 {
+				l.SetStored(st[:len(st)-1])
 				l.Cnt--
 				l.SubCnt--
 			} else {
@@ -391,14 +391,10 @@ func TestCycleTimeScalesWithPartSize(t *testing.T) {
 func TestMemberDelimiter(t *testing.T) {
 	n := 64
 	split := LevelSplit(n)
-	ss := hierarchy.Strings{
-		Roots:   make([]byte, 7),
-		EndP:    make([]byte, 7),
-		Parents: make([]bool, 7),
-		OrEndP:  make([]bool, 7),
-	}
-	for j := range ss.Roots {
-		ss.Roots[j] = hierarchy.RootsNo
+	var ss hierarchy.Strings
+	ss.SetLevels(7)
+	for j := 0; j < ss.Levels(); j++ {
+		ss.SetRootsAt(j, hierarchy.RootsNo)
 	}
 	mk := func(level int, flag bool) Down {
 		return Down{Valid: true, Pos: 0, Flag: flag,

@@ -316,7 +316,7 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, claims 
 		if !train.MemberAt(d, &s.L.HS, side, split) || d.P.ID.Level != j {
 			continue // capture starves: dwell times out without alarming
 		}
-		if s.L.HS.Roots[j] == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
+		if s.L.HS.RootsAt(j) == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
 			clean = false
 			break
 		}

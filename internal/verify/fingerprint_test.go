@@ -7,6 +7,7 @@ import (
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
+	"ssmst/internal/train"
 )
 
 // fingerprint hashes a marked instance with FNV-64a: the edge list with
@@ -27,9 +28,35 @@ func fingerprint(l *Labeled) uint64 {
 		fmt.Fprintf(h, "f%d %v %d %d %d %d;", i, f.Nodes, f.Level, f.Root, f.Cand, f.MinOutW)
 	}
 	for v := range l.Labels {
-		fmt.Fprintf(h, "l%d %v;", v, l.Labels[v])
+		fmt.Fprintf(h, "l%d %s;", v, labelForm(&l.Labels[v]))
 	}
 	return h.Sum64()
+}
+
+// labelForm renders a label block in the canonical form the pins hash: the
+// strings' byte form (hierarchy.FormatStrings), then each train's labels
+// with its stored pieces in order — laid out as %v printed the block when
+// its strings and pieces were slices, so the recorded hashes keep their
+// values.
+func labelForm(nl *NodeLabels) string {
+	roots, endP, parents, orEndP := hierarchy.FormatStrings(&nl.HS)
+	return fmt.Sprintf("{%v %v {%v %v %v %v} {%s %s}}", nl.SP, nl.Size,
+		[]byte(roots), []byte(endP), flagForm(parents), flagForm(orEndP),
+		trainForm(&nl.Train.Top), trainForm(&nl.Train.Bottom))
+}
+
+// flagForm turns a '0'/'1' string back into the []bool it rendered.
+func flagForm(s string) []bool {
+	out := make([]bool, len(s))
+	for i := range s {
+		out[i] = s[i] == '1'
+	}
+	return out
+}
+
+func trainForm(l *train.Labels) string {
+	return fmt.Sprintf("{%v %v %v %v %v %v %v %v}",
+		l.PartRootID, l.PosStart, l.Cnt, l.SubCnt, l.K, l.Depth, l.DiamBound, l.Stored())
 }
 
 // partsFingerprint hashes what fingerprint leaves out: the marker's

@@ -224,13 +224,12 @@ func TestBitSizeMemoFaultParity(t *testing.T) {
 		// Cnt tracks Stored (the train steps off Cnt before indexing Stored,
 		// so the pair must stay consistent — the label checks object to the
 		// emptied window regardless).
-		s.L.Train.Top.Stored, s.L.Train.Top.Cnt = nil, 0
-		s.L.Train.Bottom.Stored, s.L.Train.Bottom.Cnt = nil, 0
-		if len(s.L.HS.Roots) > 2 {
-			s.L.HS.Roots = s.L.HS.Roots[:2]
-			s.L.HS.EndP = s.L.HS.EndP[:2]
-			s.L.HS.Parents = s.L.HS.Parents[:2]
-			s.L.HS.OrEndP = s.L.HS.OrEndP[:2]
+		s.L.Train.Top.SetStored(nil)
+		s.L.Train.Top.Cnt = 0
+		s.L.Train.Bottom.SetStored(nil)
+		s.L.Train.Bottom.Cnt = 0
+		if s.L.HS.Levels() > 2 {
+			s.L.HS.SetLevels(2)
 		}
 	}
 	inc.Inject(3, shrink)

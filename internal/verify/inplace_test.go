@@ -73,8 +73,8 @@ func TestInPlaceMatchesClone(t *testing.T) {
 		e.Corrupt(victim, func(s runtime.State) runtime.State {
 			vs := s.(*VState)
 			vs.L.SP.Dist += 3
-			if len(vs.L.HS.Roots) > 0 {
-				vs.L.HS.Roots[0] = hierarchy.RootsNone // violates RS3
+			if vs.L.HS.Levels() > 0 {
+				vs.L.HS.SetRootsAt(0, hierarchy.RootsNone) // violates RS3
 			}
 			return vs
 		})
@@ -94,6 +94,15 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	}
 }
 
+// otherSymbol returns a if cur is not a, else b: a valid symbol other than
+// cur, for mutating an entry of the packed strings.
+func otherSymbol(cur, a, b byte) byte {
+	if cur != a {
+		return a
+	}
+	return b
+}
+
 // TestVStateCloneIndependence mutates every nested reference of a clone and
 // asserts the original is untouched — the guard that keeps Clone a deep
 // copy, the single copy-on-write point of the shared label block. CopyFrom,
@@ -104,10 +113,10 @@ func TestVStateCloneIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pick a node that stores pieces so the Stored slices are exercised.
+	// Pick a node that stores pieces so the stored pieces are exercised.
 	node := -1
 	for v := 0; v < g.N(); v++ {
-		if len(l.Labels[v].Train.Top.Stored)+len(l.Labels[v].Train.Bottom.Stored) > 0 {
+		if len(l.Labels[v].Train.Top.Stored())+len(l.Labels[v].Train.Bottom.Stored()) > 0 {
 			node = v
 			break
 		}
@@ -145,16 +154,16 @@ func TestVStateCloneIndependence(t *testing.T) {
 	}
 	dup.L.SP.Dist = 91919
 	dup.L.Size.N = 91919
-	if len(dup.L.HS.Roots) > 0 {
-		dup.L.HS.Roots[0] = 'Z'
-		dup.L.HS.EndP[0] = 'Z'
-		dup.L.HS.Parents[0] = !dup.L.HS.Parents[0]
-		dup.L.HS.OrEndP[0] = !dup.L.HS.OrEndP[0]
+	if hs := &dup.L.HS; hs.Levels() > 0 {
+		hs.SetRootsAt(0, otherSymbol(hs.RootsAt(0), hierarchy.RootsYes, hierarchy.RootsNone))
+		hs.SetEndPAt(0, otherSymbol(hs.EndPAt(0), hierarchy.EndPUp, hierarchy.EndPStar))
+		hs.SetParentsAt(0, !hs.ParentsAt(0))
+		hs.SetOrEndPAt(0, !hs.OrEndPAt(0))
 	}
-	for _, tl := range []*[]hierarchy.Piece{&dup.L.Train.Top.Stored, &dup.L.Train.Bottom.Stored} {
-		if len(*tl) > 0 {
-			(*tl)[0].ID.RootID = 424242
-			(*tl)[0].W = 424242
+	for _, stored := range [][]hierarchy.Piece{dup.L.Train.Top.Stored(), dup.L.Train.Bottom.Stored()} {
+		if len(stored) > 0 {
+			stored[0].ID.RootID = 424242
+			stored[0].W = 424242
 		}
 	}
 	dup.L.Train.Top.K = 91919

@@ -62,9 +62,12 @@ import (
 )
 
 // NodeLabels is the complete per-node label block of the scheme. Its
-// measured size is O(log n) bits (experiment E7). A block is immutable once
-// marked: verifier states share it by reference (VState.L), so to change a
-// label, mutate a VState.Clone and commit it with SetState.
+// measured size is O(log n) bits (experiment E7). Every layer is stored at
+// a fixed width, so a block is one value with no references: the marker
+// keeps all blocks in one array, and copying a block copies its labels. A
+// block is immutable once marked: verifier states share it by reference
+// (VState.L), so to change a label, mutate a VState.Clone and commit it
+// with SetState.
 type NodeLabels struct {
 	SP    labeling.SPLabel
 	Size  labeling.SizeLabel
@@ -77,20 +80,23 @@ func (l *NodeLabels) BitSize() int {
 	return l.SP.BitSize() + l.Size.BitSize() + l.HS.BitSize() + l.Train.BitSize()
 }
 
-// Clone returns a deep copy.
+// Clone returns a copy: the block holds no references, so a value copy is
+// a deep one.
 func (l *NodeLabels) Clone() *NodeLabels {
-	return &NodeLabels{
-		SP:    l.SP,
-		Size:  l.Size,
-		HS:    *l.HS.Clone(),
-		Train: *l.Train.Clone(),
-	}
+	c := *l
+	return &c
 }
 
 // Labeled is a fully marked instance: the subject tree (the components) and
 // every node's labels. The label blocks are immutable once marked: engines
 // built on the instance install &Labels[v] by reference, so they stay
 // reachable (and must stay unchanged) for as long as any such engine lives.
+//
+// H and Parts are by-products of marking — the hierarchy the strings were
+// read from and the partitions the pieces were placed by — returned for the
+// caller to inspect or drop. No runner keeps them: every runner holds the
+// instance without them (WithoutScaffolding), so they are freed once the
+// caller lets go of its *Labeled.
 type Labeled struct {
 	G      *graph.Graph
 	Tree   *graph.Tree
@@ -187,6 +193,16 @@ func markHierarchy(g *graph.Graph, tree *graph.Tree, h *hierarchy.Hierarchy, rou
 		ConstructionTime: partition.MarkerTime(h, rounds, parts),
 		version:          g.Version(),
 	}, nil
+}
+
+// WithoutScaffolding returns a shallow copy of l with H and Parts cleared:
+// the graph, tree, label blocks, construction time and marking version —
+// everything the engines, the seed gate, the fault and churn planners and
+// the campaign read — shared with l.
+func (l *Labeled) WithoutScaffolding() *Labeled {
+	c := *l
+	c.H, c.Parts = nil, nil
+	return &c
 }
 
 // NodeState returns node v's verifier state in the marked instance: its

@@ -13,6 +13,8 @@ import (
 // Runner drives the verifier over an engine and provides fault injection
 // and detection measurement (experiments E3–E5).
 type Runner struct {
+	// Labeled is the instance the runner verifies, without the marking
+	// by-products: H and Parts are nil (Labeled.WithoutScaffolding).
 	Labeled *Labeled
 	Machine *Machine
 	Eng     *runtime.Engine
@@ -26,7 +28,8 @@ type Runner struct {
 // layers only when the engine's change tracking reports a neighbourhood
 // label change (incremental verification; bit-identical to
 // NewFullRecheckRunner). Like every runner constructor, it panics on a nil
-// l.
+// l, and keeps l without its marking by-products H and Parts, which the
+// caller's l still holds.
 func NewRunner(l *Labeled, mode Mode, seed int64) *Runner {
 	return newRunner(l, mode, seed, false)
 }
@@ -44,6 +47,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 	if l == nil {
 		panic("verify: runner built on a nil *Labeled; mark the instance first (Mark or MarkTree)")
 	}
+	l = l.WithoutScaffolding()
 	m := &Machine{Mode: mode, Labeled: l, FullRecheck: fullRecheck}
 	eng := runtime.New(l.G, m, seed)
 	eng.Parallel = true
@@ -206,38 +210,39 @@ func applyFaultKind(s *VState, kind FaultKind, rng *rand.Rand, degree int) bool 
 		// leaves the configuration a valid proof of a true statement —
 		// the scheme rightly keeps accepting.)
 		for _, lab := range []*train.Labels{&s.L.Train.Bottom, &s.L.Train.Top} {
-			for i := range lab.Stored {
-				if lab.Stored[i].W != hierarchy.NoOutWeight {
-					lab.Stored[i].W += graph.Weight(1 + rng.Intn(5))
+			stored := lab.Stored()
+			for i := range stored {
+				if stored[i].W != hierarchy.NoOutWeight {
+					stored[i].W += graph.Weight(1 + rng.Intn(5))
 					return true
 				}
 			}
 		}
 	case FaultStoredPieceID:
 		for _, lab := range []*train.Labels{&s.L.Train.Bottom, &s.L.Train.Top} {
-			if len(lab.Stored) > 0 {
-				lab.Stored[0].ID.RootID += graph.NodeID(1 + rng.Intn(1000))
+			if stored := lab.Stored(); len(stored) > 0 {
+				stored[0].ID.RootID += graph.NodeID(1 + rng.Intn(1000))
 				return true
 			}
 		}
 	case FaultRootsEntry:
-		if len(s.L.HS.Roots) > 0 {
-			j := rng.Intn(len(s.L.HS.Roots))
-			old := s.L.HS.Roots[j]
+		if k := s.L.HS.Levels(); k > 0 {
+			j := rng.Intn(k)
+			old := s.L.HS.RootsAt(j)
 			for _, sym := range []byte{hierarchy.RootsYes, hierarchy.RootsNo, hierarchy.RootsNone} {
 				if sym != old {
-					s.L.HS.Roots[j] = sym
+					s.L.HS.SetRootsAt(j, sym)
 					return true
 				}
 			}
 		}
 	case FaultEndPEntry:
-		if len(s.L.HS.EndP) > 0 {
-			j := rng.Intn(len(s.L.HS.EndP))
-			old := s.L.HS.EndP[j]
+		if k := s.L.HS.Levels(); k > 0 {
+			j := rng.Intn(k)
+			old := s.L.HS.EndPAt(j)
 			for _, sym := range []byte{hierarchy.EndPUp, hierarchy.EndPDown, hierarchy.EndPNone, hierarchy.EndPStar} {
 				if sym != old {
-					s.L.HS.EndP[j] = sym
+					s.L.HS.SetEndPAt(j, sym)
 					return true
 				}
 			}

@@ -62,7 +62,7 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, claims uint64, n 
 		if train.MemberAt(d, &s.L.HS, side, split) && d.P.ID.Level == j {
 			// §8 root identity check: the fragment root's piece must carry
 			// its own identity.
-			if s.L.HS.Roots[j] == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
+			if s.L.HS.RootsAt(j) == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
 				*alarm = true
 			}
 			s.AskPiece = d.P
@@ -175,8 +175,7 @@ func (m *Machine) compare(v NodeView, s *VState, nbs []nbList, q, cand, split in
 	w := v.Weight(q)
 	isCand := cand == q
 
-	uClaims := j >= 0 && j < u.L.HS.Levels() && u.L.HS.Roots[j] != hierarchy.RootsNone
-	if !uClaims {
+	if !u.L.HS.InFragmentAt(j) {
 		// u is in no level-j fragment: the edge leaves Fj(v).
 		if w < s.AskPiece.W {
 			*alarm = true // C2
@@ -220,14 +219,14 @@ func candidatePort(s *VState, nbs []nbList, j int) int {
 	if j < 0 || j >= s.L.HS.Levels() {
 		return -1
 	}
-	switch s.L.HS.EndP[j] {
+	switch s.L.HS.EndPAt(j) {
 	case hierarchy.EndPUp:
 		return int(s.ParentPort)
 	case hierarchy.EndPDown:
 		for q := range nbs {
 			if nbs[q].ok && nbs[q].isChild {
 				hs := &nbs[q].st.L.HS
-				if j < len(hs.Parents) && hs.Parents[j] {
+				if j < hs.Levels() && hs.ParentsAt(j) {
 					return q
 				}
 			}
@@ -261,19 +260,9 @@ func trainBudget(nl *train.NodeLabels) int {
 
 // claimMask returns J(v) — the levels at which the strings claim a fragment
 // containing the node — as a mask: bit j is set iff level j is claimed. A
-// marked block has ℓ+1 levels, and ℓ = ⌊log₂ n⌋ ≤ 62 for any int n, so
-// every level of a block the static layer accepts fits in 63 bits. A longer
-// string fails the hierarchy check (RS1) and alarms; its levels past 63 are
-// not swept.
-func claimMask(hs *hierarchy.Strings) uint64 {
-	var m uint64
-	for j := 0; j < hs.Levels() && j < 64; j++ {
-		if hs.Roots[j] != hierarchy.RootsNone {
-			m |= 1 << uint(j)
-		}
-	}
-	return m
-}
+// block holds at most hierarchy.MaxLevels = 63 levels (ℓ = ⌊log₂ n⌋ ≤ 62
+// for any int n), so every level fits the mask.
+func claimMask(hs *hierarchy.Strings) uint64 { return hs.Members() }
 
 // claimAt returns the i-th claimed level of J(v) in ascending order, for
 // 0 ≤ i < |J(v)|: the position of claims' i-th set bit.

@@ -12,10 +12,12 @@ import (
 
 // appendClaimedLevels appends J(v) — the levels at which the strings claim
 // a fragment containing the node — to dst in ascending order: the list
-// reference claimMask and claimAt are checked against.
+// reference claimMask and claimAt are checked against, read off the
+// canonical byte form of Roots.
 func appendClaimedLevels(dst []int, hs *hierarchy.Strings) []int {
-	for j := 0; j < hs.Levels(); j++ {
-		if hs.Roots[j] != hierarchy.RootsNone {
+	roots, _, _, _ := hierarchy.FormatStrings(hs)
+	for j := 0; j < len(roots); j++ {
+		if roots[j] != hierarchy.RootsNone {
 			dst = append(dst, j)
 		}
 	}
@@ -60,9 +62,10 @@ func TestClaimMaskMatchesLevelList(t *testing.T) {
 	symbols := []byte{hierarchy.RootsYes, hierarchy.RootsNo, hierarchy.RootsNone}
 	for levels := 0; levels <= 63; levels++ {
 		for trial := 0; trial < 8; trial++ {
-			hs := &hierarchy.Strings{Roots: make([]byte, levels)}
-			for j := range hs.Roots {
-				hs.Roots[j] = symbols[rng.Intn(len(symbols))]
+			hs := new(hierarchy.Strings)
+			hs.SetLevels(levels)
+			for j := 0; j < levels; j++ {
+				hs.SetRootsAt(j, symbols[rng.Intn(len(symbols))])
 			}
 			checkClaimMask(t, "random", hs)
 		}
@@ -121,15 +124,15 @@ func TestSamplerAskIdxInRangeAfterLevelShrink(t *testing.T) {
 			// Withdraw every claimed level above the lowest one and push the
 			// cursor well past any legal index.
 			first := true
-			for j := range s.L.HS.Roots {
-				if s.L.HS.Roots[j] == hierarchy.RootsNone {
+			for j := 0; j < s.L.HS.Levels(); j++ {
+				if s.L.HS.RootsAt(j) == hierarchy.RootsNone {
 					continue
 				}
 				if first {
 					first = false
 					continue
 				}
-				s.L.HS.Roots[j] = hierarchy.RootsNone
+				s.L.HS.SetRootsAt(j, hierarchy.RootsNone)
 			}
 			s.AskIdx = 997
 		})

@@ -238,7 +238,7 @@ func injectSomewhere(r *Runner, kind FaultKind, rng *rand.Rand) bool {
 	n := r.Eng.G().N()
 	for i := 0; i < 4*n; i++ {
 		v := rng.Intn(n)
-		bottom := r.Labeled.Labels[v].Train.Bottom.Stored
+		bottom := r.Labeled.Labels[v].Train.Bottom.Stored()
 		switch {
 		case kind == FaultStoredPieceW && !slices.ContainsFunc(bottom, func(p hierarchy.Piece) bool { return p.W != hierarchy.NoOutWeight }):
 			continue

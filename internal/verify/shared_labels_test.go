@@ -134,3 +134,60 @@ func TestSharedLabelsReleased(t *testing.T) {
 		t.Fatal("the dropped runner's label array is still reachable")
 	}
 }
+
+// TestRunnersDropMarkerScaffolding: every runner keeps the instance without
+// the marking by-products, so once the caller drops its *Labeled the
+// hierarchy and the partitions are unreachable — no runner field and no
+// parked pool worker pins them — while the runner lives on and still
+// detects a fault within DetectionBudget. A caller that keeps its Labeled
+// keeps both.
+func TestRunnersDropMarkerScaffolding(t *testing.T) {
+	g := graph.RandomConnected(320, 960, 13)
+	for _, tc := range []struct {
+		name string
+		new  func(l *Labeled) *Runner
+	}{
+		{"NewRunner", func(l *Labeled) *Runner { return NewRunner(l, Sync, 1) }},
+		{"NewWorklistRunner", func(l *Labeled) *Runner { return NewWorklistRunner(l, 1) }},
+		{"NewFullRecheckRunner", func(l *Labeled) *Runner { return NewFullRecheckRunner(l, Sync, 1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			l, err := Mark(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, parts := weak.Make(l.H), weak.Make(l.Parts)
+			r := poolRunner(tc.new(l))
+			r.Eng.RunSyncRounds(8)
+			l = nil
+			gort.GC()
+			if h.Value() != nil || parts.Value() != nil {
+				t.Fatalf("the dropped instance's hierarchy (%v) or partitions (%v) are still reachable", h.Value() != nil, parts.Value() != nil)
+			}
+			if r.Labeled.H != nil || r.Labeled.Parts != nil {
+				t.Fatal("the runner's instance holds the marking by-products")
+			}
+			if !r.InjectKind(7, FaultSPDist, rand.New(rand.NewSource(2))) {
+				t.Fatal("FaultSPDist did not apply")
+			}
+			if _, _, ok := r.RunUntilAlarm(DetectionBudget(g.N())); !ok {
+				t.Fatalf("FaultSPDist not detected within %d rounds", DetectionBudget(g.N()))
+			}
+		})
+	}
+	t.Run("kept", func(t *testing.T) {
+		l, err := Mark(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, parts := weak.Make(l.H), weak.Make(l.Parts)
+		r := poolRunner(NewRunner(l, Sync, 1))
+		r.Eng.RunSyncRounds(8)
+		gort.GC()
+		if h.Value() == nil || parts.Value() == nil {
+			t.Fatal("the caller's instance lost its hierarchy or partitions")
+		}
+		gort.KeepAlive(l)
+		gort.KeepAlive(r)
+	})
+}

@@ -41,7 +41,9 @@ type Engine = runtime.Engine
 type Graph = graph.Graph
 
 // Labeled is a fully marked instance: the spanning tree under verification
-// plus every node's O(log n)-bit proof labels.
+// plus every node's O(log n)-bit proof labels. Its H and Parts fields are
+// by-products of marking, kept for the caller to inspect; a Verifier does
+// not keep them, so they are freed once the caller drops its Labeled.
 type Labeled = verify.Labeled
 
 // Verifier drives the distributed verification scheme over a simulated
