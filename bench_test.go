@@ -63,9 +63,8 @@ func BenchmarkEngineScaling(b *testing.B) {
 				e := bc.build(b)
 				e.Parallel = bc.parallel
 				e.Workers = runtime.PoolWorkers() // parallel variants fan out even on 1 core
-				// Fill both buffers and let the per-node memo caches settle
-				// (the claimed-level memo persists on the first recycled
-				// round), so 1x smoke runs measure the steady state.
+				// Fill both buffers and let the per-node memo caches settle,
+				// so 1x smoke runs measure the steady state.
 				e.RunSyncRounds(8)
 				b.ReportAllocs()
 				b.ResetTimer()

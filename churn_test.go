@@ -53,8 +53,7 @@ func TestApplyChurnFacade(t *testing.T) {
 // allocation-free with zero label copies — the mutation invalidates exactly
 // the touched region and the fast paths resume. The rounds that absorb each
 // event allocate nothing either: the invalidated nodes re-derive their
-// memos (the static verdict, the label width, the claimed-level mask J(v))
-// in place.
+// memos (the static verdict, the label width) in place.
 func TestChurnQuietAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -65,11 +64,9 @@ func TestChurnQuietAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVerifier(l, Sync, 1)
-	// The engine's per-node interface assertions (Alarmer, Terminator) fill
-	// the Go runtime's per-call-site type-assertion cache at a random call,
-	// about 1 in 1,024, allocating it then. 64 warm-up rounds of 192 nodes
-	// fill it with near certainty, so that one-time allocation does not land
-	// in a measured window below.
+	// Warm up, so that no one-time fill (a scratch buffer reaching its
+	// capacity, a runtime cache) lands in a measured window below; 64
+	// rounds of 192 nodes are a wide margin.
 	v.Eng.RunSyncRounds(64)
 	rng := rand.New(rand.NewSource(11))
 	for _, kind := range []ChurnKind{ChurnWeightKeep, ChurnCut, ChurnAddHeavy} {

@@ -14,8 +14,10 @@ import (
 // TestDetectionPipelineAllocFree asserts the tentpole property of the
 // in-place detection pipeline: once warmed up, a synchronous round of the
 // §7 verifier and of the §10 transformer (check phase) performs zero heap
-// allocations. BenchmarkEngineScaling reports the same quantity; this test
-// makes it a hard gate.
+// allocations, and so does an asynchronous time unit of each (Jitter 0.3,
+// so some nodes step several times per unit), whose activations recycle
+// the node's state from two activations back. BenchmarkEngineScaling
+// reports the synchronous quantity; this test makes both a hard gate.
 func TestDetectionPipelineAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -32,17 +34,32 @@ func TestDetectionPipelineAllocFree(t *testing.T) {
 	transformer := runtime.New(g, sm, 1)
 	selfstab.SeedChecked(transformer, l)
 	syncmstEng := runtime.New(g, syncmst.Machine{}, 1)
+	asyncVerifier := runtime.New(g, &verify.Machine{Mode: verify.Async, Labeled: l}, 1)
+	asyncTransformer := runtime.New(g, selfstab.NewMachine(g, g.N(), verify.Async), 1)
+	selfstab.SeedChecked(asyncTransformer, l)
+	asyncVerifier.Jitter, asyncTransformer.Jitter = 0.3, 0.3
 
-	for name, e := range map[string]*runtime.Engine{
-		"verifier":    verifier,
-		"transformer": transformer,
+	for _, in := range []struct {
+		name string
+		step func()
+	}{
+		{"verifier", verifier.StepSync},
+		{"transformer", transformer.StepSync},
+		{"async verifier", asyncVerifier.StepAsync},
+		{"async transformer", asyncTransformer.StepAsync},
 	} {
 		// Warm up: fill both buffers and let every reusable buffer (scratch
-		// slices, recycled sub-states) reach its steady-state capacity.
-		e.RunSyncRounds(8)
-		if avg := testing.AllocsPerRun(16, e.StepSync); avg != 0 {
-			t.Errorf("%s: %.1f allocs per steady-state round, want 0", name, avg)
+		// slices, recycled sub-states, the activation order) reach its
+		// steady-state capacity.
+		for i := 0; i < 8; i++ {
+			in.step()
 		}
+		if avg := testing.AllocsPerRun(16, in.step); avg != 0 {
+			t.Errorf("%s: %.1f allocs per steady-state round or time unit, want 0", in.name, avg)
+		}
+	}
+	if !asyncTransformer.AllDone() {
+		t.Error("async transformer: left the check phase; the time units measured were not the quiet check phase")
 	}
 
 	// The quiet steady state must also be on the PR 4 dynamic-layer fast

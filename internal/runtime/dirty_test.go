@@ -29,6 +29,8 @@ type dirtyState struct {
 
 func (s *dirtyState) BitSize() int { return 2 }
 func (s *dirtyState) Clone() State { c := *s; return &c }
+func (s *dirtyState) Alarm() bool  { return false }
+func (s *dirtyState) Done() bool   { return false }
 
 func (m dirtyProbe) Init(v *View) State { return &dirtyState{} }
 

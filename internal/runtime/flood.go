@@ -17,6 +17,12 @@ func (s *FloodMinState) BitSize() int { return bits.ForInt(int64(s.Min)) }
 // Clone implements State.
 func (s *FloodMinState) Clone() State { c := *s; return &c }
 
+// Alarm implements State: flooding never rejects.
+func (s *FloodMinState) Alarm() bool { return false }
+
+// Done implements State: flooding never terminates.
+func (s *FloodMinState) Done() bool { return false }
+
 // FloodMin is minimum-identity flooding: the simplest register protocol
 // that touches every neighbour state each round. It exists to measure the
 // engine itself — per-round overhead, allocations, parallel scaling — in

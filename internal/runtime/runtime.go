@@ -31,7 +31,10 @@
 // scratch memory and can recycle it, making the round loop allocation-free
 // end to end. A worklist round (Engine.Worklist, see worklist.go) differs
 // only in which nodes it steps and how it installs them: both kinds run
-// the same chunk body and the same per-node step.
+// the same chunk body and the same per-node step. So does an asynchronous
+// activation: it steps one node into its spare slot and installs it by the
+// worklist's per-slot swap, recycling the node's state from two activations
+// back.
 //
 // Invariant (read-previous-round): during round r every View reads only the
 // buffer finalized at round r-1. The write buffer is never visible through a
@@ -49,7 +52,8 @@
 // Instrumentation (max state bits, alarm and termination counts) is folded
 // into the step loop as per-worker partial reductions merged once per round,
 // so AnyAlarm, AllDone and MaxStateBits are O(1) in the common case instead
-// of O(n) interface-assertion scans per round.
+// of O(n) scans per round. Every state reports its own alarm and
+// termination (State.Alarm, State.Done).
 //
 // The engine additionally tracks per-node dirty epochs for machines that
 // memoize part of their step: a machine calls View.MarkChanged when the
@@ -89,27 +93,22 @@ import (
 
 // State is the externally visible memory of one node. Implementations must
 // be deep-copied by Clone; the engine snapshots states to enforce the
-// synchronous read-previous-round semantics.
+// synchronous read-previous-round semantics. Alarm reports a verifier's
+// output "no" (reject, §2.4) and Done the local termination of a
+// terminating (non-self-stabilizing) algorithm; a state that has neither
+// returns false. The engine reads both after every write, which keeps
+// AnyAlarm, AlarmNodes and AllDone O(1). A state returned by Engine.State
+// may be recycled by its node's second step after the read (see Machine).
 type State interface {
 	bits.Sized
 	Clone() State
-}
-
-// Alarmer is implemented by verifier states that can raise an alarm
-// (output "no" / reject, §2.4).
-type Alarmer interface {
 	Alarm() bool
-}
-
-// Terminator is implemented by states that signal local termination of a
-// terminating (non-self-stabilizing) algorithm.
-type Terminator interface {
 	Done() bool
 }
 
 // MemoInvalidator is implemented by states that carry simulator-side memo
 // caches of derived measurements (the verifier memoizes the label portion of
-// its BitSize, its claimed-level list, and its static verdict). The engine
+// its BitSize, its static verdict and its coast certificate). The engine
 // calls InvalidateMemo on every state installed through SetState or Corrupt
 // — the injection paths mutate state behind the step function, so any memo
 // the state carries may describe content that no longer exists — and on the
@@ -279,11 +278,12 @@ func (v *View) Round() int { return v.engine.round }
 // node's next state from the view, treating every state in the view as
 // immutable.
 //
-// Step may recycle the memory of scratch: under the synchronous daemon it
-// is the node's state from two rounds earlier (nil, or of a foreign type,
-// after New, SetState or Corrupt); the asynchronous daemon always passes
-// nil, because it steps on a single buffer where the node's current state
-// stays visible during the step. The contract:
+// Step may recycle the memory of scratch, the node's state from two steps
+// earlier: two rounds under the synchronous daemon, two activations under
+// the asynchronous one. Both daemons write a step into the node's spare
+// slot while its current state stays visible, then make it current. Scratch
+// is nil at the node's first step after New, and may be of a foreign type
+// after SetState or Corrupt. The contract:
 //
 //   - A nil scratch means a fresh state. The returned value must not depend
 //     on the contents of scratch; scratch is a memory recycling hint, never
@@ -292,9 +292,10 @@ func (v *View) Round() int { return v.engine.round }
 //     (neighbour or self states of the read buffer) other than scratch —
 //     except blocks that no step ever writes, which may be shared by
 //     reference (the verifier's proof labels).
-//   - States obtained from Engine.State are invalidated two StepSync calls
-//     later (their memory may be recycled); callers that need a durable
-//     snapshot must Clone.
+//   - A state obtained from Engine.State may be recycled by its node's
+//     second step after the read: two StepSync calls later, or at the
+//     node's second activation, which Jitter can place inside one
+//     StepAsync. Callers that need a durable snapshot must Clone.
 type Machine interface {
 	Init(v *View) State
 	Step(v *View, scratch State) State
@@ -387,7 +388,8 @@ type Engine struct {
 
 	// Per-round state shared with the chunk body (serial or pool workers):
 	// the read and write buffers and the worklist round's active set (nil
-	// in a dense round).
+	// in a dense round). stepNode writes into stepNext, which an
+	// asynchronous time unit aims at the spare buffer too.
 	stepSnap   []State
 	stepNext   []State
 	stepActive []int32
@@ -623,29 +625,31 @@ func (e *Engine) remapPorts(v, removed, oldDeg int) {
 }
 
 // noteState refreshes the incremental instrumentation for node v's current
-// state: bit high-water mark, alarm flag, termination flag.
+// state: bit high-water mark, alarm and termination flags and counts.
 func (e *Engine) noteState(v int) {
 	s := e.states[v]
-	alarm, done := false, false
-	if s != nil {
-		if b := s.BitSize(); b > e.maxBits {
-			e.maxBits = b
-		}
-		if a, ok := s.(Alarmer); ok && a.Alarm() {
-			alarm = true
-		}
-		if t, ok := s.(Terminator); ok && t.Done() {
-			done = true
-		}
+	if b := s.BitSize(); b > e.maxBits {
+		e.maxBits = b
 	}
-	if alarm != e.alarmed[v] {
-		e.alarmed[v] = alarm
-		e.alarmCount += flip(alarm)
+	dAlarm, dDone := e.noteFlags(v, s)
+	e.alarmCount += dAlarm
+	e.doneCount += dDone
+}
+
+// noteFlags sets node i's alarm and termination flags from its state s and
+// returns the flips of the two population counts, which the caller adds.
+//
+//ssmst:hotpath
+func (e *Engine) noteFlags(i int, s State) (dAlarm, dDone int) {
+	if a := s.Alarm(); a != e.alarmed[i] {
+		e.alarmed[i] = a
+		dAlarm = flip(a)
 	}
-	if done != e.done[v] {
-		e.done[v] = done
-		e.doneCount += flip(done)
+	if d := s.Done(); d != e.done[i] {
+		e.done[i] = d
+		dDone = flip(d)
 	}
+	return dAlarm, dDone
 }
 
 // flip is the population-count change of a per-node flag that just became
@@ -668,21 +672,7 @@ func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 	v.node = i
 	s := e.machine.Step(v, e.stepNext[i])
 	e.stepNext[i] = s
-	alarm, done := false, false
-	if a, ok := s.(Alarmer); ok && a.Alarm() {
-		alarm = true
-	}
-	if t, ok := s.(Terminator); ok && t.Done() {
-		done = true
-	}
-	if alarm != e.alarmed[i] {
-		e.alarmed[i] = alarm
-		dAlarm = flip(alarm)
-	}
-	if done != e.done[i] {
-		e.done[i] = done
-		dDone = flip(done)
-	}
+	dAlarm, dDone = e.noteFlags(i, s)
 	return s.BitSize(), dAlarm, dDone
 }
 
@@ -843,9 +833,12 @@ func ensurePool() {
 
 // StepAsync executes one asynchronous time unit: every node is activated at
 // least once, in a random interleaving, each activation reading current
-// states and building a fresh next state (Machine.Step with nil scratch).
-// With Jitter > 0, additional activations are interleaved. The
-// activation-order buffer is reused across time units.
+// states. With Jitter > 0, additional activations are interleaved. An
+// activation is the synchronous rounds' per-node step (stepNode) into the
+// node's spare slot, installed at once by per-slot swap, so it recycles
+// the node's state from two activations back and the steady-state time
+// unit allocates nothing. The activation-order buffer is reused across
+// time units.
 func (e *Engine) StepAsync() {
 	if e.matT != nil {
 		panic("runtime: StepAsync on an engine whose worklist is armed; worklist stepping is synchronous only")
@@ -875,13 +868,18 @@ func (e *Engine) StepAsync() {
 	}
 	e.order = order
 	v := &e.view
-	for _, node := range order {
-		v.snap = e.states
-		v.node = node
-		e.states[node] = e.machine.Step(v, nil)
-		e.noteState(node)
-		e.stepsTaken++
+	v.snap, e.stepNext = e.states, e.prev
+	for _, i := range order {
+		b, dAlarm, dDone := e.stepNode(v, i)
+		e.install(i)
+		if b > e.maxBits {
+			e.maxBits = b
+		}
+		e.alarmCount += dAlarm
+		e.doneCount += dDone
 	}
+	e.stepNext = nil
+	e.stepsTaken += int64(len(order))
 	e.round++
 }
 

@@ -18,6 +18,8 @@ type minIDState struct {
 
 func (s *minIDState) BitSize() int      { return bits.ForInt(int64(s.min)) }
 func (s *minIDState) Clone() State      { c := *s; return &c }
+func (s *minIDState) Alarm() bool       { return false }
+func (s *minIDState) Done() bool        { return false }
 func (s *minIDState) Min() graph.NodeID { return s.min }
 
 type minIDMachine struct{}
@@ -80,6 +82,87 @@ func TestAsyncConverges(t *testing.T) {
 	}
 	if e.StepsTaken() < int64(g.N()) {
 		t.Fatal("activation accounting wrong")
+	}
+}
+
+// asyncTap is coastProbe with every step it takes counted: the widest state
+// it returned (under the asynchronous daemon a node may step several times
+// in one time unit, so no end-of-unit scan sees every state the bit
+// high-water mark counts), the steps that got nil scratch, and the steps
+// whose scratch was the node's current state.
+type asyncTap struct {
+	coastProbe
+	c *tapCounts
+}
+
+type tapCounts struct{ maxBits, nilScratch, aliased int }
+
+func (m asyncTap) Step(v *View, scratch State) State {
+	if scratch == nil {
+		m.c.nilScratch++
+	} else if scratch == v.Self() {
+		m.c.aliased++
+	}
+	s := m.coastProbe.Step(v, scratch)
+	m.c.maxBits = max(m.c.maxBits, s.BitSize())
+	return s
+}
+
+// TestAsyncMatchesRecount steps the toy coast machine under the
+// asynchronous daemon with Jitter through convergence, a local transient
+// and a global re-flood. After every StepAsync the recycling engine must
+// equal one whose steps all get nil scratch, state for state, and its
+// alarm, termination and bit instrumentation must equal an O(n) recount.
+// Every activation recycles the node's state from two activations back: a
+// step gets nil scratch only at its node's first activation, and never the
+// node's current state.
+func TestAsyncMatchesRecount(t *testing.T) {
+	g := graph.RandomConnected(300, 900, 13)
+	var c tapCounts
+	e := New(g, asyncTap{c: &c}, 5)
+	fresh := New(g, freshStep{coastProbe{}}, 5)
+	e.Jitter, fresh.Jitter = 0.3, 0.3
+	c.maxBits = e.MaxStateBits()
+
+	low := trueMin(g)
+	inject := func(v int, min graph.NodeID) {
+		for _, x := range []*Engine{e, fresh} {
+			s := x.State(v).Clone().(*coastProbeState)
+			s.Min = min
+			x.SetState(v, s)
+			c.maxBits = max(c.maxBits, s.BitSize())
+		}
+	}
+	sawAlarm, sawDone := false, false
+	for u := 0; u < 120; u++ {
+		switch u {
+		case 40: // local transient: one node claims a larger minimum
+			inject(7, low+1000)
+		case 80: // global re-flood from one node
+			low--
+			inject(123, low)
+		}
+		e.StepAsync()
+		fresh.StepAsync()
+		for v := 0; v < g.N(); v++ {
+			if got, want := *e.State(v).(*coastProbeState), *fresh.State(v).(*coastProbeState); got != want {
+				t.Fatalf("unit %d node %d: recycled %+v != fresh %+v", u, v, got, want)
+			}
+		}
+		recount(t, "async", u, e, &c.maxBits)
+		_, alarm := e.AnyAlarm()
+		sawAlarm = sawAlarm || alarm
+		sawDone = sawDone || e.AllDone()
+	}
+	if !sawAlarm || !sawDone {
+		t.Fatalf("schedule did not exercise the instrumentation: alarm=%v allDone=%v", sawAlarm, sawDone)
+	}
+	if c.nilScratch != g.N() || c.aliased != 0 {
+		t.Fatalf("%d steps got nil scratch (want one per node, %d) and %d the current state (want 0)",
+			c.nilScratch, g.N(), c.aliased)
+	}
+	if e.StepsTaken() != fresh.StepsTaken() || e.StepsTaken() < 120*int64(g.N()) {
+		t.Fatalf("activations: recycled %d, fresh %d", e.StepsTaken(), fresh.StepsTaken())
 	}
 }
 

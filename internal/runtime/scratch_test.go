@@ -15,6 +15,8 @@ type probeState struct{ steps int }
 
 func (s *probeState) BitSize() int { return 1 }
 func (s *probeState) Clone() State { c := *s; return &c }
+func (s *probeState) Alarm() bool  { return false }
+func (s *probeState) Done() bool   { return false }
 
 type probeScratch struct{ count int }
 
@@ -48,8 +50,7 @@ func TestMachineScratchPersistsAcrossRounds(t *testing.T) {
 }
 
 // freshStep hides the engine's recycled scratch state from a machine: every
-// step gets nil scratch and builds its next state fresh, as under the
-// asynchronous daemon.
+// step gets nil scratch and builds its next state fresh.
 type freshStep struct{ Machine }
 
 func (f freshStep) Step(v *View, _ State) State { return f.Machine.Step(v, nil) }

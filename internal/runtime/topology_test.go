@@ -20,6 +20,8 @@ type topoState struct {
 
 func (s *topoState) BitSize() int    { return 64 }
 func (s *topoState) Clone() State    { c := *s; return &c }
+func (s *topoState) Alarm() bool     { return false }
+func (s *topoState) Done() bool      { return false }
 func (s *topoState) InvalidateMemo() { s.memoOK = false }
 func (s *topoState) RemapPorts(m []int) {
 	if s.WatchPort >= 0 && s.WatchPort < len(m) {

@@ -182,7 +182,14 @@ func (e *Engine) takeFrontier() []int32 {
 func (e *Engine) installActive(active []int32) {
 	T := int64(e.round) + 1
 	for _, i := range active {
-		e.states[i], e.prev[i] = e.prev[i], e.states[i]
+		e.install(int(i))
 		e.matT[i] = T
 	}
+}
+
+// install makes the state stepNode wrote into node i's spare slot current;
+// the state it replaces becomes the slot's scratch for the node's next
+// step. Worklist rounds and asynchronous activations install through it.
+func (e *Engine) install(i int) {
+	e.states[i], e.prev[i] = e.prev[i], e.states[i]
 }

@@ -9,8 +9,8 @@ import (
 	"ssmst/internal/graph"
 )
 
-// coastProbe is a toy CoastStepper whose states are Alarmers and
-// Terminators, so worklist rounds exercise every piece of the shared round
+// coastProbe is a toy CoastStepper whose states raise alarms and
+// terminate, so worklist rounds exercise every piece of the shared round
 // body: frontier seeding from marks, lag replay, and the alarm/termination
 // flip counting of stepNode. Each node floods the minimum identity it has
 // heard (the tracked state: a change marks the node), raises an alarm while

@@ -23,8 +23,8 @@ func (f freshStep) Step(v *runtime.View, _ runtime.State) runtime.State {
 
 // newEngine builds a transformer engine with the oracle snapshot wired, on
 // either the recycled-scratch path or fresh nil-scratch steps.
-func newEngine(g *graph.Graph, seed int64, inplace bool) *runtime.Engine {
-	m := NewMachine(g, g.N(), verify.Sync)
+func newEngine(g *graph.Graph, mode verify.Mode, seed int64, inplace bool) *runtime.Engine {
+	m := NewMachine(g, g.N(), mode)
 	var mm runtime.Machine = freshStep{m}
 	if inplace {
 		mm = m
@@ -60,34 +60,92 @@ func compareEngines(t *testing.T, r int, fresh, inplace, par *runtime.Engine) {
 	}
 }
 
-// TestInPlaceMatchesClone runs the transformer from a clean start through a
-// full epoch — resync, build, label, and the check phase — and asserts the
-// recycled-scratch path (serial and parallel-forced) is bit-identical to
-// fresh nil-scratch steps every round, including across every phase
-// transition. CI runs it under -race.
+// TestInPlaceMatchesClone asserts the transformer's recycled-scratch path
+// is bit-identical to fresh nil-scratch steps after every round or time
+// unit, including across every phase transition. The synchronous arm runs
+// from a clean start through a full epoch — resync, build, label, and the
+// check phase — serial and parallel-forced. The asynchronous arm, with
+// Jitter, starts in the check phase (SeedChecked), runs quiet, takes the
+// verifier's multi-layer fault at one node, detects it and rebuilds until
+// the network is stable again. CI runs it under -race.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(16, 40, 3)
-	fresh := newEngine(g, 2, false)
-	inplace := newEngine(g, 2, true)
-	par := newEngine(g, 2, true)
-	par.Parallel = true
-	par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
+	t.Run("sync", func(t *testing.T) {
+		fresh := newEngine(g, verify.Sync, 2, false)
+		inplace := newEngine(g, verify.Sync, 2, true)
+		par := newEngine(g, verify.Sync, 2, true)
+		par.Parallel = true
+		par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
 
-	m := NewMachine(g, g.N(), verify.Sync)
-	rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200
-	for r := 0; r < rounds; r++ {
-		fresh.StepSync()
-		inplace.StepSync()
-		par.StepSync()
-		compareEngines(t, r, fresh, inplace, par)
-	}
-	// Sanity: the run must actually have reached the check phase, or the
-	// comparison never exercised the verifier-in-place composition.
-	for v := 0; v < g.N(); v++ {
-		if st := inplace.State(v).(*SState); st.Phase != PhaseCheck {
-			t.Fatalf("node %d still in phase %v after %d rounds", v, st.Phase, rounds)
+		m := NewMachine(g, g.N(), verify.Sync)
+		rounds := m.resyncDur() + m.buildDur() + m.labelDur() + 200
+		for r := 0; r < rounds; r++ {
+			fresh.StepSync()
+			inplace.StepSync()
+			par.StepSync()
+			compareEngines(t, r, fresh, inplace, par)
 		}
-	}
+		// Sanity: the run must actually have reached the check phase, or
+		// the comparison never exercised the verifier-in-place composition.
+		for v := 0; v < g.N(); v++ {
+			if st := inplace.State(v).(*SState); st.Phase != PhaseCheck {
+				t.Fatalf("node %d still in phase %v after %d rounds", v, st.Phase, rounds)
+			}
+		}
+	})
+	t.Run("async", func(t *testing.T) {
+		l, err := verify.Mark(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := newEngine(g, verify.Async, 2, false)
+		inplace := newEngine(g, verify.Async, 2, true)
+		engines := []*runtime.Engine{fresh, inplace}
+		for _, e := range engines {
+			e.Jitter = 0.3
+			SeedChecked(e, l)
+		}
+		unit := 0
+		step := func() {
+			for _, e := range engines {
+				e.StepAsync()
+			}
+			compareEngines(t, unit, fresh, inplace, nil)
+			unit++
+		}
+		for unit < 40 {
+			step()
+		}
+		if !fresh.AllDone() {
+			t.Fatal("the seeded check phase is not quiet")
+		}
+		victim := rand.New(rand.NewSource(9)).Intn(g.N())
+		for _, e := range engines {
+			e.Corrupt(victim, func(s runtime.State) runtime.State {
+				vs := s.(*SState).Check
+				vs.L.SP.Dist += 3
+				if vs.L.HS.Levels() > 0 {
+					vs.L.HS.SetRootsAt(0, hierarchy.RootsNone) // violates RS3
+				}
+				return s
+			})
+		}
+		// Detection is a node leaving the check phase (RunUntilDetect); the
+		// run then goes on through a new epoch until every node checks
+		// again.
+		m := NewMachine(g, g.N(), verify.Async)
+		budget := unit + 3*(m.resyncDur()+m.buildDur()+m.labelDur())
+		detected := false
+		for unit < budget {
+			step()
+			if !fresh.AllDone() {
+				detected = true
+			} else if detected {
+				return
+			}
+		}
+		t.Fatalf("detected=%v, and not stable again within %d time units", detected, budget)
+	})
 }
 
 // TestInPlaceMatchesCloneFromScramble starts both paths from the same
@@ -99,8 +157,8 @@ func TestInPlaceMatchesCloneFromScramble(t *testing.T) {
 	r.Eng.Parallel = false
 	r.Scramble(rand.New(rand.NewSource(23)))
 
-	fresh := newEngine(g, 5, false)
-	inplace := newEngine(g, 5, true)
+	fresh := newEngine(g, verify.Sync, 5, false)
+	inplace := newEngine(g, verify.Sync, 5, true)
 	for v := 0; v < g.N(); v++ {
 		st := r.Eng.State(v).(*SState)
 		fresh.SetState(v, st.Clone())

@@ -13,9 +13,8 @@ import (
 
 // Runner drives the self-stabilizing MST over an engine.
 type Runner struct {
-	M     *Machine
-	Eng   *runtime.Engine
-	Async bool
+	M   *Machine
+	Eng *runtime.Engine
 }
 
 // NewRunner builds the transformer engine; bound is the polynomial upper
@@ -35,7 +34,7 @@ func NewRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner 
 		}
 		return out
 	}
-	return &Runner{M: m, Eng: eng, Async: mode == verify.Async}
+	return &Runner{M: m, Eng: eng}
 }
 
 // NewFullRecheckRunner is NewRunner with the embedded verifier's static-
@@ -48,8 +47,8 @@ func NewFullRecheckRunner(g *graph.Graph, bound int, mode verify.Mode, seed int6
 	return r
 }
 
-// Step advances one time unit.
-func (r *Runner) Step() { r.Eng.Step(r.Async) }
+// Step advances one time unit under the daemon of the machine's Mode.
+func (r *Runner) Step() { r.Eng.Step(r.M.Mode == verify.Async) }
 
 // Stabilized reports whether every node is checking the same epoch with no
 // alarm and the output forms a spanning tree.

@@ -129,7 +129,7 @@ func (s *SState) BitSize() int {
 // InvalidateMemo implements runtime.MemoInvalidator by forwarding to the
 // embedded verifier state: injection through SetState/Corrupt (including
 // Runner.InjectCheckFault) may rewrite the very labels the verifier's
-// simulator-side caches (static verdict, label BitSize, claimed-level mask)
+// simulator-side caches (static verdict, label BitSize, coast certificate)
 // were computed over. The transformer bookkeeping itself carries no memo.
 func (s *SState) InvalidateMemo() {
 	if s.Check != nil {
@@ -152,17 +152,18 @@ func (s *SState) RemapPorts(oldToNew []int) {
 	}
 }
 
-// Alarm reports the verifier's output during the check phase.
+// Alarm implements runtime.State: the verifier's output during the check
+// phase.
 func (s *SState) Alarm() bool {
 	return s.Phase == PhaseCheck && s.Check != nil && s.Check.AlarmFlag
 }
 
-// Done reports whether the node currently outputs a stable MST component.
+// Done implements runtime.State: whether the node currently outputs a
+// stable MST component.
 func (s *SState) Done() bool { return s.Phase == PhaseCheck && !s.Alarm() }
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
-	_ runtime.Alarmer         = (*SState)(nil)
 	_ runtime.MemoInvalidator = (*SState)(nil)
 	_ runtime.PortRemapper    = (*SState)(nil)
 )
@@ -272,16 +273,17 @@ func recycleCheck(dst, src *verify.VState) *verify.VState {
 }
 
 // Step implements runtime.Machine: the composite next state is written
-// into the recycled two-rounds-old SState, reusing its Build/BuildPrev/Check
-// sub-states, so the steady-state round loop allocates only at phase
-// transitions (and nothing at all once a phase is entered). A nil scratch
-// gets a fresh SState whose sub-states are allocated as needed.
+// into the recycled SState from two steps back, reusing its
+// Build/BuildPrev/Check sub-states, so the steady-state round or time unit
+// allocates only at phase transitions (and nothing at all once a phase is
+// entered). A nil scratch gets a fresh SState whose sub-states are
+// allocated as needed.
 //
 //ssmst:hotpath
 func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*SState)
 	if !ok || dst == nil {
-		dst = new(SState) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
+		dst = new(SState) //ssmst:allow hotpathalloc -- cold: nil scratch (the node's first step) or a foreign state after SetState
 	}
 	return m.stepInto(v, dst, m.scratchOf(v))
 }

@@ -111,9 +111,13 @@ func weightBits(w graph.Weight) int {
 	return bits.ForInt(int64(w))
 }
 
-// Done implements runtime.Terminator: the engine's incremental
+// Done implements runtime.State: the engine's incremental
 // instrumentation makes Engine.AllDone an O(1) read.
 func (s *State) Done() bool { return s.Finished }
+
+// Alarm implements runtime.State: SYNC_MST is a construction, not a
+// verifier, and never rejects.
+func (s *State) Alarm() bool { return false }
 
 // NodeView is the window a SYNC_MST step needs: the embedding machine (the
 // standalone runner below, or the self-stabilizing transformer of
@@ -181,7 +185,7 @@ func (a runtimeView) Neighbour(port int) *State {
 func (Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*State)
 	if !ok || dst == nil {
-		dst = new(State) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
+		dst = new(State) //ssmst:allow hotpathalloc -- cold: nil scratch (the node's first step) or a foreign state after SetState
 	}
 	//ssmst:allow hotpathalloc -- the adapter does not escape StepCoreInto; the runtime alloc gate pins this at 0 allocs
 	return StepCoreInto(dst, runtimeView{v})

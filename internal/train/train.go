@@ -106,9 +106,11 @@ type Ctx struct {
 
 	Parent   *PeerTrain // tree parent's same-kind train, nil at the tree root
 	Children []PeerTrain
-	// Wanted reports whether some graph neighbour currently requests that
-	// this node hold a shown piece of the given level (asynchronous mode).
-	Wanted func(level int) bool
+	// Wanted has bit j set iff some graph neighbour currently requests that
+	// this node hold a shown piece of level j (asynchronous mode; 0
+	// otherwise). A hold needs a member piece, whose level lies below
+	// Strings.Levels() ≤ 63, so 64 bits cover every level a hold can name.
+	Wanted uint64
 
 	// RestOK, set by an embedding machine that has certified a quiet horizon
 	// (no tracked neighbourhood change for a configured stretch; see
@@ -237,8 +239,8 @@ func StepInto(dst *State, old *State, c *Ctx) {
 	// ---- Broadcast (continues during reset so the pipeline drains). ----
 	// A server holds the train (§7.2.2) only while the shown piece is one a
 	// client can actually consume: a member piece of the wanted level.
-	hold := c.Wanted != nil && s.Down.Valid &&
-		c.Wanted(s.Down.P.ID.Level) && c.flagOrLevelMember(s.Down)
+	j := s.Down.P.ID.Level
+	hold := s.Down.Valid && uint(j) < 64 && c.Wanted>>uint(j)&1 != 0 && c.flagOrLevelMember(s.Down)
 	ackOK := childrenMatch(c, s.Down)
 	if !hold && ackOK {
 		if isRoot {

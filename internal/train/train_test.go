@@ -68,8 +68,10 @@ func (s *tmState) Clone() runtime.State { c := *s; return &c }
 // Alarm reports a cycle-set violation on either train.
 func (s *tmState) Alarm() bool { return s.TopS.Alarm || s.BotS.Alarm }
 
+// Done implements runtime.State: the trains run forever.
+func (s *tmState) Done() bool { return false }
+
 var _ runtime.Machine = (*testMachine)(nil)
-var _ runtime.Alarmer = (*tmState)(nil)
 
 // Init starts with quiescent trains (the marker initializes only labels;
 // dynamic train state always self-starts).

@@ -210,14 +210,14 @@ func TestChurnQuietRecovery(t *testing.T) {
 // pointer and candidate port track their edges through compaction, a cut
 // parent collapses to a root claim, and the memos are dropped.
 func TestVStateRemapPorts(t *testing.T) {
-	s := &VState{ParentPort: 3, CandPort: 1, samplerMemoOK: true, ServerCur: 2, ServerTmr: 5,
+	s := &VState{ParentPort: 3, CandPort: 1, ServerCur: 2, ServerTmr: 5,
 		staticValid: true, labelBitsOK: true}
 	s.Want.Valid = true
 	s.RemapPorts([]int{0, 1, -1, 2}) // port 2 removed
 	if s.ParentPort != 2 || s.CandPort != 1 {
 		t.Fatalf("remap moved ports wrong: parent %d cand %d", s.ParentPort, s.CandPort)
 	}
-	if s.staticValid || s.labelBitsOK || s.samplerMemoOK {
+	if s.staticValid || s.labelBitsOK {
 		t.Fatal("remap must drop the simulator-side memos")
 	}
 	if s.ServerCur != 0 || s.ServerTmr != 0 || s.Want.Valid {

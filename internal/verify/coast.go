@@ -107,7 +107,7 @@ func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
 func (m *Machine) coastTick(s *VState) {
 	coastTrainTick(&s.TopS, &s.L.Train.Top, s.MyID)
 	coastTrainTick(&s.BotS, &s.L.Train.Bottom, s.MyID)
-	L := mbits.OnesCount64(s.claims)
+	L := mbits.OnesCount64(s.L.HS.Members())
 	if L == 0 {
 		s.AskValid = false
 		return
@@ -145,7 +145,7 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	}
 	coastTrainAdvance(&s.TopS, &s.L.Train.Top, s.MyID, k)
 	coastTrainAdvance(&s.BotS, &s.L.Train.Bottom, s.MyID, k)
-	L := mbits.OnesCount64(s.claims)
+	L := mbits.OnesCount64(s.L.HS.Members())
 	if L == 0 {
 		s.AskValid = false
 		return
@@ -233,7 +233,7 @@ func coastTrainAdvance(st *train.State, l *train.Labels, own graph.NodeID, k int
 // ChurnWeightBreak against a frozen network went undetected under the old
 // 2×window default).
 func coastHorizon(s *VState) int64 {
-	L := mbits.OnesCount64(s.claims)
+	L := mbits.OnesCount64(s.L.HS.Members())
 	if L < 2 {
 		L = 2
 	}
@@ -343,11 +343,11 @@ func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, claims 
 // the frozen neighbourhood. parent is the tree parent's state (treeParent)
 // and n the node count the labels claim.
 func (m *Machine) certifies(v NodeView, s *VState, nbs []nbList, parent *VState, n int) bool {
-	return !s.coasting && s.staticValid && !s.staticAlarm && s.samplerMemoOK &&
+	return !s.coasting && s.staticValid && !s.staticAlarm &&
 		train.AtRest(&s.TopS, &s.L.Train.Top) && train.AtRest(&s.BotS, &s.L.Train.Bottom) &&
 		lineageFrozen(s, parent) &&
 		neighboursAtRest(nbs) &&
-		m.samplerOrbitClean(v, s, nbs, s.claims, n)
+		m.samplerOrbitClean(v, s, nbs, s.L.HS.Members(), n)
 }
 
 // freeze enters the coast regime at epoch, memoizing the orbit footprint
@@ -397,10 +397,9 @@ func (r *Runner) seedQuiescence() bool {
 		sv.node = v
 		s := sv.Self()
 		n := s.L.Size.N
-		missing := sc.loadNeighbours(sv, sv.Degree())
+		missing := sc.loadNeighbours(sv, sv.Degree(), s.MyID, m.Mode == Async)
 		parent := m.checkStatic(sv, s, sc, missing, epoch)
 		s.startLevel(0)
-		s.claims, s.samplerMemoOK = claimMask(&s.L.HS), true
 		if sv.repaired || coverageAlarm(s, sc, n) || !m.certifies(sv, s, sc.nbs, parent, n) {
 			ok = false
 			break
@@ -447,7 +446,7 @@ func (a *seedView) MarkLabelsChanged()            { a.repaired = true }
 // endpoint-only measurement report the identical high-water mark.
 func (m *Machine) coastFootprint(s *VState) int {
 	w := s.staticWindow
-	L := mbits.OnesCount64(s.claims)
+	L := mbits.OnesCount64(s.L.HS.Members())
 	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
 		bits.Flag(s.coasting) +
 		s.AlarmCode.BitSize() +

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ssmst/internal/graph"
+	"ssmst/internal/hierarchy"
 )
 
 // The coast clockwork's load-bearing algebra: advancing a coasting node by
@@ -17,9 +18,8 @@ import (
 // soundness reduces to exactly this identity.
 
 // tickOrbit returns the state after k iterated coastTicks from s. States
-// are value copies sharing the label pointers (tick and advance mutate
-// scalars only), so the memoized claims mask stays attached — Clone
-// would drop it and degenerate the orbit to the L == 0 path.
+// are value copies sharing the label block: tick and advance mutate
+// scalars only, and read J(v) off the block.
 func tickOrbit(m *Machine, s *VState, k int) *VState {
 	c := *s
 	for i := 0; i < k; i++ {
@@ -37,7 +37,7 @@ func advanceOrbit(m *Machine, s *VState, k int) *VState {
 // orbitSpan returns a k horizon covering several full orbits of s: dwell +
 // all levels' capture-starvation periods + watchdog wraps, doubled.
 func orbitSpan(s *VState) int {
-	L := bits.OnesCount64(s.claims)
+	L := bits.OnesCount64(s.L.HS.Members())
 	if L == 0 {
 		L = 1
 	}
@@ -107,16 +107,21 @@ func TestCoastAdvanceMatchesTicks(t *testing.T) {
 // closed form is total, not merely correct on the reachable orbit.
 func TestCoastAdvanceMatchesTicksSynthetic(t *testing.T) {
 	m := &Machine{}
-	base := &VState{MyID: 9, L: &NodeLabels{}}
+	base := &VState{MyID: 9}
 	base.staticWindow = 5
 	for _, L := range []int{0, 1, 3} {
-		claims := uint64(1)<<uint(L) - 1 // levels 0..L-1
+		// J(v) = levels 0..L-1: the strings claim a fragment at each.
+		labels := new(NodeLabels)
+		labels.HS.SetLevels(L)
+		for j := 0; j < L; j++ {
+			labels.HS.SetRootsAt(j, hierarchy.RootsNo)
+		}
 		for _, askValid := range []bool{false, true} {
 			for _, askTimer := range []int{-3, 0, 1, 2, 6} {
 				for _, capTimer := range []int{-2, 0, 3, 5, 9} {
 					for _, askIdx := range []int{-1, 0, L - 1, L + 3} {
 						s := *base
-						s.claims = claims
+						s.L = labels
 						s.AskValid = askValid
 						s.AskTimer = int32(askTimer)
 						s.CapTimer = int32(capTimer)

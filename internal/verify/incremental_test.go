@@ -14,7 +14,7 @@ import (
 // two configurations legitimately disagree on zeroed: FullRecheck restamps
 // StaticEpoch every round while the incremental path stamps it only on a
 // miss. Clone itself drops the simulator-side caches (label BitSize,
-// claimed-level mask, StaticValid — see VState.InvalidateMemo), so what
+// StaticValid, the coast certificate — see VState.InvalidateMemo), so what
 // remains compared is every protocol field, the alarm outputs, and the
 // memoized verdict content (StaticAlarm/StaticCode/StaticWindow) — exactly
 // the property "the memoized static verdict equals a from-scratch re-check,

@@ -19,48 +19,68 @@ func (f freshStep) Step(v *runtime.View, _ runtime.State) runtime.State {
 	return f.Machine.Step(v, nil)
 }
 
-// TestInPlaceMatchesClone asserts the verifier's recycled-scratch step —
-// serial and parallel-forced — is bit-identical to Machine.Step with nil
-// scratch, which builds every state fresh, through a quiet phase, a multi-layer fault,
-// detection, and the alarmed steady state. CI runs it under -race, which
-// also exercises the worker pool over the scratch-carrying Views.
+// TestInPlaceMatchesClone asserts the verifier's recycled-scratch step is
+// bit-identical to Machine.Step with nil scratch, which builds every state
+// fresh, through a quiet phase, a multi-layer fault, detection, and the
+// alarmed steady state: under the synchronous daemon serial and
+// parallel-forced, and under the asynchronous daemon with Jitter, where an
+// activation recycles its node's state from two activations back. CI runs
+// it under -race, which also exercises the worker pool over the
+// scratch-carrying Views.
 func TestInPlaceMatchesClone(t *testing.T) {
 	g := graph.RandomConnected(64, 160, 5)
 	l, err := Mark(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &Machine{Mode: Sync, Labeled: l}
-	fresh := runtime.New(g, freshStep{m}, 3)
-	inplace := runtime.New(g, m, 3)
-	par := runtime.New(g, m, 3)
-	par.Parallel = true
-	par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
-	engines := []*runtime.Engine{fresh, inplace, par}
+	t.Run("sync", func(t *testing.T) {
+		m := &Machine{Mode: Sync, Labeled: l}
+		fresh := runtime.New(g, freshStep{m}, 3)
+		inplace := runtime.New(g, m, 3)
+		par := runtime.New(g, m, 3)
+		par.Parallel = true
+		par.Workers = runtime.PoolWorkers() // at any n, even on a single-core host
+		checkInPlace(t, (*runtime.Engine).StepSync, fresh, inplace, par)
+	})
+	t.Run("async", func(t *testing.T) {
+		m := &Machine{Mode: Async, Labeled: l}
+		fresh := runtime.New(g, freshStep{m}, 3)
+		inplace := runtime.New(g, m, 3)
+		fresh.Jitter, inplace.Jitter = 0.3, 0.3
+		checkInPlace(t, (*runtime.Engine).StepAsync, fresh, inplace)
+	})
+}
 
+// checkInPlace steps the reference engine fresh and the recycling engines
+// in lockstep — 40 quiet time units, the same multi-layer fault on every
+// engine, 200 more units — and compares them state for state after every
+// unit. The fault must be detected.
+func checkInPlace(t *testing.T, step func(*runtime.Engine), fresh *runtime.Engine, recycling ...*runtime.Engine) {
+	t.Helper()
+	n := fresh.G().N()
+	engines := append([]*runtime.Engine{fresh}, recycling...)
 	compare := func(r int) {
 		t.Helper()
-		for v := 0; v < g.N(); v++ {
-			// Clone normalizes the simulator-side memo caches on both sides
-			// (recycled states persist the claimed-level mask, fresh Step
-			// states do not); every protocol-visible field is compared
-			// bit-for-bit.
+		for v := 0; v < n; v++ {
+			// Clone normalizes the simulator-side memo caches on both
+			// sides; every protocol-visible field is compared bit-for-bit.
 			want := fresh.State(v).Clone()
-			if !reflect.DeepEqual(want, inplace.State(v).Clone()) {
-				t.Fatalf("round %d node %d: in-place state diverged from Step", r, v)
-			}
-			if !reflect.DeepEqual(want, par.State(v).Clone()) {
-				t.Fatalf("round %d node %d: parallel in-place state diverged from Step", r, v)
+			for i, e := range recycling {
+				if !reflect.DeepEqual(want, e.State(v).Clone()) {
+					t.Fatalf("unit %d node %d: recycling engine %d diverged from Step", r, v, i)
+				}
 			}
 		}
-		if fresh.MaxStateBits() != inplace.MaxStateBits() || fresh.MaxStateBits() != par.MaxStateBits() {
-			t.Fatalf("round %d: maxBits diverged: Step %d in-place %d parallel %d",
-				r, fresh.MaxStateBits(), inplace.MaxStateBits(), par.MaxStateBits())
+		for i, e := range recycling {
+			if fresh.MaxStateBits() != e.MaxStateBits() {
+				t.Fatalf("unit %d: maxBits diverged: Step %d, recycling engine %d %d",
+					r, fresh.MaxStateBits(), i, e.MaxStateBits())
+			}
 		}
 	}
 	for r := 0; r < 40; r++ {
 		for _, e := range engines {
-			e.StepSync()
+			step(e)
 		}
 		compare(r)
 	}
@@ -68,7 +88,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	// Inject the same multi-layer fault on every engine and keep comparing
 	// through detection and the alarmed steady state.
 	rng := rand.New(rand.NewSource(9))
-	victim := rng.Intn(g.N())
+	victim := rng.Intn(n)
 	for _, e := range engines {
 		e.Corrupt(victim, func(s runtime.State) runtime.State {
 			vs := s.(*VState)
@@ -82,7 +102,7 @@ func TestInPlaceMatchesClone(t *testing.T) {
 	detected := false
 	for r := 0; r < 200; r++ {
 		for _, e := range engines {
-			e.StepSync()
+			step(e)
 		}
 		compare(40 + r)
 		if _, bad := fresh.AnyAlarm(); bad {

@@ -32,8 +32,8 @@ const (
 // wherever they meet a label, the budget, the dwell window or a round lag,
 // and stores only results inside those bounds, so no comparison or closed
 // form is evaluated in 32 bits; BitSize charges the stored values' widths.
-// The fields are ordered so that the struct packs into 328 bytes, inside
-// Go's 352-byte size class (TestStateFootprint): every node holds one
+// The fields are ordered so that the struct packs into 312 bytes, inside
+// Go's 320-byte size class (TestStateFootprint): every node holds one
 // VState in each engine buffer.
 type VState struct {
 	MyID graph.NodeID
@@ -43,7 +43,7 @@ type VState struct {
 	// change a label, mutate a Clone (which copies the block) and commit it
 	// with SetState.
 	//
-	//ssmst:tracked -- the label block: static verdict, labelBits and claims memos all derive from it
+	//ssmst:tracked -- the label block: the static verdict and labelBits memos derive from it
 	//ssmst:shared -- immutable, shared by every copy of the state: hot paths never write through it
 	L *NodeLabels
 
@@ -110,16 +110,6 @@ type VState struct {
 	// changes. Same lifetime and exclusion as the static memo.
 	labelBitsOK bool  //ssmst:nobits
 	labelBits   int32 //ssmst:nobits
-
-	// claims caches J(v), the claimed levels the sampler sweeps, as a mask:
-	// bit j is set iff the strings claim a level-j fragment containing the
-	// node (claimMask). It is label-derived, has the labelBits memo's
-	// lifetime, and is valid while samplerMemoOK is set. A value, so header
-	// copies carry it like any register and rebuilding it allocates
-	// nothing. A recomputable cache, not protocol memory, so BitSize
-	// excludes it.
-	claims        uint64 //ssmst:nobits -- recomputable claimed-level memo
-	samplerMemoOK bool   //ssmst:nobits
 }
 
 // AlarmCode identifies the verifier layer that raised an alarm.
@@ -156,8 +146,11 @@ func (c AlarmCode) String() string {
 	return "AlarmCode(" + strconv.Itoa(int(c)) + ")"
 }
 
-// Alarm implements runtime.Alarmer.
+// Alarm implements runtime.State: the verifier's "no" output.
 func (s *VState) Alarm() bool { return s.AlarmFlag }
+
+// Done implements runtime.State: the verifier runs forever.
+func (s *VState) Done() bool { return false }
 
 // Clone returns a deep copy, labels included: it is the single
 // copy-on-write point of the shared label block, so a fault mutates a
@@ -172,7 +165,7 @@ func (s *VState) Clone() runtime.State {
 
 // InvalidateMemo implements runtime.MemoInvalidator: it drops every
 // simulator-side memo the state carries — the static verdict, the cached
-// label BitSize, and the claimed-level mask — so content installed or
+// label BitSize and the coast certificate — so content installed or
 // mutated behind the step function is re-measured and re-checked from
 // scratch. Protocol-visible fields are untouched.
 func (s *VState) InvalidateMemo() {
@@ -186,8 +179,6 @@ func (s *VState) InvalidateMemo() {
 	s.coasting = false
 	s.coastEpoch = 0
 	s.coastBits = 0
-	s.claims = 0
-	s.samplerMemoOK = false
 }
 
 // RemapPorts implements runtime.PortRemapper: after a topology mutation
@@ -217,7 +208,7 @@ func (s *VState) RemapPorts(oldToNew []int) {
 
 // CopyFrom makes s a header copy of src — the in-place counterpart of
 // Clone. The label block is shared, not copied: labels are immutable. The
-// memos derived from it (labelBits, the claimed-level mask) are values and
+// memos derived from it (the static verdict, labelBits) are values and
 // travel with the header.
 //
 //ssmst:hotpath
@@ -274,7 +265,6 @@ func (s *VState) labelWidth() int {
 var (
 	_ runtime.Machine         = (*Machine)(nil)
 	_ runtime.CoastStepper    = (*Machine)(nil)
-	_ runtime.Alarmer         = (*VState)(nil)
 	_ runtime.MemoInvalidator = (*VState)(nil)
 	_ runtime.PortRemapper    = (*VState)(nil)
 )
@@ -364,13 +354,11 @@ func (m *Machine) Init(v *runtime.View) runtime.State {
 }
 
 // Scratch holds the reusable per-worker temporaries of one verifier step:
-// neighbour lists, per-layer label views and the train contexts (the
-// claimed-level mask lives in VState's label memo instead: it is per-node,
-// label-derived data that survives across rounds). A Scratch may be reused
-// across nodes and rounds — its contents are rebuilt from the View every
-// step and carry memory, never data — but must not be shared concurrently;
-// the engine's per-View machine-scratch slot provides exactly that
-// lifetime.
+// neighbour lists, per-layer label views and the train contexts. A Scratch
+// may be reused across nodes and rounds — its contents are rebuilt from the
+// View every step and carry memory, never data — but must not be shared
+// concurrently; the engine's per-View machine-scratch slot provides exactly
+// that lifetime.
 type Scratch struct {
 	nbs       []nbList
 	allSP     []*labeling.SPLabel
@@ -387,29 +375,6 @@ type Scratch struct {
 	// context allocates nothing.
 	parentPeer  train.PeerTrain
 	parentPeerB train.PeerTrain
-
-	// wanted is the Async-mode Want predicate. It is allocated once per
-	// Scratch and re-aimed each step through self — closing over the
-	// step's VState directly would allocate a fresh closure per step.
-	wanted func(level int) bool
-	self   *VState
-}
-
-func (sc *Scratch) wantedFn() func(level int) bool {
-	if sc.wanted == nil {
-		sc.wanted = func(level int) bool {
-			for q := range sc.nbs {
-				if sc.nbs[q].ok {
-					w := sc.nbs[q].st.Want
-					if w.Valid && w.ServerID == sc.self.MyID && int(w.Level) == level {
-						return true
-					}
-				}
-			}
-			return false
-		}
-	}
-	return sc.wanted
 }
 
 // ReleaseRefs implements runtime.RefReleaser: it zeroes every state and
@@ -429,7 +394,6 @@ func (sc *Scratch) ReleaseRefs() {
 		*ct = train.Ctx{Children: ct.Children[:0]}
 	}
 	sc.parentPeer, sc.parentPeerB = train.PeerTrain{}, train.PeerTrain{}
-	sc.self = nil
 }
 
 // scratchFor returns the View's verifier Scratch, installing one on first
@@ -444,16 +408,16 @@ func scratchFor(v *runtime.View) *Scratch {
 }
 
 // Step implements runtime.Machine: the next state is written into the
-// recycled two-rounds-old VState (sharing the immutable label block) and
-// the per-View Scratch supplies every temporary, so the steady-state round
-// loop allocates nothing. A nil scratch (the asynchronous daemon, the first
-// rounds) gets a fresh VState.
+// recycled VState from two steps back (sharing the immutable label block)
+// and the per-View Scratch supplies every temporary, so the steady-state
+// round or time unit allocates nothing. A nil scratch (the node's first
+// step) gets a fresh VState.
 //
 //ssmst:hotpath
 func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 	dst, ok := scratch.(*VState)
 	if !ok || dst == nil {
-		dst = new(VState) //ssmst:allow hotpathalloc -- cold: nil scratch (asynchronous daemon, first rounds) or a foreign state after SetState
+		dst = new(VState) //ssmst:allow hotpathalloc -- cold: nil scratch (the node's first step) or a foreign state after SetState
 	}
 	//ssmst:allow hotpathalloc -- the adapter does not escape StepInto; the runtime alloc gate pins this at 0 allocs
 	return m.StepInto(dst, runtimeView{v}, scratchFor(v))
@@ -518,7 +482,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 
 	// ---- Derive tree relations from the components (both layers read
 	// nbs; the dynamic layer needs the parent too). ----
-	missing := sc.loadNeighbours(v, deg)
+	missing := sc.loadNeighbours(v, deg, s.MyID, m.Mode == Async)
 	nbs := sc.nbs
 	var parent *VState
 
@@ -551,9 +515,8 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	}
 	// The header copy above already holds old's trains, so both step in
 	// place.
-	ctT, ctB := m.trainCtxs(sc, s, nbs, parent)
 	restOK := coastOn && m.restsAt(v, s, epoch)
-	ctT.RestOK, ctB.RestOK = restOK, restOK
+	ctT, ctB := sc.trainCtxs(s, parent, restOK)
 	train.StepInto(&s.TopS, &s.TopS, ctT)
 	train.StepInto(&s.BotS, &s.BotS, ctB)
 	if s.TopS.Alarm || s.BotS.Alarm {
@@ -561,16 +524,8 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	}
 
 	// ---- Layer 5: the Ask/Show sampler with C1/C2 and piece equality. ----
-	// J(v), the claimed-level mask the sampler sweeps, is a pure function of
-	// the strings, so it is rebuilt only when the label memo was dropped
-	// (Clone, InvalidateMemo) and otherwise rides along with the labels it
-	// derives from.
 	samplerAlarm := false
-	if !s.samplerMemoOK {
-		s.claims = claimMask(&s.L.HS)
-		s.samplerMemoOK = true
-	}
-	m.sampler(v, s, nbs, s.claims, n, &samplerAlarm)
+	m.sampler(v, s, nbs, n, &samplerAlarm)
 	if samplerAlarm {
 		setAlarm(AlarmSampler)
 	}
@@ -588,11 +543,16 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 
 // loadNeighbours fills sc.nbs with one record per port of v's deg ports —
 // the neighbour's state and whether it is a tree child — and reports
-// whether some neighbour is not running the verifier.
+// whether some neighbour is not running the verifier. The same pass fills
+// both train contexts' Children lists (in port order) and their Wanted
+// masks: under the asynchronous sampler (async), bit j is set iff some
+// present neighbour's valid Want names own at level j; otherwise 0.
 //
 //ssmst:hotpath
-func (sc *Scratch) loadNeighbours(v NodeView, deg int) (missing bool) {
+func (sc *Scratch) loadNeighbours(v NodeView, deg int, own graph.NodeID, async bool) (missing bool) {
 	sc.nbs = sc.nbs[:0]
+	chT, chB := sc.ctx.Children[:0], sc.ctxB.Children[:0]
+	var wanted uint64
 	for q := 0; q < deg; q++ {
 		st := v.Neighbour(q)
 		if st == nil || st.L == nil {
@@ -600,8 +560,18 @@ func (sc *Scratch) loadNeighbours(v NodeView, deg int) (missing bool) {
 			missing = true
 			continue
 		}
-		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: int(st.ParentPort) == v.PeerPort(q)})
+		isChild := int(st.ParentPort) == v.PeerPort(q)
+		sc.nbs = append(sc.nbs, nbList{st: st, ok: true, isChild: isChild})
+		if isChild {
+			chT = append(chT, train.PeerTrain{S: &st.TopS, L: &st.L.Train.Top})
+			chB = append(chB, train.PeerTrain{S: &st.BotS, L: &st.L.Train.Bottom})
+		}
+		if w := &st.Want; async && w.Valid && w.ServerID == own && uint32(w.Level) < 64 {
+			wanted |= 1 << uint(w.Level)
+		}
 	}
+	sc.ctx.Children, sc.ctxB.Children = chT, chB
+	sc.ctx.Wanted, sc.ctxB.Wanted = wanted, wanted
 	return missing
 }
 
@@ -745,42 +715,28 @@ func staticCoverageAlarm(l *train.Labels, st *train.State, need []int, hs *hiera
 	return false
 }
 
-// trainCtxs assembles both sides' train step contexts in sc's reusable
-// context pair. The two sides read the same tree relations, so one pass
-// over the neighbour list fills both children lists — half the neighbour
-// scans (and half the pointer chases into each child's label block) of
-// building the contexts one side at a time.
-func (m *Machine) trainCtxs(sc *Scratch, s *VState, nbs []nbList, parent *VState) (top, bottom *train.Ctx) {
+// trainCtxs completes both sides' train step contexts in sc's reusable
+// context pair, whose Children lists and Wanted masks loadNeighbours filled.
+// It writes the fields one by one: assigning a composite literal would
+// build the 88-B context in a temporary and copy it in, for every stepped
+// node every round.
+func (sc *Scratch) trainCtxs(s *VState, parent *VState, restOK bool) (top, bottom *train.Ctx) {
 	ct, cb := &sc.ctx, &sc.ctxB
-	chT, chB := ct.Children[:0], cb.Children[:0]
 	n := s.L.Size.N
-	*ct = train.Ctx{OwnID: s.MyID, Strings: &s.L.HS, N: n, Top: true, Lab: &s.L.Train.Top}
-	*cb = train.Ctx{OwnID: s.MyID, Strings: &s.L.HS, N: n, Top: false, Lab: &s.L.Train.Bottom}
+	ct.OwnID, ct.Lab, ct.Strings, ct.N, ct.Top = s.MyID, &s.L.Train.Top, &s.L.HS, n, true
+	cb.OwnID, cb.Lab, cb.Strings, cb.N, cb.Top = s.MyID, &s.L.Train.Bottom, &s.L.HS, n, false
+	ct.RestOK, cb.RestOK = restOK, restOK
+	ct.Parent, cb.Parent = nil, nil
 	if parent != nil {
 		sc.parentPeer = train.PeerTrain{S: &parent.TopS, L: &parent.L.Train.Top}
 		sc.parentPeerB = train.PeerTrain{S: &parent.BotS, L: &parent.L.Train.Bottom}
-		ct.Parent = &sc.parentPeer
-		cb.Parent = &sc.parentPeerB
-	}
-	for q := range nbs {
-		if nbs[q].ok && nbs[q].isChild {
-			st := nbs[q].st
-			tl := &st.L.Train
-			chT = append(chT, train.PeerTrain{S: &st.TopS, L: &tl.Top})
-			chB = append(chB, train.PeerTrain{S: &st.BotS, L: &tl.Bottom})
-		}
-	}
-	ct.Children, cb.Children = chT, chB
-	if m.Mode == Async {
-		sc.self = s
-		w := sc.wantedFn()
-		ct.Wanted, cb.Wanted = w, w
+		ct.Parent, cb.Parent = &sc.parentPeer, &sc.parentPeerB
 	}
 	return ct, cb
 }
 
-// nbList mirrors the anonymous neighbour record of Step; declared here so
-// trainCtx and the sampler can share it.
+// nbList is one neighbour's record in Scratch.nbs, shared by the static
+// layer, the sampler and the coast certificate.
 type nbList struct {
 	st      *VState
 	ok      bool

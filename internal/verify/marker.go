@@ -37,10 +37,11 @@
 // The dynamic layer rides the same change clock. Alongside the static
 // verdict, VState memoizes every label-derived quantity the per-round path
 // would otherwise re-derive: the label portion of BitSize (re-measured by
-// the engine's instrumentation at every node every round), the claimed-level
-// mask J(v) the sampler sweeps, and the candidate port of the level being
-// asked about (captured with AskPiece once per dwell window, as protocol
-// state). Labels are never copied by a step at all: each node's label block
+// the engine's instrumentation at every node every round) and the candidate
+// port of the level being asked about (captured with AskPiece once per
+// dwell window, as protocol state). The claimed-level mask J(v) the sampler
+// sweeps needs no memo: it is one load off the label block
+// (hierarchy.Strings.Members). Labels are never copied by a step at all: each node's label block
 // is immutable once marked and shared by reference between the marker's
 // Labeled, both engine buffers and every header copy (VState.CopyFrom).
 // A fault mutates a Clone — the one deep copy — and commits it through

@@ -18,7 +18,6 @@ type Runner struct {
 	Labeled *Labeled
 	Machine *Machine
 	Eng     *runtime.Engine
-	Async   bool
 }
 
 // NewRunner builds an engine with the marker's labels installed. Synchronous
@@ -51,7 +50,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 	m := &Machine{Mode: mode, Labeled: l, FullRecheck: fullRecheck}
 	eng := runtime.New(l.G, m, seed)
 	eng.Parallel = true
-	return &Runner{Labeled: l, Machine: m, Eng: eng, Async: mode == Async}
+	return &Runner{Labeled: l, Machine: m, Eng: eng}
 }
 
 // NewWorklistRunner is NewRunner (Sync mode) with the coast regime enabled
@@ -84,8 +83,8 @@ func DetectionBudget(n int) int {
 	return 4 * levels * (2*(8*(10*lam)+24) + 16)
 }
 
-// Step advances one time unit.
-func (r *Runner) Step() { r.Eng.Step(r.Async) }
+// Step advances one time unit under the daemon of the machine's Mode.
+func (r *Runner) Step() { r.Eng.Step(r.Machine.Mode == Async) }
 
 // RunQuiet runs for the given number of rounds and returns an error on the
 // first alarm (used to establish false-alarm freedom on correct instances).
@@ -185,7 +184,7 @@ func (r *Runner) InjectKind(v int, kind FaultKind, rng *rand.Rand) bool {
 // engine or a Labeled still shares.
 //
 // On a change, every simulator-side memo the state carries (static verdict,
-// cached label BitSize, claimed-level mask) is dropped: most fault kinds
+// cached label BitSize, coast certificate) is dropped: most fault kinds
 // rewrite the very labels those caches measure, and a stale cache would let
 // e.g. MaxStateBits keep reporting bits the corruption removed. A no-op
 // kind leaves the memos — and everything else — untouched, so callers can

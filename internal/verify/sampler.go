@@ -28,15 +28,17 @@ import (
 // between activations (§7.2.2).
 
 // sampler advances the Ask/Show machinery by one step and feeds the alarm.
-// claims is J(v) as maintained by the claimed-level memo in StepInto; the
-// level asked about is its AskIdx-th claimed level (claimAt).
+// J(v) is the strings' membership mask (hierarchy.Strings.Members, one
+// load off the label block); the level asked about is its AskIdx-th
+// claimed level (claimAt).
 //
-// The sweep is batched per (node, active level): the delimiter split, the
-// candidate port and J(v) itself are all pure functions of the (verified)
-// labels, so they are evaluated once per step, once per dwell window, and
-// once per label change respectively — the per-neighbour loop touches only
-// the neighbour's Show buffer, which genuinely changes every round.
-func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, claims uint64, n int, alarm *bool) {
+// The sweep is batched per (node, active level): the delimiter split and
+// the candidate port are pure functions of the (verified) labels, so they
+// are evaluated once per step and once per dwell window — the
+// per-neighbour loop touches only the neighbour's Show buffer, which
+// genuinely changes every round.
+func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, n int, alarm *bool) {
+	claims := s.L.HS.Members()
 	if claims == 0 {
 		s.AskValid = false
 		return
@@ -258,14 +260,11 @@ func trainBudget(nl *train.NodeLabels) int {
 	return bot
 }
 
-// claimMask returns J(v) — the levels at which the strings claim a fragment
-// containing the node — as a mask: bit j is set iff level j is claimed. A
-// block holds at most hierarchy.MaxLevels = 63 levels (ℓ = ⌊log₂ n⌋ ≤ 62
-// for any int n), so every level fits the mask.
-func claimMask(hs *hierarchy.Strings) uint64 { return hs.Members() }
-
 // claimAt returns the i-th claimed level of J(v) in ascending order, for
-// 0 ≤ i < |J(v)|: the position of claims' i-th set bit.
+// 0 ≤ i < |J(v)|: the position of claims' i-th set bit. J(v) is the mask
+// hierarchy.Strings.Members: bit j is set iff the strings claim a level-j
+// fragment containing the node, and a block holds at most
+// hierarchy.MaxLevels = 63 levels, so every level fits it.
 func claimAt(claims uint64, i int) int {
 	for ; i > 0; i-- {
 		claims &= claims - 1

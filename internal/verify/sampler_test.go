@@ -11,9 +11,9 @@ import (
 )
 
 // appendClaimedLevels appends J(v) — the levels at which the strings claim
-// a fragment containing the node — to dst in ascending order: the list
-// reference claimMask and claimAt are checked against, read off the
-// canonical byte form of Roots.
+// a fragment containing the node — to dst in ascending order: the
+// reference list the mask Members and claimAt are checked against, read
+// off the canonical byte form of Roots.
 func appendClaimedLevels(dst []int, hs *hierarchy.Strings) []int {
 	roots, _, _, _ := hierarchy.FormatStrings(hs)
 	for j := 0; j < len(roots); j++ {
@@ -24,15 +24,15 @@ func appendClaimedLevels(dst []int, hs *hierarchy.Strings) []int {
 	return dst
 }
 
-// checkClaimMask fails unless claimMask(hs) holds exactly the reference
+// checkClaimMask fails unless hs.Members() holds exactly the reference
 // list: one set bit per claimed level, and claimAt(·, i) returning the i-th
 // level in ascending order.
 func checkClaimMask(t *testing.T, tag string, hs *hierarchy.Strings) {
 	t.Helper()
 	levels := appendClaimedLevels(nil, hs)
-	m := claimMask(hs)
+	m := hs.Members()
 	if got := bits.OnesCount64(m); got != len(levels) {
-		t.Fatalf("%s: |claimMask| = %d, want %d (levels %v)", tag, got, len(levels), levels)
+		t.Fatalf("%s: |Members| = %d, want %d (levels %v)", tag, got, len(levels), levels)
 	}
 	for i, j := range levels {
 		if got := claimAt(m, i); got != j {
