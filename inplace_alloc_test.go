@@ -16,8 +16,9 @@ import (
 // §7 verifier and of the §10 transformer (check phase) performs zero heap
 // allocations, and so does an asynchronous time unit of each (Jitter 0.3,
 // so some nodes step several times per unit), whose activations recycle
-// the node's state from two activations back. BenchmarkEngineScaling
-// reports the synchronous quantity; this test makes both a hard gate.
+// the node's state from two activations back, and a worklist round of the
+// transformer inside its build phase. BenchmarkEngineScaling reports the
+// synchronous quantity; this test makes all of them a hard gate.
 func TestDetectionPipelineAllocFree(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are perturbed under -race")
@@ -82,6 +83,37 @@ func TestDetectionPipelineAllocFree(t *testing.T) {
 		if got := m.StaticRecomputes() - recomputes; got != 0 {
 			t.Errorf("%s: %d static recomputes over 4 quiet rounds, want 0", name, got)
 		}
+	}
+
+	// The worklist transformer inside its build phase: rounds that step no
+	// node, rounds where every node's timed SYNC_MST pulse arrives at once,
+	// and the waves those pulses start, allocate nothing once each node has
+	// filled its build slots.
+	wl := selfstab.NewRunner(g, g.N(), verify.Sync, 1)
+	inBuild := func(minPulse int) bool {
+		st := wl.Eng.State(0).(*selfstab.SState)
+		return st.Phase == selfstab.PhaseBuild && st.Pulse >= minPulse
+	}
+	for !inBuild(200) {
+		wl.Step()
+	}
+	quiet, full, partial := 0, 0, 0
+	if avg := testing.AllocsPerRun(800, func() {
+		wl.Step()
+		switch a := wl.Eng.LastActive(); {
+		case a == 0:
+			quiet++
+		case a == g.N():
+			full++
+		default:
+			partial++
+		}
+	}); avg != 0 {
+		t.Errorf("worklist transformer: %.2f allocs per build-phase round, want 0", avg)
+	}
+	if quiet == 0 || full == 0 || partial == 0 || !inBuild(1000) {
+		t.Errorf("worklist transformer: %d quiet, %d all-node and %d partial rounds, node 0 in %v: the stretch did not cover the build phase's round kinds",
+			quiet, full, partial, wl.Eng.State(0).(*selfstab.SState).Phase)
 	}
 
 	// SYNC_MST allocates only at phase boundaries (a handful of rounds out

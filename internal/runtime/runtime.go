@@ -330,8 +330,9 @@ type Engine struct {
 	round       int
 	rng         *rand.Rand // the asynchronous daemon's activation order
 
-	// Jitter > 0 makes the asynchronous daemon activate each node
-	// 1+Poisson-like extra times per time unit.
+	// Jitter = J in (0, 1) makes the asynchronous daemon activate each node
+	// 1+G times per time unit, G geometric with P(G ≥ k) = J^k (mean
+	// J/(1−J)), in one shuffled interleaving.
 	Jitter float64
 	// Parallel enables worker-pool fan-out for synchronous rounds.
 	Parallel bool
@@ -381,6 +382,12 @@ type Engine struct {
 	matT         []int64 // nil until the worklist is armed
 	stepsTaken   int64
 	lastActive   int
+
+	// Timed wakes (see worklist.go): a min-heap of nodes keyed by wakeAt;
+	// wakePos[i] is node i's heap slot, -1 while it has no wake pending.
+	wakeHeap []int32
+	wakePos  []int32
+	wakeAt   []int64
 
 	//ssmst:allow determinism -- the engine owns the View lifecycle; this one is re-aimed before every use
 	view  View  // reusable View for serial stepping, Init, and async
@@ -446,7 +453,11 @@ func (e *Engine) MaxStateBits() int { return e.maxBits }
 // State returns node v's current state (read-only; see Machine for the
 // lifetime caveat of recycled states). Under worklist stepping a skipped
 // node's lagged clockwork is materialized before the state is returned, so
-// observers never see a lagged state.
+// observers never see a lagged state. A step may call it too (selfstab's
+// label oracle reads every node): during a round it returns the state the
+// round reads, and it materializes only nodes outside every stepping
+// node's neighbourhood, which the round does not read; concurrent calls
+// from steps must be serialized by the machine.
 func (e *Engine) State(v int) State {
 	if e.matT != nil && e.matT[v] < int64(e.round) {
 		e.materialize(v, int64(e.round))
@@ -744,9 +755,7 @@ func (e *Engine) StepSync() {
 	e.stepsTaken += int64(count)
 	e.commitMarks() // under worklist stepping, wakes the marks' neighbourhoods
 	for _, i := range active {
-		if !e.coaster.Quiescent(e.states[i]) {
-			e.enqueue(i)
-		}
+		e.requeue(i)
 	}
 }
 
@@ -833,11 +842,12 @@ func ensurePool() {
 
 // StepAsync executes one asynchronous time unit: every node is activated at
 // least once, in a random interleaving, each activation reading current
-// states. With Jitter > 0, additional activations are interleaved. An
-// activation is the synchronous rounds' per-node step (stepNode) into the
-// node's spare slot, installed at once by per-slot swap, so it recycles
-// the node's state from two activations back and the steady-state time
-// unit allocates nothing. The activation-order buffer is reused across
+// states. With Jitter = J > 0, each node gets a geometric number of extra
+// activations (mean J/(1−J)) shuffled into the same interleaving, so a unit
+// averages n/(1−J) activations. An activation is the synchronous rounds'
+// per-node step (stepNode) into the node's spare slot, installed at once by
+// per-slot swap, so it recycles the node's state from two activations back
+// and the steady-state time unit allocates nothing. The activation-order buffer is reused across
 // time units.
 func (e *Engine) StepAsync() {
 	if e.matT != nil {
@@ -857,14 +867,6 @@ func (e *Engine) StepAsync() {
 			}
 		}
 		e.rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		// Weak fairness: guarantee one activation per node per unit by
-		// appending a final permutation pass.
-		base := len(order)
-		for i := 0; i < n; i++ {
-			order = append(order, i)
-		}
-		tail := order[base:]
-		e.rng.Shuffle(n, func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
 	}
 	e.order = order
 	v := &e.view

@@ -108,6 +108,61 @@ func (m asyncTap) Step(v *View, scratch State) State {
 	return s
 }
 
+// activationCount is a toy state counting its node's activations.
+type activationCount struct{ n int }
+
+func (s *activationCount) BitSize() int { return bits.ForInt(int64(s.n)) }
+func (s *activationCount) Clone() State { c := *s; return &c }
+func (s *activationCount) Alarm() bool  { return false }
+func (s *activationCount) Done() bool   { return false }
+
+type activationCounter struct{}
+
+func (activationCounter) Init(v *View) State { return &activationCount{} }
+func (activationCounter) Step(v *View, _ State) State {
+	return &activationCount{n: v.Self().(*activationCount).n + 1}
+}
+
+// TestAsyncTimeUnit pins the asynchronous time unit: every node is
+// activated at least once per StepAsync; at Jitter 0 exactly once (n
+// activations per unit), and at Jitter J the extra activations average
+// J/(1−J) per node, so a unit averages n/(1−J).
+func TestAsyncTimeUnit(t *testing.T) {
+	g := graph.RandomConnected(200, 500, 3)
+	n := g.N()
+	for _, jitter := range []float64{0, 0.3} {
+		e := New(g, activationCounter{}, 9)
+		e.Jitter = jitter
+		const units = 200
+		prev := make([]int, n)
+		for u := 0; u < units; u++ {
+			before := e.StepsTaken()
+			e.StepAsync()
+			got := int(e.StepsTaken() - before)
+			sum := 0
+			for v := 0; v < n; v++ {
+				c := e.State(v).(*activationCount).n
+				if c == prev[v] {
+					t.Fatalf("jitter %.1f unit %d: node %d was not activated", jitter, u, v)
+				}
+				sum += c - prev[v]
+				prev[v] = c
+			}
+			if sum != got {
+				t.Fatalf("jitter %.1f unit %d: StepsTaken grew by %d, the nodes counted %d activations", jitter, u, got, sum)
+			}
+			if jitter == 0 && got != n {
+				t.Fatalf("jitter 0 unit %d: %d activations, want exactly n=%d", u, got, n)
+			}
+		}
+		mean := float64(e.StepsTaken()) / units
+		want := float64(n) / (1 - jitter)
+		if mean < 0.98*want || mean > 1.02*want {
+			t.Errorf("jitter %.1f: %.1f activations per unit, want n/(1−J) = %.1f within 2%%", jitter, mean, want)
+		}
+	}
+}
+
 // TestAsyncMatchesRecount steps the toy coast machine under the
 // asynchronous daemon with Jitter through convergence, a local transient
 // and a global re-flood. After every StepAsync the recycling engine must

@@ -1,5 +1,7 @@
 package runtime
 
+import "math"
+
 // Worklist (active-set) stepping — PR 8.
 //
 // A synchronous round of the dense engine visits all n nodes even when the
@@ -15,13 +17,16 @@ package runtime
 // The machine side of the bargain is the CoastStepper interface: a machine
 // declares, per state, whether the node is quiescent — meaning its next
 // step, under an unchanged neighbourhood, is exactly one tick of a pure
-// per-node clockwork (CoastAdvance with k=1) — and provides the k-round
-// closed form of that clockwork. The verifier's coast regime (certified
-// static verdict, trains at rest, starved sampler sweep; see
-// internal/verify/coast.go) implements it.
+// per-node clockwork (CoastAdvance with k=1) — until which round that holds,
+// and provides the k-round closed form of that clockwork. The verifier's
+// coast regime (certified static verdict, trains at rest, starved sampler
+// sweep; see internal/verify/coast.go) holds forever; the transformer's
+// pulse phases (internal/selfstab) hold until the node's next self-timed
+// pulse.
 //
-// The engine side seeds the frontier from the same dirty-epoch journal that
-// powers incremental verification:
+// The engine side wakes a skipped node in two ways. Change-driven wakes
+// come from the same dirty-epoch journal that powers incremental
+// verification:
 //
 //   - every dirty bump — View.MarkChanged commits, SetState, Corrupt,
 //     MutateTopology — wakes the marked node AND its 1-hop
@@ -34,22 +39,34 @@ package runtime
 //     faults melt a coasting region outward at one hop per round until the
 //     protocol re-certifies and re-freezes it.
 //
+// A timed wake is the round a quiescent state names itself (Quiescent's
+// wake): the engine steps the node in that round even if nothing around it
+// changed. The pending wakes sit in a min-heap over node indices, one entry
+// per node, allocated when the machine first names a wake; a round pops the
+// entries that are due (O(1) when none is) and a stepped node's entry is
+// moved, not added twice, so the heap never outgrows n and steady-state
+// rounds allocate nothing.
+//
 // Skipping is sound because it is exactly the machine's own coast branch:
 // the dense engine steps a quiescent node by running CoastAdvance(s, 1)
 // inside the machine step, the sparse engine runs CoastAdvance(s, k) once
 // on re-activation (or on read). Both trajectories are the same function of
 // the same inputs, so verdicts, detection rounds, alarm traces and
 // MaxStateBits are bit-identical by construction — locked by the
-// differential parity suite and fuzz battery in internal/verify.
+// differential parity suites and fuzz batteries in internal/verify and
+// internal/selfstab.
 //
 // Lazy materialization: states[i] of a skipped node reflects the end of
 // round matT[i] ≤ round. Before a round, every active node and every
 // skipped neighbour of an active node is materialized to the current round,
 // so machine steps always read fullsweep-equivalent values; Engine.State
 // materializes on read, so external observers never see a lagged state.
-// CoastStepper states must keep BitSize constant while quiescent (the
-// verifier memoizes a width-complete coast footprint), so the bit
-// high-water mark needs no per-round re-measurement of skipped nodes.
+// A quiescent state keeps its BitSize constant until its wake round, so the
+// bit high-water mark needs no per-round re-measurement of skipped nodes.
+// The verifier memoizes a width-complete coast footprint and never wakes;
+// a state whose width does change while it coasts (the transformer counts
+// its growing pulse) names the round its width next grows as a wake, and
+// the step there measures the wider state.
 //
 // One round body: a worklist round is StepSync with a different node
 // sequence (the frontier instead of 0..n-1) and a different install
@@ -62,16 +79,24 @@ package runtime
 // asynchronously, panics instead of silently replaying that lag.
 
 // CoastStepper is the optional Machine contract behind worklist stepping
-// (Engine.Worklist). Quiescent reports whether node i's state s is in the
-// machine's coast regime: stepping it under an unchanged neighbourhood is
-// exactly one CoastAdvance tick (k=1), it raises no alarm, and its BitSize
-// is constant. CoastAdvance advances the coast clockwork of node's state s
-// by k rounds, in place, in O(1) — wraps and resets replayed algebraically,
-// never iterated; deg is the node's degree.
+// (Engine.Worklist). Quiescent reports whether state s is in the machine's
+// coast regime, and until when: a quiescent state promises that stepping it
+// in any round before wake, under a neighbourhood that marked no change
+// since it was written, is exactly one CoastAdvance tick (k=1), raises no
+// alarm, and leaves its BitSize unchanged. In round wake the node must step
+// again whatever its neighbourhood did; NoWake means never. wake is an
+// absolute round (an Engine.Round value), so a quiescent state names the
+// same wake at every tick of its coast. CoastAdvance advances the coast
+// clockwork of state s by k rounds, in place, in O(1) — wraps and resets
+// replayed algebraically, never iterated; deg is the node's degree.
 type CoastStepper interface {
-	Quiescent(s State) bool
+	Quiescent(s State) (wake int64, ok bool)
 	CoastAdvance(s State, deg, k int)
 }
+
+// NoWake is the wake of a quiescent state that coasts until its
+// neighbourhood changes.
+const NoWake int64 = math.MaxInt64
 
 // StepsTaken returns the cumulative number of machine steps executed: n per
 // dense synchronous round, the active-set size per worklist round (so a
@@ -157,6 +182,9 @@ func (e *Engine) materialize(i int, T int64) {
 func (e *Engine) takeFrontier() []int32 {
 	e.ensureWorklist()
 	T := int64(e.round)
+	for len(e.wakeHeap) > 0 && e.wakeAt[e.wakeHeap[0]] <= T {
+		e.enqueue(e.popWake())
+	}
 	e.frontier, e.nextFrontier = e.nextFrontier, e.frontier[:0]
 	active := e.frontier
 	a := e.adj
@@ -192,4 +220,109 @@ func (e *Engine) installActive(active []int32) {
 // step. Worklist rounds and asynchronous activations install through it.
 func (e *Engine) install(i int) {
 	e.states[i], e.prev[i] = e.prev[i], e.states[i]
+}
+
+// requeue puts a node stepped in the round just finished back on the
+// worklist: a non-quiescent node, or one whose wake is the next round,
+// joins the next frontier; a quiescent one waits for a change or its timed
+// wake, which replaces any wake it had pending. No wake is cancelled: one
+// left pending by a node that has since stepped into another kind of state
+// fires while the node is on the frontier anyway, or costs it one step the
+// dense engine takes too.
+//
+//ssmst:hotpath
+func (e *Engine) requeue(i int32) {
+	switch wake, ok := e.coaster.Quiescent(e.states[i]); {
+	case !ok || wake <= int64(e.round):
+		e.enqueue(i)
+	case wake != NoWake:
+		e.schedule(i, wake)
+	}
+}
+
+// schedule sets node i's timed wake to round at, moving its heap entry if
+// it has one.
+//
+//ssmst:hotpath
+func (e *Engine) schedule(i int32, at int64) {
+	if e.wakePos == nil {
+		e.armWakes()
+	}
+	p := e.wakePos[i]
+	if p < 0 {
+		p = int32(len(e.wakeHeap))
+		e.wakeHeap = append(e.wakeHeap, i) // capacity n: one entry per node
+		e.wakePos[i] = p
+	} else if e.wakeAt[i] == at {
+		return
+	}
+	e.wakeAt[i] = at
+	e.siftUp(p)
+	e.siftDown(e.wakePos[i])
+}
+
+// armWakes allocates the timed-wake heap, with room for one entry per
+// node, when a machine first names a wake; a worklist whose machine never
+// does (the verifier) carries none.
+func (e *Engine) armWakes() {
+	n := e.g.N()
+	e.wakeHeap = make([]int32, 0, n)
+	e.wakePos = make([]int32, n)
+	e.wakeAt = make([]int64, n)
+	for i := range e.wakePos {
+		e.wakePos[i] = -1
+	}
+}
+
+// popWake removes and returns the node with the earliest pending wake.
+//
+//ssmst:hotpath
+func (e *Engine) popWake() int32 {
+	i := e.wakeHeap[0]
+	last := int32(len(e.wakeHeap) - 1)
+	e.swapWakes(0, last)
+	e.wakeHeap = e.wakeHeap[:last]
+	e.wakePos[i] = -1
+	e.siftDown(0)
+	return i
+}
+
+// wakeLess orders heap slots by wake round.
+func (e *Engine) wakeLess(a, b int32) bool {
+	return e.wakeAt[e.wakeHeap[a]] < e.wakeAt[e.wakeHeap[b]]
+}
+
+func (e *Engine) swapWakes(a, b int32) {
+	h := e.wakeHeap
+	h[a], h[b] = h[b], h[a]
+	e.wakePos[h[a]], e.wakePos[h[b]] = a, b
+}
+
+func (e *Engine) siftUp(p int32) {
+	for p > 0 {
+		parent := (p - 1) / 2
+		if !e.wakeLess(p, parent) {
+			return
+		}
+		e.swapWakes(p, parent)
+		p = parent
+	}
+}
+
+func (e *Engine) siftDown(p int32) {
+	n := int32(len(e.wakeHeap))
+	for {
+		least, l := p, 2*p+1
+		if l < n && e.wakeLess(l, least) {
+			least = l
+		}
+		if r := l + 1; r < n && e.wakeLess(r, least) {
+			least = r
+		}
+		if least == p {
+			return
+		}
+		e.swapWakes(p, least)
+		p = least
+	}
 }

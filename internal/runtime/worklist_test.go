@@ -7,6 +7,7 @@ import (
 
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
+	"ssmst/internal/raceflag"
 )
 
 // coastProbe is a toy CoastStepper whose states raise alarms and
@@ -92,9 +93,9 @@ func (coastProbe) Step(v *View, scratch State) State {
 
 // Quiescent: a done node that agrees with its whole neighbourhood steps,
 // under an unchanged neighbourhood, into itself with the clock one tick on.
-func (coastProbe) Quiescent(st State) bool {
+func (coastProbe) Quiescent(st State) (int64, bool) {
 	s := st.(*coastProbeState)
-	return s.Finished && !s.Alarmed
+	return NoWake, s.Finished && !s.Alarmed
 }
 
 func (coastProbe) CoastAdvance(st State, deg, k int) {
@@ -271,5 +272,104 @@ func TestWorklistLatch(t *testing.T) {
 	plain.StepSync()
 	if plain.StepsTaken() < 3*int64(g.N()) || plain.LastActive() != g.N() {
 		t.Fatalf("non-coast machine: steps %d, last active %d", plain.StepsTaken(), plain.LastActive())
+	}
+}
+
+// ringProbe is a toy CoastStepper whose nodes coast until a timed wake:
+// each counts rounds up to its period and then rings, which its neighbours
+// hear (a ring marks the node changed). The period depends on how many
+// rings a node has heard, so a neighbour's ring moves a pending wake
+// earlier or later.
+type ringProbe struct{}
+
+type ringState struct {
+	Tick  int   // rounds since the last ring, below the period
+	Rings int   // rings so far
+	Heard int   // the neighbours' rings, summed
+	wake  int64 // the round it next rings
+}
+
+func (s *ringState) period(id graph.NodeID) int { return 20 + int(id+graph.NodeID(s.Heard))%37 }
+
+// BitSize counts Tick at the width of the longest period, so it stays
+// constant while the node coasts.
+func (s *ringState) BitSize() int {
+	return bits.ForInt(int64(s.Rings)) + bits.ForInt(int64(s.Heard)) + bits.ForUint(56)
+}
+func (s *ringState) Clone() State { c := *s; return &c }
+func (s *ringState) Alarm() bool  { return false }
+func (s *ringState) Done() bool   { return false }
+
+func (ringProbe) Init(v *View) State { return &ringState{} }
+
+func (ringProbe) Step(v *View, scratch State) State {
+	old := v.Self().(*ringState)
+	next := *old
+	next.Heard = 0
+	for p := 0; p < v.Degree(); p++ {
+		next.Heard += v.Neighbour(p).(*ringState).Rings
+	}
+	next.Tick++
+	if per := next.period(v.ID()); next.Tick >= per {
+		next.Tick = 0
+		next.Rings++
+		v.MarkChanged()
+	}
+	next.wake = int64(v.Round()) + int64(next.period(v.ID())-next.Tick)
+	s, ok := scratch.(*ringState)
+	if !ok {
+		s = new(ringState)
+	}
+	*s = next
+	return s
+}
+
+// Quiescent: under an unchanged neighbourhood a node only counts, until
+// the round it rings.
+func (ringProbe) Quiescent(st State) (int64, bool) { return st.(*ringState).wake, true }
+
+func (ringProbe) CoastAdvance(st State, deg, k int) { st.(*ringState).Tick += k }
+
+// TestTimedWakeMatchesDense steps the ring machine on a dense engine and on
+// worklist engines (serial and pool-forced): every node coasts between
+// rings, so every ring is a timed wake, and the rings a node hears move its
+// pending wake. The worklist engines must equal the dense one state for
+// state every round while stepping far fewer nodes, and a warmed worklist
+// round must allocate nothing.
+func TestTimedWakeMatchesDense(t *testing.T) {
+	g := graph.RandomConnected(200, 500, 7)
+	dense := New(g, ringProbe{}, 1)
+	serial := New(g, ringProbe{}, 1)
+	serial.Worklist = true
+	pooled := New(g, ringProbe{}, 1)
+	pooled.Worklist = true
+	pooled.Parallel = true
+	pooled.Workers = PoolWorkers()
+	engines := []*Engine{dense, serial, pooled}
+	for r := 0; r < 300; r++ {
+		for _, e := range engines {
+			e.StepSync()
+		}
+		lazy := r%50 >= 25 // half the time, let skipped nodes lag unread
+		if lazy && r%50 != 49 {
+			continue
+		}
+		for v := 0; v < g.N(); v++ {
+			want := *dense.State(v).(*ringState)
+			for i, e := range engines[1:] {
+				if got := *e.State(v).(*ringState); got != want {
+					t.Fatalf("round %d node %d: worklist engine %d %+v != dense %+v", r, v, i, got, want)
+				}
+			}
+		}
+	}
+	if serial.StepsTaken() != pooled.StepsTaken() || 3*serial.StepsTaken() > dense.StepsTaken() {
+		t.Fatalf("steps: dense %d, worklist %d, pool %d", dense.StepsTaken(), serial.StepsTaken(), pooled.StepsTaken())
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if avg := testing.AllocsPerRun(50, serial.StepSync); avg != 0 {
+		t.Errorf("%.2f allocs per warmed worklist round, want 0", avg)
 	}
 }

@@ -20,11 +20,15 @@ type Runner struct {
 // NewRunner builds the transformer engine; bound is the polynomial upper
 // bound N on n assumed by the reset substrate (pass g.N() for the exact
 // bound). Rounds recycle each node's two-rounds-old state and allocate
-// nothing within a phase.
+// nothing within a phase. Under the synchronous daemon the engine steps a
+// worklist (runtime.Engine.Worklist): nodes pulsing in lockstep through
+// resync, build and label are skipped until a neighbour changes or their
+// next timed pulse arrives (see the package doc).
 func NewRunner(g *graph.Graph, bound int, mode verify.Mode, seed int64) *Runner {
 	m := NewMachine(g, bound, mode)
 	eng := runtime.New(g, m, seed)
 	eng.Parallel = true
+	eng.Worklist = mode == verify.Sync
 	m.Snapshot = func() []*SState {
 		out := make([]*SState, g.N())
 		for i := 0; i < g.N(); i++ {

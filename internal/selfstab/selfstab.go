@@ -30,12 +30,45 @@
 //	          dirty-epoch tracking so the memo invalidates exactly when a
 //	          standalone verifier's would.
 //
+// # Coasting through the pulse phases
+//
+// Each epoch is a fixed O(N) schedule of pulses, and almost none of them
+// changes anything: once the synchronizer has brought a region into
+// lockstep, a node's step in resync, build or label only advances its
+// pulse. Under the synchronous daemon the Machine is a runtime.CoastStepper
+// and NewRunner arms the engine's worklist, so such a node is skipped and
+// its pulse advanced in closed form (CoastAdvance adds k pulses).
+//
+// Skipping is exact by a lockstep argument. Call a step clean when it
+// leaves epoch, phase and SYNC_MST registers as they were and the pulse one
+// higher. A node whose last step was clean, with every neighbour at its
+// epoch, phase and pulse (lockstep), is quiet (Quiescent). Every node marks
+// itself changed (View.MarkChanged) after any step in these phases that is
+// not clean, and after any change of epoch or phase, which wakes its
+// neighbours. So while no neighbour of a quiet node marks, each neighbour
+// steps cleanly: the quiet node's next step reads the same epochs, phases
+// and registers, every pulse one higher. The synchronizer gate then passes
+// again, and SYNC_MST, whose step depends on its round only through a few
+// thresholds, computes the same registers from the same inputs — unless the
+// round crosses a threshold (syncmst.NextTrigger). The step is therefore
+// clean again, and stays so until the node's next timed pulse: a SYNC_MST
+// threshold, the phase's last pulse, or the first pulse whose encoding is
+// wider (BitSize counts the pulse, and the engine must measure the state
+// whose width grows). The quiet state names the round of that pulse as its
+// timed wake, and the engine steps it there. The dense engine, stepping
+// every node, takes the same clean steps, so the two run bit-identical
+// (TestTransformerWorklistParity*, FuzzTransformerParity).
+//
+// The check phase stays awake: every check-phase node steps every round.
+// The asynchronous daemon has no lockstep to exploit and steps densely.
+//
 // Per the paper's model discussion, the substrate assumes a polynomial
 // upper bound N on n (the assumption the paper removes by plugging in
 // [1,28]-style size computation); stabilization time is O(N).
 package selfstab
 
 import (
+	mbits "math/bits"
 	"strconv"
 	"sync"
 
@@ -83,11 +116,18 @@ type SState struct {
 	Build     *syncmst.State // build state at the current pulse
 	BuildPrev *syncmst.State // build state at the previous pulse (α slot)
 	Check     *verify.VState
+
+	// wake is the coast memo (Machine.Quiescent): nonzero when the step
+	// that wrote this state only advanced its pulse, with its whole closed
+	// neighbourhood in lockstep, and then the round at which the node must
+	// step again anyway. Simulator-side: no step reads it.
+	wake int64 //ssmst:nobits
 }
 
-// Clone returns a deep copy.
+// Clone returns a deep copy without the memos.
 func (s *SState) Clone() runtime.State {
 	c := *s
+	c.wake = 0
 	if s.Build != nil {
 		c.Build = s.Build.Clone().(*syncmst.State)
 	}
@@ -126,12 +166,14 @@ func (s *SState) BitSize() int {
 		sub
 }
 
-// InvalidateMemo implements runtime.MemoInvalidator by forwarding to the
-// embedded verifier state: injection through SetState/Corrupt (including
-// Runner.InjectCheckFault) may rewrite the very labels the verifier's
-// simulator-side caches (static verdict, label BitSize, coast certificate)
-// were computed over. The transformer bookkeeping itself carries no memo.
+// InvalidateMemo implements runtime.MemoInvalidator: it drops the coast
+// memo, so an injected or topology-touched state steps before it coasts,
+// and forwards to the embedded verifier state, since injection through
+// SetState/Corrupt (including Runner.InjectCheckFault) may rewrite the very
+// labels the verifier's simulator-side caches (static verdict, label
+// BitSize, coast certificate) were computed over.
 func (s *SState) InvalidateMemo() {
+	s.wake = 0
 	if s.Check != nil {
 		s.Check.InvalidateMemo()
 	}
@@ -164,6 +206,7 @@ func (s *SState) Done() bool { return s.Phase == PhaseCheck && !s.Alarm() }
 
 var (
 	_ runtime.Machine         = (*Machine)(nil)
+	_ runtime.CoastStepper    = (*Machine)(nil)
 	_ runtime.MemoInvalidator = (*SState)(nil)
 	_ runtime.PortRemapper    = (*SState)(nil)
 )
@@ -292,6 +335,16 @@ func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 // dst's sub-state memory is recycled; the result never aliases v.Self(),
 // any neighbour state, or anything else reachable from the View.
 //
+// It ends by telling neighbours that skip their steps (Quiescent) what they
+// cannot see: a step that changes the epoch or the phase, or that leaves a
+// pulse phase's pulse anything but one higher with the same SYNC_MST
+// registers, marks the node changed. Those are every change a neighbour's
+// step reads, so the marks also keep the embedded verifier's memo exactly
+// as fresh as in a standalone run (epoch adoption, phase transitions and
+// the alarm reset are among them). A step that only advanced the pulse,
+// with every neighbour at this node's epoch, phase and pulse, leaves the
+// state quiet until its next timed pulse (wakeRound).
+//
 //ssmst:hotpath
 func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtime.State {
 	old := v.Self().(*SState)
@@ -302,6 +355,7 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	}
 	*dst = *old
 	s := dst
+	s.wake = 0
 	// Deep-copy the sub-states into the recycled slots (what Clone would
 	// do); from here on s shares no memory with old. The sub-state a
 	// phase's own hot step overwrites wholesale is deferred to that branch —
@@ -322,16 +376,23 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 	}
 
 	// ---- Epoch adoption: the reset flood. ----
+	// The same scan decides lockstep: every neighbour at this node's epoch,
+	// phase and pulse.
 	deg := v.Degree()
+	lockstep := true
 	for q := 0; q < deg; q++ {
 		nb, ok := v.Neighbour(q).(*SState)
-		if ok && nb.Epoch > s.Epoch {
+		if !ok {
+			lockstep = false
+			continue
+		}
+		if nb.Epoch > s.Epoch {
 			s.Epoch = nb.Epoch
 			s.Phase = PhaseResync
 			s.Pulse = 0
 			s.Build, s.BuildPrev, s.Check = nil, nil, nil
-			v.MarkChanged() // neighbours' memoized check verdicts must re-probe
 		}
+		lockstep = lockstep && nb.Epoch == old.Epoch && nb.Phase == old.Phase && nb.Pulse == old.Pulse
 	}
 	if s.Pulse < 0 || s.Pulse > m.phaseDur(s.Phase)+1 {
 		s.Pulse = 0 // corrupted pulse: restart the phase (hygiene)
@@ -354,7 +415,6 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 				s.Check = m.installLabels(v.Node(), s)
 				s.Build, s.BuildPrev = nil, nil
 			}
-			v.MarkChanged() // phase transitions change what neighbours' checks see
 		}
 
 	case PhaseBuild:
@@ -382,7 +442,6 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			s.Phase = PhaseLabel
 			s.Pulse = 0
 			// Build states are kept: the label oracle reads them.
-			v.MarkChanged()
 		}
 
 	case PhaseCheck:
@@ -390,7 +449,7 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 		// check phase of this epoch (the one-activation skew the
 		// synchronizer permits at the phase boundary must not read as a
 		// missing neighbour). The early return materializes the deferred
-		// Check copy.
+		// Check copy; the state is unchanged, so there is nothing to mark.
 		for q := 0; q < deg; q++ {
 			nb, ok := v.Neighbour(q).(*SState)
 			if !ok || nb.Epoch != s.Epoch || nb.Phase != PhaseCheck {
@@ -419,14 +478,69 @@ func (m *Machine) stepInto(v *runtime.View, dst *SState, sc *machScratch) runtim
 			s.Phase = PhaseResync
 			s.Pulse = 0
 			s.Build, s.BuildPrev, s.Check = nil, nil, nil
-			v.MarkChanged()
 		}
 
 	default:
 		s.Phase = PhaseResync
 		s.Pulse = 0
 	}
+
+	switch {
+	case s.Epoch != old.Epoch || s.Phase != old.Phase:
+		v.MarkChanged()
+	case s.Phase == PhaseCheck:
+		// The verifier marks its own register changes.
+	case old.Pulse < 0 || s.Pulse != old.Pulse+1 || (s.Phase == PhaseBuild && !sameBuild(old.Build, s.Build)):
+		v.MarkChanged()
+	case lockstep:
+		s.wake = m.wakeRound(v.Round(), s)
+	}
 	return s
+}
+
+// sameBuild reports whether two build slots hold the same registers.
+func sameBuild(a, b *syncmst.State) bool {
+	return a != nil && b != nil && *a == *b
+}
+
+// wakeRound is the round at which a quiet node must step again although
+// nothing around it changed: the step that starts at the first timed pulse
+// at or after s.Pulse. That is the phase's last pulse, in the build phase
+// the first SYNC_MST trigger round (syncmst.NextTrigger), and the pulse
+// before one with a wider encoding — BitSize counts the pulse, so the
+// engine must measure the state whose width grows. r is the round of the
+// step that wrote s.
+func (m *Machine) wakeRound(r int, s *SState) int64 {
+	t := min(m.phaseDur(s.Phase), widerPulse(s.Pulse)) - 1
+	if s.Phase == PhaseBuild {
+		t = min(t, syncmst.NextTrigger(s.Build, s.Pulse))
+	}
+	return int64(r) + 1 + int64(t-s.Pulse)
+}
+
+// widerPulse returns the least pulse above p ≥ 0 whose encoding
+// (bits.ForInt) is wider than p's.
+func widerPulse(p int) int { return max(2, 1<<mbits.Len(uint(p))) }
+
+// Quiescent implements runtime.CoastStepper: a quiet state's step, while no
+// neighbour marks a change, only advances its pulse — until its wake round.
+func (m *Machine) Quiescent(st runtime.State) (int64, bool) {
+	s, ok := st.(*SState)
+	if !ok || s.wake == 0 {
+		return 0, false
+	}
+	return s.wake, true
+}
+
+// CoastAdvance implements runtime.CoastStepper: k quiet steps advance the
+// pulse by k and change nothing else.
+//
+//ssmst:hotpath
+//ssmst:coastpure
+func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
+	if s, ok := st.(*SState); ok {
+		s.Pulse += k
+	}
 }
 
 // mayAdvance is the α-synchronizer gate: a node advances its pulse only

@@ -2,9 +2,13 @@ package selfstab
 
 import (
 	"fmt"
+	"math"
+	mbits "math/bits"
 	"math/rand"
 	"testing"
+	"unsafe"
 
+	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 	"ssmst/internal/syncmst"
 	"ssmst/internal/verify"
@@ -85,19 +89,25 @@ func TestAsyncStabilizes(t *testing.T) {
 	}
 }
 
+// TestMemoryBoundedLogarithmic is the O(log n) bits gate of Theorem 10.3:
+// over a clean start to a stable MST output, the widest state any node
+// held, divided by ⌈log₂ n⌉, must not grow with n.
 func TestMemoryBoundedLogarithmic(t *testing.T) {
-	type pt struct{ n, bits int }
-	var pts []pt
-	for _, n := range []int{12, 48} {
+	prev := math.Inf(1)
+	for _, n := range []int{12, 48, 256, 1024} {
 		g := graph.RandomConnected(n, 2*n, int64(n))
 		r := NewRunner(g, n, verify.Sync, 1)
-		r.RunUntilStable(r.StabilizationBudget())
-		pts = append(pts, pt{n, r.Eng.MaxStateBits()})
+		if _, ok := r.RunUntilStable(r.StabilizationBudget()); !ok {
+			t.Fatalf("n=%d: not stable within %d rounds", n, r.StabilizationBudget())
+		}
+		b := r.Eng.MaxStateBits()
+		per := float64(b) / float64(mbits.Len(uint(n-1)))
+		t.Logf("n=%d: %d bits, %.1f per ⌈log₂ n⌉", n, b, per)
+		if per > prev {
+			t.Errorf("n=%d: %.1f bits per ⌈log₂ n⌉, more than %.1f at the smaller n", n, per, prev)
+		}
+		prev = per
 	}
-	if pts[1].bits > 3*pts[0].bits {
-		t.Errorf("state growth not logarithmic: %+v", pts)
-	}
-	t.Logf("selfstab memory: %+v", pts)
 }
 
 func TestPhaseString(t *testing.T) {
@@ -147,4 +157,27 @@ func TestLabelPhaseChargeCoversMarker(t *testing.T) {
 		}
 	}
 	t.Logf("highest share of the label-phase charge: %.0f%% at %s", 100*worst, worstTag)
+}
+
+// TestWiderPulse: the width wake lands on the first pulse whose encoding
+// is wider, since SState.BitSize counts the pulse with bits.ForInt.
+func TestWiderPulse(t *testing.T) {
+	for p := 0; p < 1<<14; p++ {
+		q := p + 1
+		for bits.ForInt(int64(q)) == bits.ForInt(int64(p)) {
+			q++
+		}
+		if got := widerPulse(p); got != q {
+			t.Fatalf("widerPulse(%d) = %d, want %d", p, got, q)
+		}
+	}
+}
+
+// TestSStateFootprint: two transformer states per node sit in the engine's
+// buffers; the coast memo must not push the header out of its 64-B size
+// class.
+func TestSStateFootprint(t *testing.T) {
+	if size := unsafe.Sizeof(SState{}); size > 64 {
+		t.Fatalf("SState is %d B, over the 64-B size class", size)
+	}
 }

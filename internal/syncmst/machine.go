@@ -1,6 +1,8 @@
 package syncmst
 
 import (
+	"math"
+
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
@@ -334,6 +336,32 @@ func StepCoreInto(dst *State, v NodeView) *State {
 		}
 	}
 	return s
+}
+
+// NextTrigger returns the first round t ≥ r at which StepCoreInto may
+// change s although its own state and its neighbours' are unchanged: the
+// rounds where the step's dependence on the round changes — a phase starts
+// (11·2^p), the find wave may start (15·2^p), waved nodes examine their
+// edges (17·2^p), the change-root token may move (19·2^p), and the
+// handshake round (22·2^p − 1). Between two such rounds the step is one
+// fixed function of the states it reads, so a state it leaves unchanged
+// stays unchanged. A finished state never changes: NextTrigger returns
+// math.MaxInt for it.
+func NextTrigger(s *State, r int) int {
+	if s.Finished {
+		return math.MaxInt
+	}
+	p := PhaseOf(r)
+	if p < 0 {
+		return 11
+	}
+	b := 1 << uint(p)
+	for _, t := range [...]int{11 * b, 15 * b, 17 * b, 19 * b, 22*b - 1} {
+		if t >= r {
+			return t
+		}
+	}
+	return 22 * b // the next phase starts
 }
 
 // takeToken performs one change-root step at the token holder: reorient the

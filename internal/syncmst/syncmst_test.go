@@ -7,6 +7,7 @@ import (
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
+	"ssmst/internal/runtime"
 )
 
 func sameEdgeSets(a, b []int) bool {
@@ -297,5 +298,83 @@ func TestSimulateTreeRejectsBadInput(t *testing.T) {
 	}
 	if !sameEdgeSets(res.Tree.EdgeSet(), []int{0, 1, 3}) {
 		t.Fatalf("tree %v, want the given edges", res.Tree.EdgeSet())
+	}
+}
+
+// TestNextTrigger: NextTrigger(s, r) is the first round t ≥ r at which
+// StepCoreInto's dependence on the round changes from round t−1's — its
+// phase, the find, examine and change-root thresholds, the handshake round
+// — and never comes for a finished state.
+func TestNextTrigger(t *testing.T) {
+	flag := func(b bool) int {
+		if b {
+			return 1
+		}
+		return 0
+	}
+	preds := func(r int) [5]int {
+		p := PhaseOf(r)
+		if p < 0 {
+			return [5]int{-1}
+		}
+		b := 1 << p
+		return [5]int{p, flag(r >= 15*b), flag(r >= 17*b), flag(r >= 19*b), flag(r == 22*b-1)}
+	}
+	s := NewState(1)
+	for r := 0; r < 6000; r++ {
+		want := r
+		for want == 0 || preds(want) == preds(want-1) {
+			want++
+		}
+		if got := NextTrigger(s, r); got != want {
+			t.Fatalf("NextTrigger(r=%d) = %d, want %d", r, got, want)
+		}
+	}
+	s.Finished = true
+	if got := NextTrigger(s, 100); got != math.MaxInt {
+		t.Fatalf("finished state: NextTrigger = %d, want never", got)
+	}
+}
+
+// TestStepFixedBetweenTriggers runs the register program and checks the
+// property the transformer's coasting relies on: a node whose step left it
+// unchanged, and whose neighbours did not change either, stays unchanged
+// at the next round unless that round is a trigger (NextTrigger).
+func TestStepFixedBetweenTriggers(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.RandomConnected(64, 160, 3), graph.Grid(6, 7, 2), graph.Path(20, 4)} {
+		eng := runtime.New(g, Machine{}, 1)
+		snap := func() []State {
+			out := make([]State, g.N())
+			for v := range out {
+				out[v] = *eng.State(v).(*State)
+			}
+			return out
+		}
+		prev, cur := snap(), []State(nil)
+		eng.StepSync()
+		cur = snap()
+		checked := 0
+		for r := 1; !eng.AllDone() && r < 4000; r++ {
+			eng.StepSync()
+			next := snap()
+			for v := 0; v < g.N(); v++ {
+				still := cur[v] == prev[v]
+				for q := 0; still && q < g.Degree(v); q++ {
+					u := g.Half(v, q).Peer
+					still = cur[u] == prev[u]
+				}
+				if !still || NextTrigger(&cur[v], r) == r {
+					continue
+				}
+				checked++
+				if next[v] != cur[v] {
+					t.Fatalf("n=%d node %d round %d: unchanged inputs off a trigger, but the state changed\nbefore %+v\nafter  %+v", g.N(), v, r, cur[v], next[v])
+				}
+			}
+			prev, cur = cur, next
+		}
+		if checked == 0 {
+			t.Fatalf("n=%d: no node step was checked", g.N())
+		}
 	}
 }

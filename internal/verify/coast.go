@@ -81,10 +81,11 @@ import (
 // decisions, which a per-node closed form cannot replay.
 
 // Quiescent implements runtime.CoastStepper: a coasting node's next step,
-// under an unchanged neighbourhood, is exactly coastTick.
-func (m *Machine) Quiescent(st runtime.State) bool {
+// under an unchanged neighbourhood, is exactly coastTick, forever — the
+// verifier names no timed wake.
+func (m *Machine) Quiescent(st runtime.State) (int64, bool) {
 	s, ok := st.(*VState)
-	return ok && s.coasting
+	return runtime.NoWake, ok && s.coasting
 }
 
 // CoastAdvance implements runtime.CoastStepper: advance a coasting node's
