@@ -41,7 +41,7 @@ Examples:
   go run ./cmd/mstlab -n 64 -corrupt 4                 # catch a 4-edit non-MST tree
   go run ./cmd/mstlab -selfstab -n 32 -churn add-light # rebuild after link churn
   go run ./cmd/mstlab -selfstab -n 32                  # full §10 stabilization
-  go run ./cmd/mstlab -n 4096 -serial -fullrecheck     # reference step path
+  go run ./cmd/mstlab -n 4096 -workers 1 -fullrecheck # reference step path
 
 Graph flags:
 
@@ -83,11 +83,11 @@ Run-mode flags:
 
 Engine flags (the knobs BenchmarkEngineScaling measures):
 
-  -serial       disable worker-pool fan-out for synchronous rounds
   -workers int  pool workers per round. 0 (the default) fans out over the
                 whole pool once a round steps at least 512 nodes on a
-                multi-core process; k > 0 fans out over up to k workers at
-                any n, even on one core (-serial wins)
+                multi-core process; k > 0 fans out every round of at least
+                2 nodes over up to k workers, even on one core; 1 steps
+                every round serially
   -fullrecheck  disable incremental verification: re-check every label
                 layer every round instead of memoizing the static verdict
                 (the pre-incremental reference configuration)
@@ -103,17 +103,13 @@ func main() {
 	corrupt := flag.Int("corrupt", -1, "label a k-edit corrupted spanning tree instead of the MST (-1: off; 0: the MST itself)")
 	async := flag.Bool("async", false, "asynchronous daemon")
 	selfStab := flag.Bool("selfstab", false, "run the self-stabilizing construction instead")
-	serial := flag.Bool("serial", false, "disable worker-pool fan-out for synchronous rounds")
-	workers := flag.Int("workers", 0, "pool workers per round (0: automatic, the whole pool at n>=512 on multi-core; k>0: up to k at any n; -serial wins)")
+	workers := flag.Int("workers", 0, "pool workers per round (0: automatic, the whole pool at n>=512 on multi-core; k>0: up to k at any n; 1: serial)")
 	fullRecheck := flag.Bool("fullrecheck", false, "disable incremental verification (re-check all label layers every round)")
 	flag.Usage = usage
 	flag.CommandLine.SetOutput(os.Stderr)
 	flag.Parse()
 
-	tune := func(e *ssmst.Engine) {
-		e.Parallel = !*serial
-		e.Workers = *workers
-	}
+	tune := func(e *ssmst.Engine) { e.Workers = *workers } // every runner's engine is Parallel
 	newVerifier := ssmst.NewVerifier
 	if *fullRecheck {
 		newVerifier = verify.NewFullRecheckRunner

@@ -11,8 +11,8 @@ import (
 // when a worklist engine skips a quiescent node for k rounds, the machine's
 // CoastAdvance must reproduce exactly what k dense steps would have done —
 // as pure per-node clockwork. Functions annotated //ssmst:coastpure (the
-// replay roots: CoastAdvance, coastAdvance, IdleTimerAdvance, their tick
-// twins) and everything reachable from them inside the package must be
+// replay roots: CoastAdvance, coastAdvance, IdleTimerAdvance and its tick
+// twin) and everything reachable from them inside the package must be
 // side-effect-free closed forms:
 //
 //   - no per-tick loops: a for/range over the skipped rounds is the O(k)

@@ -137,7 +137,6 @@ type Adj struct {
 	Peer     []int32 // neighbour node index per slot
 	PeerPort []int32 // this edge's port number at the peer
 	Weight   []Weight
-	Edge     []int32 // index into Graph.Edges
 }
 
 // Degree returns the degree of node v.
@@ -163,7 +162,6 @@ func (g *Graph) Adjacency() *Adj {
 		Peer:     make([]int32, total),
 		PeerPort: make([]int32, total),
 		Weight:   make([]Weight, total),
-		Edge:     make([]int32, total),
 	}
 	pos := int32(0)
 	for v := 0; v < n; v++ {
@@ -172,7 +170,6 @@ func (g *Graph) Adjacency() *Adj {
 			a.Peer[pos] = int32(h.Peer)
 			a.PeerPort[pos] = int32(h.PeerPort)
 			a.Weight[pos] = g.edges[h.Edge].W
-			a.Edge[pos] = int32(h.Edge)
 			pos++
 		}
 	}

@@ -339,9 +339,10 @@ type Engine struct {
 	// Workers selects a Parallel engine's fan-out. 0 is automatic: a round
 	// stepping at least parallelThreshold nodes on a multi-core process
 	// fans out over every pool worker (the GOMAXPROCS of the process when
-	// the pool was first used, minimum 2). k > 0 fans out over min(k, pool
-	// size) workers at any round size and on any core count, including a
-	// single-core process where it cannot win on wall-clock.
+	// the pool was first used, minimum 2). k > 0 fans out every round of
+	// at least 2 nodes over min(k, pool size, nodes stepped) workers, on
+	// any core count, including a single-core process where it cannot win
+	// on wall-clock; k = 1 steps every round on the engine's own View.
 	Workers int
 	// Worklist enables sparse active-set stepping for synchronous rounds
 	// when the machine implements CoastStepper (see worklist.go); machines
@@ -394,12 +395,14 @@ type Engine struct {
 	order []int // reusable activation-order buffer for StepAsync
 
 	// Per-round state shared with the chunk body (serial or pool workers):
-	// the read and write buffers and the worklist round's active set (nil
-	// in a dense round). stepNode writes into stepNext, which an
-	// asynchronous time unit aims at the spare buffer too.
+	// the read and write buffers, the worklist round's active set (nil in
+	// a dense round) and the claim size (fanOut). stepNode writes into
+	// stepNext, which an asynchronous time unit aims at the spare buffer
+	// too.
 	stepSnap   []State
 	stepNext   []State
 	stepActive []int32
+	stepClaim  int
 	cursor     atomic.Int64
 	wg         sync.WaitGroup
 	mu         sync.Mutex // guards the merge of per-chunk-body reductions
@@ -547,7 +550,7 @@ func (e *Engine) Corrupt(v int, f func(State) State) {
 // whatever f already applied. Per applied change it:
 //
 //   - replays the lagged coast clockwork of the endpoints (worklist
-//     stepping) under the old topology;
+//     stepping) on their states as they coasted;
 //   - re-fetches the CSR adjacency snapshot (stale Off/Peer arrays are
 //     never read again);
 //   - remaps port-indexed state at endpoints whose ports were compacted
@@ -563,9 +566,8 @@ func (e *Engine) MutateTopology(f func(*graph.Graph) error) error {
 	changes, err := e.g.Record(f)
 	if e.matT != nil {
 		// Replay lagged coast clockwork for every node the mutation touched
-		// BEFORE the CSR snapshot is replaced: the lag accrued entirely
-		// under the pre-mutation topology, so the algebraic replay must see
-		// the old degrees.
+		// before the port remap and memo drop below rewrite its states: the
+		// lag accrued on the state as it coasted.
 		T := int64(e.round)
 		for _, c := range changes {
 			e.materialize(c.U, T)
@@ -688,23 +690,27 @@ func (e *Engine) stepNode(v *View, i int) (bitSize, dAlarm, dDone int) {
 }
 
 // fanOut returns how many pool workers a round stepping count nodes should
-// occupy; 1 means the round runs serially on the engine's own View.
-// Fan-out needs Parallel. With Workers = 0 it also needs at least
-// parallelThreshold nodes on a multi-core process (on one core it cannot
-// win) and uses every pool worker; Workers = k > 0 fans out over min(k,
-// pool size) workers unconditionally. The round's chunk count caps both.
-func (e *Engine) fanOut(count int) int {
+// occupy — 1 means the round runs serially on the engine's own View — and
+// how many nodes a worker claims off the cursor at a time. Fan-out needs
+// Parallel. With Workers = 0 it also needs at least parallelThreshold nodes
+// on a multi-core process (on one core it cannot win), and it uses every
+// pool worker up to the round's number of stepChunk claims. Workers = k > 0
+// fans out over min(k, pool size, count) workers unconditionally, each
+// claiming ⌈count/workers⌉ nodes at a time, at most stepChunk, so that even
+// a round of a few nodes is split across the workers.
+func (e *Engine) fanOut(count int) (workers, claim int) {
 	if !e.Parallel || (e.Workers == 0 && count < parallelThreshold) {
-		return 1
+		return 1, stepChunk
 	}
 	ensurePool()
-	w := pool.size
 	if e.Workers > 0 {
-		w = min(w, e.Workers)
-	} else if pool.cores < 2 {
-		return 1
+		w := min(pool.size, e.Workers, count)
+		return w, min(stepChunk, (count+w-1)/w)
 	}
-	return min(w, (count+stepChunk-1)/stepChunk)
+	if pool.cores < 2 {
+		return 1, stepChunk
+	}
+	return min(pool.size, (count+stepChunk-1)/stepChunk), stepChunk
 }
 
 // StepSync executes one synchronous round: every stepped node reads the
@@ -735,7 +741,9 @@ func (e *Engine) StepSync() {
 	e.stepSnap, e.stepNext, e.stepActive = e.states, e.prev, active
 	e.inSyncStep = true
 	e.cursor.Store(0)
-	if w := e.fanOut(count); w > 1 {
+	w, claim := e.fanOut(count)
+	e.stepClaim = claim
+	if w > 1 {
 		e.wg.Add(w)
 		for i := 0; i < w; i++ {
 			pool.jobs <- e
@@ -766,17 +774,17 @@ func (e *Engine) StepSync() {
 // exhausted, then merge this body's partial reduction.
 func (e *Engine) runChunks(v *View) {
 	v.engine, v.snap = e, e.stepSnap
-	active, n := e.stepActive, len(e.stepSnap)
+	active, n, claim := e.stepActive, len(e.stepSnap), e.stepClaim
 	if active != nil {
 		n = len(active)
 	}
 	localMax, dAlarm, dDone := 0, 0, 0
 	for {
-		lo := int(e.cursor.Add(stepChunk)) - stepChunk
+		lo := int(e.cursor.Add(int64(claim))) - claim
 		if lo >= n {
 			break
 		}
-		hi := min(lo+stepChunk, n)
+		hi := min(lo+claim, n)
 		for k := lo; k < hi; k++ {
 			i := k
 			if active != nil {

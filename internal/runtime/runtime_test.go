@@ -3,6 +3,7 @@ package runtime
 import (
 	gort "runtime"
 	"ssmst/internal/raceflag"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,6 +339,55 @@ func TestWorkersCap(t *testing.T) {
 		if serial.State(v).(*minIDState).min != capped.State(v).(*minIDState).min {
 			t.Fatalf("node %d: Workers=1 diverged", v)
 		}
+	}
+}
+
+// viewBarrier is minIDMachine with a barrier in front of every step: a
+// step records the View running it and waits until want distinct Views
+// have stepped, or until the deadline. Each pool worker steps through a
+// View of its own, so the barrier opens only when want workers step one
+// round at the same time.
+type viewBarrier struct {
+	minIDMachine
+	want     int
+	deadline time.Time
+	mu       sync.Mutex
+	views    map[*View]bool
+	open     chan struct{}
+}
+
+func (b *viewBarrier) Step(v *View, scratch State) State {
+	b.mu.Lock()
+	if !b.views[v] {
+		b.views[v] = true
+		if len(b.views) == b.want {
+			close(b.open)
+		}
+	}
+	b.mu.Unlock()
+	select {
+	case <-b.open:
+	case <-time.After(time.Until(b.deadline)):
+	}
+	return b.minIDMachine.Step(v, scratch)
+}
+
+// TestForcedFanOutSmallRound checks that Workers = k > 0 fans out a round
+// smaller than one stepChunk claim: at n=48, k Views must step the one
+// round concurrently, each claiming 48/k nodes.
+func TestForcedFanOutSmallRound(t *testing.T) {
+	k := min(PoolWorkers(), 4)
+	g := graph.RandomConnected(48, 110, 3)
+	b := &viewBarrier{want: k, views: map[*View]bool{}, open: make(chan struct{})}
+	e := New(g, b, 1)
+	e.Parallel = true
+	e.Workers = k
+	b.deadline = time.Now().Add(10 * time.Second)
+	e.StepSync()
+	select {
+	case <-b.open:
+	default:
+		t.Fatalf("%d View(s) stepped the round, want %d concurrently", len(b.views), k)
 	}
 }
 

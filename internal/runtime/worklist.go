@@ -88,10 +88,11 @@ import "math"
 // absolute round (an Engine.Round value), so a quiescent state names the
 // same wake at every tick of its coast. CoastAdvance advances the coast
 // clockwork of state s by k rounds, in place, in O(1) — wraps and resets
-// replayed algebraically, never iterated; deg is the node's degree.
+// replayed algebraically, never iterated — from s alone: whatever the
+// clockwork reads, the state carries.
 type CoastStepper interface {
 	Quiescent(s State) (wake int64, ok bool)
-	CoastAdvance(s State, deg, k int)
+	CoastAdvance(s State, k int)
 }
 
 // NoWake is the wake of a quiescent state that coasts until its
@@ -169,9 +170,7 @@ func (e *Engine) materialize(i int, T int64) {
 		return
 	}
 	e.matT[i] = T
-	a := e.adj
-	deg := int(a.Off[i+1] - a.Off[i])
-	e.coaster.CoastAdvance(e.states[i], deg, int(k))
+	e.coaster.CoastAdvance(e.states[i], int(k))
 }
 
 // takeFrontier arms the worklist on first use and takes this round's active

@@ -21,7 +21,8 @@ import (
 // so an alarmed step reads lagged skipped neighbours and a wrong read
 // persists), is done once its minimum has not changed for coastProbeCalm
 // steps (counting them needs a step per round, marks or not), and runs a
-// degree-paced clock that a quiescent node advances in closed form.
+// degree-paced clock that a quiescent node advances in closed form from the
+// degree its last step stored.
 type coastProbe struct{}
 
 const (
@@ -33,7 +34,8 @@ type coastProbeState struct {
 	Min      graph.NodeID
 	Evidence graph.NodeID // widest disagreeing neighbour value; 0 unless alarmed
 	Heard    int          // neighbours' clocks summed over alarmed steps, mod the period
-	Tick     int          // coast clockwork: advances by the degree each round
+	Tick     int          // coast clockwork: advances by Deg each round
+	Deg      int          // the degree at the node's last step
 	Calm     int          // steps since Min last changed, capped at coastProbeCalm
 	Alarmed  bool
 	Finished bool
@@ -43,14 +45,14 @@ type coastProbeState struct {
 // fixed width, and a quiescent state carries no evidence.
 func (s *coastProbeState) BitSize() int {
 	return bits.ForInt(int64(s.Min)) + bits.ForInt(int64(s.Evidence)) +
-		2*bits.ForUint(coastProbePeriod-1) + bits.ForUint(coastProbeCalm) +
+		2*bits.ForUint(coastProbePeriod-1) + bits.ForUint(coastProbeCalm) + bits.ForInt(int64(s.Deg)) +
 		bits.Flag(s.Alarmed) + bits.Flag(s.Finished)
 }
 func (s *coastProbeState) Clone() State { c := *s; return &c }
 func (s *coastProbeState) Alarm() bool  { return s.Alarmed }
 func (s *coastProbeState) Done() bool   { return s.Finished }
 
-func (coastProbe) Init(v *View) State { return &coastProbeState{Min: v.ID()} }
+func (coastProbe) Init(v *View) State { return &coastProbeState{Min: v.ID(), Deg: v.Degree()} }
 
 func (coastProbe) Step(v *View, scratch State) State {
 	old := v.Self().(*coastProbeState)
@@ -75,7 +77,8 @@ func (coastProbe) Step(v *View, scratch State) State {
 	if next.Alarmed {
 		next.Heard = heard % coastProbePeriod
 	}
-	next.Tick = (old.Tick + v.Degree()) % coastProbePeriod
+	next.Deg = v.Degree()
+	next.Tick = (old.Tick + next.Deg) % coastProbePeriod
 	if next.Min != old.Min {
 		next.Calm = 0
 		v.MarkChanged()
@@ -98,9 +101,9 @@ func (coastProbe) Quiescent(st State) (int64, bool) {
 	return NoWake, s.Finished && !s.Alarmed
 }
 
-func (coastProbe) CoastAdvance(st State, deg, k int) {
+func (coastProbe) CoastAdvance(st State, k int) {
 	s := st.(*coastProbeState)
-	s.Tick = (s.Tick + k%coastProbePeriod*deg) % coastProbePeriod
+	s.Tick = (s.Tick + k%coastProbePeriod*s.Deg) % coastProbePeriod
 }
 
 var _ CoastStepper = coastProbe{}
@@ -328,7 +331,7 @@ func (ringProbe) Step(v *View, scratch State) State {
 // the round it rings.
 func (ringProbe) Quiescent(st State) (int64, bool) { return st.(*ringState).wake, true }
 
-func (ringProbe) CoastAdvance(st State, deg, k int) { st.(*ringState).Tick += k }
+func (ringProbe) CoastAdvance(st State, k int) { st.(*ringState).Tick += k }
 
 // TestTimedWakeMatchesDense steps the ring machine on a dense engine and on
 // worklist engines (serial and pool-forced): every node coasts between

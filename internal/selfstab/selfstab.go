@@ -537,7 +537,7 @@ func (m *Machine) Quiescent(st runtime.State) (int64, bool) {
 //
 //ssmst:hotpath
 //ssmst:coastpure
-func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
+func (m *Machine) CoastAdvance(st runtime.State, k int) {
 	if s, ok := st.(*SState); ok {
 		s.Pulse += k
 	}

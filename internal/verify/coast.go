@@ -5,7 +5,6 @@ import (
 
 	"ssmst/internal/bits"
 	"ssmst/internal/graph"
-	"ssmst/internal/hierarchy"
 	"ssmst/internal/oracle"
 	"ssmst/internal/runtime"
 	"ssmst/internal/train"
@@ -51,16 +50,20 @@ import (
 //     for every train it is a member of (lineageFrozen — freezing cascades
 //     root→leaf so no member can freeze into the path of a future reset
 //     wave), and whose entire sampler orbit over the frozen neighbourhood
-//     is provably alarm-free (samplerOrbitClean replays every capture and
-//     comparison the awake sweep would perform) sets Coasting: from here
-//     on its step is pure per-node clockwork.
+//     is provably alarm-free (samplerOrbitClean replays, through the
+//     sampler's own capture rule, every capture and comparison the awake
+//     sweep would perform) sets Coasting. The certificate carries no stamp
+//     of its own: it is issued in the round the static memo is stamped
+//     (staticEpoch), and no coasting step moves that stamp. From here on
+//     the node's step is pure per-node clockwork.
 //  3. Coast. A coasting node's step (the coast branch of StepInto) is
-//     coastTick: the root watchdogs tick modulo their wrap and the sampler
-//     runs a capture-starvation orbit — CapTimer to the dwell window, then
-//     advanceLevel, at every level uniformly (it re-captures nothing and
-//     compares nothing; step 2 proved the comparisons it skips are clean).
-//     coastAdvance is the k-round closed form of coastTick, so a worklist
-//     engine can skip the node entirely and replay k rounds in O(1).
+//     coastAdvance(s, 1): the root watchdogs tick modulo their wrap and the
+//     sampler runs a capture-starvation orbit — CapTimer to the dwell
+//     window, then advanceLevel, at every level uniformly (it re-captures
+//     nothing and compares nothing; step 2 proved the comparisons it skips
+//     are clean). A worklist engine that skips the node replays k rounds
+//     with one coastAdvance(s, k), in O(1): dense and sparse stepping run
+//     the same closed form.
 //  4. Melt. Any tracked change inside the 1-hop neighbourhood — fault
 //     injection, topology churn, a label repair — fails the coast guard;
 //     the node wakes into a full step and marks itself changed, waking its
@@ -81,62 +84,34 @@ import (
 // decisions, which a per-node closed form cannot replay.
 
 // Quiescent implements runtime.CoastStepper: a coasting node's next step,
-// under an unchanged neighbourhood, is exactly coastTick, forever — the
-// verifier names no timed wake.
+// under an unchanged neighbourhood, is exactly coastAdvance(s, 1), forever
+// — the verifier names no timed wake.
 func (m *Machine) Quiescent(st runtime.State) (int64, bool) {
 	s, ok := st.(*VState)
 	return runtime.NoWake, ok && s.coasting
 }
 
 // CoastAdvance implements runtime.CoastStepper: advance a coasting node's
-// clockwork by k rounds in place, in O(1) — equal to k iterated coastTicks
-// (TestCoastAdvanceMatchesTicks pins the algebra across every wrap).
+// clockwork by k rounds in place, in O(1) — equal to k coast steps, each of
+// which runs coastAdvance(s, 1) (TestCoastAdvanceMatchesTicks pins the
+// closed form against the one-round tick form across every wrap).
 //
 //ssmst:hotpath
 //ssmst:coastpure
-func (m *Machine) CoastAdvance(st runtime.State, deg, k int) {
+func (m *Machine) CoastAdvance(st runtime.State, k int) {
 	if s, ok := st.(*VState); ok {
 		m.coastAdvance(s, k)
 	}
 }
 
-// coastTick advances the coast clockwork by one round: the single-round
-// mirror of what the dense engine executes for a coasting node.
-//
-//ssmst:hotpath
-//ssmst:coastpure
-func (m *Machine) coastTick(s *VState) {
-	coastTrainTick(&s.TopS, &s.L.Train.Top, s.MyID)
-	coastTrainTick(&s.BotS, &s.L.Train.Bottom, s.MyID)
-	L := mbits.OnesCount64(s.L.HS.Members())
-	if L == 0 {
-		s.AskValid = false
-		return
-	}
-	if s.AskIdx < 0 || int(s.AskIdx) >= L {
-		s.AskIdx = 0
-	}
-	w := int(s.staticWindow)
-	if s.AskValid {
-		s.AskTimer--
-		if s.AskTimer <= 0 {
-			s.advanceLevel(L)
-		}
-		return
-	}
-	c := int(s.CapTimer) + 1
-	s.CapTimer = int32(c)
-	if c > w {
-		s.advanceLevel(L)
-	}
-}
-
-// coastAdvance is the k-round closed form of coastTick. The orbit after the
-// (at most one) in-flight dwell window expires is uniform: every level
-// costs StaticWindow+1 capture-starvation rounds, so wraps are replayed
-// with modular arithmetic instead of iterated. The lag k is unbounded, so
-// the arithmetic runs in int and only its results, each bounded by the
-// dwell window or |J(v)|, are stored.
+// coastAdvance advances the coast clockwork by k rounds: the resting part
+// roots' watchdogs tick modulo their wrap, and the sampler finishes its
+// (at most one) in-flight dwell window and then runs the capture-starvation
+// orbit, which is uniform: every level costs StaticWindow+1 rounds, so
+// wraps are replayed with modular arithmetic instead of iterated. The coast
+// branch of StepInto runs it with k = 1. The lag k is unbounded, so the
+// arithmetic runs in int and only its results, each bounded by the dwell
+// window or |J(v)|, are stored.
 //
 //ssmst:hotpath
 //ssmst:coastpure
@@ -158,9 +133,9 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	if s.AskValid {
 		// Finish the in-flight dwell window. A certified state carries
 		// AskTimer ≥ 1 (the awake step's post-invariant); the t < 1 arm
-		// keeps the closed form equal to iterated ticks even from
-		// degenerate values (one tick exits such a dwell, leaving t-1 —
-		// exactly what the decrement-then-advance tick does).
+		// keeps the closed form total from degenerate values (one round
+		// exits such a dwell, leaving t-1 — exactly what the awake
+		// decrement-then-advance does).
 		if t := int(s.AskTimer); t >= 1 {
 			if k < t {
 				s.AskTimer = int32(t - k)
@@ -179,8 +154,8 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	}
 	// Capture-starvation orbit: CapTimer runs 0..w, advanceLevel, repeat.
 	// r is the rounds until this level's timeout; the max(1, ·) clamp
-	// matches the tick from out-of-range CapTimer values (one increment
-	// past the window advances immediately).
+	// covers out-of-range CapTimer values (one increment past the window
+	// advances immediately).
 	p := w + 1
 	r := p - int(s.CapTimer)
 	if r < 1 {
@@ -196,29 +171,24 @@ func (m *Machine) coastAdvance(s *VState, k int) {
 	s.CapTimer = int32(k % p)
 }
 
-// coastTrainTick advances the train half of the coast clockwork by one
-// round: a resting part root ticks its peer-invisible watchdog (the
-// train.Ctx.RestOK branch of the awake step); members and empty trains are
-// frozen at their rest fixed point.
-//
-//ssmst:hotpath
-//ssmst:coastpure
-func coastTrainTick(st *train.State, l *train.Labels, own graph.NodeID) {
-	if l.K == 0 || l.PartRootID != own {
-		return
-	}
-	st.Timer = int32(train.IdleTimerTick(int(st.Timer), l.CycleBudget()))
-}
-
-// coastTrainAdvance is the k-round closed form of coastTrainTick.
+// coastTrainAdvance advances the train half of the coast clockwork by k
+// rounds: a resting part root's watchdog (restingRoot) ticks; every other
+// train is frozen at its rest fixed point.
 //
 //ssmst:hotpath
 //ssmst:coastpure
 func coastTrainAdvance(st *train.State, l *train.Labels, own graph.NodeID, k int) {
-	if l.K == 0 || l.PartRootID != own {
-		return
+	if restingRoot(l, own) {
+		st.Timer = int32(train.IdleTimerAdvance(int(st.Timer), l.CycleBudget(), k))
 	}
-	st.Timer = int32(train.IdleTimerAdvance(int(st.Timer), l.CycleBudget(), k))
+}
+
+// restingRoot reports whether a coasting node is the part root of the
+// non-empty train on labels l: its peer-invisible watchdog (the
+// train.Ctx.RestOK branch of the awake step) is then that train's one
+// clock still ticking. Members and empty trains are frozen.
+func restingRoot(l *train.Labels, own graph.NodeID) bool {
+	return l.K != 0 && l.PartRootID == own
 }
 
 // coastHorizon returns the quiet-horizon length for a node: one complete
@@ -308,34 +278,27 @@ func neighboursAtRest(nbs []nbList) bool {
 // node from ever freezing.
 func (m *Machine) samplerOrbitClean(v NodeView, s *VState, nbs []nbList, claims uint64, n int) bool {
 	split := train.LevelSplit(n)
-	saveP := s.AskPiece
-	clean := true
 	for ; claims != 0; claims &= claims - 1 {
 		j := mbits.TrailingZeros64(claims) // J(v) in ascending order
-		side := j >= split
-		d := &trainSide(s, side).Down
-		if !train.MemberAt(d, &s.L.HS, side, split) || d.P.ID.Level != j {
+		ask, rootBad := capture(s, j, split)
+		if ask == nil {
 			continue // capture starves: dwell times out without alarming
 		}
-		if s.L.HS.RootsAt(j) == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
-			clean = false
-			break
+		if rootBad {
+			return false
 		}
-		s.AskPiece = d.P
 		cand := candidatePort(s, nbs, j)
 		alarm := false
 		for q := range nbs {
 			if nbs[q].ok {
-				m.compare(v, s, nbs, q, cand, split, &alarm)
+				m.compare(v, ask, nbs, q, cand, split, &alarm)
 			}
 		}
 		if alarm {
-			clean = false
-			break
+			return false
 		}
 	}
-	s.AskPiece = saveP
-	return clean
+	return true
 }
 
 // certifies is the coast certificate (step 2) of a node whose round raised
@@ -351,17 +314,13 @@ func (m *Machine) certifies(v NodeView, s *VState, nbs []nbList, parent *VState,
 		m.samplerOrbitClean(v, s, nbs, s.L.HS.Members(), n)
 }
 
-// freeze enters the coast regime at epoch, memoizing the orbit footprint
-// BitSize reports while coasting.
-func (m *Machine) freeze(s *VState, epoch int64) {
+// freeze enters the coast regime, memoizing the orbit footprint BitSize
+// reports while coasting. The caller has just stamped the static memo
+// (staticEpoch), which stamps the certificate too.
+func (m *Machine) freeze(s *VState) {
 	s.coasting = true
-	s.coastEpoch = epoch
 	s.coastBits = int32(m.coastFootprint(s))
 }
-
-// coastOn reports whether the coast regime runs: opted in, memoized, and
-// synchronous.
-func (m *Machine) coastOn() bool { return m.Coast && !m.FullRecheck && m.Mode == Sync }
 
 // freshMST is the seed's gate: l.G is unchanged since marking and
 // oracle.TLightness accepts the labelled tree as its MST.
@@ -379,7 +338,7 @@ func (l *Labeled) freshMST() bool {
 // 1. Memos and certificates are stamped at the engine's current round.
 func (r *Runner) seedQuiescence() bool {
 	l, m, eng := r.Labeled, r.Machine, r.Eng
-	if !m.coastOn() || !l.freshMST() {
+	if !m.coast || !l.freshMST() {
 		return false
 	}
 	g := l.G
@@ -405,7 +364,7 @@ func (r *Runner) seedQuiescence() bool {
 			ok = false
 			break
 		}
-		m.freeze(s, epoch)
+		m.freeze(s)
 	}
 	if !ok {
 		for v := 0; v < g.N(); v++ {
@@ -439,49 +398,32 @@ func (a *seedView) LabelsChangedSince(int64) bool { return false }
 func (a *seedView) MarkLabelsChanged()            { a.repaired = true }
 
 // coastFootprint returns the maximum BitSize the state attains anywhere on
-// its coast orbit: frozen fields at their current width, orbiting clocks at
-// their orbit maximum (CapTimer ≤ dwell window, AskIdx < |J(v)|, root
-// watchdogs ≤ cycle budget, CandPort down to -1 after the first
-// advanceLevel). Measured once at certification and returned by BitSize
+// its coast orbit: BitSize of a copy whose four orbiting fields each hold
+// whichever of their orbit's values encodes wider — AskIdx against
+// |J(v)|−1, CapTimer against the dwell window, CandPort against the −1 the
+// first advanceLevel leaves, and a resting part root's watchdog against
+// its cycle budget. Measured once at certification and returned by BitSize
 // while Coasting, so dense per-round re-measurement and worklist
 // endpoint-only measurement report the identical high-water mark.
 func (m *Machine) coastFootprint(s *VState) int {
-	w := s.staticWindow
-	L := mbits.OnesCount64(s.L.HS.Members())
-	return bits.Flag(s.AskValid) + bits.Flag(s.Want.Valid) + bits.Flag(s.AlarmFlag) +
-		bits.Flag(s.coasting) +
-		s.AlarmCode.BitSize() +
-		bits.ForInt(int64(s.MyID)) +
-		bits.ForInt(int64(s.ParentPort)) +
-		s.labelWidth() +
-		coastTrainBits(&s.TopS, &s.L.Train.Top, s.MyID) +
-		coastTrainBits(&s.BotS, &s.L.Train.Bottom, s.MyID) +
-		maxBitsInt(int64(s.AskIdx), int64(L-1)) +
-		s.AskPiece.BitSize() +
-		bits.ForInt(int64(s.AskTimer)) +
-		maxBitsInt(int64(s.CapTimer), int64(w)) +
-		bits.ForInt(int64(s.ServerCur)) +
-		bits.ForInt(int64(s.ServerTmr)) +
-		bits.ForInt(int64(s.Want.ServerID)) + bits.ForInt(int64(s.Want.Level)) +
-		maxBitsInt(int64(s.CandPort), -1)
+	c := *s
+	c.coastBits = 0 // measure the fields, not a memoized footprint
+	c.AskIdx = wider(c.AskIdx, int32(mbits.OnesCount64(s.L.HS.Members())-1))
+	c.CapTimer = wider(c.CapTimer, s.staticWindow)
+	c.CandPort = wider(c.CandPort, -1)
+	if l := &s.L.Train.Top; restingRoot(l, s.MyID) {
+		c.TopS.Timer = wider(c.TopS.Timer, int32(l.CycleBudget()))
+	}
+	if l := &s.L.Train.Bottom; restingRoot(l, s.MyID) {
+		c.BotS.Timer = wider(c.BotS.Timer, int32(l.CycleBudget()))
+	}
+	return c.BitSize()
 }
 
-// coastTrainBits is train.State.BitSize with the one orbiting field — a
-// resting root's watchdog Timer — taken at its orbit maximum (the cycle
-// budget); every other field is frozen at rest.
-func coastTrainBits(st *train.State, l *train.Labels, own graph.NodeID) int {
-	b := st.BitSize()
-	if l.K != 0 && l.PartRootID == own {
-		b += maxBitsInt(int64(st.Timer), int64(l.CycleBudget())) - bits.ForInt(int64(st.Timer))
+// wider returns whichever of a and b has the wider encoding.
+func wider(a, b int32) int32 {
+	if bits.ForInt(int64(b)) > bits.ForInt(int64(a)) {
+		return b
 	}
-	return b
-}
-
-// maxBitsInt returns the wider of the two values' encodings.
-func maxBitsInt(a, b int64) int {
-	wa, wb := bits.ForInt(a), bits.ForInt(b)
-	if wa > wb {
-		return wa
-	}
-	return wb
+	return a
 }

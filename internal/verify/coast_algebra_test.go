@@ -8,6 +8,7 @@ import (
 
 	"ssmst/internal/graph"
 	"ssmst/internal/hierarchy"
+	"ssmst/internal/train"
 )
 
 // The coast clockwork's load-bearing algebra: advancing a coasting node by
@@ -15,15 +16,56 @@ import (
 // coastTicks, for every k and from every starting state — including the
 // wrap boundaries (dwell expiry, capture timeout, level wrap, watchdog
 // wrap) and degenerate out-of-range timer values. The worklist engine's
-// soundness reduces to exactly this identity.
+// soundness reduces to exactly this identity, and the dense engine's coast
+// branch, which runs coastAdvance(s, 1), to its k = 1 case.
+
+// coastTick is the reference one-round form of the coast clockwork, written
+// as the awake step's increment-then-compare: the resting part roots'
+// watchdogs tick (coastTrainTick), and the sampler counts down its dwell or
+// runs one capture-starvation round at the current level.
+func coastTick(s *VState) {
+	coastTrainTick(&s.TopS, &s.L.Train.Top, s.MyID)
+	coastTrainTick(&s.BotS, &s.L.Train.Bottom, s.MyID)
+	L := bits.OnesCount64(s.L.HS.Members())
+	if L == 0 {
+		s.AskValid = false
+		return
+	}
+	if s.AskIdx < 0 || int(s.AskIdx) >= L {
+		s.AskIdx = 0
+	}
+	w := int(s.staticWindow)
+	if s.AskValid {
+		s.AskTimer--
+		if s.AskTimer <= 0 {
+			s.advanceLevel(L)
+		}
+		return
+	}
+	c := int(s.CapTimer) + 1
+	s.CapTimer = int32(c)
+	if c > w {
+		s.advanceLevel(L)
+	}
+}
+
+// coastTrainTick advances the train half of the reference clockwork by one
+// round: a resting part root ticks its peer-invisible watchdog; members and
+// empty trains are frozen at their rest fixed point.
+func coastTrainTick(st *train.State, l *train.Labels, own graph.NodeID) {
+	if l.K == 0 || l.PartRootID != own {
+		return
+	}
+	st.Timer = int32(train.IdleTimerTick(int(st.Timer), l.CycleBudget()))
+}
 
 // tickOrbit returns the state after k iterated coastTicks from s. States
 // are value copies sharing the label block: tick and advance mutate
 // scalars only, and read J(v) off the block.
-func tickOrbit(m *Machine, s *VState, k int) *VState {
+func tickOrbit(s *VState, k int) *VState {
 	c := *s
 	for i := 0; i < k; i++ {
-		m.coastTick(&c)
+		coastTick(&c)
 	}
 	return &c
 }
@@ -48,7 +90,7 @@ func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
 	t.Helper()
 	span := orbitSpan(s)
 	for k := 0; k <= span; k++ {
-		want := tickOrbit(m, s, k)
+		want := tickOrbit(s, k)
 		got := advanceOrbit(m, s, k)
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("%s: advance(%d) != tick^%d\n tick %+v\n adv  %+v", tag, k, k, want, got)
@@ -67,6 +109,44 @@ func checkOrbit(t *testing.T, m *Machine, tag string, s *VState) {
 			t.Fatalf("%s: advance(%d)+advance(%d) != advance(%d)", tag, a, b, span)
 		}
 	}
+}
+
+// TestCoastFootprintCoversOrbit: the footprint a node memoizes when it
+// freezes (coastBits, which BitSize reports while it coasts) is never below
+// what its state measures anywhere on its coast orbit. Dense and worklist
+// stepping both report the memo, so their parity suites cannot see an
+// under-count; this test re-measures every coasting node of seeded and
+// naturally settled networks with the memo set aside, at every round of
+// coastAdvance(·, 1) over orbitSpan rounds — two full sampler orbits,
+// which cover two wraps of every resting part root's watchdog (the dwell
+// window is twice the largest cycle budget, plus slack).
+func TestCoastFootprintCoversOrbit(t *testing.T) {
+	forEachMarked(t, []int{64, 256}, seedSeeds[:1], true, func(t *testing.T, g *graph.Graph, l *Labeled, seed int64) {
+		seeded := NewWorklistRunner(l, seed)
+		frozenWithin2(t, seeded)
+		cold := newColdWorklistRunner(l, seed)
+		coldSettle(t, cold)
+		for _, run := range []struct {
+			name string
+			r    *Runner
+		}{{"seeded", seeded}, {"settled", cold}} {
+			for v := 0; v < g.N(); v++ {
+				s := *run.r.Eng.State(v).(*VState)
+				if !s.coasting {
+					t.Fatalf("%s node %d is awake in a frozen network", run.name, v)
+				}
+				memo := int(s.coastBits)
+				s.coastBits = 0 // BitSize measures the fields
+				span := orbitSpan(&s)
+				for k := 0; k <= span; k++ {
+					if b := s.BitSize(); b > memo {
+						t.Fatalf("%s node %d: %d bits after %d coast rounds, footprint %d", run.name, v, b, k, memo)
+					}
+					run.r.Machine.coastAdvance(&s, 1)
+				}
+			}
+		}
+	})
 }
 
 // TestCoastAdvanceMatchesTicks checks the identity on real certified states

@@ -32,7 +32,7 @@ const (
 // wherever they meet a label, the budget, the dwell window or a round lag,
 // and stores only results inside those bounds, so no comparison or closed
 // form is evaluated in 32 bits; BitSize charges the stored values' widths.
-// The fields are ordered so that the struct packs into 312 bytes, inside
+// The fields are ordered so that the struct packs into 304 bytes, inside
 // Go's 320-byte size class (TestStateFootprint): every node holds one
 // VState in each engine buffer.
 type VState struct {
@@ -79,12 +79,12 @@ type VState struct {
 	// The coast block (see coast.go): coasting marks the certified-quiescent
 	// regime — the node's step is pure clockwork until a tracked
 	// neighbourhood change melts it. It is a protocol mode flag and is
-	// counted in BitSize. coastEpoch is the epoch the certification was
-	// stamped at (an engine-clock memo, like staticEpoch); coastBits is the
-	// memoized orbit-maximum BitSize reported while coasting.
-	coasting   bool
-	coastEpoch int64 //ssmst:nobits
-	coastBits  int32 //ssmst:nobits
+	// counted in BitSize. The certificate is stamped at staticEpoch: freeze
+	// runs in the round the static memo is stamped, and no coasting step
+	// moves the stamp. coastBits is the memoized orbit-maximum BitSize
+	// reported while coasting (coastFootprint).
+	coasting  bool
+	coastBits int32 //ssmst:nobits
 
 	// The static-verdict memo (incremental verification; see the package
 	// doc): the static label checks — neighbour presence, SP, size,
@@ -94,7 +94,8 @@ type VState struct {
 	// once and replayed until the engine's change tracking
 	// (runtime.View.MarkChanged / NeighbourhoodChangedSince) reports a
 	// neighbourhood label change. staticEpoch is the View.Round the verdict
-	// was computed at; staticWindow caches the label-derived Ask dwell
+	// was computed or last replayed at, and the coast certificate's stamp;
+	// staticWindow caches the label-derived Ask dwell
 	// window alongside it. A simulator-side memo of a recomputable
 	// predicate, not protocol memory — the verifier's outputs are
 	// bit-identical with memoization disabled (Machine.FullRecheck;
@@ -177,7 +178,6 @@ func (s *VState) InvalidateMemo() {
 	// The gated verdict content (staticAlarm/staticCode/staticWindow,
 	// staticEpoch) stays, unreachable behind staticValid.
 	s.coasting = false
-	s.coastEpoch = 0
 	s.coastBits = 0
 }
 
@@ -302,12 +302,12 @@ type Machine struct {
 	// (the two are bit-identical in every protocol-visible field).
 	FullRecheck bool
 
-	// Coast opts into the coast regime (see coast.go): trains park after a
-	// quiet horizon and certified nodes freeze into pure clockwork, giving
-	// a worklist engine an O(active + Δ) quiet round. Off by default — the
-	// default trajectories are bit-identical to pre-coast builds. Requires
-	// Mode == Sync; ignored under FullRecheck.
-	Coast bool
+	// coast runs the coast regime (see coast.go): trains park after a quiet
+	// horizon and certified nodes freeze into pure clockwork, giving a
+	// worklist engine an O(active + Δ) quiet round. NewWorklistRunner, its
+	// one production setter, sets it on a synchronous machine with
+	// memoization on — the regime needs both.
+	coast bool
 
 	// staticRecomputes counts static-layer recomputations (memo misses)
 	// across all nodes and rounds — the observable that incremental tests
@@ -441,25 +441,24 @@ func (m *Machine) Step(v *runtime.View, scratch runtime.State) runtime.State {
 func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	old := v.Self()
 	epoch := v.StepEpoch()
-	coastOn := m.coastOn()
 	dst.CopyFrom(old)
-	if coastOn && old.coasting && !v.LabelsChangedSince(old.coastEpoch) {
+	if m.coast && old.coasting && !v.LabelsChangedSince(old.staticEpoch) {
 		// Coast branch: the node is certified quiescent and nothing tracked
-		// in its 1-hop neighbourhood changed since certification — its step
-		// is pure clockwork (coast.go). This is exactly what a worklist
-		// engine replays in closed form when it skips the node, so dense and
-		// sparse stepping are bit-identical by construction.
-		m.coastTick(dst)
+		// in its 1-hop neighbourhood changed since certification (stamped
+		// at staticEpoch) — its step is one round of pure clockwork
+		// (coast.go). A worklist engine that skips the node replays the same
+		// closed form for k rounds, so dense and sparse stepping are
+		// bit-identical by construction.
+		m.coastAdvance(dst, 1)
 		return dst
 	}
 	s := dst
 	if s.coasting {
-		// Melt: a tracked change reached the neighbourhood (or coast mode
-		// was disabled) — wake into a full step and mark the wake itself, so
-		// neighbouring coasters melt one hop further next round (detection
-		// liveness: the wave reaches every node that must observe a fault).
+		// Melt: a tracked change reached the neighbourhood — wake into a
+		// full step and mark the wake itself, so neighbouring coasters melt
+		// one hop further next round (detection liveness: the wave reaches
+		// every node that must observe a fault).
 		s.coasting = false
-		s.coastEpoch = 0
 		s.coastBits = 0
 		v.MarkLabelsChanged()
 	}
@@ -515,7 +514,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	}
 	// The header copy above already holds old's trains, so both step in
 	// place.
-	restOK := coastOn && m.restsAt(v, s, epoch)
+	restOK := m.coast && m.restsAt(v, s, epoch)
 	ctT, ctB := sc.trainCtxs(s, parent, restOK)
 	train.StepInto(&s.TopS, &s.TopS, ctT)
 	train.StepInto(&s.BotS, &s.BotS, ctB)
@@ -536,7 +535,7 @@ func (m *Machine) StepInto(dst *VState, v NodeView, sc *Scratch) *VState {
 	// Coast certification (coast.go): an alarm-free node whose horizon is
 	// quiet and whose certificate holds freezes into clockwork.
 	if restOK && !alarm && m.certifies(v, s, nbs, parent, n) {
-		m.freeze(s, epoch)
+		m.freeze(s)
 	}
 	return s
 }

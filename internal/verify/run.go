@@ -54,7 +54,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 }
 
 // NewWorklistRunner is NewRunner (Sync mode) with the coast regime enabled
-// (Machine.Coast) and sparse active-set stepping (runtime.Engine.Worklist):
+// (coast.go) and sparse active-set stepping (runtime.Engine.Worklist):
 // quiet rounds step only the frontier, skipped coasting nodes are replayed
 // in closed form, making round cost O(active + Δ) instead of O(n).
 //
@@ -68,7 +68,7 @@ func newRunner(l *Labeled, mode Mode, seed int64, fullRecheck bool) *Runner {
 // start by construction (worklist_parity_test.go, FuzzWorklistParity).
 func NewWorklistRunner(l *Labeled, seed int64) *Runner {
 	r := newRunner(l, Sync, seed, false)
-	r.Machine.Coast = true
+	r.Machine.coast = true
 	r.Eng.Worklist = true
 	r.seedQuiescence()
 	return r

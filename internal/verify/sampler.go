@@ -59,23 +59,8 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, n int, alarm *boo
 	if !s.AskValid {
 		// Capture I(Fj(v)) from the node's own train, together with the
 		// candidate port of Fj(v) — fixed for the whole dwell window.
-		side := j >= split
-		d := &trainSide(s, side).Down
-		if train.MemberAt(d, &s.L.HS, side, split) && d.P.ID.Level == j {
-			// §8 root identity check: the fragment root's piece must carry
-			// its own identity.
-			if s.L.HS.RootsAt(j) == hierarchy.RootsYes && d.P.ID.RootID != s.MyID {
-				*alarm = true
-			}
-			s.AskPiece = d.P
-			s.CandPort = int32(candidatePort(s, nbs, j))
-			s.AskValid = true
-			s.AskTimer = int32(window)
-			s.CapTimer = 0
-			s.ServerCur = 0
-			s.ServerTmr = 0
-			s.Want = train.Want{}
-		} else {
+		ask, rootBad := capture(s, j, split)
+		if ask == nil {
 			c := int(s.CapTimer) + 1
 			s.CapTimer = int32(c)
 			if c > window {
@@ -87,6 +72,17 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, n int, alarm *boo
 			}
 			return
 		}
+		if rootBad {
+			*alarm = true
+		}
+		s.AskPiece = *ask
+		s.CandPort = int32(candidatePort(s, nbs, j))
+		s.AskValid = true
+		s.AskTimer = int32(window)
+		s.CapTimer = 0
+		s.ServerCur = 0
+		s.ServerTmr = 0
+		s.Want = train.Want{}
 	}
 
 	cand := int(s.CandPort)
@@ -94,7 +90,7 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, n int, alarm *boo
 	if m.Mode == Sync {
 		for q := range nbs {
 			if nbs[q].ok {
-				m.compare(v, s, nbs, q, cand, split, alarm)
+				m.compare(v, &s.AskPiece, nbs, q, cand, split, alarm)
 			}
 		}
 		s.AskTimer--
@@ -117,7 +113,7 @@ func (m *Machine) sampler(v NodeView, s *VState, nbs []nbList, n int, alarm *boo
 	}
 	served := true
 	if nbs[q].ok {
-		served = m.compare(v, s, nbs, q, cand, split, alarm)
+		served = m.compare(v, &s.AskPiece, nbs, q, cand, split, alarm)
 	}
 	if served {
 		s.ServerCur++
@@ -164,25 +160,41 @@ func (s *VState) startLevel(i int) {
 	s.CandPort = -1
 }
 
-// compare runs the level-j checks against the neighbour at port q; cand is
-// the candidate port of Fj(v) and split the delimiter LevelSplit(n) — both
-// level/label-derived loop invariants hoisted by the caller (cand once per
-// dwell window, split once per step), so the per-neighbour work is only the
-// Show-buffer comparison itself. It returns true when the comparison is
-// complete (the event E(v,u,j) of §7.2 occurred or needs no piece), false
-// when v must keep waiting for u's train.
-func (m *Machine) compare(v NodeView, s *VState, nbs []nbList, q, cand, split int, alarm *bool) bool {
+// capture returns the piece the node's own train shows for level j — a
+// member piece of level j in the Down (Show) buffer of the train carrying
+// that level, split being the delimiter LevelSplit(n) — or nil while the
+// train has not delivered it. rootBad reports that the piece fails the §8
+// root identity check: the fragment root's piece must carry its own
+// identity. The sampler captures the piece into Ask; the coast certificate
+// (samplerOrbitClean) replays the same rule.
+func capture(s *VState, j, split int) (ask *hierarchy.Piece, rootBad bool) {
+	side := j >= split
+	d := &trainSide(s, side).Down
+	if !train.MemberAt(d, &s.L.HS, side, split) || d.P.ID.Level != j {
+		return nil, false
+	}
+	return &d.P, s.L.HS.RootsAt(j) == hierarchy.RootsYes && d.P.ID.RootID != s.MyID
+}
+
+// compare runs the level-j checks of the asked piece ask against the
+// neighbour at port q; cand is the candidate port of Fj(v) and split the
+// delimiter LevelSplit(n) — both level/label-derived loop invariants hoisted
+// by the caller (cand once per dwell window, split once per step), so the
+// per-neighbour work is only the Show-buffer comparison itself. It returns
+// true when the comparison is complete (the event E(v,u,j) of §7.2 occurred
+// or needs no piece), false when v must keep waiting for u's train.
+func (m *Machine) compare(v NodeView, ask *hierarchy.Piece, nbs []nbList, q, cand, split int, alarm *bool) bool {
 	u := nbs[q].st
-	j := s.AskPiece.ID.Level
+	j := ask.ID.Level
 	w := v.Weight(q)
 	isCand := cand == q
 
 	if !u.L.HS.InFragmentAt(j) {
 		// u is in no level-j fragment: the edge leaves Fj(v).
-		if w < s.AskPiece.W {
+		if w < ask.W {
 			*alarm = true // C2
 		}
-		if isCand && w != s.AskPiece.W {
+		if isCand && w != ask.W {
 			*alarm = true // C1
 		}
 		return true
@@ -193,10 +205,10 @@ func (m *Machine) compare(v NodeView, s *VState, nbs []nbList, q, cand, split in
 		return false // u's piece not visible yet
 	}
 	theirs := &d.P
-	if theirs.ID == s.AskPiece.ID {
+	if theirs.ID == ask.ID {
 		// Same fragment: pieces must agree in full (EQ), and the candidate
 		// edge must not be internal (C1).
-		if *theirs != s.AskPiece {
+		if *theirs != *ask {
 			*alarm = true
 		}
 		if isCand {
@@ -205,10 +217,10 @@ func (m *Machine) compare(v NodeView, s *VState, nbs []nbList, q, cand, split in
 		return true
 	}
 	// Different fragments: the edge is outgoing.
-	if w < s.AskPiece.W {
+	if w < ask.W {
 		*alarm = true // C2
 	}
-	if isCand && w != s.AskPiece.W {
+	if isCand && w != ask.W {
 		*alarm = true // C1
 	}
 	return true

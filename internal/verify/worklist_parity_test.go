@@ -26,7 +26,7 @@ import (
 // two run identical machine code and must be bit-identical everywhere.
 func newCoastRunner(l *Labeled, seed int64) *Runner {
 	r := newRunner(l, Sync, seed, false)
-	r.Machine.Coast = true
+	r.Machine.coast = true
 	return r
 }
 

@@ -32,8 +32,9 @@ import (
 // protocols (runners expose theirs as Eng). Tuning knobs: Parallel enables
 // worker-pool fan-out for synchronous rounds; with Workers = 0 it engages
 // for rounds of at least a few hundred nodes on a multi-core process, and
-// Workers = k > 0 fans out over up to k pool workers at any n on any core
-// count. Parallel stepping is bit-identical to serial stepping.
+// Workers = k > 0 fans out every round of at least 2 nodes over up to k
+// pool workers on any core count (k = 1 steps serially). Parallel stepping
+// is bit-identical to serial stepping.
 type Engine = runtime.Engine
 
 // Graph is an undirected edge-weighted network with unique node identities
